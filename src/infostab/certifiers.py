@@ -453,7 +453,10 @@ def _hyperstable_fit(f, a: Alpha):
     )
     rhs = np.array([float(f(0.5)), float(f(0.25))])
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    assert det != 0.0, "anchor system became singular; impossible for alpha < 0"
+    if det == 0.0:
+        raise UnsupportedParameterError(
+            f"the anchor system is singular at alpha = {v!r}; it is regular for alpha < 0"
+        )
     c, d = np.linalg.solve(m, rhs)
     return float(c), float(d)
 
@@ -1037,7 +1040,10 @@ def certify_modified_entropy(
         h = box / (64.0 * r)
         third = box / 3.0
         denom = 3.0 * third**v - ((box - 2.0 * h) ** v + 2.0 * h**v)
-        assert denom != 0.0, "degenerate probe pair; impossible for alpha != 1"
+        if denom == 0.0:
+            raise UnsupportedParameterError(
+                f"the probe pair is degenerate at alpha = {v!r}; it is regular for alpha != 1"
+            )
         coeff = (float(f(third, third, third)) - float(f(box - 2.0 * h, h, h))) / denom
         phi_vals = diag_vals - 3.0 * coeff * np.power(diag, v)
         if a.regime is Regime.NEGATIVE:

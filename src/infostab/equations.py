@@ -210,11 +210,13 @@ def _fundamental_defect(f, alpha, pts):
     y = pts[:, 1]
     rx = 1.0 - x
     ry = 1.0 - y
+    # on the closed edge x + y = 1 the quotients are 1 exactly but can round
+    # above it; inside the triangle they stay at most 1 - 1/R
     return (
         f(x)
-        + pow0(rx, alpha) * f(y / rx)
+        + pow0(rx, alpha) * f(np.minimum(y / rx, 1.0))
         - f(y)
-        - pow0(ry, alpha) * f(x / ry)
+        - pow0(ry, alpha) * f(np.minimum(x / ry, 1.0))
     )
 
 
@@ -271,7 +273,9 @@ def _expect_simplex_pair(grid, kind, budget):
     return gp, gq
 
 
-def _sum_form_sweep(kind, f, grid, budget, jobs, epsilon_target, writer=None):
+def _sum_form_blocks(kind, f, grid, budget):
+    """Return (P, Q, spans, worker): worker(a, b) is the defect of rows P[a:b]
+    against every row of Q, flattened P-major."""
     gp, gq = _expect_simplex_pair(grid, kind, budget)
     P = gp.points
     Q = gq.points
@@ -296,19 +300,16 @@ def _sum_form_sweep(kind, f, grid, budget, jobs, epsilon_target, writer=None):
         (s, min(s + rows_per_block, P.shape[0]))
         for s in range(0, P.shape[0], rows_per_block)
     ]
+    return P, Q, spans, worker
+
+
+def _sum_form_sweep(kind, f, grid, budget, jobs, epsilon_target):
+    P, Q, spans, worker = _sum_form_blocks(kind, f, grid, budget)
     if jobs <= 1 or len(spans) <= 1:
         blocks = [worker(a, b) for a, b in spans]
     else:
         with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
             blocks = [fut.result() for fut in [pool.submit(worker, a, b) for a, b in spans]]
-    if writer is not None:
-        off = 0
-        for (a, b), block in zip(spans, blocks):
-            for local, d in enumerate(block):
-                idx = off + local
-                i, j = divmod(idx, Q.shape[0])
-                writer(np.concatenate([P[a + i], Q[j]]), float(d))
-            off += block.size
 
     def point_for(idx):
         i, j = divmod(idx, Q.shape[0])
@@ -430,22 +431,36 @@ def residual(
     return _reduce(lambda i: pts[i], blocks, pts.shape[0], epsilon_target)
 
 
+def _write_defect_rows(fh, pts, defects):
+    """Write one CSV row per point: its coordinates, then its defect, all %.17g.
+
+    Lattice coordinates repeat across a block, so each distinct value is
+    formatted once; values are keyed on their bit pattern so that -0.0 and
+    0.0 keep their own text.
+    """
+    pts = np.ascontiguousarray(pts, dtype=np.float64)
+    rows, d = pts.shape
+    keys, inverse = np.unique(pts.view(np.uint64).ravel(), return_inverse=True)
+    text = np.array(["%.17g" % v for v in keys.view(np.float64).tolist()], dtype=object)
+    args = np.empty((rows, d + 1), dtype=object)
+    args[:, :d] = text[inverse.reshape(rows, d)]
+    args[:, d] = np.asarray(defects, dtype=np.float64).tolist()
+    fh.write((("%s," * d + "%.17g\n") * rows) % tuple(args.ravel().tolist()))
+
+
 def dump_defects_csv(kind, fns, grid, path, *, budget: int = 10**7):
     """Stream per-point defects to CSV (point coordinates, then the defect)."""
     with open(path, "w") as fh:
-        def writer(coords, d):
-            fh.write(",".join(f"{float(c):.17g}" for c in coords))
-            fh.write(f",{d:.17g}\n")
-
         if isinstance(kind, (SumFormAdditive, SumFormAlpha, SumFormMultiplicative)):
-            f = _one_function(fns)
-            _sum_form_sweep(kind, f, grid, budget, 1, None, writer=writer)
+            P, Q, spans, worker = _sum_form_blocks(kind, _one_function(fns), grid, budget)
+            for a, b in spans:
+                pts = np.hstack([np.repeat(P[a:b], Q.shape[0], axis=0), np.tile(Q, (b - a, 1))])
+                _write_defect_rows(fh, pts, worker(a, b))
             return
         pts, defect = _defect_and_points(kind, fns, grid, budget)
         for a in range(0, pts.shape[0], _CHUNK):
-            block = defect(pts[a : a + _CHUNK])
-            for row, d in zip(pts[a : a + _CHUNK], np.asarray(block)):
-                writer(np.atleast_1d(row), float(d))
+            block = pts[a : a + _CHUNK]
+            _write_defect_rows(fh, block, defect(block))
 
 
 # ---------------------------------------------------------------------------

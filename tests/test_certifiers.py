@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from _helpers import exact_measure, kappa
 from infostab import (
     AffineSum,
+    Alpha,
     BudgetExceededError,
     CertifierTrace,
     ConfigurationError,
@@ -53,6 +54,7 @@ from infostab import (
     stability_constant_T,
     stability_constants,
 )
+from infostab.certifiers import _hyperstable_fit
 
 
 def perturbed(f, height, center=0.5, width=0.2):
@@ -212,6 +214,13 @@ class TestFundamentalClosed:
         assert cert.satisfied
         assert cert.distance > 0.0
 
+    @pytest.mark.parametrize("resolution", [96, 384])
+    def test_power_family_off_powers_of_two(self, resolution):
+        # x/(1-y) rounds above 1 on the edge x+y=1 unless it is clamped
+        cert = certify_fundamental_closed(PowerFamily(1.7, -0.4, 0.5), 0.5, resolution)
+        assert cert.satisfied
+        assert cert.epsilon <= 1e-8
+
     def test_degree_zero_patch(self):
         data = EndpointPatch(Constant(1.3), 0.4, -0.2)
         cert = certify_fundamental_closed(data, 0.0, 128)
@@ -252,6 +261,10 @@ class TestHyperstable:
     def test_wrong_regime(self):
         with pytest.raises(DispatchError):
             certify_hyperstable(PowerFamily(1.0, 1.0, 2.0), 2.0, 64)
+
+    def test_singular_anchor_system(self):
+        with pytest.raises(UnsupportedParameterError):
+            _hyperstable_fit(PowerFamily(1.0, 1.0, 0.0), Alpha.of(0.0))
 
 
 class TestBlowupProbe:

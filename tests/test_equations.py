@@ -47,6 +47,12 @@ from infostab import (
     residual,
     symmetry_residual,
 )
+from infostab.equations import (
+    _CHUNK,
+    _defect_and_points,
+    _sum_form_blocks,
+    _write_defect_rows,
+)
 
 TINY = 1e-12
 
@@ -248,6 +254,68 @@ class TestDumpCsv:
         dump_defects_csv(SumFormAdditive(2, 2), XLogX(-1.0), grids, path)
         rows = np.loadtxt(path, delimiter=",")
         assert rows.shape == (grids[0].count * grids[1].count, 5)
+
+
+def _rowwise_csv(rows):
+    """The row-at-a-time formatting the block writer replaced, kept as its oracle."""
+    out = []
+    for coords, d in rows:
+        out.append(",".join(f"{float(c):.17g}" for c in coords))
+        out.append(f",{float(d):.17g}\n")
+    return "".join(out).encode()
+
+
+def _rows_in_sweep_order(kind, fns, grid):
+    if isinstance(kind, SumFormAdditive):
+        P, Q, spans, worker = _sum_form_blocks(kind, fns, grid, 10**7)
+        for a, b in spans:
+            for local, d in enumerate(worker(a, b)):
+                i, j = divmod(local, Q.shape[0])
+                yield np.concatenate([P[a + i], Q[j]]), d
+        return
+    pts, defect = _defect_and_points(kind, fns, grid, 10**7)
+    for a in range(0, pts.shape[0], _CHUNK):
+        block = pts[a : a + _CHUNK]
+        yield from zip(block, np.asarray(defect(block)))
+
+
+def _noisy_info(x):
+    return ShannonInfo()(x) + ScaledBump(0.4, 0.2, 0.01)(x)
+
+
+class TestDumpBytes:
+    @pytest.mark.parametrize(
+        "kind, fns, grid",
+        [
+            (FundamentalParametric(1.0), _noisy_info, TriangleGrid(24)),
+            (FundamentalParametric(1.0), _noisy_info, TriangleGrid(32, closed=True)),
+            # more than one _CHUNK block
+            (FundamentalParametric(0.5), PowerFamily(1.7, -0.4, 0.5), TriangleGrid(300)),
+            (EntropyEq(), EntropySolution(0.7, 2.0), ConeGrid(10, bound=2.0)),
+            (ModifiedEntropy(2.0), ModifiedEntropySolution(0.4, 2.0, XLogX(1.0)), ConeGrid(10)),
+            (PhiEquation(), XLogX(-1.0), UnitGrid(32, closed=True)),
+            (SumFormAdditive(2, 2), XLogX(-1.0),
+             (SimplexGrid(2, 4, closed=True), SimplexGrid(2, 4, closed=True))),
+            # one P row per block, so the dump spans two blocks
+            (SumFormAdditive(2, 2), XLogX(-1.0),
+             (SimplexGrid(2, 3), SimplexGrid(2, _CHUNK // 2, closed=True))),
+        ],
+    )
+    def test_block_writer_matches_rowwise(self, tmp_path, kind, fns, grid):
+        path = tmp_path / "defects.csv"
+        dump_defects_csv(kind, fns, grid, path)
+        assert path.read_bytes() == _rowwise_csv(_rows_in_sweep_order(kind, fns, grid))
+
+    def test_special_values(self, tmp_path):
+        pts = np.array(
+            [[0.0, -0.0], [-0.0, 0.0], [0.5, 1.0 / 3.0], [0.0, 0.0], [-0.0, 5e-324], [1.0, 0.5]]
+        )
+        defects = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1])
+        path = tmp_path / "defects.csv"
+        with open(path, "w") as fh:
+            _write_defect_rows(fh, pts, defects)
+        assert path.read_bytes() == _rowwise_csv(zip(pts, defects))
+        assert path.read_text().splitlines()[:2] == ["0,-0,nan", "-0,0,inf"]
 
 
 class TestSymmetryHomogeneity:
