@@ -14,7 +14,6 @@ Conventions (applied uniformly, for every exponent alpha):
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,6 +22,7 @@ import numpy as np
 
 from .errors import (
     BudgetExceededError,
+    ConfigurationError,
     DomainError,
     InvalidResolutionError,
 )
@@ -37,10 +37,6 @@ __all__ = [
     "ConeGrid",
     "PairGrid",
     "grid_to_csv",
-    "random_unit",
-    "random_triangle",
-    "random_simplex",
-    "random_cone",
 ]
 
 
@@ -101,6 +97,29 @@ def _freeze(arr):
     return arr
 
 
+def _compositions(prefix, rem, parts, lo):
+    """Integer columns of every way to split ``rem[i]`` into ``parts`` parts of
+    at least ``lo`` after the fixed leading parts ``prefix[j][i]``, prefix by
+    prefix in lexicographic order (Knuth, TAOCP 4A, 7.2.1.3)."""
+    cols = list(prefix)
+    for t in range(parts - 1, 0, -1):
+        # the next part runs over lo .. rem - lo*t, leaving t parts to place
+        counts = rem - lo * (t + 1) + 1
+        starts = np.cumsum(counts) - counts
+        k = np.arange(lo, int(starts[-1] + counts[-1]) + lo) - np.repeat(starts, counts)
+        cols = [np.repeat(c, counts) for c in cols] + [k]
+        rem = np.repeat(rem, counts) - k
+    return cols + [rem]
+
+
+def _scaled(cols, resolution):
+    """Stack integer columns into a C-ordered point matrix divided by R."""
+    out = np.empty((cols[0].size, len(cols)))
+    for j, c in enumerate(cols):
+        out[:, j] = c
+    return np.divide(out, float(resolution), out=out)
+
+
 class _CsvMixin:
     def to_csv(self, path):
         grid_to_csv(self.points, path)
@@ -148,15 +167,13 @@ class TriangleGrid(_CsvMixin):
 
     @cached_property
     def points(self):
+        # (i, j) are the leading parts of the 3-part compositions of R; the
+        # closed variant drops the corners (0, R) and (R, 0)
         r = self.resolution
+        cols = _compositions([], np.array([r]), 3, 0 if self.closed else 1)[:2]
         if self.closed:
-            i, j = np.meshgrid(np.arange(r), np.arange(r), indexing="ij")
-            mask = i + j <= r
-        else:
-            i, j = np.meshgrid(np.arange(1, r), np.arange(1, r), indexing="ij")
-            mask = i + j <= r - 1
-        pts = np.stack([i[mask], j[mask]], axis=1) / float(r)
-        return _freeze(pts)
+            cols = [np.delete(c, [r, c.size - 1]) for c in cols]
+        return _freeze(_scaled(cols, r))
 
 
 @dataclass(frozen=True)
@@ -165,7 +182,11 @@ class SimplexGrid(_CsvMixin):
 
     Open variant: all coordinates k_i/R with k_i >= 1 (strict interior).
     Closed variant: k_i >= 0.  Points are ordered lexicographically in the
-    integer compositions, so the first coordinate is nondecreasing.
+    integer compositions (k_1, ..., k_n), so the first coordinate is
+    nondecreasing.  ``points`` materialises the lattice within ``budget``;
+    ``iter_blocks(rows)`` streams the same points, bit for bit and in the same
+    order, as blocks of 1..rows rows whose working memory stays within a small
+    multiple of ``rows * n * 8`` bytes at any lattice size.
     """
 
     n: int
@@ -190,25 +211,36 @@ class SimplexGrid(_CsvMixin):
             return math.comb(r + n - 1, n - 1)
         return math.comb(r - 1, n - 1)
 
-    def _cuts(self):
-        r, n = self.resolution, self.n
-        if self.closed:
-            return itertools.combinations(range(r + n - 1), n - 1)
-        return itertools.combinations(range(1, r), n - 1)
+    def _blocks(self, rows, prefix=()):
+        """The lattice points under a fixed leading ``prefix``, in order, as
+        blocks of 1..rows points.  The points under one longer prefix form a
+        group of closed-form size; a group larger than ``rows`` is split on
+        its next coordinate, and runs of consecutive groups that fit are
+        packed together.  At most ``rows`` next values are held at a time."""
+        lo = 0 if self.closed else 1
+        m, parts = self.resolution - sum(prefix), self.n - len(prefix) - 1
 
-    def _parts(self, cut_rows):
-        # stars and bars: recover integer parts from cut positions
-        r, n = self.resolution, self.n
-        cuts = np.asarray(cut_rows, dtype=np.int64).reshape(-1, n - 1)
-        if self.closed:
-            first = cuts[:, :1]
-            mid = np.diff(cuts, axis=1) - 1
-            last = (r + n - 2) - cuts[:, -1:]
-        else:
-            first = cuts[:, :1]
-            mid = np.diff(cuts, axis=1)
-            last = r - cuts[:, -1:]
-        return np.concatenate([first, mid, last], axis=1)
+        def run(k):
+            cols = [np.full(k.size, v) for v in prefix] + [k]
+            return _scaled(_compositions(cols, m - k, parts, lo), self.resolution)
+
+        top = m - lo * parts
+        for first in range(lo, top + 1, rows):
+            k = np.arange(first, min(first + rows, top + 1))
+            start = held = 0
+            for i, x in enumerate((m - k).tolist()):
+                size = math.comb(x - lo * parts + parts - 1, parts - 1)
+                if held and held + size > rows:
+                    yield run(k[start:i])
+                    held = 0
+                if size > rows:
+                    yield from self._blocks(rows, prefix + (int(k[i]),))
+                    continue
+                if not held:
+                    start = i
+                held += size
+            if held:
+                yield run(k[start:])
 
     @cached_property
     def points(self):
@@ -217,21 +249,17 @@ class SimplexGrid(_CsvMixin):
                 f"simplex grid would hold {self.count} points, over the "
                 f"budget of {self.budget}; raise the budget or stream blocks"
             )
-        flat = np.fromiter(
-            itertools.chain.from_iterable(self._cuts()), dtype=np.int64
-        )
-        ks = self._parts(flat)
-        return _freeze(ks / float(self.resolution))
+        (pts,) = self._blocks(self.count)
+        return _freeze(pts)
 
     def iter_blocks(self, rows=250_000):
-        """Yield point blocks of at most ``rows`` rows without materialising
-        the whole grid; used for sweeps past the budget."""
-        it = self._cuts()
-        while True:
-            chunk = list(itertools.islice(it, rows))
-            if not chunk:
-                return
-            yield self._parts(chunk) / float(self.resolution)
+        """Yield ``points`` in order as blocks of 1..``rows`` rows, for sweeps
+        past the budget, which it ignores.  Blocks follow leading-prefix
+        groups, so they may be short; working memory stays within a small
+        multiple of ``rows * n * 8`` bytes at any lattice size."""
+        if rows < 1:
+            raise ConfigurationError(f"blocks need at least one row, got {rows}")
+        return self._blocks(rows)
 
 
 @dataclass(frozen=True)
@@ -294,27 +322,3 @@ def grid_to_csv(points, path):
         arr = arr[:, None]
     np.savetxt(path, arr, delimiter=",", fmt="%.17g")
 
-
-# ---------------------------------------------------------------------------
-# seeded random sampling, secondary mode for property tests
-
-
-def random_unit(count, rng, closed=False):
-    pts = rng.random(count)
-    if closed:
-        return pts
-    return 0.5 + (pts - 0.5) * (1 - 1e-9)
-
-
-def random_triangle(count, rng):
-    """Uniform interior points of the open triangle x,y>0, x+y<1."""
-    raw = rng.dirichlet((1.0, 1.0, 1.0), size=count)
-    return raw[:, :2]
-
-
-def random_simplex(n, count, rng):
-    return rng.dirichlet(np.ones(n), size=count)
-
-
-def random_cone(count, rng, bound=1.0):
-    return rng.random((count, 3)) * bound

@@ -319,7 +319,14 @@ def _sum_form_sweep(kind, f, grid, budget, jobs, epsilon_target):
 
 
 def _defect_and_points(kind, fns, grid, budget):
-    """Return (points, defect_fn) for the single-matrix equation kinds."""
+    """Return (points, defect_fn) for the single-matrix equation kinds, within budget."""
+    pts, defect = _unchecked_defect_and_points(kind, fns, grid)
+    if pts.shape[0] > budget:
+        raise BudgetExceededError(f"{pts.shape[0]} grid points exceed the budget of {budget}")
+    return pts, defect
+
+
+def _unchecked_defect_and_points(kind, fns, grid):
     if isinstance(kind, FundamentalParametric):
         f = _one_function(fns)
         g = _expect_grid(grid, TriangleGrid, "FundamentalParametric")
@@ -423,10 +430,6 @@ def residual(
         f = _one_function(fns)
         return _sum_form_sweep(kind, f, grid, budget, jobs, epsilon_target)
     pts, defect = _defect_and_points(kind, fns, grid, budget)
-    if pts.shape[0] > budget:
-        raise BudgetExceededError(
-            f"{pts.shape[0]} grid points exceed the budget of {budget}"
-        )
     blocks = _parallel_blocks(lambda a, b: defect(pts[a:b]), pts.shape[0], jobs)
     return _reduce(lambda i: pts[i], blocks, pts.shape[0], epsilon_target)
 
@@ -449,18 +452,19 @@ def _write_defect_rows(fh, pts, defects):
 
 
 def dump_defects_csv(kind, fns, grid, path, *, budget: int = 10**7):
-    """Stream per-point defects to CSV (point coordinates, then the defect)."""
-    with open(path, "w") as fh:
-        if isinstance(kind, (SumFormAdditive, SumFormAlpha, SumFormMultiplicative)):
-            P, Q, spans, worker = _sum_form_blocks(kind, _one_function(fns), grid, budget)
-            for a, b in spans:
-                pts = np.hstack([np.repeat(P[a:b], Q.shape[0], axis=0), np.tile(Q, (b - a, 1))])
-                _write_defect_rows(fh, pts, worker(a, b))
-            return
+    """Stream per-point defects to CSV (point coordinates, then the defect);
+    the budget is checked before the file is opened."""
+    if isinstance(kind, (SumFormAdditive, SumFormAlpha, SumFormMultiplicative)):
+        P, Q, spans, worker = _sum_form_blocks(kind, _one_function(fns), grid, budget)
+        tiles = ((np.hstack([np.repeat(P[a:b], len(Q), axis=0), np.tile(Q, (b - a, 1))]),
+                  worker(a, b)) for a, b in spans)
+    else:
         pts, defect = _defect_and_points(kind, fns, grid, budget)
-        for a in range(0, pts.shape[0], _CHUNK):
-            block = pts[a : a + _CHUNK]
-            _write_defect_rows(fh, block, defect(block))
+        tiles = ((pts[a : a + _CHUNK], defect(pts[a : a + _CHUNK]))
+                 for a in range(0, pts.shape[0], _CHUNK))
+    with open(path, "w") as fh:
+        for block, defects in tiles:
+            _write_defect_rows(fh, block, defects)
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +478,15 @@ _PERMS3 = (
     (2, 0, 1),
     (2, 1, 0),
 )
+
+
+def _stacked_point(pts, width, idx):
+    """The point behind flat defect index idx of a sweep whose blocks stack
+    ``width`` variants of each _CHUNK rows: chunk, then variant, then row.
+    idx = -1 (no finite sup) maps to the last row of the first chunk."""
+    chunk = max(idx, 0) // (_CHUNK * width)
+    local = idx - chunk * _CHUNK * width
+    return pts[chunk * _CHUNK + local % min(_CHUNK, pts.shape[0] - chunk * _CHUNK)]
 
 
 def symmetry_residual(F: TernaryFunction, grid: ConeGrid, *, jobs: int = 1) -> ResidualReport:
@@ -491,22 +504,8 @@ def symmetry_residual(F: TernaryFunction, grid: ConeGrid, *, jobs: int = 1) -> R
         return np.concatenate(cols)
 
     blocks = _parallel_blocks(worker, pts.shape[0], jobs)
-
-    def point_for(idx):
-        n = pts.shape[0]
-        # blocks interleave per chunk: chunk index, then permutation, then row
-        chunk_sizes = [min(_CHUNK, n - s) for s in range(0, n, _CHUNK)]
-        off = 0
-        for ci, size in enumerate(chunk_sizes):
-            span = size * len(_PERMS3)
-            if idx < off + span:
-                local = idx - off
-                row = local % size
-                return pts[ci * _CHUNK + row]
-            off += span
-        raise IndexError(idx)
-
-    return _reduce(point_for, blocks, pts.shape[0] * len(_PERMS3), None)
+    width = len(_PERMS3)
+    return _reduce(lambda i: _stacked_point(pts, width, i), blocks, pts.shape[0] * width, None)
 
 
 def homogeneity_residual(
@@ -535,18 +534,4 @@ def homogeneity_residual(
         return np.concatenate(cols)
 
     blocks = _parallel_blocks(worker, pts.shape[0], jobs)
-
-    def point_for(idx):
-        n = pts.shape[0]
-        chunk_sizes = [min(_CHUNK, n - s) for s in range(0, n, _CHUNK)]
-        off = 0
-        for ci, size in enumerate(chunk_sizes):
-            span = size * len(ts)
-            if idx < off + span:
-                local = idx - off
-                row = local % size
-                return pts[ci * _CHUNK + row]
-            off += span
-        raise IndexError(idx)
-
-    return _reduce(point_for, blocks, pts.shape[0] * len(ts), None)
+    return _reduce(lambda i: _stacked_point(pts, len(ts), i), blocks, pts.shape[0] * len(ts), None)

@@ -1,6 +1,10 @@
 """Grids and evaluation conventions."""
 
+import gc
+import itertools
 import math
+import tracemalloc
+import weakref
 from itertools import product
 from math import comb
 
@@ -12,6 +16,7 @@ from hypothesis import strategies as st
 from infostab import (
     BudgetExceededError,
     ConeGrid,
+    ConfigurationError,
     InvalidResolutionError,
     PairGrid,
     SimplexGrid,
@@ -68,7 +73,42 @@ class TestUnitGrid:
             g.points[0] = 0.9
 
 
+def _bits(arr):
+    return arr.shape, arr.view(np.uint64).tobytes()
+
+
+def _stars_and_bars(n, r, closed):
+    """The itertools enumerator the numpy one replaced, kept as its oracle."""
+    if closed:
+        cuts = itertools.combinations(range(r + n - 1), n - 1)
+    else:
+        cuts = itertools.combinations(range(1, r), n - 1)
+    cuts = np.array(list(cuts), dtype=np.int64).reshape(-1, n - 1)
+    gap = 1 if closed else 0
+    last = (r + n - 2 if closed else r) - cuts[:, -1:]
+    ks = np.concatenate([cuts[:, :1], np.diff(cuts, axis=1) - gap, last], axis=1)
+    return ks / float(r)
+
+
+def _masked_triangle(r, closed):
+    """The meshgrid-and-mask triangle build, kept as the oracle of its replacement."""
+    if closed:
+        i, j = np.meshgrid(np.arange(r), np.arange(r), indexing="ij")
+        mask = i + j <= r
+    else:
+        i, j = np.meshgrid(np.arange(1, r), np.arange(1, r), indexing="ij")
+        mask = i + j <= r - 1
+    return np.stack([i[mask], j[mask]], axis=1) / float(r)
+
+
 class TestTriangleGrid:
+    @pytest.mark.parametrize(
+        "r, closed",
+        [(2, True)] + [(r, closed) for r in (3, 5, 7, 96, 512) for closed in (False, True)],
+    )
+    def test_matches_masked_meshgrid(self, r, closed):
+        assert _bits(TriangleGrid(r, closed=closed).points) == _bits(_masked_triangle(r, closed))
+
     def test_open_resolution_4(self):
         # the three interior nodes of the R=4 lattice, in lexicographic order
         assert TriangleGrid(4).points.tolist() == [
@@ -144,6 +184,50 @@ class TestSimplexGrid:
         total = sum(b.shape[0] for b in g.iter_blocks(rows=100))
         assert total == g.count
 
+    @pytest.mark.parametrize("rows", [1, 7, 8, 10**4])
+    @pytest.mark.parametrize(
+        "n, r, closed",
+        # closed n=3, R=12: the group under k_1 = 0 holds 13 points, more than 7
+        [(4, 12, False), (3, 12, True), (5, 9, True), (2, 30, False)],
+    )
+    def test_iter_blocks_concatenate_to_oracle(self, n, r, closed, rows):
+        blocks = list(SimplexGrid(n, r, closed=closed).iter_blocks(rows))
+        assert all(1 <= b.shape[0] <= rows for b in blocks)
+        assert _bits(np.concatenate(blocks, axis=0)) == _bits(_stars_and_bars(n, r, closed))
+
+    def test_iter_blocks_memory_stays_near_one_block(self):
+        # 1,502,501 points; one block per leading coordinate would hold 76,076
+        g = SimplexGrid(5, 80, budget=10)
+        rows = 10**4
+        tracemalloc.start()
+        try:
+            total = 0
+            for block in g.iter_blocks(rows):
+                total += block.shape[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert total == g.count == 1_502_501
+        assert peak <= 4 * rows * g.n * 8, peak
+
+    def test_built_grid_is_freed_without_the_cycle_collector(self):
+        # a lattice held alive by a reference cycle stays in memory until the
+        # next collection, raising the peak of the sweep that follows
+        gc.disable()
+        try:
+            g = SimplexGrid(4, 30)
+            g.points
+            list(g.iter_blocks(rows=50))
+            ref = weakref.ref(g)
+            del g
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_iter_blocks_needs_a_row(self):
+        with pytest.raises(ConfigurationError):
+            SimplexGrid(3, 6).iter_blocks(rows=0)
+
 
 class TestConeAndPair:
     def test_cone_points_strictly_positive(self):
@@ -202,3 +286,15 @@ def test_simplex_counts_and_interior(n, r):
         assert pts.shape[0] == comb(r - 1, n - 1)
         assert pts.min() > 0.0
         assert np.allclose(pts.sum(axis=1), 1.0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=6),
+    r=st.integers(min_value=1, max_value=14),
+    closed=st.booleans(),
+)
+def test_simplex_points_match_stars_and_bars(n, r, closed):
+    if not closed and r < n:
+        r = n
+    assert _bits(SimplexGrid(n, r, closed=closed).points) == _bits(_stars_and_bars(n, r, closed))

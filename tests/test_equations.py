@@ -50,6 +50,7 @@ from infostab import (
 from infostab.equations import (
     _CHUNK,
     _defect_and_points,
+    _stacked_point,
     _sum_form_blocks,
     _write_defect_rows,
 )
@@ -255,6 +256,16 @@ class TestDumpCsv:
         rows = np.loadtxt(path, delimiter=",")
         assert rows.shape == (grids[0].count * grids[1].count, 5)
 
+    def test_budget_guard(self, tmp_path):
+        # the dump holds the budget that residual holds on the same points
+        args = (FundamentalParametric(0.5), PowerFamily(1.0, 1.0, 0.5), TriangleGrid(256))
+        with pytest.raises(BudgetExceededError):
+            residual(*args, budget=100)
+        path = tmp_path / "defects.csv"
+        with pytest.raises(BudgetExceededError):
+            dump_defects_csv(*args, path, budget=100)
+        assert not path.exists()
+
 
 def _rowwise_csv(rows):
     """The row-at-a-time formatting the block writer replaced, kept as its oracle."""
@@ -345,6 +356,26 @@ class TestSymmetryHomogeneity:
         F = RatioLift(ShannonInfo(), 1.0)
         with pytest.raises(ConfigurationError):
             homogeneity_residual(F, 1.0, PairGrid(4), t_set=(0.5, -1.0))
+
+    @pytest.mark.parametrize("n", [1, 5, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 7])
+    @pytest.mark.parametrize("width", [1, 4, 6])
+    def test_stacked_point_matches_chunk_walk(self, n, width):
+        def chunk_walk(idx):
+            # the per-chunk scan the closed form replaced, kept as its oracle
+            off = 0
+            for ci, size in enumerate(min(_CHUNK, n - s) for s in range(0, n, _CHUNK)):
+                if idx < off + size * width:
+                    return pts[ci * _CHUNK + (idx - off) % size]
+                off += size * width
+            raise IndexError(idx)
+
+        pts = np.arange(n, dtype=float)[:, None]
+        total = n * width
+        edges = {c * _CHUNK * width + d for c in range(n // _CHUNK + 2) for d in (-1, 0, 1)}
+        idxs = {-1, total - 1} | set(range(0, total, max(1, total // 500)))
+        idxs |= {i for i in edges if 0 <= i < total}
+        for i in sorted(idxs):
+            assert _stacked_point(pts, width, i) == chunk_walk(i), i
 
 
 @settings(max_examples=25, deadline=None)
