@@ -24,7 +24,10 @@ from .equations import (
     FundamentalParametric,
     ModifiedEntropy,
     SumFormMultiplicative,
+    _CHUNK,
     _fundamental_defect,
+    _spans,
+    _sweep,
     homogeneity_residual,
     residual,
     symmetry_residual,
@@ -85,8 +88,6 @@ __all__ = [
     "certify_sum_form_multiplicative",
     "certify_sum_form_mixed",
 ]
-
-_BLOCK = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +185,16 @@ def certificate_slack(bound) -> float:
 
 def _passes(distance, bound) -> bool:
     return float(distance) <= float(bound) + certificate_slack(bound)
+
+
+def _ternary_distance(F, G, pts):
+    """sup over the rows of pts of |F - G|, two ternary functions."""
+
+    def gap(span):
+        x, y, z = pts[span[0] : span[1]].T
+        return np.asarray(F(x, y, z)) - np.asarray(G(x, y, z)), lambda i: pts[span[0] + i]
+
+    return _sweep(gap, _spans(pts.shape[0])).sup
 
 
 def _plain(v):
@@ -544,10 +555,10 @@ def hyperstability_blowup_probe(
         )
     sums = pts[:, 0] + pts[:, 1]
     sups = [0.0] * len(hs)
-    for start in range(0, pts.shape[0], _BLOCK):
-        block = pts[start : start + _BLOCK]
+    for start in range(0, pts.shape[0], _CHUNK):
+        block = pts[start : start + _CHUNK]
         d = np.abs(_fundamental_defect(f, a.value, block))
-        s = sums[start : start + _BLOCK]
+        s = sums[start : start + _CHUNK]
         for i, h in enumerate(hs):
             keep = s <= 1.0 - h + 1e-12
             if np.any(keep):
@@ -727,12 +738,9 @@ def certify_measure_sequence(
                 f"level {n} lattice holds {grid.count} points, over the "
                 f"budget of {budget}"
             )
-        dist = 0.0
-        for block in grid.iter_blocks():
-            gap = np.abs(measure.eval_rows(block) - j_rows(block, n))
-            worst = float(np.max(gap))
-            if worst > dist:
-                dist = worst
+        dist = _sweep(
+            lambda P: (measure.eval_rows(P) - j_rows(P, n), P.__getitem__), grid.iter_blocks()
+        ).sup
         rows.append(
             SequenceRow(
                 n=n,
@@ -807,8 +815,8 @@ def certify_entropy_equation(
         fit_trace = {"c": c}
     elif a.regime is Regime.ZERO:
         vals = np.empty(pts.shape[0])
-        for s in range(0, pts.shape[0], _BLOCK):
-            blk = pts[s : s + _BLOCK]
+        for s in range(0, pts.shape[0], _CHUNK):
+            blk = pts[s : s + _CHUNK]
             vals[s : s + blk.shape[0]] = np.asarray(H(blk[:, 0], blk[:, 1], blk[:, 2]))
         c = float(np.median(vals))
         candidate = Constant3(c)
@@ -822,17 +830,7 @@ def certify_entropy_equation(
         bnd = eps1 + eps2
         fit_trace = {"c": c}
 
-    distance = 0.0
-    for s in range(0, pts.shape[0], _BLOCK):
-        blk = pts[s : s + _BLOCK]
-        gap = np.abs(
-            np.asarray(H(blk[:, 0], blk[:, 1], blk[:, 2]))
-            - np.asarray(candidate(blk[:, 0], blk[:, 1], blk[:, 2]))
-        )
-        worst = float(np.max(gap))
-        if worst > distance:
-            distance = worst
-
+    distance = _ternary_distance(H, candidate, pts)
     trace = CertifierTrace.of(
         eps1=eps1,
         eps2=eps2,
@@ -932,15 +930,12 @@ def certify_associativity(
     ws = np.linspace(w0, w1, r + 1)
 
     uu, vv, ww = (t.ravel() for t in np.meshgrid(us, vs, ws, indexing="ij"))
-    eps = 0.0
-    for s in range(0, uu.size, _BLOCK):
-        gap = np.abs(
-            np.asarray(A(uu[s : s + _BLOCK] + vv[s : s + _BLOCK], ww[s : s + _BLOCK]))
-            - np.asarray(B(uu[s : s + _BLOCK], vv[s : s + _BLOCK] + ww[s : s + _BLOCK]))
-        )
-        worst = float(np.max(gap))
-        if worst > eps:
-            eps = worst
+
+    def gap(span):
+        u, v, w = (t[span[0] : span[1]] for t in (uu, vv, ww))
+        return np.asarray(A(u + v, w)) - np.asarray(B(u, v + w)), lambda i: (u[i], v[i], w[i])
+
+    eps = _sweep(gap, _spans(uu.size)).sup
 
     def phi(sv):
         sv = np.asarray(sv, dtype=float)
@@ -1062,18 +1057,7 @@ def certify_modified_entropy(
             tuple(float(t) for t in s_nodes), tuple(float(t) for t in phi_vals)
         ),
     )
-    pts = grid.points
-    distance = 0.0
-    for s in range(0, pts.shape[0], _BLOCK):
-        blk = pts[s : s + _BLOCK]
-        gap = np.abs(
-            np.asarray(f(blk[:, 0], blk[:, 1], blk[:, 2]))
-            - np.asarray(candidate(blk[:, 0], blk[:, 1], blk[:, 2]))
-        )
-        worst = float(np.max(gap))
-        if worst > distance:
-            distance = worst
-
+    distance = _ternary_distance(f, candidate, grid.points)
     trace = CertifierTrace.of(eps1=eps1, eps2=eps2, box=box, **fit_trace)
     return StabilityCertificate(
         theorem="modified_entropy",
@@ -1112,12 +1096,9 @@ def certify_sum_form(
         raise BudgetExceededError(
             f"{grid.count} lattice points exceed the budget of {budget}"
         )
-    eps = 0.0
-    for block in grid.iter_blocks():
-        sums = np.abs(np.sum(np.asarray(phi(block)), axis=1))
-        worst = float(np.max(sums))
-        if worst > eps:
-            eps = worst
+    eps = _sweep(
+        lambda P: (np.sum(np.asarray(phi(P)), axis=1), P.__getitem__), grid.iter_blocks()
+    ).sup
 
     xs = UnitGrid(resolution, closed=True).points
     pv = np.asarray(phi(xs))
@@ -1286,16 +1267,16 @@ def certify_sum_form_mixed(
     fq = np.sum(np.asarray(f(Q)), axis=1)
     pa = np.sum(pow0(P, av), axis=1)
     qb = np.sum(pow0(Q, bv), axis=1)
-    eps = 0.0
-    rows_per_block = max(1, _BLOCK // max(1, Q.shape[0]))
-    for s in range(0, P.shape[0], rows_per_block):
-        e = min(s + rows_per_block, P.shape[0])
+    nq = Q.shape[0]
+
+    def gap(span):
+        s, e = span
         prods = P[s:e, None, :, None] * Q[None, :, None, :]
-        cross = np.sum(np.asarray(f(prods.reshape(e - s, Q.shape[0], -1))), axis=2)
-        d = np.abs(cross - fp[s:e, None] * qb[None, :] - fq[None, :] * pa[s:e, None])
-        worst = float(np.max(d))
-        if worst > eps:
-            eps = worst
+        cross = np.sum(np.asarray(f(prods.reshape(e - s, nq, -1))), axis=2)
+        d = cross - fp[s:e, None] * qb[None, :] - fq[None, :] * pa[s:e, None]
+        return d, lambda i: np.concatenate([P[s + i // nq], Q[i % nq]])
+
+    eps = _sweep(gap, _spans(P.shape[0], max(1, _CHUNK // nq))).sup
 
     xs = UnitGrid(resolution, closed=True).points
     fv = np.asarray(f(xs))

@@ -54,8 +54,12 @@ def pow0(x, alpha):
     if arr.size and float(arr.min()) < 0.0:
         bad = float(arr[arr < 0].flat[0])
         raise DomainError(f"negative base {bad!r} in convention power")
-    safe = np.where(arr == 0.0, 1.0, arr)
-    out = np.where(arr == 0.0, 0.0, np.power(safe, alpha))
+    with np.errstate(divide="ignore"):
+        out = np.power(arr, alpha)
+    # also for alpha > 0, where np.power(-0.0, 3.0) is -0.0
+    zero = arr == 0.0
+    if zero.any():
+        out = np.where(zero, 0.0, out)
     if np.ndim(x) == 0:
         return float(out)
     return out

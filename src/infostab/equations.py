@@ -1,11 +1,12 @@
 """Functional-equation registry and the residual sweep engine.
 
 A residual sweep evaluates one equation's defect over a finite grid and
-reduces it to a report (exact sup, compensated mean, argmax point).  Defects
-are computed in fixed-size blocks so the reduction is bit-identical for any
-worker count: block boundaries depend only on a constant chunk size, blocks
-are reassembled in order, the max is exact with a first-index tie-break and
-the mean is a single compensated summation over the ordered values.
+reduces it to a report (exact sup, exactly rounded mean, argmax point).
+Defects are computed and summarised in fixed-size blocks, so the report is
+bit-identical for any worker count: the max is exact with a first-index
+tie-break, and the mean is the exact sum of |defect| as an integer, rounded
+once, so it matches ``math.fsum`` bit for bit and does not depend on block
+order.  A NaN or infinite defect raises NonFiniteDefectError.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .domains import ConeGrid, PairGrid, SimplexGrid, TriangleGrid, UnitGrid, pow0
-from .errors import BudgetExceededError, ConfigurationError
+from .errors import BudgetExceededError, ConfigurationError, NonFiniteDefectError
 from .models import Alpha, BivariateFunction, ScalarFunction, TernaryFunction
 
 __all__ = [
@@ -148,41 +149,83 @@ class ResidualReport:
         return self.sup <= self.epsilon_target + 1e-9 * (1.0 + self.epsilon_target)
 
 
-def _parallel_blocks(worker, count, jobs):
-    """Run worker(start, stop) over fixed chunks, in order, possibly threaded."""
-    spans = [(s, min(s + _CHUNK, count)) for s in range(0, count, _CHUNK)]
-    if jobs <= 1 or len(spans) <= 1:
-        return [worker(a, b) for a, b in spans]
-    with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
-        futs = [pool.submit(worker, a, b) for a, b in spans]
-        return [f.result() for f in futs]
+# Exact sums: frexp writes a finite float as m * 2**e with a 53-bit integer
+# mantissa ldexp(m, 53); bincount sums the high and low 26-bit halves of the
+# mantissas per exponent, exactly while it adds fewer than 2**26 values, and
+# the bins fold into one integer that holds the sum times 2**_SCALE.
+_EXP_BIAS = 1073  # frexp exponents of finite nonzero floats run from -1073 to 1024
+_SCALE = _EXP_BIAS + 53
+_HALF = 26
+_EXACT_ROWS = (1 << _HALF) - 1
 
 
-def _reduce(points_for, defect_blocks, samples, epsilon_target):
-    sup = -1.0
-    arg_idx = -1
-    offset = 0
-    abs_blocks = []
-    for block in defect_blocks:
-        ab = np.abs(block)
-        abs_blocks.append(ab)
-        if ab.size:
-            i = int(np.argmax(ab))
-            if float(ab[i]) > sup:
-                sup = float(ab[i])
-                arg_idx = offset + i
-        offset += ab.size
-    if offset == 0:
+def _exact_total(values):
+    """sum(values) * 2**_SCALE as an exact int, for finite float64 values."""
+    total = 0
+    for s in range(0, values.size, _EXACT_ROWS):
+        m, e = np.frexp(values[s : s + _EXACT_ROWS])
+        mant = np.ldexp(m, 53).astype(np.int64)
+        e += _EXP_BIAS
+        hi = np.bincount(e, weights=mant >> _HALF)
+        lo = np.bincount(e, weights=mant & ((1 << _HALF) - 1))
+        k = np.flatnonzero((hi != 0) | (lo != 0))
+        for b, h, l in zip(k.tolist(), hi[k].tolist(), lo[k].tolist()):
+            total += ((int(h) << _HALF) + int(l)) << b
+    return total
+
+
+def _summary(defects, point_at):
+    """(size, sup, its point, exact total, non-finite count, first non-finite
+    point) of one block of |defects|; point_at(i) is the point of value i."""
+    ab = np.abs(np.asarray(defects, dtype=float)).ravel()
+    i = int(np.argmax(ab))  # the first NaN, else the first inf, else the max
+    if not math.isfinite(ab[i]):
+        bad = ~np.isfinite(ab)
+        first = tuple(np.atleast_1d(point_at(int(np.argmax(bad)))).tolist())
+        return ab.size, -1.0, (), 0, int(np.count_nonzero(bad)), first
+    point = tuple(np.atleast_1d(point_at(i)).tolist())
+    return ab.size, float(ab[i]), point, _exact_total(ab), 0, ()
+
+
+def _sweep(worker, items, *, jobs=1, epsilon_target=None):
+    """Reduce worker(item) -> (defects, point_at) over items to one report.
+
+    Each block is summarised where it is computed, in a worker thread when
+    jobs > 1, so no defect array outlives its block.  Summaries are folded in
+    item order: the sup keeps the first index, and the mean is the exact
+    total, correctly rounded, over the sample count.
+    """
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
+            summaries = list(pool.map(lambda item: _summary(*worker(item)), items))
+    else:
+        summaries = (_summary(*worker(item)) for item in items)
+    size = total = bad = 0
+    sup, point, bad_point = -1.0, (), ()
+    for n, block_sup, block_point, block_total, block_bad, block_bad_point in summaries:
+        size, total, bad = size + n, total + block_total, bad + block_bad
+        if block_bad and not bad_point:
+            bad_point = block_bad_point
+        if block_sup > sup:
+            sup, point = block_sup, block_point
+    if bad:
+        raise NonFiniteDefectError(
+            f"{bad} of {size} defects are NaN or infinite, the first at {bad_point}"
+        )
+    if size == 0:
         raise ConfigurationError("empty grid: nothing to sweep")
-    mean = math.fsum(np.concatenate(abs_blocks).tolist()) / offset
-    point = points_for(arg_idx)
     return ResidualReport(
         sup=sup,
-        mean=mean,
-        argmax_point=tuple(float(c) for c in np.atleast_1d(point)),
-        samples=samples,
+        mean=total / (1 << _SCALE) / size,
+        argmax_point=point,
+        samples=size,
         epsilon_target=epsilon_target,
     )
+
+
+def _spans(count, step=_CHUNK):
+    """Consecutive (start, stop) spans of at most step rows covering range(count)."""
+    return [(s, min(s + step, count)) for s in range(0, count, step)]
 
 
 # ---------------------------------------------------------------------------
@@ -296,26 +339,7 @@ def _sum_form_blocks(kind, f, grid, budget):
             d = cross - fp[a:b, None] * fq[None, :]
         return d.ravel()
 
-    spans = [
-        (s, min(s + rows_per_block, P.shape[0]))
-        for s in range(0, P.shape[0], rows_per_block)
-    ]
-    return P, Q, spans, worker
-
-
-def _sum_form_sweep(kind, f, grid, budget, jobs, epsilon_target):
-    P, Q, spans, worker = _sum_form_blocks(kind, f, grid, budget)
-    if jobs <= 1 or len(spans) <= 1:
-        blocks = [worker(a, b) for a, b in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
-            blocks = [fut.result() for fut in [pool.submit(worker, a, b) for a, b in spans]]
-
-    def point_for(idx):
-        i, j = divmod(idx, Q.shape[0])
-        return np.concatenate([P[i], Q[j]])
-
-    return _reduce(point_for, blocks, P.shape[0] * Q.shape[0], epsilon_target)
+    return P, Q, _spans(P.shape[0], rows_per_block), worker
 
 
 def _defect_and_points(kind, fns, grid, budget):
@@ -427,11 +451,21 @@ def residual(
 ) -> ResidualReport:
     """Sweep one equation's defect over a grid and reduce it to a report."""
     if isinstance(kind, (SumFormAdditive, SumFormAlpha, SumFormMultiplicative)):
-        f = _one_function(fns)
-        return _sum_form_sweep(kind, f, grid, budget, jobs, epsilon_target)
-    pts, defect = _defect_and_points(kind, fns, grid, budget)
-    blocks = _parallel_blocks(lambda a, b: defect(pts[a:b]), pts.shape[0], jobs)
-    return _reduce(lambda i: pts[i], blocks, pts.shape[0], epsilon_target)
+        P, Q, spans, worker = _sum_form_blocks(kind, _one_function(fns), grid, budget)
+        nq = Q.shape[0]
+
+        def block(span):
+            a, b = span
+            return worker(a, b), lambda i: np.concatenate([P[a + i // nq], Q[i % nq]])
+
+    else:
+        pts, defect = _defect_and_points(kind, fns, grid, budget)
+        spans = _spans(pts.shape[0])
+
+        def block(span):
+            return defect(pts[span[0] : span[1]]), lambda i: pts[span[0] + i]
+
+    return _sweep(block, spans, jobs=jobs, epsilon_target=epsilon_target)
 
 
 def _write_defect_rows(fh, pts, defects):
@@ -483,7 +517,7 @@ _PERMS3 = (
 def _stacked_point(pts, width, idx):
     """The point behind flat defect index idx of a sweep whose blocks stack
     ``width`` variants of each _CHUNK rows: chunk, then variant, then row.
-    idx = -1 (no finite sup) maps to the last row of the first chunk."""
+    idx = -1 maps to the last row of the first chunk."""
     chunk = max(idx, 0) // (_CHUNK * width)
     local = idx - chunk * _CHUNK * width
     return pts[chunk * _CHUNK + local % min(_CHUNK, pts.shape[0] - chunk * _CHUNK)]
@@ -495,17 +529,18 @@ def symmetry_residual(F: TernaryFunction, grid: ConeGrid, *, jobs: int = 1) -> R
     pts = g.points
     base = np.asarray(F(pts[:, 0], pts[:, 1], pts[:, 2]))
 
-    def worker(a, b):
+    width = len(_PERMS3)
+
+    def block(span):
+        a, b = span
         chunk = pts[a:b]
         cols = []
         for perm in _PERMS3:
             v = np.asarray(F(chunk[:, perm[0]], chunk[:, perm[1]], chunk[:, perm[2]]))
             cols.append(v - base[a:b])
-        return np.concatenate(cols)
+        return np.concatenate(cols), lambda i: _stacked_point(pts, width, a * width + i)
 
-    blocks = _parallel_blocks(worker, pts.shape[0], jobs)
-    width = len(_PERMS3)
-    return _reduce(lambda i: _stacked_point(pts, width, i), blocks, pts.shape[0] * width, None)
+    return _sweep(block, _spans(pts.shape[0]), jobs=jobs)
 
 
 def homogeneity_residual(
@@ -525,13 +560,13 @@ def homogeneity_residual(
     if not ts or any(t <= 0 for t in ts):
         raise ConfigurationError("t_set must hold strictly positive scales")
 
-    def worker(a0, b0):
+    def block(span):
+        a0, b0 = span
         chunk = pts[a0:b0]
         cols = []
         for t in ts:
             v = np.asarray(F(t * chunk[:, 0], t * chunk[:, 1]))
             cols.append(v - (t**a) * base[a0:b0])
-        return np.concatenate(cols)
+        return np.concatenate(cols), lambda i: _stacked_point(pts, len(ts), a0 * len(ts) + i)
 
-    blocks = _parallel_blocks(worker, pts.shape[0], jobs)
-    return _reduce(lambda i: _stacked_point(pts, len(ts), i), blocks, pts.shape[0] * len(ts), None)
+    return _sweep(block, _spans(pts.shape[0]), jobs=jobs)

@@ -31,3 +31,7 @@ class UnsupportedParameterError(InfostabError, ValueError):
 
 class DispatchError(UnsupportedParameterError):
     """The parameter regime belongs to a different certifier."""
+
+
+class NonFiniteDefectError(InfostabError, ArithmeticError):
+    """A sweep met a NaN or infinite defect, which no bound can certify."""

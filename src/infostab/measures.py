@@ -8,7 +8,9 @@ f(x) = I_2(1-x, x)) by unrolling the degree-alpha splitting recursion
 
 left to right, plus optional bounded per-level perturbations that manufacture
 approximate measures with measurable defects.  Checkers sweep the axioms on
-interior simplex lattices and report sup defects.
+interior simplex lattices block by block and reduce the defects with the
+residual sweeps' reducer, so their reports carry the same exact sup,
+argmax point and exactly rounded mean, and fail on NaN or inf the same way.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import SimplexGrid, TriangleGrid, pow0
-from .equations import FundamentalParametric, ResidualReport, residual
+from .equations import _CHUNK, FundamentalParametric, ResidualReport, _spans, _sweep, residual
 from .errors import BudgetExceededError, ConfigurationError, InvalidDistributionError
 from .models import Alpha, ScalarFunction, validate_distribution
 
@@ -155,39 +157,21 @@ def check_symmetry(
             f"budget of {budget}"
         )
     base = measure.eval_rows(pts)
-    sup = -1.0
-    arg = 0
-    total = []
-    for perm in perms:
-        diff = np.abs(measure.eval_rows(pts[:, perm]) - base)
-        i = int(np.argmax(diff))
-        if float(diff[i]) > sup:
-            sup = float(diff[i])
-            arg = i
-        total.append(diff)
-    mean = math.fsum(np.concatenate(total).tolist()) / (pts.shape[0] * len(perms))
-    return ResidualReport(
-        sup=sup,
-        mean=mean,
-        argmax_point=tuple(float(c) for c in pts[arg]),
-        samples=pts.shape[0] * len(perms),
-    )
+    # one block per permutation, in order
+    return _sweep(lambda perm: (measure.eval_rows(pts[:, perm]) - base, pts.__getitem__), perms)
 
 
 def check_semisymmetry3(
     measure: InformationMeasure, resolution: int, *, budget: int = 10**6
 ) -> ResidualReport:
     """sup over the interior 3-simplex of |I_3(p1,p2,p3) - I_3(p1,p3,p2)|."""
-    grid = _interior_grid(3, resolution, budget)
-    pts = grid.points
-    diff = np.abs(measure.eval_rows(pts[:, (0, 2, 1)]) - measure.eval_rows(pts))
-    i = int(np.argmax(diff))
-    return ResidualReport(
-        sup=float(diff[i]),
-        mean=math.fsum(diff.tolist()) / diff.size,
-        argmax_point=tuple(float(c) for c in pts[i]),
-        samples=pts.shape[0],
-    )
+    pts = _interior_grid(3, resolution, budget).points
+
+    def block(span):
+        P = pts[span[0] : span[1]]
+        return measure.eval_rows(P[:, (0, 2, 1)]) - measure.eval_rows(P), P.__getitem__
+
+    return _sweep(block, _spans(pts.shape[0]))
 
 
 def check_additivity(
@@ -215,26 +199,19 @@ def check_additivity(
     P = gp.points
     Q = gq.points
     lam = 2.0 ** (1.0 - measure.alpha_value) - 1.0
-    ip = measure.eval_rows(P)
-    iq = measure.eval_rows(Q)
-    sup = -1.0
-    arg = (0, 0)
-    sums = []
-    for i in range(P.shape[0]):
-        # rows: for each Q row j, the nm coords of P_i * Q_j
-        prod = (P[i][None, :, None] * Q[:, None, :]).reshape(Q.shape[0], -1)
-        left = measure.eval_rows(prod)
-        d = np.abs(left - ip[i] - iq - lam * ip[i] * iq)
-        j = int(np.argmax(d))
-        if float(d[j]) > sup:
-            sup = float(d[j])
-            arg = (i, j)
-        sums.append(d)
-    mean = math.fsum(np.concatenate(sums).tolist()) / (P.shape[0] * Q.shape[0])
-    point = tuple(float(c) for c in np.concatenate([P[arg[0]], Q[arg[1]]]))
-    return ResidualReport(
-        sup=sup, mean=mean, argmax_point=point, samples=P.shape[0] * Q.shape[0]
-    )
+    ip = measure.eval_rows(P)[:, None]
+    iq = measure.eval_rows(Q)[None, :]
+    nq = Q.shape[0]
+
+    def block(span):
+        a, b = span
+        # row (i, j) holds the nm coordinates of P_i * Q_j, P-major
+        prod = (P[a:b, None, :, None] * Q[None, :, None, :]).reshape((b - a) * nq, -1)
+        left = measure.eval_rows(prod).reshape(b - a, nq)
+        d = left - ip[a:b] - iq - lam * ip[a:b] * iq
+        return d, lambda k: np.concatenate([P[a + k // nq], Q[k % nq]])
+
+    return _sweep(block, _spans(P.shape[0], max(1, _CHUNK // nq)))
 
 
 def check_normalization(measure: InformationMeasure) -> float:
@@ -251,16 +228,13 @@ def check_sum_property(
     budget: int = 10**6,
 ) -> ResidualReport:
     """sup over the interior lattice of |I_n(P) - sum_i f(p_i)|."""
-    grid = _interior_grid(n, resolution, budget)
-    pts = grid.points
-    diff = np.abs(measure.eval_rows(pts) - np.sum(np.asarray(f(pts)), axis=1))
-    i = int(np.argmax(diff))
-    return ResidualReport(
-        sup=float(diff[i]),
-        mean=math.fsum(diff.tolist()) / diff.size,
-        argmax_point=tuple(float(c) for c in pts[i]),
-        samples=pts.shape[0],
-    )
+    pts = _interior_grid(n, resolution, budget).points
+
+    def block(span):
+        P = pts[span[0] : span[1]]
+        return measure.eval_rows(P) - np.sum(np.asarray(f(P)), axis=1), P.__getitem__
+
+    return _sweep(block, _spans(pts.shape[0]))
 
 
 def recursivity_defect(
@@ -273,22 +247,25 @@ def recursivity_defect(
     if n < 3:
         raise ConfigurationError(f"recursivity defect needs n >= 3, got {n}")
     grid = _interior_grid(n, resolution, budget)
-    pts = grid.points
-    s = pts[:, 0] + pts[:, 1]
-    merged = np.concatenate([s[:, None], pts[:, 2:]], axis=1)
-    level2 = np.stack([pts[:, 0] / s, pts[:, 1] / s], axis=1)
-    diff = np.abs(
-        measure.eval_rows(pts)
-        - measure.eval_rows(merged)
-        - pow0(s, measure.alpha_value) * measure.eval_rows(level2)
-    )
-    i = int(np.argmax(diff))
-    return ResidualReport(
-        sup=float(diff[i]),
-        mean=math.fsum(diff.tolist()) / diff.size,
-        argmax_point=tuple(float(c) for c in pts[i]),
-        samples=pts.shape[0],
-    )
+    if grid.count > budget:
+        raise BudgetExceededError(
+            f"simplex grid would hold {grid.count} points, over the budget of {budget}"
+        )
+    a = measure.alpha_value
+
+    def block(P):
+        s = P[:, 0] + P[:, 1]
+        merged = np.concatenate([s[:, None], P[:, 2:]], axis=1)
+        level2 = np.stack([P[:, 0] / s, P[:, 1] / s], axis=1)
+        d = (
+            measure.eval_rows(P)
+            - measure.eval_rows(merged)
+            - pow0(s, a) * measure.eval_rows(level2)
+        )
+        return d, P.__getitem__
+
+    # streamed, so the lattice is never held whole
+    return _sweep(block, grid.iter_blocks(_CHUNK))
 
 
 class _GeneratorFunction(ScalarFunction):
@@ -356,19 +333,16 @@ def sum_property_cauchy_gap(
 ) -> ResidualReport:
     """Gap |f(x+y) - f(x) - f(y) + f(0)| on the closed triangle, with the
     target 2*bound_i3 implied by a bounded level-3 measure."""
-    grid = TriangleGrid(resolution, closed=True)
-    pts = grid.points
-    x, y = pts[:, 0], pts[:, 1]
+    pts = TriangleGrid(resolution, closed=True).points
     f0 = float(f(0.0))
-    diff = np.abs(np.asarray(f(x + y)) - np.asarray(f(x)) - np.asarray(f(y)) + f0)
-    i = int(np.argmax(diff))
-    return ResidualReport(
-        sup=float(diff[i]),
-        mean=math.fsum(diff.tolist()) / diff.size,
-        argmax_point=(float(x[i]), float(y[i])),
-        samples=pts.shape[0],
-        epsilon_target=2.0 * float(bound_i3),
-    )
+
+    def block(span):
+        P = pts[span[0] : span[1]]
+        x, y = P[:, 0], P[:, 1]
+        d = np.asarray(f(x + y)) - np.asarray(f(x)) - np.asarray(f(y)) + f0
+        return d, P.__getitem__
+
+    return _sweep(block, _spans(pts.shape[0]), epsilon_target=2.0 * float(bound_i3))
 
 
 def tabulate(measure: InformationMeasure, n: int, resolution: int, *, budget: int = 10**6):

@@ -24,6 +24,7 @@ from infostab import (
     LevelNoise,
     LogFamily,
     ModifiedEntropySolution,
+    NonFiniteDefectError,
     PhiForm,
     PhiOfSum,
     PowerFamily,
@@ -49,6 +50,7 @@ from infostab import (
     certify_sum_form_mixed,
     certify_sum_form_multiplicative,
     hyperstability_blowup_probe,
+    sampled,
     scalar_from_config,
     stability_constant_K,
     stability_constant_T,
@@ -506,6 +508,15 @@ class TestModifiedEntropy:
 
 
 class TestSumForms:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_epsilon_raises(self, bad):
+        # the blocked max loops these sweeps replaced skipped a block whose max was NaN
+        g = sampled(PowerLaw(0.3, 1.0), 64)
+        ys = list(g.ys)
+        ys[16] = bad
+        with pytest.raises(NonFiniteDefectError, match=r"first at \(0.0, 0.25, 0.75\)"):
+            certify_sum_form(type(g)(g.xs, tuple(ys)), 3, 16)
+
     def test_vanishing_sum_exact(self):
         n = 3
         phi = FunctionSum((PowerLaw(0.7, 1.0), Constant(-0.7 / n)))

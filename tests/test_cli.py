@@ -5,7 +5,14 @@ import json
 
 import pytest
 
-from infostab import ConfigurationError, InfostabError
+from infostab import (
+    ConfigurationError,
+    InfostabError,
+    NonFiniteDefectError,
+    PowerFamily,
+    config_of,
+    sampled,
+)
 from infostab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main, run
 
 POWER = {"kind": "power_family", "a": 2.0, "b": 1.0, "alpha": 0.5}
@@ -519,3 +526,25 @@ class TestMain:
         path = self.write_config(tmp_path, config)
         code = main(["--config", path, "--out", str(tmp_path / "o")])
         assert code == EXIT_VIOLATION
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("job", ["residual", "certify"])
+    def test_nonfinite_defect_exits_two_without_report(self, tmp_path, capsys, bad, job):
+        sample = config_of(sampled(PowerFamily(1.0, 1.0, 0.5), 64))
+        sample["ys"][20] = bad
+        if job == "certify":
+            config = certify_config("fundamental", sample, 0.5)
+        else:
+            config = {"schema": 1, "job": "residual", "equation": "fundamental",
+                      "alpha": 0.5, "function": sample,
+                      "grid": {"kind": "triangle", "resolution": 64}}
+        path = self.write_config(tmp_path, config)
+        for jobs in ("1", "2"):
+            out = tmp_path / f"out{jobs}"
+            assert main(["--config", path, "--out", str(out), "--jobs", jobs]) == EXIT_CONFIG
+            assert "NaN or infinite" in capsys.readouterr().err
+            assert not (out / "report.json").exists()
+        with pytest.raises(NonFiniteDefectError):
+            run(config, out_dir=str(tmp_path))
+        assert not (tmp_path / "report.json").exists()

@@ -55,6 +55,37 @@ class TestConventions:
         assert math.isclose(out[1], 4.0)
         assert out[2] == 1.0
 
+    @pytest.mark.parametrize("alpha", [-2.0, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.7, 2.0, 3.0])
+    def test_pow0_matches_two_where_oracle(self, alpha):
+        def two_where(x):
+            # the two-np.where pow0 the one-pass version replaced, kept as its oracle
+            arr = np.asarray(x, dtype=float)
+            safe = np.where(arr == 0.0, 1.0, arr)
+            out = np.where(arr == 0.0, 0.0, np.power(safe, alpha))
+            return float(out) if np.ndim(x) == 0 else out
+
+        def bits(v):
+            return np.asarray(v, dtype=np.float64).view(np.uint64).tolist()
+
+        pts = TriangleGrid(96, closed=True).points
+        arrays = [
+            pts[:, 0],
+            1.0 - pts[:, 1],
+            pts[::3, 1],
+            np.random.default_rng(7).random(4099),
+            np.array([0.0, -0.0, 5e-324, 1e-310, 1.0, 1e300, np.nan]),
+            np.array([]),
+        ]
+        with np.errstate(over="ignore"):
+            for x in arrays:
+                assert bits(pow0(x, alpha)) == bits(two_where(x))
+            for x in (0.0, -0.0, 5e-324, 0.3, 1.0):
+                got = pow0(x, alpha)
+                assert type(got) is float
+                assert bits(got) == bits(two_where(x))
+        # +0.0, never the -0.0 that np.power(-0.0, 3.0) gives
+        assert bits(pow0(np.array([-0.0]), alpha)) == [0]
+
 
 class TestUnitGrid:
     def test_open_points(self):

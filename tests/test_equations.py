@@ -17,13 +17,17 @@ from infostab import (
     DaroczyIdentity,
     EntropyEq,
     EntropySolution,
+    FunctionSum,
     FundamentalParametric,
+    GridSample,
     InfoFunctionForm,
+    InfostabError,
     LogFamily,
     Logarithmic,
     ModifiedEntropy,
     ModifiedEntropySolution,
     Multiplicative,
+    NonFiniteDefectError,
     PairGrid,
     PhiEquation,
     PhiForm,
@@ -41,15 +45,19 @@ from infostab import (
     UnitGrid,
     XLogX,
     alpha_sum_generator,
+    certify_fundamental_open,
     dump_defects_csv,
     homogeneity_residual,
     product_distribution,
     residual,
+    sampled,
     symmetry_residual,
 )
 from infostab.equations import (
     _CHUNK,
+    _SCALE,
     _defect_and_points,
+    _exact_total,
     _stacked_point,
     _sum_form_blocks,
     _write_defect_rows,
@@ -389,3 +397,126 @@ def test_family_members_always_solve(a, b, alpha):
         FundamentalParametric(alpha), PowerFamily(a, b, alpha), TriangleGrid(12)
     )
     assert rep.sup <= 1e-10
+
+
+def _exact_sum(blocks):
+    return sum(_exact_total(np.asarray(b, dtype=float)) for b in blocks) / (1 << _SCALE)
+
+
+_NONNEG_FINITE = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.0**-1022, 1.0, 1e308, 1.7976931348623157e308]),
+    st.floats(min_value=0.0, max_value=2.0**-1022),
+    st.floats(min_value=0.0, allow_infinity=False),
+)
+
+
+class TestExactMean:
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(_NONNEG_FINITE, max_size=40), data=st.data())
+    def test_matches_fsum_for_any_split_and_order(self, values, data):
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(values)), max_size=4)))
+        bounds = [0, *cuts, len(values)]
+        blocks = data.draw(st.permutations([values[a:b] for a, b in zip(bounds, bounds[1:])]))
+        try:
+            want = math.fsum(values)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                _exact_sum(blocks)
+            return
+        assert _exact_sum(blocks).hex() == want.hex()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_fsum_on_wide_blocks(self, seed):
+        rng = np.random.default_rng(seed)
+        v = np.abs(rng.standard_normal(50_000)) * 10.0 ** rng.integers(-300, 300, 50_000)
+        if seed % 2:
+            v[::7] = rng.integers(0, 2**52, v[::7].size).view(np.float64)  # subnormals
+        blocks = np.array_split(v, 5)[::-1]
+        assert _exact_sum(blocks).hex() == math.fsum(v.tolist()).hex()
+
+    def test_overflow_parity(self):
+        with pytest.raises(OverflowError):
+            math.fsum([1.7e308, 1.7e308])
+        with pytest.raises(OverflowError):
+            _exact_sum([[1.7e308, 1.7e308]])
+        with pytest.raises(OverflowError):
+            _exact_sum([[1.7e308], [1.7e308]])
+
+    def test_residual_mean_is_fsum_and_independent_of_jobs(self):
+        f = FunctionSum((PowerFamily(2.0, 1.0, 0.5), ScaledBump(0.4, 0.2, 1e-3)))
+        grid = TriangleGrid(700)
+        kind = FundamentalParametric(0.5)
+        reps = [residual(kind, f, grid, jobs=j) for j in (1, 2)]
+        assert grid.points.shape[0] > 4 * _CHUNK
+        assert reps[0] == reps[1]
+        assert reps[0].mean.hex() == reps[1].mean.hex()
+        pts, defect = _defect_and_points(kind, f, grid, 10**7)
+        d = np.abs(defect(pts))
+        # the concatenate-and-fsum mean the blocked accumulator replaced
+        assert reps[0].mean.hex() == (math.fsum(d.tolist()) / d.size).hex()
+        assert reps[0].sup == float(d.max())
+        assert reps[0].argmax_point == tuple(pts[int(np.argmax(d))].tolist())
+
+
+def _with_bad_node(bad, node=20):
+    g = sampled(PowerFamily(1.0, 1.0, 0.5), 64)
+    ys = list(g.ys)
+    ys[node] = bad
+    return GridSample(g.xs, tuple(ys))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+class TestNonFiniteDefects:
+    def test_error_type(self):
+        assert issubclass(NonFiniteDefectError, InfostabError)
+        assert issubclass(NonFiniteDefectError, ArithmeticError)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_residual_and_certificate_raise(self, bad):
+        f = _with_bad_node(bad)
+        kind, grid = FundamentalParametric(0.5), TriangleGrid(64)
+        pts, defect = _defect_and_points(kind, f, grid, 10**7)
+        nonfinite = ~np.isfinite(defect(pts))
+        first = tuple(pts[int(np.argmax(nonfinite))].tolist())
+        msg = f"{int(nonfinite.sum())} of {pts.shape[0]} defects"
+        for jobs in (1, 2):
+            with pytest.raises(NonFiniteDefectError) as exc:
+                residual(kind, f, grid, jobs=jobs)
+            assert msg in str(exc.value) and str(first) in str(exc.value)
+        with pytest.raises(NonFiniteDefectError):
+            certify_fundamental_open(f, 0.5, 64)
+
+    def test_all_nan_sweep_raises(self):
+        class Undefined(EntropySolution):
+            def _values(self, x, y, z):
+                return x * math.nan
+
+        with pytest.raises(NonFiniteDefectError, match=f"{6 * 4**3} of {6 * 4**3}"):
+            symmetry_residual(Undefined(1.0, 2.0), ConeGrid(4))
+
+    def test_sum_form_points_follow_sweep_order(self):
+        # more than _CHUNK Q rows, so each P row is a block of its own
+        grids = (SimplexGrid(2, 8, closed=True), SimplexGrid(3, 260, closed=True))
+        kind = SumFormAdditive(2, 3)
+
+        def point_of_first(flags):
+            # the global divmod the per-block point maps replaced, kept as their oracle
+            i, j = divmod(int(np.argmax(flags)), grids[1].count)
+            return tuple(np.concatenate([grids[0].points[i], grids[1].points[j]]).tolist())
+
+        def all_defects(f):
+            P, Q, spans, worker = _sum_form_blocks(kind, f, grids, 10**7)
+            assert len(spans) == P.shape[0] and Q.shape[0] > _CHUNK
+            return np.concatenate([worker(a, b) for a, b in spans])
+
+        noisy = FunctionSum((XLogX(-1.0), ScaledBump(0.4, 0.2, 1e-3)))
+        d = np.abs(all_defects(noisy))
+        assert int(np.argmax(d)) >= grids[1].count
+        for jobs in (1, 2):
+            rep = residual(kind, noisy, grids, jobs=jobs)
+            assert rep.argmax_point == point_of_first(d == d.max())
+        bad = _with_bad_node(math.nan, node=40)
+        first = point_of_first(~np.isfinite(all_defects(bad)))
+        with pytest.raises(NonFiniteDefectError) as exc:
+            residual(kind, bad, grids, jobs=2)
+        assert str(first) in str(exc.value)

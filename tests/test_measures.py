@@ -1,6 +1,8 @@
 """Recursively built information measures and their axiom checks."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,15 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infostab import (
+    BudgetExceededError,
     ConfigurationError,
     Constant,
     FunctionSum,
     InformationMeasure,
     InvalidDistributionError,
     LevelNoise,
+    NonFiniteDefectError,
+    PowerFamily,
     ScaledBump,
     ShannonInfo,
     SimplexGrid,
+    TriangleGrid,
     XLogX,
     alpha_entropy,
     alpha_sum_generator,
@@ -26,13 +32,15 @@ from infostab import (
     check_sum_property,
     check_symmetry,
     derive_generating_defect,
+    pow0,
     recursivity_defect,
+    sampled,
     shannon_entropy,
     sum_property_cauchy_gap,
     tabulate,
 )
 
-from _helpers import exact_measure
+from _helpers import exact_measure, kappa
 
 LOG2_3 = 1.5849625007211562
 
@@ -173,6 +181,96 @@ class TestPerturbations:
         once = m.eval_rows(pts)
         parts = np.concatenate([m.eval_rows(pts[:10]), m.eval_rows(pts[10:])])
         assert np.array_equal(once, parts)
+
+
+def _noisy_measure(alpha=0.5):
+    # the shape of the benchmark's measure-sequence workload
+    k = kappa(alpha)
+    noise = (LevelNoise(3, 3e-5, 11), LevelNoise(4, 5e-5, 12), LevelNoise(5, 7e-5, 13))
+    return InformationMeasure(PowerFamily(k, k, alpha), alpha, 6, noise)
+
+
+def _whole_report(diff, points):
+    """sup, mean, argmax point and samples the way the hand-built reports
+    computed them from whole arrays, kept as the blocked reducer's oracle."""
+    diff = np.abs(diff).ravel()
+    i = int(np.argmax(diff))
+    point = tuple(float(c) for c in points(i))
+    return (float(diff[i]).hex(), (math.fsum(diff.tolist()) / diff.size).hex(), point, diff.size)
+
+
+def _fields(rep):
+    return (rep.sup.hex(), rep.mean.hex(), rep.argmax_point, rep.samples)
+
+
+class TestBlockedChecks:
+    @pytest.mark.parametrize("n, r", [(3, 400), (4, 70), (5, 36), (6, 24)])
+    def test_streamed_recursivity_matches_whole_lattice(self, n, r):
+        m = _noisy_measure()
+        pts = SimplexGrid(n, r).points
+        assert pts.shape[0] > 32768
+        s = pts[:, 0] + pts[:, 1]
+        merged = np.concatenate([s[:, None], pts[:, 2:]], axis=1)
+        level2 = np.stack([pts[:, 0] / s, pts[:, 1] / s], axis=1)
+        diff = m.eval_rows(pts) - m.eval_rows(merged) - pow0(s, 0.5) * m.eval_rows(level2)
+        assert _fields(recursivity_defect(m, n, r)) == _whole_report(diff, pts.__getitem__)
+
+    def test_recursivity_budget(self):
+        with pytest.raises(BudgetExceededError):
+            recursivity_defect(_noisy_measure(), 4, 40, budget=100)
+
+    def test_streamed_recursivity_memory(self):
+        m = _noisy_measure()
+        tracemalloc.start()
+        try:
+            recursivity_defect(m, 6, 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole 575,757-point lattice alone is 27.6 MB
+        assert peak < 32 * 2**20
+
+    def test_checks_match_whole_array_reports(self):
+        m = _noisy_measure()
+        pts = SimplexGrid(3, 400).points
+        diff = m.eval_rows(pts[:, (0, 2, 1)]) - m.eval_rows(pts)
+        assert _fields(check_semisymmetry3(m, 400)) == _whole_report(diff, pts.__getitem__)
+
+        f = XLogX(-1.0)
+        pts = SimplexGrid(4, 70).points
+        diff = m.eval_rows(pts) - np.sum(f(pts), axis=1)
+        assert _fields(check_sum_property(m, f, 4, 70)) == _whole_report(diff, pts.__getitem__)
+
+        pts = SimplexGrid(4, 20).points
+        base = m.eval_rows(pts)
+        perms = list(itertools.permutations(range(4)))
+        diff = np.concatenate([m.eval_rows(pts[:, p]) - base for p in perms])
+        got = check_symmetry(m, 4, 20, budget=10**6)
+        assert _fields(got) == _whole_report(diff, lambda i: pts[i % pts.shape[0]])
+
+        P, Q = SimplexGrid(2, 60).points, SimplexGrid(3, 60).points
+        prod = (P[:, None, :, None] * Q[None, :, None, :]).reshape(-1, 6)
+        ip, iq = m.eval_rows(P)[:, None], m.eval_rows(Q)[None, :]
+        lam = 2.0**0.5 - 1.0
+        diff = m.eval_rows(prod).reshape(ip.size, iq.size) - ip - iq - lam * ip * iq
+        want = _whole_report(diff, lambda i: np.r_[P[i // iq.size], Q[i % iq.size]])
+        assert _fields(check_additivity(m, 2, 3, 60)) == want
+
+        g = FunctionSum((XLogX(-1.0), ScaledBump(0.4, 0.2, 1e-3)))
+        pts = TriangleGrid(400, closed=True).points
+        x, y = pts[:, 0], pts[:, 1]
+        diff = g(x + y) - g(x) - g(y) + float(g(0.0))
+        assert _fields(sum_property_cauchy_gap(1.0, g, 400)) == _whole_report(diff, pts.__getitem__)
+
+    def test_nonfinite_generator_raises(self):
+        g = sampled(ShannonInfo(), 64)
+        ys = list(g.ys)
+        ys[20] = math.nan
+        bad = InformationMeasure(type(g)(g.xs, tuple(ys)), 1.0, 4)
+        with pytest.raises(NonFiniteDefectError):
+            check_semisymmetry3(bad, 32)
+        with pytest.raises(NonFiniteDefectError):
+            recursivity_defect(bad, 4, 32)
 
 
 class TestGeneratingDefect:
