@@ -25,7 +25,10 @@ from .equations import (
     ModifiedEntropy,
     SumFormMultiplicative,
     _CHUNK,
-    _fundamental_defect,
+    _defect_and_points,
+    _non_finite,
+    _pair_blocks,
+    _pair_sweep,
     _spans,
     _sweep,
     homogeneity_residual,
@@ -94,12 +97,26 @@ __all__ = [
 # explicit constants
 
 
+def _finite(what, formula) -> float:
+    """formula() when it is a finite float; what names it.  The printed
+    constants overflow for large |alpha| and divide by a difference that
+    rounds to 0 next to alpha = 0 and alpha = 1."""
+    try:
+        value = formula()
+    except ArithmeticError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise UnsupportedParameterError(f"{what} is not a finite float")
+    return value
+
+
 def stability_constant_K(alpha) -> float:
     """Constant of the open-domain stability bound.
 
     The printed formula divides by |2**(-alpha) - 1| and is singular at
     alpha = 0; there the proof's direct constant 63 applies and is returned.
-    At alpha = 1 the constant diverges and no value exists.
+    At alpha = 1 the constant diverges and no value exists, and wherever the
+    formula is not a finite float UnsupportedParameterError is raised.
     """
     a = Alpha.of(alpha)
     if a.regime is Regime.ONE:
@@ -109,20 +126,27 @@ def stability_constant_K(alpha) -> float:
     if a.regime is Regime.ZERO:
         return 63.0
     v = a.value
-    outer = abs(2.0 ** (1.0 - v) - 1.0)
-    inner = 3.0 + 12.0 * 2.0**v + 32.0 * 3.0 ** (v + 1.0) / abs(2.0**-v - 1.0)
-    return inner / outer
+
+    def formula():
+        outer = abs(2.0 ** (1.0 - v) - 1.0)
+        inner = 3.0 + 12.0 * 2.0**v + 32.0 * 3.0 ** (v + 1.0) / abs(2.0**-v - 1.0)
+        return inner / outer
+
+    return _finite(f"K({v!r})", formula)
 
 
 def stability_constant_T(alpha) -> float:
-    """Companion constant of the closed-domain bound; defined for 1 != alpha > 0."""
+    """Companion constant of the closed-domain bound; defined for 1 != alpha > 0
+    where the formula is a finite float."""
     a = Alpha.of(alpha)
     if a.regime is not Regime.POSITIVE_NOT_ONE:
         raise UnsupportedParameterError(
             f"T(alpha) is defined for positive alpha != 1, got {a.value}"
         )
     v = a.value
-    return 3.0 * 2.0**v + 8.0 * 3.0 ** (v + 1.0) / abs(2.0**-v - 1.0)
+    return _finite(
+        f"T({v!r})", lambda: 3.0 * 2.0**v + 8.0 * 3.0 ** (v + 1.0) / abs(2.0**-v - 1.0)
+    )
 
 
 def box_growth_constants(n, alpha):
@@ -140,8 +164,9 @@ def box_growth_constants(n, alpha):
     a = Alpha.of(alpha)
     k = stability_constant_K(a)
     v = a.value
-    c = 2.0 + 7.0 * 2.0**v * float(n) ** v * k
-    d = 4.0 + 7.0 * 2.0 ** (v + 2.0) * float(n) ** v * k
+    where = f"at n = {n!r}, alpha = {v!r}"
+    c = _finite(f"c_n {where}", lambda: 2.0 + 7.0 * 2.0**v * float(n) ** v * k)
+    d = _finite(f"d_n {where}", lambda: 4.0 + 7.0 * 2.0 ** (v + 2.0) * float(n) ** v * k)
     return c, d
 
 
@@ -316,22 +341,94 @@ def _log_fit(f, resolution: int):
     return candidate, trace
 
 
-def _fundamental_dispatch(a: Alpha):
+def _fit(f, a: Alpha, resolution: int):
+    """The proof's candidate and trace in the regime of a: the two-anchor
+    family for alpha < 0, the log fit at alpha = 0, the power fit otherwise."""
     if a.regime is Regime.NEGATIVE:
+        c, d = _hyperstable_fit(f, a)
+        return PowerFamily(c, d, a.value), CertifierTrace.of(c=c, d=d)
+    if a.regime is Regime.ZERO:
+        return _log_fit(f, resolution)
+    return _power_fit(f, a)
+
+
+def _certify_fundamental(theorem, f, alpha, resolution, closed, jobs, budget, epsilon_override):
+    """The stability proof of the two-variable equation in every regime;
+    theorem is the public name whose regime checks run first.  Epsilon comes
+    from the triangle lattice of the domain unless supplied, the distance
+    from its unit lattice."""
+    a = Alpha.of(alpha)
+    hyperstable = theorem == "hyperstability"
+    if hyperstable:
+        if a.regime is not Regime.NEGATIVE:
+            raise DispatchError(
+                "hyperstability needs alpha < 0; use the fundamental certifiers"
+            )
+        candidate, trace = _fit(f, a, resolution)
+    elif a.regime is Regime.NEGATIVE:
         raise DispatchError(
             "negative alpha is the hyperstable regime; use certify_hyperstable"
         )
-    if a.regime is Regime.ONE:
+    elif a.regime is Regime.ONE:
         raise DispatchError(
             "alpha = 1 is outside the method; no certifier exists there"
         )
-
-
-def _require_even(resolution: int):
-    if int(resolution) % 2:
+    elif int(resolution) % 2:
         raise ConfigurationError(
             f"resolution must be even so 1/2 is a grid node, got {resolution}"
         )
+    if epsilon_override is None:
+        report = residual(
+            FundamentalParametric(a.value),
+            f,
+            TriangleGrid(resolution, closed=closed),
+            jobs=jobs,
+            budget=budget,
+        )
+        eps, source = report.sup, "measured"
+    else:
+        eps, source = float(epsilon_override), "supplied"
+    if not hyperstable:
+        k = stability_constant_K(a)
+        constants = {"K": k}
+        bound = k * eps
+        candidate, trace = _fit(f, a, resolution)
+        if closed and a.regime is Regime.ZERO:
+            # the interior collapses to the constant c
+            value0, value1 = float(f(0.0)), float(f(1.0))
+            candidate = EndpointPatch(Constant(candidate.offset), value0, value1)
+            trace = trace.extended(value0=value0, value1=value1)
+        elif closed:
+            t = stability_constant_T(a)
+            constants["T"] = t
+            bound = max(k, t + 1.0) * eps
+    xs = UnitGrid(resolution, closed=closed).points
+    fv = np.asarray(f(xs))
+    # one block: its sup is exact, and a NaN or inf raises
+    distance = _sweep(lambda u: (fv - np.asarray(candidate(u)), u.__getitem__), [xs]).sup
+    if hyperstable:
+        scale = float(np.max(np.abs(fv)))
+        bound = 1e-8 * scale
+        constants = {"tolerance": bound}
+        trace = trace.extended(scale=scale)
+        if closed:
+            trace = trace.extended(
+                endpoint_gap0=abs(float(f(0.0))),
+                endpoint_gap1=abs(float(f(1.0)) - (candidate.a - candidate.b)),
+            )
+    return StabilityCertificate(
+        theorem=theorem,
+        alpha=a.value,
+        resolution=int(resolution),
+        epsilon=eps,
+        epsilon_source=source,
+        constants=constants,
+        candidate=candidate,
+        distance=distance,
+        bound=bound,
+        satisfied=_passes(distance, bound),
+        trace=trace,
+    )
 
 
 def certify_fundamental_open(
@@ -350,40 +447,8 @@ def certify_fundamental_open(
     family at alpha = 0) and checks sup |f - candidate| <= K(alpha) * eps
     on the open unit lattice.
     """
-    a = Alpha.of(alpha)
-    _fundamental_dispatch(a)
-    _require_even(resolution)
-    if epsilon_override is None:
-        report = residual(
-            FundamentalParametric(a.value),
-            f,
-            TriangleGrid(resolution),
-            jobs=jobs,
-            budget=budget,
-        )
-        eps, source = report.sup, "measured"
-    else:
-        eps, source = float(epsilon_override), "supplied"
-    k = stability_constant_K(a)
-    if a.regime is Regime.ZERO:
-        candidate, trace = _log_fit(f, resolution)
-    else:
-        candidate, trace = _power_fit(f, a)
-    xs = UnitGrid(resolution).points
-    distance = float(np.max(np.abs(np.asarray(f(xs)) - np.asarray(candidate(xs)))))
-    bound = k * eps
-    return StabilityCertificate(
-        theorem="fundamental_open",
-        alpha=a.value,
-        resolution=int(resolution),
-        epsilon=eps,
-        epsilon_source=source,
-        constants={"K": k},
-        candidate=candidate,
-        distance=distance,
-        bound=bound,
-        satisfied=_passes(distance, bound),
-        trace=trace,
+    return _certify_fundamental(
+        "fundamental_open", f, alpha, resolution, False, jobs, budget, epsilon_override
     )
 
 
@@ -404,47 +469,8 @@ def certify_fundamental_closed(
     max{K, T+1} * eps.  For alpha = 0 the interior collapses to the constant
     c with f's own endpoint values patched in, bound K(0) * eps.
     """
-    a = Alpha.of(alpha)
-    _fundamental_dispatch(a)
-    _require_even(resolution)
-    if epsilon_override is None:
-        report = residual(
-            FundamentalParametric(a.value),
-            f,
-            TriangleGrid(resolution, closed=True),
-            jobs=jobs,
-            budget=budget,
-        )
-        eps, source = report.sup, "measured"
-    else:
-        eps, source = float(epsilon_override), "supplied"
-    k = stability_constant_K(a)
-    if a.regime is Regime.ZERO:
-        inner, trace = _log_fit(f, resolution)
-        value0, value1 = float(f(0.0)), float(f(1.0))
-        candidate = EndpointPatch(Constant(inner.offset), value0, value1)
-        trace = trace.extended(value0=value0, value1=value1)
-        constants = {"K": k}
-        bound = k * eps
-    else:
-        candidate, trace = _power_fit(f, a)
-        t = stability_constant_T(a)
-        constants = {"K": k, "T": t}
-        bound = max(k, t + 1.0) * eps
-    xs = UnitGrid(resolution, closed=True).points
-    distance = float(np.max(np.abs(np.asarray(f(xs)) - np.asarray(candidate(xs)))))
-    return StabilityCertificate(
-        theorem="fundamental_closed",
-        alpha=a.value,
-        resolution=int(resolution),
-        epsilon=eps,
-        epsilon_source=source,
-        constants=constants,
-        candidate=candidate,
-        distance=distance,
-        bound=bound,
-        satisfied=_passes(distance, bound),
-        trace=trace,
+    return _certify_fundamental(
+        "fundamental_closed", f, alpha, resolution, True, jobs, budget, epsilon_override
     )
 
 
@@ -489,43 +515,8 @@ def certify_hyperstable(
     variant also compares the endpoint values f(0) = 0 and f(1) = c - d,
     which the closed unit lattice covers automatically.
     """
-    a = Alpha.of(alpha)
-    if a.regime is not Regime.NEGATIVE:
-        raise DispatchError(
-            "hyperstability needs alpha < 0; use the fundamental certifiers"
-        )
-    c, d = _hyperstable_fit(f, a)
-    candidate = PowerFamily(c, d, a.value)
-    report = residual(
-        FundamentalParametric(a.value),
-        f,
-        TriangleGrid(resolution, closed=closed),
-        jobs=jobs,
-        budget=budget,
-    )
-    xs = UnitGrid(resolution, closed=closed).points
-    fv = np.asarray(f(xs))
-    scale = float(np.max(np.abs(fv)))
-    distance = float(np.max(np.abs(fv - np.asarray(candidate(xs)))))
-    tol = 1e-8 * scale
-    trace = CertifierTrace.of(c=c, d=d, scale=scale)
-    if closed:
-        trace = trace.extended(
-            endpoint_gap0=abs(float(f(0.0))),
-            endpoint_gap1=abs(float(f(1.0)) - (c - d)),
-        )
-    return StabilityCertificate(
-        theorem="hyperstability",
-        alpha=a.value,
-        resolution=int(resolution),
-        epsilon=report.sup,
-        epsilon_source="measured",
-        constants={"tolerance": tol},
-        candidate=candidate,
-        distance=distance,
-        bound=tol,
-        satisfied=_passes(distance, tol),
-        trace=trace,
+    return _certify_fundamental(
+        "hyperstability", f, alpha, resolution, closed, jobs, budget, None
     )
 
 
@@ -547,24 +538,27 @@ def hyperstability_blowup_probe(
         raise ConfigurationError("margins must lie strictly between 0 and 1")
     if any(hs[i] <= hs[i + 1] for i in range(len(hs) - 1)):
         raise ConfigurationError("margins must decrease strictly toward 0")
-    grid = TriangleGrid(resolution)
-    pts = grid.points
-    if pts.shape[0] > budget:
-        raise BudgetExceededError(
-            f"{pts.shape[0]} grid points exceed the budget of {budget}"
-        )
-    sums = pts[:, 0] + pts[:, 1]
+    kind = FundamentalParametric(a.value)
+    pts, defect = _defect_and_points(kind, f, TriangleGrid(resolution), budget)
     sups = [0.0] * len(hs)
+    bad, first = 0, ()
     for start in range(0, pts.shape[0], _CHUNK):
         block = pts[start : start + _CHUNK]
-        d = np.abs(_fundamental_defect(f, a.value, block))
-        s = sums[start : start + _CHUNK]
+        d = np.abs(defect(block))
+        finite = np.isfinite(d)
+        if not finite.all():
+            bad += int(np.count_nonzero(~finite))
+            first = first or tuple(block[int(np.argmin(finite))].tolist())
+            continue
+        s = block[:, 0] + block[:, 1]
         for i, h in enumerate(hs):
             keep = s <= 1.0 - h + 1e-12
             if np.any(keep):
                 worst = float(np.max(d[keep]))
                 if worst > sups[i]:
                     sups[i] = worst
+    if bad:
+        raise _non_finite(bad, pts.shape[0], first)
     return list(zip(hs, sups))
 
 
@@ -692,17 +686,8 @@ def certify_measure_sequence(
         )
 
     v = a.value
-    if a.regime is Regime.NEGATIVE:
-        c, d = _hyperstable_fit(f, a)
-        candidate = PowerFamily(c, d, v)
-        trace = CertifierTrace.of(c=c, d=d)
-        k_const = None
-    elif a.regime is Regime.ZERO:
-        candidate, trace = _log_fit(f, resolution)
-        k_const = stability_constant_K(a)
-    else:
-        candidate, trace = _power_fit(f, a)
-        k_const = stability_constant_K(a)
+    candidate, trace = _fit(f, a, resolution)
+    k_const = None if a.regime is Regime.NEGATIVE else stability_constant_K(a)
 
     if a.regime is Regime.ZERO:
         coefficients = {"c": candidate.offset, "lam": candidate.slope}
@@ -1257,26 +1242,17 @@ def certify_sum_form_mixed(
         )
     gp = SimplexGrid(n, resolution, closed=True, budget=budget)
     gq = SimplexGrid(m, resolution, closed=True, budget=budget)
-    if gp.count * gq.count > budget:
-        raise BudgetExceededError(
-            f"{gp.count * gq.count} distribution pairs exceed the budget of {budget}"
-        )
-    P = gp.points
-    Q = gq.points
+
+    def cross(a, b, prods):
+        c = np.sum(np.asarray(f(prods)), axis=2)
+        return c - fp[a:b, None] * qb[None, :] - fq[None, :] * pa[a:b, None]
+
+    P, Q, spans, worker = _pair_blocks(gp, gq, budget, cross)
     fp = np.sum(np.asarray(f(P)), axis=1)
     fq = np.sum(np.asarray(f(Q)), axis=1)
     pa = np.sum(pow0(P, av), axis=1)
     qb = np.sum(pow0(Q, bv), axis=1)
-    nq = Q.shape[0]
-
-    def gap(span):
-        s, e = span
-        prods = P[s:e, None, :, None] * Q[None, :, None, :]
-        cross = np.sum(np.asarray(f(prods.reshape(e - s, nq, -1))), axis=2)
-        d = cross - fp[s:e, None] * qb[None, :] - fq[None, :] * pa[s:e, None]
-        return d, lambda i: np.concatenate([P[s + i // nq], Q[i % nq]])
-
-    eps = _sweep(gap, _spans(P.shape[0], max(1, _CHUNK // nq))).sup
+    eps = _pair_sweep(P, Q, spans, worker).sup
 
     xs = UnitGrid(resolution, closed=True).points
     fv = np.asarray(f(xs))

@@ -5,7 +5,8 @@ measure / sweep / blowup jobs, and writes machine-readable reports:
 report.json always, summary.csv for tabular jobs, defects.csv on request.
 
 Exit codes: 0 when every certificate is satisfied (or the residual met its
-target), 1 when a bound was violated, 2 for configuration errors.  Reports
+target), 1 when a bound was violated, 2 for configuration errors and for
+NaN or infinite values, which no report.json is written with.  Reports
 carry no timestamps and all reductions are order-fixed, so identical configs
 produce byte-identical report.json at any parallelism.
 """
@@ -51,7 +52,7 @@ from .equations import (
     dump_defects_csv,
     residual,
 )
-from .errors import ConfigurationError, InfostabError
+from .errors import ConfigurationError, InfostabError, NonFiniteDefectError
 from .measures import (
     InformationMeasure,
     LevelNoise,
@@ -275,67 +276,55 @@ def _job_residual(cfg, jobs, out_dir, dump):
 # ---------------------------------------------------------------------------
 # certify job
 
+_FUNDAMENTAL = ("fundamental", "fundamental_open", "fundamental_closed", "hyperstability")
+
+
+def _certify_fundamental(
+    theorem, f, alpha, resolution, jobs, budget, *, closed=False, override=None
+):
+    """Run one fundamental-equation theorem and return (certificate, closed),
+    closed naming the triangle it swept.  "fundamental" picks hyperstability
+    for alpha < 0 and the open domain otherwise.  The certifiers are looked
+    up in this module at call time, so a wrapper installed on them sees it."""
+    if theorem == "fundamental":
+        negative = Alpha.of(alpha).regime is Regime.NEGATIVE
+        theorem = "hyperstability" if negative else "fundamental_open"
+    if theorem == "hyperstability":
+        return certify_hyperstable(f, alpha, resolution, closed, jobs=jobs, budget=budget), closed
+    closed = theorem == "fundamental_closed"
+    certify = certify_fundamental_closed if closed else certify_fundamental_open
+    cert = certify(f, alpha, resolution, jobs=jobs, budget=budget, epsilon_override=override)
+    return cert, closed
+
 
 def _job_certify(cfg, jobs, out_dir, dump):
     theorem = _field(cfg, "theorem")
     budget = _int_field(cfg, "budget", 10**7)
     dump_args = None
 
-    if theorem in (
-        "fundamental",
-        "fundamental_open",
-        "fundamental_closed",
-        "hyperstability",
-    ):
+    if theorem in _FUNDAMENTAL:
         f = _build_function(scalar_from_config, _field(cfg, "function"), "function")
         alpha = _float_field(cfg, "alpha")
         resolution = _int_field(cfg, "resolution")
-        name = theorem
-        if name == "fundamental":
-            negative = Alpha.of(alpha).regime is Regime.NEGATIVE
-            name = "hyperstability" if negative else "fundamental_open"
         override = _field(cfg, "epsilon", None)
         if override is not None:
             override = _float_field(cfg, "epsilon")
-        if name == "hyperstability":
-            closed = bool(_field(cfg, "closed", False))
-            cert = certify_hyperstable(
-                f, alpha, resolution, closed, jobs=jobs, budget=budget
-            )
-            dump_args = (
-                FundamentalParametric(cert.alpha),
+        cert, closed = _certify_fundamental(
+            theorem, f, alpha, resolution, jobs, budget,
+            closed=bool(_field(cfg, "closed", False)), override=override,
+        )
+        dump_args = (FundamentalParametric(cert.alpha), f, TriangleGrid(resolution, closed=closed))
+        result = cert.to_json_dict()
+        margins = _field(cfg, "margins", None)
+        if cert.theorem == "hyperstability" and margins is not None:
+            probe = hyperstability_blowup_probe(
                 f,
-                TriangleGrid(resolution, closed=closed),
+                alpha,
+                [float(h) for h in margins],
+                resolution=_int_field(cfg, "probe_resolution", 2048),
+                budget=budget,
             )
-            result = cert.to_json_dict()
-            margins = _field(cfg, "margins", None)
-            if margins is not None:
-                probe = hyperstability_blowup_probe(
-                    f,
-                    alpha,
-                    [float(h) for h in margins],
-                    resolution=_int_field(cfg, "probe_resolution", 2048),
-                    budget=budget,
-                )
-                result["blowup"] = [[h, s] for h, s in probe]
-        elif name == "fundamental_open":
-            cert = certify_fundamental_open(
-                f, alpha, resolution, jobs=jobs, budget=budget,
-                epsilon_override=override,
-            )
-            dump_args = (FundamentalParametric(cert.alpha), f, TriangleGrid(resolution))
-            result = cert.to_json_dict()
-        else:
-            cert = certify_fundamental_closed(
-                f, alpha, resolution, jobs=jobs, budget=budget,
-                epsilon_override=override,
-            )
-            dump_args = (
-                FundamentalParametric(cert.alpha),
-                f,
-                TriangleGrid(resolution, closed=True),
-            )
-            result = cert.to_json_dict()
+            result["blowup"] = [[h, s] for h, s in probe]
     elif theorem == "measure_sequence":
         levels = _int_field(cfg, "levels")
         resolution = _int_field(cfg, "resolution")
@@ -539,12 +528,7 @@ def _job_sweep(cfg, jobs, out_dir, dump):
         _write_summary(out_dir, ["alpha", "K", "T", "relation_gap"], table)
         return {"rows": rows}, {"summary_csv": "summary.csv"}, EXIT_OK
 
-    if target not in (
-        "fundamental",
-        "fundamental_open",
-        "fundamental_closed",
-        "hyperstability",
-    ):
+    if target not in _FUNDAMENTAL:
         raise ConfigurationError(
             "config field 'target' must be 'constants' or a fundamental-equation "
             f"theorem, got '{target}'"
@@ -575,21 +559,9 @@ def _job_sweep(cfg, jobs, out_dir, dump):
         base = PowerFamily(a0, b0, Alpha.of(av).value)
         f = base if bump is None else FunctionSum((base, bump))
         regime = Alpha.of(av).regime
-        name = target
-        if name == "fundamental":
-            name = "hyperstability" if regime is Regime.NEGATIVE else "fundamental_open"
-        if name == "hyperstability":
-            cert = certify_hyperstable(f, av, resolution, jobs=jobs, budget=budget)
-        elif name == "fundamental_open":
-            cert = certify_fundamental_open(
-                f, av, resolution, jobs=jobs, budget=budget
-            )
-        else:
-            cert = certify_fundamental_closed(
-                f, av, resolution, jobs=jobs, budget=budget
-            )
+        cert, _ = _certify_fundamental(target, f, av, resolution, jobs, budget)
         entry = cert.to_json_dict()
-        if name == "hyperstability" and not cert.satisfied:
+        if cert.theorem == "hyperstability" and not cert.satisfied:
             margins = [2.0**-k for k in range(3, 10)]
             probe = hyperstability_blowup_probe(f, av, margins, budget=budget)
             entry["blowup"] = [[h, s] for h, s in probe]
@@ -678,9 +650,18 @@ def run(config, *, out_dir: str = ".", jobs: int = 1, dump_defects: bool = False
         "result": result,
         "files": files,
     }
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteDefectError("report.json would hold a NaN or infinite value") from exc
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write(text + "\n")
     return code
+
+
+def _refuse_constant(name):
+    # json.load accepts NaN, Infinity and -Infinity, which JSON does not
+    raise ConfigurationError(f"{name} is a NaN or infinite literal")
 
 
 def main(argv=None) -> int:
@@ -704,11 +685,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         with open(args.config) as fh:
-            config = json.load(fh)
+            config = json.load(fh, parse_constant=_refuse_constant)
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, ConfigurationError) as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

@@ -209,9 +209,7 @@ def _sweep(worker, items, *, jobs=1, epsilon_target=None):
         if block_sup > sup:
             sup, point = block_sup, block_point
     if bad:
-        raise NonFiniteDefectError(
-            f"{bad} of {size} defects are NaN or infinite, the first at {bad_point}"
-        )
+        raise _non_finite(bad, size, bad_point)
     if size == 0:
         raise ConfigurationError("empty grid: nothing to sweep")
     return ResidualReport(
@@ -220,6 +218,13 @@ def _sweep(worker, items, *, jobs=1, epsilon_target=None):
         argmax_point=point,
         samples=size,
         epsilon_target=epsilon_target,
+    )
+
+
+def _non_finite(bad, size, first):
+    """The error of a sweep with bad NaN or infinite defects out of size."""
+    return NonFiniteDefectError(
+        f"{bad} of {size} defects are NaN or infinite, the first at {first}"
     )
 
 
@@ -295,7 +300,40 @@ def _expect_grid(grid, cls, kind_name):
     return grid
 
 
-def _expect_simplex_pair(grid, kind, budget):
+def _pair_blocks(gp, gq, budget, cross):
+    """(P, Q, spans, worker) of the pair lattice of two simplex grids, within
+    budget: worker(a, b) is cross(a, b, prods), flattened P-major, where
+    prods[i, j] holds the coordinates of the product P[a + i] * Q[j].  A span
+    holds about _CHUNK pairs and at least one row of P."""
+    pairs = gp.count * gq.count
+    if pairs > budget:
+        raise BudgetExceededError(
+            f"{pairs} distribution pairs exceed the budget of {budget}"
+        )
+    P = gp.points
+    Q = gq.points
+
+    def worker(a, b):
+        prods = P[a:b, None, :, None] * Q[None, :, None, :]
+        return np.ravel(cross(a, b, prods.reshape(b - a, Q.shape[0], -1)))
+
+    return P, Q, _spans(P.shape[0], max(1, _CHUNK // len(Q))), worker
+
+
+def _pair_sweep(P, Q, spans, worker, **kwargs):
+    """_sweep over _pair_blocks; a pair's point is its P row, then its Q row."""
+    nq = Q.shape[0]
+
+    def block(span):
+        a, b = span
+        return worker(a, b), lambda k: np.concatenate([P[a + k // nq], Q[k % nq]])
+
+    return _sweep(block, spans, **kwargs)
+
+
+def _sum_form_blocks(kind, f, grid, budget):
+    """Return (P, Q, spans, worker): worker(a, b) is the defect of rows P[a:b]
+    against every row of Q, flattened P-major."""
     if not (isinstance(grid, tuple) and len(grid) == 2):
         raise ConfigurationError(
             f"{type(kind).__name__} sweeps need a pair of SimplexGrids"
@@ -308,75 +346,49 @@ def _expect_simplex_pair(grid, kind, budget):
             f"{type(kind).__name__}(n={kind.n}, m={kind.m}) got simplex grids "
             f"with n={gp.n}, m={gq.n}"
         )
-    pairs = gp.count * gq.count
-    if pairs > budget:
-        raise BudgetExceededError(
-            f"{pairs} distribution pairs exceed the pair budget of {budget}"
-        )
-    return gp, gq
-
-
-def _sum_form_blocks(kind, f, grid, budget):
-    """Return (P, Q, spans, worker): worker(a, b) is the defect of rows P[a:b]
-    against every row of Q, flattened P-major."""
-    gp, gq = _expect_simplex_pair(grid, kind, budget)
-    P = gp.points
-    Q = gq.points
-    fp = np.sum(np.asarray(f(P)), axis=1)
-    fq = np.sum(np.asarray(f(Q)), axis=1)
     if isinstance(kind, SumFormAlpha):
         lam = 2.0 ** (1.0 - kind.alpha) - 1.0
-    rows_per_block = max(1, _CHUNK // max(1, Q.shape[0]))
 
-    def worker(a, b):
-        prods = P[a:b, None, :, None] * Q[None, :, None, :]
-        cross = np.sum(f(prods.reshape(b - a, Q.shape[0], -1)), axis=2)
+    def cross(a, b, prods):
+        c = np.sum(f(prods), axis=2)
         if isinstance(kind, SumFormAdditive):
-            d = cross - fp[a:b, None] - fq[None, :]
-        elif isinstance(kind, SumFormAlpha):
-            d = cross - fp[a:b, None] - fq[None, :] - lam * fp[a:b, None] * fq[None, :]
-        else:
-            d = cross - fp[a:b, None] * fq[None, :]
-        return d.ravel()
+            return c - fp[a:b, None] - fq[None, :]
+        if isinstance(kind, SumFormAlpha):
+            return c - fp[a:b, None] - fq[None, :] - lam * fp[a:b, None] * fq[None, :]
+        return c - fp[a:b, None] * fq[None, :]
 
-    return P, Q, _spans(P.shape[0], rows_per_block), worker
+    P, Q, spans, worker = _pair_blocks(gp, gq, budget, cross)
+    fp = np.sum(np.asarray(f(P)), axis=1)
+    fq = np.sum(np.asarray(f(Q)), axis=1)
+    return P, Q, spans, worker
 
 
 def _defect_and_points(kind, fns, grid, budget):
     """Return (points, defect_fn) for the single-matrix equation kinds, within budget."""
-    pts, defect = _unchecked_defect_and_points(kind, fns, grid)
-    if pts.shape[0] > budget:
-        raise BudgetExceededError(f"{pts.shape[0]} grid points exceed the budget of {budget}")
-    return pts, defect
-
-
-def _unchecked_defect_and_points(kind, fns, grid):
     if isinstance(kind, FundamentalParametric):
         f = _one_function(fns)
-        g = _expect_grid(grid, TriangleGrid, "FundamentalParametric")
-        return g.points, lambda pts: _fundamental_defect(f, kind.alpha, pts)
-    if isinstance(kind, Cocycle):
+        pts = _expect_grid(grid, TriangleGrid, "FundamentalParametric").points
+        defect = lambda p: _fundamental_defect(f, kind.alpha, p)
+    elif isinstance(kind, Cocycle):
         F = _one_function(fns)
-        g = _expect_grid(grid, ConeGrid, "Cocycle")
+        pts = _expect_grid(grid, ConeGrid, "Cocycle").points
 
         def defect(pts):
             x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
             return F(x + y, z) + F(x, y) - F(x, y + z) - F(y, z)
 
-        return g.points, defect
-    if isinstance(kind, EntropyEq):
+    elif isinstance(kind, EntropyEq):
         H = _one_function(fns)
-        g = _expect_grid(grid, ConeGrid, "EntropyEq")
+        pts = _expect_grid(grid, ConeGrid, "EntropyEq").points
 
         def defect(pts):
             x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
             zero = np.zeros_like(x)
             return H(x, y, z) - H(x + y, zero, z) - H(x, y, zero)
 
-        return g.points, defect
-    if isinstance(kind, ModifiedEntropy):
+    elif isinstance(kind, ModifiedEntropy):
         f = _one_function(fns)
-        g = _expect_grid(grid, ConeGrid, "ModifiedEntropy")
+        pts = _expect_grid(grid, ConeGrid, "ModifiedEntropy").points
         a = kind.alpha
 
         def defect(pts):
@@ -389,23 +401,22 @@ def _unchecked_defect_and_points(kind, fns, grid):
                 - pow0(s, a) * f(zero, y / s, z / s)
             )
 
-        return g.points, defect
-    if isinstance(kind, CauchyAdditive):
+    elif isinstance(kind, CauchyAdditive):
         f = _one_function(fns)
         g = _expect_grid(grid, UnitGrid, "CauchyAdditive")
         pts = _pairs_in_domain(g)
-        return pts, lambda p: f(p[:, 0] + p[:, 1]) - f(p[:, 0]) - f(p[:, 1])
-    if isinstance(kind, Multiplicative):
+        defect = lambda p: f(p[:, 0] + p[:, 1]) - f(p[:, 0]) - f(p[:, 1])
+    elif isinstance(kind, Multiplicative):
         f = _one_function(fns)
         g = _expect_grid(grid, UnitGrid, "Multiplicative")
         pts = _all_pairs(g)
-        return pts, lambda p: f(p[:, 0] * p[:, 1]) - f(p[:, 0]) * f(p[:, 1])
-    if isinstance(kind, Logarithmic):
+        defect = lambda p: f(p[:, 0] * p[:, 1]) - f(p[:, 0]) * f(p[:, 1])
+    elif isinstance(kind, Logarithmic):
         f = _one_function(fns)
         g = _expect_grid(grid, UnitGrid, "Logarithmic")
         pts = _all_pairs(g)
-        return pts, lambda p: f(p[:, 0] * p[:, 1]) - f(p[:, 0]) - f(p[:, 1])
-    if isinstance(kind, PhiEquation):
+        defect = lambda p: f(p[:, 0] * p[:, 1]) - f(p[:, 0]) - f(p[:, 1])
+    elif isinstance(kind, PhiEquation):
         f = _one_function(fns)
         g = _expect_grid(grid, UnitGrid, "PhiEquation")
         pts = _all_pairs(g)
@@ -414,8 +425,7 @@ def _unchecked_defect_and_points(kind, fns, grid):
             x, y = p[:, 0], p[:, 1]
             return f(x * y) - x * f(y) - y * f(x)
 
-        return pts, defect
-    if isinstance(kind, DaroczyIdentity):
+    elif isinstance(kind, DaroczyIdentity):
         f, phi = _two_functions(fns)
         g = _expect_grid(grid, UnitGrid, "DaroczyIdentity")
         pts = _all_pairs(g)
@@ -426,8 +436,7 @@ def _unchecked_defect_and_points(kind, fns, grid):
             s = x + y
             return s * f(y / s) - (phi(x) + phi(y) - phi(s))
 
-        return pts, defect
-    if isinstance(kind, InfoFunctionForm):
+    elif isinstance(kind, InfoFunctionForm):
         f, phi = _two_functions(fns)
         g = _expect_grid(grid, UnitGrid, "InfoFunctionForm")
         pts = g.points[:, None]
@@ -436,8 +445,11 @@ def _unchecked_defect_and_points(kind, fns, grid):
             x = p[:, 0]
             return f(x) - phi(x) - phi(1.0 - x)
 
-        return pts, defect
-    raise ConfigurationError(f"unknown equation kind {kind!r}")
+    else:
+        raise ConfigurationError(f"unknown equation kind {kind!r}")
+    if pts.shape[0] > budget:
+        raise BudgetExceededError(f"{pts.shape[0]} grid points exceed the budget of {budget}")
+    return pts, defect
 
 
 def residual(
@@ -451,21 +463,14 @@ def residual(
 ) -> ResidualReport:
     """Sweep one equation's defect over a grid and reduce it to a report."""
     if isinstance(kind, (SumFormAdditive, SumFormAlpha, SumFormMultiplicative)):
-        P, Q, spans, worker = _sum_form_blocks(kind, _one_function(fns), grid, budget)
-        nq = Q.shape[0]
+        blocks = _sum_form_blocks(kind, _one_function(fns), grid, budget)
+        return _pair_sweep(*blocks, jobs=jobs, epsilon_target=epsilon_target)
+    pts, defect = _defect_and_points(kind, fns, grid, budget)
 
-        def block(span):
-            a, b = span
-            return worker(a, b), lambda i: np.concatenate([P[a + i // nq], Q[i % nq]])
+    def block(span):
+        return defect(pts[span[0] : span[1]]), lambda i: pts[span[0] + i]
 
-    else:
-        pts, defect = _defect_and_points(kind, fns, grid, budget)
-        spans = _spans(pts.shape[0])
-
-        def block(span):
-            return defect(pts[span[0] : span[1]]), lambda i: pts[span[0] + i]
-
-    return _sweep(block, spans, jobs=jobs, epsilon_target=epsilon_target)
+    return _sweep(block, _spans(pts.shape[0]), jobs=jobs, epsilon_target=epsilon_target)
 
 
 def _write_defect_rows(fh, pts, defects):

@@ -34,4 +34,5 @@ class DispatchError(UnsupportedParameterError):
 
 
 class NonFiniteDefectError(InfostabError, ArithmeticError):
-    """A sweep met a NaN or infinite defect, which no bound can certify."""
+    """A sweep met a NaN or infinite defect, which no bound can certify, or a
+    report would carry a NaN or infinite value."""

@@ -23,6 +23,7 @@ import numpy as np
 
 from .domains import SimplexGrid, TriangleGrid, pow0
 from .equations import _CHUNK, FundamentalParametric, ResidualReport, _spans, _sweep, residual
+from .equations import _pair_blocks, _pair_sweep
 from .errors import BudgetExceededError, ConfigurationError, InvalidDistributionError
 from .models import Alpha, ScalarFunction, validate_distribution
 
@@ -192,26 +193,17 @@ def check_additivity(
         )
     gp = _interior_grid(n, resolution, budget)
     gq = _interior_grid(m, resolution, budget)
-    if gp.count * gq.count > budget:
-        raise BudgetExceededError(
-            f"{gp.count * gq.count} distribution pairs exceed the budget of {budget}"
-        )
-    P = gp.points
-    Q = gq.points
+
+    def cross(a, b, prods):
+        # prods[i, j] holds the nm coordinates of P[a + i] * Q[j]
+        left = measure.eval_rows(prods.reshape(-1, prods.shape[2])).reshape(b - a, -1)
+        return left - ip[a:b] - iq - lam * ip[a:b] * iq
+
+    P, Q, spans, worker = _pair_blocks(gp, gq, budget, cross)
     lam = 2.0 ** (1.0 - measure.alpha_value) - 1.0
     ip = measure.eval_rows(P)[:, None]
     iq = measure.eval_rows(Q)[None, :]
-    nq = Q.shape[0]
-
-    def block(span):
-        a, b = span
-        # row (i, j) holds the nm coordinates of P_i * Q_j, P-major
-        prod = (P[a:b, None, :, None] * Q[None, :, None, :]).reshape((b - a) * nq, -1)
-        left = measure.eval_rows(prod).reshape(b - a, nq)
-        d = left - ip[a:b] - iq - lam * ip[a:b] * iq
-        return d, lambda k: np.concatenate([P[a + k // nq], Q[k % nq]])
-
-    return _sweep(block, _spans(P.shape[0], max(1, _CHUNK // nq)))
+    return _pair_sweep(P, Q, spans, worker)
 
 
 def check_normalization(measure: InformationMeasure) -> float:

@@ -21,6 +21,8 @@ from infostab import (
     EndpointPatch,
     EntropySolution,
     FunctionSum,
+    FundamentalParametric,
+    GridSample,
     LevelNoise,
     LogFamily,
     ModifiedEntropySolution,
@@ -33,6 +35,7 @@ from infostab import (
     ProductUV,
     ScaledBump,
     Sum3,
+    TriangleGrid,
     UnsupportedParameterError,
     Wave2,
     Wave3,
@@ -50,6 +53,7 @@ from infostab import (
     certify_sum_form_mixed,
     certify_sum_form_multiplicative,
     hyperstability_blowup_probe,
+    residual,
     sampled,
     scalar_from_config,
     stability_constant_K,
@@ -596,3 +600,98 @@ def test_open_certifier_round_trip(a, b, alpha):
     assert abs(cert.candidate.a - a) <= 1e-7 * scale
     assert abs(cert.candidate.b - b) <= 1e-7 * scale
     assert cert.candidate.b == cert.trace["a"] + cert.trace["c"]
+
+
+def _with_nan_node(alpha, node):
+    g = sampled(PowerFamily(1.0, 1.0, alpha), 64)
+    ys = list(g.ys)
+    ys[node] = math.nan
+    return GridSample(g.xs, tuple(ys))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+class TestNonFiniteFundamental:
+    @pytest.mark.parametrize(
+        "certify, count", [(certify_fundamental_open, 63), (certify_fundamental_closed, 65)]
+    )
+    def test_distance_with_nan_node_raises(self, certify, count):
+        # a supplied epsilon skips the defect sweep, so the distance meets the NaN
+        g = _with_nan_node(0.5, 20)
+        with pytest.raises(NonFiniteDefectError) as exc:
+            certify(g, 0.5, 64, epsilon_override=1e-3)
+        assert str(exc.value) == (
+            f"1 of {count} defects are NaN or infinite, the first at (0.3125,)"
+        )
+
+    def test_blowup_probe_with_nan_node_raises(self):
+        f = _with_nan_node(-1.0, 40)  # x = 0.625
+        with pytest.raises(NonFiniteDefectError) as sweep:
+            residual(FundamentalParametric(-1.0), f, TriangleGrid(64))
+        with pytest.raises(NonFiniteDefectError) as exc:
+            hyperstability_blowup_probe(f, -1.0, [0.25, 0.125], resolution=64)
+        assert str(exc.value) == str(sweep.value)
+        assert str(exc.value).startswith("166 of 1953 defects are NaN or infinite")
+
+    def test_blowup_probe_finite_profile_unchanged(self):
+        # the per-margin fold the NaN check sits in front of
+        f = perturbed(PowerFamily(1.0, 0.5, -1.0), 1e-3)
+        margins = [0.25, 0.125, 0.0625]
+        pts = TriangleGrid(256).points
+        d = np.abs(
+            f(pts[:, 0])
+            + (1.0 - pts[:, 0]) ** -1.0 * f(pts[:, 1] / (1.0 - pts[:, 0]))
+            - f(pts[:, 1])
+            - (1.0 - pts[:, 1]) ** -1.0 * f(pts[:, 0] / (1.0 - pts[:, 1]))
+        )
+        s = pts[:, 0] + pts[:, 1]
+        expected = [(h, float(np.max(d[s <= 1.0 - h + 1e-12]))) for h in margins]
+        assert hyperstability_blowup_probe(f, -1.0, margins, resolution=256) == expected
+
+
+def _printed_K(v):
+    outer = abs(2.0 ** (1.0 - v) - 1.0)
+    return (3.0 + 12.0 * 2.0**v + 32.0 * 3.0 ** (v + 1.0) / abs(2.0**-v - 1.0)) / outer
+
+
+def _printed_T(v):
+    return 3.0 * 2.0**v + 8.0 * 3.0 ** (v + 1.0) / abs(2.0**-v - 1.0)
+
+
+class TestNonFiniteConstants:
+    @pytest.mark.parametrize("alpha", [math.nan, 645.0, 646.0, 1e3, 1e-17, -1100.0])
+    def test_K_outside_finite_range(self, alpha):
+        with pytest.raises(UnsupportedParameterError, match="not a finite float"):
+            stability_constant_K(alpha)
+        with pytest.raises(UnsupportedParameterError):
+            stability_constants(alpha)
+
+    @pytest.mark.parametrize("alpha", [math.nan, 645.0, 646.0, 1e-17])
+    def test_T_outside_finite_range(self, alpha):
+        with pytest.raises(UnsupportedParameterError, match="not a finite float"):
+            stability_constant_T(alpha)
+
+    @pytest.mark.parametrize(
+        "n, alpha", [(10, 300.0), (10, 400.0), (1e-10, -40.0), (1e300, 2.0)]
+    )
+    def test_box_growth_outside_finite_range(self, n, alpha):
+        with pytest.raises(UnsupportedParameterError, match="not a finite float"):
+            box_growth_constants(n, alpha)
+
+    @settings(max_examples=200, deadline=None)
+    @given(v=st.one_of(st.floats(), st.floats(-1e-15, 1e-15), st.floats(0.999, 1.001)))
+    def test_finite_values_keep_the_printed_formula(self, v):
+        if v == 0.0 or v == 1.0:
+            return
+        pairs = [(stability_constant_K, _printed_K)]
+        if v > 0:
+            pairs.append((stability_constant_T, _printed_T))
+        for constant, printed in pairs:
+            try:
+                want = printed(v)
+            except ArithmeticError:
+                want = math.nan
+            if math.isfinite(want):
+                assert constant(v) == want
+            else:
+                with pytest.raises(UnsupportedParameterError):
+                    constant(v)

@@ -10,6 +10,7 @@ from infostab import (
     InfostabError,
     NonFiniteDefectError,
     PowerFamily,
+    UnsupportedParameterError,
     config_of,
     sampled,
 )
@@ -548,3 +549,135 @@ class TestMain:
         with pytest.raises(NonFiniteDefectError):
             run(config, out_dir=str(tmp_path))
         assert not (tmp_path / "report.json").exists()
+
+
+def nan_node_sample():
+    sample = config_of(sampled(PowerFamily(1.0, 1.0, 0.5), 64))
+    sample["ys"][20] = float("nan")
+    return sample
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+class TestNonFiniteReports:
+    def run_main(self, tmp_path, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        code = main(["--config", str(path), "--out", str(out)])
+        return code, out
+
+    @pytest.mark.parametrize("theorem", ["fundamental_open", "fundamental_closed"])
+    def test_supplied_epsilon_nan_distance(self, tmp_path, capsys, theorem):
+        config = certify_config(theorem, nan_node_sample(), 0.5, epsilon=1e-3)
+        with pytest.raises(NonFiniteDefectError, match="the first at \\(0.3125,\\)"):
+            run(config, out_dir=str(tmp_path))
+        assert not (tmp_path / "report.json").exists()
+        code, out = self.run_main(tmp_path, json.dumps(config))
+        assert code == EXIT_CONFIG
+        assert "NaN or infinite" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_main_refuses_nonfinite_literals(self, tmp_path, capsys, literal):
+        text = (
+            '{"schema": 1, "job": "sweep", "target": "constants", "alphas": [2.0], '
+            f'"note": {literal}}}'
+        )
+        code, out = self.run_main(tmp_path, text)
+        assert code == EXIT_CONFIG
+        assert literal in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_constants_sweep_with_nan_alpha(self, tmp_path, capsys):
+        text = '{"schema": 1, "job": "sweep", "target": "constants", "alphas": [NaN, 645.0]}'
+        code, out = self.run_main(tmp_path, text)
+        assert code == EXIT_CONFIG
+        assert not (out / "report.json").exists()
+        config = {"schema": 1, "job": "sweep", "target": "constants",
+                  "alphas": [float("nan"), 645.0]}
+        with pytest.raises(UnsupportedParameterError):
+            run(config, out_dir=str(tmp_path))
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("alpha", [645.0, 646.0, 1e-17])
+    def test_constants_sweep_without_finite_constant(self, tmp_path, capsys, alpha):
+        config = {"schema": 1, "job": "sweep", "target": "constants", "alphas": [alpha]}
+        with pytest.raises(UnsupportedParameterError):
+            run(config, out_dir=str(tmp_path))
+        code, out = self.run_main(tmp_path, json.dumps(config))
+        assert code == EXIT_CONFIG
+        assert "not a finite float" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_report_with_nonfinite_value_is_not_written(self, tmp_path):
+        # only run() can receive a NaN config value; main refuses the literal
+        config = {"schema": 1, "job": "sweep", "target": "constants", "alphas": [2.0],
+                  "note": float("inf")}
+        with pytest.raises(NonFiniteDefectError, match="report.json"):
+            run(config, out_dir=str(tmp_path))
+        assert not (tmp_path / "report.json").exists()
+
+
+class TestDispatchLooksUpCertifiers:
+    """The fundamental dispatch must call the certifiers through this module's
+    names at call time, so a wrapper installed on cli.certify_* sees them."""
+
+    NOISY_NEG = {"kind": "sum", "terms": [NEG_FAMILY, dict(BUMP, height=0.05)]}
+
+    def configs(self):
+        phi = {"kind": "phi_of_sum",
+               "phi": {"kind": "power_law", "scale": 1.0, "alpha": 2.0}}
+        yield certify_config("fundamental", POWER, 0.5, resolution=16)
+        yield certify_config("fundamental_closed", POWER, 0.5, resolution=16)
+        yield certify_config("fundamental", self.NOISY_NEG, -1.0, resolution=16,
+                             margins=[0.25, 0.125], probe_resolution=32)
+        yield {"schema": 1, "job": "certify", "theorem": "measure_sequence",
+               "generator": POWER, "epsilons": [1e-6, 1e-5], "alpha": 0.5,
+               "levels": 3, "resolution": 8}
+        yield {"schema": 1, "job": "certify", "theorem": "entropy_equation",
+               "function": {"kind": "entropy_solution", "scale": 0.7, "alpha": 2.0},
+               "alpha": 2.0, "resolution": 6}
+        yield {"schema": 1, "job": "certify", "theorem": "associativity",
+               "functions": [phi, phi], "resolution": 4,
+               "intervals": [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]}
+        yield {"schema": 1, "job": "certify", "theorem": "modified_entropy",
+               "function": {"kind": "modified_entropy_solution", "coeff": 0.4,
+                            "alpha": 2.0, "phi": {"kind": "xlog2", "scale": 1.0}},
+               "alpha": 2.0, "n": 1.0, "resolution": 6}
+        yield {"schema": 1, "job": "certify", "theorem": "sum_form",
+               "function": POWER, "n": 3, "resolution": 4}
+        yield {"schema": 1, "job": "certify", "theorem": "sum_form_multiplicative",
+               "function": POWER, "n": 3, "m": 3, "resolution": 3}
+        yield {"schema": 1, "job": "certify", "theorem": "sum_form_mixed",
+               "function": POWER, "n": 3, "m": 3, "alpha": 0.5, "beta": 2.0,
+               "resolution": 3}
+        for target, alphas in (("fundamental", [-1.0, 0.5]), ("fundamental_open", [0.5]),
+                               ("fundamental_closed", [0.5]), ("hyperstability", [-1.0])):
+            yield {"schema": 1, "job": "sweep", "target": target, "alphas": alphas,
+                   "family": {"a": 1.0, "b": 1.0}, "noise": {"height": 5e-4},
+                   "resolution": 16}
+        yield {"schema": 1, "job": "blowup", "function": self.NOISY_NEG, "alpha": -1.0,
+               "margins": [0.25, 0.125], "resolution": 32}
+
+    def test_every_certifier_call_goes_through_cli_names(self, tmp_path, monkeypatch):
+        import infostab.cli as cli
+
+        names = [n for n in vars(cli) if n.startswith("certify_")]
+        names.append("hyperstability_blowup_probe")
+        assert len(names) == 11
+        calls = dict.fromkeys(names, 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+        for i, config in enumerate(self.configs()):
+            out = tmp_path / str(i)
+            out.mkdir()
+            run(config, out_dir=str(out))
+        assert [n for n, c in calls.items() if c == 0] == []
