@@ -24,13 +24,14 @@ from .equations import (
     FundamentalParametric,
     ModifiedEntropy,
     SumFormMultiplicative,
-    _CHUNK,
-    _defect_and_points,
+    _blocks,
     _non_finite,
     _pair_blocks,
-    _pair_sweep,
+    _passes,
+    _row_blocks,
     _spans,
     _sweep,
+    certificate_slack,
     homogeneity_residual,
     residual,
     symmetry_residual,
@@ -203,23 +204,15 @@ def stability_constants(alpha, n=None) -> StabilityConstants:
 # certificates
 
 
-def certificate_slack(bound) -> float:
-    """Uniform numeric slack added to every bound check."""
-    return 1e-9 * (1.0 + float(bound))
-
-
-def _passes(distance, bound) -> bool:
-    return float(distance) <= float(bound) + certificate_slack(bound)
+def _distance(points, gap):
+    """sup |gap| over points as one _sweep block: exact, and a NaN or inf raises."""
+    return _sweep(lambda block: block, [(points, gap)]).sup
 
 
 def _ternary_distance(F, G, pts):
     """sup over the rows of pts of |F - G|, two ternary functions."""
-
-    def gap(span):
-        x, y, z = pts[span[0] : span[1]].T
-        return np.asarray(F(x, y, z)) - np.asarray(G(x, y, z)), lambda i: pts[span[0] + i]
-
-    return _sweep(gap, _spans(pts.shape[0])).sup
+    gap = lambda P: np.asarray(F(*P.T)) - np.asarray(G(*P.T))
+    return _sweep(*_row_blocks(pts, gap)).sup
 
 
 def _plain(v):
@@ -404,8 +397,7 @@ def _certify_fundamental(theorem, f, alpha, resolution, closed, jobs, budget, ep
             bound = max(k, t + 1.0) * eps
     xs = UnitGrid(resolution, closed=closed).points
     fv = np.asarray(f(xs))
-    # one block: its sup is exact, and a NaN or inf raises
-    distance = _sweep(lambda u: (fv - np.asarray(candidate(u)), u.__getitem__), [xs]).sup
+    distance = _distance(xs, fv - np.asarray(candidate(xs)))
     if hyperstable:
         scale = float(np.max(np.abs(fv)))
         bound = 1e-8 * scale
@@ -538,13 +530,13 @@ def hyperstability_blowup_probe(
         raise ConfigurationError("margins must lie strictly between 0 and 1")
     if any(hs[i] <= hs[i + 1] for i in range(len(hs) - 1)):
         raise ConfigurationError("margins must decrease strictly toward 0")
-    kind = FundamentalParametric(a.value)
-    pts, defect = _defect_and_points(kind, f, TriangleGrid(resolution), budget)
+    work, items = _blocks(FundamentalParametric(a.value), f, TriangleGrid(resolution), budget)
     sups = [0.0] * len(hs)
-    bad, first = 0, ()
-    for start in range(0, pts.shape[0], _CHUNK):
-        block = pts[start : start + _CHUNK]
-        d = np.abs(defect(block))
+    size, bad, first = 0, 0, ()
+    for item in items:
+        block, d = work(item)
+        d = np.abs(d)
+        size += d.size
         finite = np.isfinite(d)
         if not finite.all():
             bad += int(np.count_nonzero(~finite))
@@ -558,7 +550,7 @@ def hyperstability_blowup_probe(
                 if worst > sups[i]:
                     sups[i] = worst
     if bad:
-        raise _non_finite(bad, pts.shape[0], first)
+        raise _non_finite(bad, size, first)
     return list(zip(hs, sups))
 
 
@@ -724,7 +716,7 @@ def certify_measure_sequence(
                 f"budget of {budget}"
             )
         dist = _sweep(
-            lambda P: (measure.eval_rows(P) - j_rows(P, n), P.__getitem__), grid.iter_blocks()
+            lambda P: (P, measure.eval_rows(P) - j_rows(P, n)), grid.iter_blocks()
         ).sup
         rows.append(
             SequenceRow(
@@ -799,11 +791,8 @@ def certify_entropy_equation(
         bnd = eps1 + eps2
         fit_trace = {"c": c}
     elif a.regime is Regime.ZERO:
-        vals = np.empty(pts.shape[0])
-        for s in range(0, pts.shape[0], _CHUNK):
-            blk = pts[s : s + _CHUNK]
-            vals[s : s + blk.shape[0]] = np.asarray(H(blk[:, 0], blk[:, 1], blk[:, 2]))
-        c = float(np.median(vals))
+        vals = [np.asarray(H(*pts[a:b].T)) for a, b in _spans(pts.shape[0])]
+        c = float(np.median(np.concatenate(vals)))
         candidate = Constant3(c)
         constants = {"eps1_weight": 49.0, "eps2_weight": 25.0, "eps3_weight": 8.0}
         bnd = 8.0 * eps3 + 25.0 * eps2 + 49.0 * eps1
@@ -918,7 +907,7 @@ def certify_associativity(
 
     def gap(span):
         u, v, w = (t[span[0] : span[1]] for t in (uu, vv, ww))
-        return np.asarray(A(u + v, w)) - np.asarray(B(u, v + w)), lambda i: (u[i], v[i], w[i])
+        return np.stack([u, v, w], axis=1), np.asarray(A(u + v, w)) - np.asarray(B(u, v + w))
 
     eps = _sweep(gap, _spans(uu.size)).sup
 
@@ -939,11 +928,11 @@ def certify_associativity(
 
     ps = np.linspace(u0 + v0, u1 + v1, 2 * r + 1)
     pp, ww2 = (t.ravel() for t in np.meshgrid(ps, ws, indexing="ij"))
-    dist_a = float(np.max(np.abs(np.asarray(A(pp, ww2)) - phi(pp + ww2))))
+    dist_a = _distance(np.stack([pp, ww2], axis=1), np.asarray(A(pp, ww2)) - phi(pp + ww2))
 
     ts = np.linspace(v0 + w0, v1 + w1, 2 * r + 1)
     uu2, tt = (t.ravel() for t in np.meshgrid(us, ts, indexing="ij"))
-    dist_b = float(np.max(np.abs(np.asarray(B(uu2, tt)) - phi(uu2 + tt))))
+    dist_b = _distance(np.stack([uu2, tt], axis=1), np.asarray(B(uu2, tt)) - phi(uu2 + tt))
 
     bound_a = 2.0 * eps
     bound_b = eps
@@ -1081,9 +1070,7 @@ def certify_sum_form(
         raise BudgetExceededError(
             f"{grid.count} lattice points exceed the budget of {budget}"
         )
-    eps = _sweep(
-        lambda P: (np.sum(np.asarray(phi(P)), axis=1), P.__getitem__), grid.iter_blocks()
-    ).sup
+    eps = _sweep(lambda P: (P, np.sum(np.asarray(phi(P)), axis=1)), grid.iter_blocks()).sup
 
     xs = UnitGrid(resolution, closed=True).points
     pv = np.asarray(phi(xs))
@@ -1113,7 +1100,7 @@ def certify_sum_form(
                 x2 = lo + ratio * (hi - lo)
                 f2 = remainder_sup(x2)
         kappa = 0.5 * (lo + hi)
-    distance = remainder_sup(kappa)
+    distance = _distance(xs, rel - kappa * xs)
     trace = CertifierTrace.of(n=int(n), kappa=kappa, phi0=phi0, bracket=m_hi)
     return StabilityCertificate(
         theorem="sum_form",
@@ -1183,14 +1170,15 @@ def certify_sum_form_multiplicative(
     if best is None:
         # no positive residual part for any kappa: drop the multiplicative term
         options = [(float(np.max(np.abs(gv - k * xs))), abs(k), k) for k in ks]
-        rem, _, kappa = min(options)
+        _, _, kappa = min(options)
         beta = None
         candidate = PowerLaw(kappa, 1.0)
         fit_failed = True
     else:
-        rem, kappa, beta = best
+        _, kappa, beta = best
         candidate = FunctionSum((PowerLaw(kappa, 1.0), PowerLaw(1.0, beta)))
         fit_failed = False
+    rem = _distance(xs, gv - kappa * xs if fit_failed else gv - kappa * xs - pow0(xs, beta))
 
     trace = CertifierTrace.of(
         n=int(n), m=int(m), kappa=kappa, beta=beta, fit_failed=fit_failed, sup_g=sup_g
@@ -1247,12 +1235,12 @@ def certify_sum_form_mixed(
         c = np.sum(np.asarray(f(prods)), axis=2)
         return c - fp[a:b, None] * qb[None, :] - fq[None, :] * pa[a:b, None]
 
-    P, Q, spans, worker = _pair_blocks(gp, gq, budget, cross)
-    fp = np.sum(np.asarray(f(P)), axis=1)
-    fq = np.sum(np.asarray(f(Q)), axis=1)
-    pa = np.sum(pow0(P, av), axis=1)
-    qb = np.sum(pow0(Q, bv), axis=1)
-    eps = _pair_sweep(P, Q, spans, worker).sup
+    work, spans = _pair_blocks(gp, gq, budget, cross)
+    fp = np.sum(np.asarray(f(gp.points)), axis=1)
+    fq = np.sum(np.asarray(f(gq.points)), axis=1)
+    pa = np.sum(pow0(gp.points, av), axis=1)
+    qb = np.sum(pow0(gq.points, bv), axis=1)
+    eps = _sweep(work, spans).sup
 
     xs = UnitGrid(resolution, closed=True).points
     fv = np.asarray(f(xs))
@@ -1269,7 +1257,7 @@ def certify_sum_form_mixed(
         c = 0.0 if denom == 0.0 else float(np.dot(fv, w) / denom)
         candidate = FunctionSum((PowerLaw(c, av), PowerLaw(-c, bv)))
         fitted = {"c": c}
-    distance = float(np.max(np.abs(fv - np.asarray(candidate(xs)))))
+    distance = _distance(xs, fv - np.asarray(candidate(xs)))
 
     trace = CertifierTrace.of(n=int(n), m=int(m), beta=bv, kappa=0.0, **fitted)
     return StabilityCertificate(

@@ -6,7 +6,7 @@ report.json always, summary.csv for tabular jobs, defects.csv on request.
 
 Exit codes: 0 when every certificate is satisfied (or the residual met its
 target), 1 when a bound was violated, 2 for configuration errors and for
-NaN or infinite values, which no report.json is written with.  Reports
+NaN or infinite values, with which no file is written at all.  Reports
 carry no timestamps and all reductions are order-fixed, so identical configs
 produce byte-identical report.json at any parallelism.
 """
@@ -107,6 +107,13 @@ def _float_field(cfg, name, default=_MISSING):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigurationError(f"config field '{name}' must be a number, got {v!r}")
     return float(v)
+
+
+def _float_list(cfg, name):
+    v = _field(cfg, name)
+    if not isinstance(v, list) or not v:
+        raise ConfigurationError(f"config field '{name}' must be a non-empty list, got {v!r}")
+    return [_float_field({name: x}, name) for x in v]
 
 
 def _build_function(builder, desc, field_name):
@@ -231,7 +238,7 @@ _EQUATIONS = {
 }
 
 
-def _job_residual(cfg, jobs, out_dir, dump):
+def _job_residual(cfg, jobs, dump):
     name = _field(cfg, "equation")
     if name not in _EQUATIONS:
         raise ConfigurationError(f"config field 'equation' is unknown: '{name}'")
@@ -264,12 +271,7 @@ def _job_residual(cfg, jobs, out_dir, dump):
         "epsilon_target": target,
         "within_target": rep.within_target,
     }
-    files = {}
-    if dump:
-        dump_defects_csv(
-            kind, fns, grid, os.path.join(out_dir, "defects.csv"), budget=budget
-        )
-        files["defects_csv"] = "defects.csv"
+    files = _defects_file(kind, fns, grid, budget) if dump else {}
     return result, files, EXIT_OK if rep.within_target else EXIT_VIOLATION
 
 
@@ -297,7 +299,7 @@ def _certify_fundamental(
     return cert, closed
 
 
-def _job_certify(cfg, jobs, out_dir, dump):
+def _job_certify(cfg, jobs, dump):
     theorem = _field(cfg, "theorem")
     budget = _int_field(cfg, "budget", 10**7)
     dump_args = None
@@ -315,12 +317,11 @@ def _job_certify(cfg, jobs, out_dir, dump):
         )
         dump_args = (FundamentalParametric(cert.alpha), f, TriangleGrid(resolution, closed=closed))
         result = cert.to_json_dict()
-        margins = _field(cfg, "margins", None)
-        if cert.theorem == "hyperstability" and margins is not None:
+        if cert.theorem == "hyperstability" and _field(cfg, "margins", None) is not None:
             probe = hyperstability_blowup_probe(
                 f,
                 alpha,
-                [float(h) for h in margins],
+                _float_list(cfg, "margins"),
                 resolution=_int_field(cfg, "probe_resolution", 2048),
                 budget=budget,
             )
@@ -341,13 +342,8 @@ def _job_certify(cfg, jobs, out_dir, dump):
             gen = _build_function(
                 scalar_from_config, _field(cfg, "generator"), "generator"
             )
-            eps = _field(cfg, "epsilons")
-            if not isinstance(eps, list) or not eps:
-                raise ConfigurationError(
-                    "config field 'epsilons' must be a non-empty list"
-                )
             cert = certify_measure_sequence(
-                (gen, [float(e) for e in eps]),
+                (gen, _float_list(cfg, "epsilons")),
                 levels,
                 resolution,
                 alpha=_float_field(cfg, "alpha"),
@@ -437,13 +433,7 @@ def _job_certify(cfg, jobs, out_dir, dump):
     else:
         raise ConfigurationError(f"config field 'theorem' is unknown: '{theorem}'")
 
-    files = {}
-    if dump and dump_args is not None:
-        kind, fns, grid = dump_args
-        dump_defects_csv(
-            kind, fns, grid, os.path.join(out_dir, "defects.csv"), budget=budget
-        )
-        files["defects_csv"] = "defects.csv"
+    files = _defects_file(*dump_args, budget) if dump and dump_args is not None else {}
     code = EXIT_VIOLATION if cert.satisfied is False else EXIT_OK
     return result, files, code
 
@@ -452,7 +442,7 @@ def _job_certify(cfg, jobs, out_dir, dump):
 # measure job
 
 
-def _job_measure(cfg, jobs, out_dir, dump):
+def _job_measure(cfg, jobs, dump):
     budget = _int_field(cfg, "budget", 10**6)
     measure = _build_measure(_field(cfg, "measure"))
     resolution = _int_field(cfg, "resolution")
@@ -491,8 +481,7 @@ def _job_measure(cfg, jobs, out_dir, dump):
         pts, vals = tabulate(measure, _int_field(cfg, "tabulate"), resolution, budget=budget)
         rows = [list(p) + [v] for p, v in zip(pts.tolist(), vals.tolist())]
         header = [f"p{i + 1}" for i in range(pts.shape[1])] + ["value"]
-        _write_summary(out_dir, header, rows)
-        files["summary_csv"] = "summary.csv"
+        files = _summary_file(header, rows)
     return result, files, EXIT_OK if gd.within else EXIT_VIOLATION
 
 
@@ -500,12 +489,9 @@ def _job_measure(cfg, jobs, out_dir, dump):
 # sweep and blowup jobs
 
 
-def _job_sweep(cfg, jobs, out_dir, dump):
+def _job_sweep(cfg, jobs, dump):
     target = _field(cfg, "target", "constants")
-    alphas = _field(cfg, "alphas")
-    if not isinstance(alphas, list) or not alphas:
-        raise ConfigurationError("config field 'alphas' must be a non-empty list")
-    alphas = [float(a) for a in alphas]
+    alphas = _float_list(cfg, "alphas")
 
     if target == "constants":
         rows = []
@@ -525,8 +511,8 @@ def _job_sweep(cfg, jobs, out_dir, dump):
             )
             rows.append({"alpha": a.value, "K": k, "T": t, "relation_gap": gap})
             table.append([a.value, k, t, gap])
-        _write_summary(out_dir, ["alpha", "K", "T", "relation_gap"], table)
-        return {"rows": rows}, {"summary_csv": "summary.csv"}, EXIT_OK
+        files = _summary_file(["alpha", "K", "T", "relation_gap"], table)
+        return {"rows": rows}, files, EXIT_OK
 
     if target not in _FUNDAMENTAL:
         raise ConfigurationError(
@@ -577,25 +563,19 @@ def _job_sweep(cfg, jobs, out_dir, dump):
             ]
         )
         all_ok = all_ok and cert.satisfied
-    _write_summary(
-        out_dir,
-        ["alpha", "regime", "epsilon", "bound", "distance", "satisfied"],
-        table,
+    files = _summary_file(
+        ["alpha", "regime", "epsilon", "bound", "distance", "satisfied"], table
     )
-    files = {"summary_csv": "summary.csv"}
     return {"certificates": certs}, files, EXIT_OK if all_ok else EXIT_VIOLATION
 
 
-def _job_blowup(cfg, jobs, out_dir, dump):
+def _job_blowup(cfg, jobs, dump):
     f = _build_function(scalar_from_config, _field(cfg, "function"), "function")
     alpha = _float_field(cfg, "alpha")
-    margins = _field(cfg, "margins")
-    if not isinstance(margins, list) or not margins:
-        raise ConfigurationError("config field 'margins' must be a non-empty list")
     probe = hyperstability_blowup_probe(
         f,
         alpha,
-        [float(h) for h in margins],
+        _float_list(cfg, "margins"),
         resolution=_int_field(cfg, "resolution", 2048),
         budget=_int_field(cfg, "budget", 10**7),
     )
@@ -605,20 +585,30 @@ def _job_blowup(cfg, jobs, out_dir, dump):
         "rows": rows,
         "growth_ratio": None if first == 0.0 else last / first,
     }
-    _write_summary(out_dir, ["margin", "sup"], rows)
-    return result, {"summary_csv": "summary.csv"}, EXIT_OK
+    return result, _summary_file(["margin", "sup"], rows), EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # report writing and entry points
 
 
-def _write_summary(out_dir, header, rows):
-    with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow(["" if v is None else v for v in row])
+def _summary_file(header, rows):
+    """A job's summary.csv: {report key: (file name, writer of that path)}."""
+
+    def write(path):
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(header)
+            for row in rows:
+                w.writerow(["" if v is None else v for v in row])
+
+    return {"summary_csv": ("summary.csv", write)}
+
+
+def _defects_file(kind, fns, grid, budget):
+    """A job's defects.csv, written by this module's dump_defects_csv."""
+    write = lambda path: dump_defects_csv(kind, fns, grid, path, budget=budget)
+    return {"defects_csv": ("defects.csv", write)}
 
 
 _JOBS = {
@@ -642,18 +632,20 @@ def run(config, *, out_dir: str = ".", jobs: int = 1, dump_defects: bool = False
         raise ConfigurationError(
             f"config field 'job' must be one of {sorted(_JOBS)}, got '{job}'"
         )
-    result, files, code = _JOBS[job](config, int(jobs), out_dir, bool(dump_defects))
+    result, files, code = _JOBS[job](config, int(jobs), bool(dump_defects))
     payload = {
         "schema": 1,
         "job": job,
         "config": config,
         "result": result,
-        "files": files,
+        "files": {key: name for key, (name, _) in files.items()},
     }
     try:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise NonFiniteDefectError("report.json would hold a NaN or infinite value") from exc
+    for name, write in files.values():
+        write(os.path.join(out_dir, name))
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         fh.write(text + "\n")
     return code

@@ -7,6 +7,12 @@ bit-identical for any worker count: the max is exact with a first-index
 tie-break, and the mean is the exact sum of |defect| as an integer, rounded
 once, so it matches ``math.fsum`` bit for bit and does not depend on block
 order.  A NaN or infinite defect raises NonFiniteDefectError.
+
+Every sweep has one block contract: work(item) returns (points, defects),
+and value i of defects belongs to row i % len(points), so a block that
+stacks several variants of each point carries its points once.  _blocks
+gives the (work, items) of an equation kind on a grid, from _row_blocks or
+_pair_blocks; residual reduces those blocks and dump_defects_csv writes them.
 """
 
 from __future__ import annotations
@@ -144,9 +150,16 @@ class ResidualReport:
 
     @property
     def within_target(self) -> bool:
-        if self.epsilon_target is None:
-            return True
-        return self.sup <= self.epsilon_target + 1e-9 * (1.0 + self.epsilon_target)
+        return self.epsilon_target is None or _passes(self.sup, self.epsilon_target)
+
+
+def certificate_slack(bound) -> float:
+    """Uniform numeric slack added to every bound check."""
+    return 1e-9 * (1.0 + float(bound))
+
+
+def _passes(value, bound) -> bool:
+    return float(value) <= float(bound) + certificate_slack(bound)
 
 
 # Exact sums: frexp writes a finite float as m * 2**e with a 53-bit integer
@@ -174,21 +187,23 @@ def _exact_total(values):
     return total
 
 
-def _summary(defects, point_at):
+def _summary(points, defects):
     """(size, sup, its point, exact total, non-finite count, first non-finite
-    point) of one block of |defects|; point_at(i) is the point of value i."""
+    point) of one block of |defects|; value i belongs to row i % len(points)."""
     ab = np.abs(np.asarray(defects, dtype=float)).ravel()
     i = int(np.argmax(ab))  # the first NaN, else the first inf, else the max
-    if not math.isfinite(ab[i]):
-        bad = ~np.isfinite(ab)
-        first = tuple(np.atleast_1d(point_at(int(np.argmax(bad)))).tolist())
-        return ab.size, -1.0, (), 0, int(np.count_nonzero(bad)), first
-    point = tuple(np.atleast_1d(point_at(i)).tolist())
-    return ab.size, float(ab[i]), point, _exact_total(ab), 0, ()
+    if math.isfinite(ab[i]):
+        return ab.size, float(ab[i]), _row(points, i), _exact_total(ab), 0, ()
+    bad = ~np.isfinite(ab)
+    return ab.size, -1.0, (), 0, int(np.count_nonzero(bad)), _row(points, int(np.argmax(bad)))
 
 
-def _sweep(worker, items, *, jobs=1, epsilon_target=None):
-    """Reduce worker(item) -> (defects, point_at) over items to one report.
+def _row(points, i):
+    return tuple(np.atleast_1d(points[i % len(points)]).tolist())
+
+
+def _sweep(work, items, *, jobs=1, epsilon_target=None):
+    """Reduce work(item) -> (points, defects) over items to one report.
 
     Each block is summarised where it is computed, in a worker thread when
     jobs > 1, so no defect array outlives its block.  Summaries are folded in
@@ -197,9 +212,9 @@ def _sweep(worker, items, *, jobs=1, epsilon_target=None):
     """
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
-            summaries = list(pool.map(lambda item: _summary(*worker(item)), items))
+            summaries = list(pool.map(lambda item: _summary(*work(item)), items))
     else:
-        summaries = (_summary(*worker(item)) for item in items)
+        summaries = (_summary(*work(item)) for item in items)
     size = total = bad = 0
     sup, point, bad_point = -1.0, (), ()
     for n, block_sup, block_point, block_total, block_bad, block_bad_point in summaries:
@@ -231,6 +246,16 @@ def _non_finite(bad, size, first):
 def _spans(count, step=_CHUNK):
     """Consecutive (start, stop) spans of at most step rows covering range(count)."""
     return [(s, min(s + step, count)) for s in range(0, count, step)]
+
+
+def _row_blocks(pts, defect):
+    """(work, spans) of defect(rows) over the rows of pts, _CHUNK rows a block."""
+
+    def work(span):
+        block = pts[span[0] : span[1]]
+        return block, defect(block)
+
+    return work, _spans(pts.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +326,11 @@ def _expect_grid(grid, cls, kind_name):
 
 
 def _pair_blocks(gp, gq, budget, cross):
-    """(P, Q, spans, worker) of the pair lattice of two simplex grids, within
-    budget: worker(a, b) is cross(a, b, prods), flattened P-major, where
-    prods[i, j] holds the coordinates of the product P[a + i] * Q[j].  A span
-    holds about _CHUNK pairs and at least one row of P."""
+    """(work, spans) over the pair lattice of two simplex grids, within budget.
+    work((a, b)) pairs the rows P[a:b] with every row of Q, P-major: a pair's
+    point is its P row, then its Q row, and its defect comes from
+    cross(a, b, prods), where prods[i, j] holds the coordinates of the product
+    P[a + i] * Q[j].  A span holds about _CHUNK pairs and at least one row of P."""
     pairs = gp.count * gq.count
     if pairs > budget:
         raise BudgetExceededError(
@@ -312,28 +338,23 @@ def _pair_blocks(gp, gq, budget, cross):
         )
     P = gp.points
     Q = gq.points
+    n = P.shape[1]
 
-    def worker(a, b):
-        prods = P[a:b, None, :, None] * Q[None, :, None, :]
-        return np.ravel(cross(a, b, prods.reshape(b - a, Q.shape[0], -1)))
-
-    return P, Q, _spans(P.shape[0], max(1, _CHUNK // len(Q))), worker
-
-
-def _pair_sweep(P, Q, spans, worker, **kwargs):
-    """_sweep over _pair_blocks; a pair's point is its P row, then its Q row."""
-    nq = Q.shape[0]
-
-    def block(span):
+    def work(span):
         a, b = span
-        return worker(a, b), lambda k: np.concatenate([P[a + k // nq], Q[k % nq]])
+        prods = P[a:b, None, :, None] * Q[None, :, None, :]
+        points = np.empty((b - a, len(Q), n + Q.shape[1]))
+        points[:, :, :n] = P[a:b, None]
+        points[:, :, n:] = Q
+        defects = np.ravel(cross(a, b, prods.reshape(b - a, len(Q), -1)))
+        return points.reshape(defects.size, -1), defects
 
-    return _sweep(block, spans, **kwargs)
+    return work, _spans(P.shape[0], max(1, _CHUNK // len(Q)))
 
 
 def _sum_form_blocks(kind, f, grid, budget):
-    """Return (P, Q, spans, worker): worker(a, b) is the defect of rows P[a:b]
-    against every row of Q, flattened P-major."""
+    """Return the _pair_blocks (work, spans) of a sum-form kind on a pair of
+    simplex grids."""
     if not (isinstance(grid, tuple) and len(grid) == 2):
         raise ConfigurationError(
             f"{type(kind).__name__} sweeps need a pair of SimplexGrids"
@@ -357,10 +378,10 @@ def _sum_form_blocks(kind, f, grid, budget):
             return c - fp[a:b, None] - fq[None, :] - lam * fp[a:b, None] * fq[None, :]
         return c - fp[a:b, None] * fq[None, :]
 
-    P, Q, spans, worker = _pair_blocks(gp, gq, budget, cross)
-    fp = np.sum(np.asarray(f(P)), axis=1)
-    fq = np.sum(np.asarray(f(Q)), axis=1)
-    return P, Q, spans, worker
+    blocks = _pair_blocks(gp, gq, budget, cross)
+    fp = np.sum(np.asarray(f(gp.points)), axis=1)
+    fq = np.sum(np.asarray(f(gq.points)), axis=1)
+    return blocks
 
 
 def _defect_and_points(kind, fns, grid, budget):
@@ -452,6 +473,13 @@ def _defect_and_points(kind, fns, grid, budget):
     return pts, defect
 
 
+def _blocks(kind, fns, grid, budget):
+    """The (work, items) of one equation's defect sweep over a grid, within budget."""
+    if isinstance(kind, (SumFormAdditive, SumFormAlpha, SumFormMultiplicative)):
+        return _sum_form_blocks(kind, _one_function(fns), grid, budget)
+    return _row_blocks(*_defect_and_points(kind, fns, grid, budget))
+
+
 def residual(
     kind,
     fns,
@@ -462,15 +490,8 @@ def residual(
     epsilon_target: Optional[float] = None,
 ) -> ResidualReport:
     """Sweep one equation's defect over a grid and reduce it to a report."""
-    if isinstance(kind, (SumFormAdditive, SumFormAlpha, SumFormMultiplicative)):
-        blocks = _sum_form_blocks(kind, _one_function(fns), grid, budget)
-        return _pair_sweep(*blocks, jobs=jobs, epsilon_target=epsilon_target)
-    pts, defect = _defect_and_points(kind, fns, grid, budget)
-
-    def block(span):
-        return defect(pts[span[0] : span[1]]), lambda i: pts[span[0] + i]
-
-    return _sweep(block, _spans(pts.shape[0]), jobs=jobs, epsilon_target=epsilon_target)
+    work, items = _blocks(kind, fns, grid, budget)
+    return _sweep(work, items, jobs=jobs, epsilon_target=epsilon_target)
 
 
 def _write_defect_rows(fh, pts, defects):
@@ -493,17 +514,10 @@ def _write_defect_rows(fh, pts, defects):
 def dump_defects_csv(kind, fns, grid, path, *, budget: int = 10**7):
     """Stream per-point defects to CSV (point coordinates, then the defect);
     the budget is checked before the file is opened."""
-    if isinstance(kind, (SumFormAdditive, SumFormAlpha, SumFormMultiplicative)):
-        P, Q, spans, worker = _sum_form_blocks(kind, _one_function(fns), grid, budget)
-        tiles = ((np.hstack([np.repeat(P[a:b], len(Q), axis=0), np.tile(Q, (b - a, 1))]),
-                  worker(a, b)) for a, b in spans)
-    else:
-        pts, defect = _defect_and_points(kind, fns, grid, budget)
-        tiles = ((pts[a : a + _CHUNK], defect(pts[a : a + _CHUNK]))
-                 for a in range(0, pts.shape[0], _CHUNK))
+    work, items = _blocks(kind, fns, grid, budget)
     with open(path, "w") as fh:
-        for block, defects in tiles:
-            _write_defect_rows(fh, block, defects)
+        for item in items:
+            _write_defect_rows(fh, *work(item))
 
 
 # ---------------------------------------------------------------------------
@@ -519,22 +533,11 @@ _PERMS3 = (
 )
 
 
-def _stacked_point(pts, width, idx):
-    """The point behind flat defect index idx of a sweep whose blocks stack
-    ``width`` variants of each _CHUNK rows: chunk, then variant, then row.
-    idx = -1 maps to the last row of the first chunk."""
-    chunk = max(idx, 0) // (_CHUNK * width)
-    local = idx - chunk * _CHUNK * width
-    return pts[chunk * _CHUNK + local % min(_CHUNK, pts.shape[0] - chunk * _CHUNK)]
-
-
 def symmetry_residual(F: TernaryFunction, grid: ConeGrid, *, jobs: int = 1) -> ResidualReport:
     """sup over all six argument permutations of |F(P) - F(sigma P)|."""
     g = _expect_grid(grid, ConeGrid, "symmetry")
     pts = g.points
     base = np.asarray(F(pts[:, 0], pts[:, 1], pts[:, 2]))
-
-    width = len(_PERMS3)
 
     def block(span):
         a, b = span
@@ -543,7 +546,7 @@ def symmetry_residual(F: TernaryFunction, grid: ConeGrid, *, jobs: int = 1) -> R
         for perm in _PERMS3:
             v = np.asarray(F(chunk[:, perm[0]], chunk[:, perm[1]], chunk[:, perm[2]]))
             cols.append(v - base[a:b])
-        return np.concatenate(cols), lambda i: _stacked_point(pts, width, a * width + i)
+        return chunk, np.concatenate(cols)
 
     return _sweep(block, _spans(pts.shape[0]), jobs=jobs)
 
@@ -572,6 +575,6 @@ def homogeneity_residual(
         for t in ts:
             v = np.asarray(F(t * chunk[:, 0], t * chunk[:, 1]))
             cols.append(v - (t**a) * base[a0:b0])
-        return np.concatenate(cols), lambda i: _stacked_point(pts, len(ts), a0 * len(ts) + i)
+        return chunk, np.concatenate(cols)
 
     return _sweep(block, _spans(pts.shape[0]), jobs=jobs)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import SimplexGrid, TriangleGrid, pow0
-from .equations import _CHUNK, FundamentalParametric, ResidualReport, _spans, _sweep, residual
-from .equations import _pair_blocks, _pair_sweep
+from .equations import _CHUNK, FundamentalParametric, ResidualReport, _passes, _row_blocks
+from .equations import _pair_blocks, _sweep, residual
 from .errors import BudgetExceededError, ConfigurationError, InvalidDistributionError
 from .models import Alpha, ScalarFunction, validate_distribution
 
@@ -159,7 +159,7 @@ def check_symmetry(
         )
     base = measure.eval_rows(pts)
     # one block per permutation, in order
-    return _sweep(lambda perm: (measure.eval_rows(pts[:, perm]) - base, pts.__getitem__), perms)
+    return _sweep(lambda perm: (pts, measure.eval_rows(pts[:, perm]) - base), perms)
 
 
 def check_semisymmetry3(
@@ -167,12 +167,8 @@ def check_semisymmetry3(
 ) -> ResidualReport:
     """sup over the interior 3-simplex of |I_3(p1,p2,p3) - I_3(p1,p3,p2)|."""
     pts = _interior_grid(3, resolution, budget).points
-
-    def block(span):
-        P = pts[span[0] : span[1]]
-        return measure.eval_rows(P[:, (0, 2, 1)]) - measure.eval_rows(P), P.__getitem__
-
-    return _sweep(block, _spans(pts.shape[0]))
+    swap = lambda P: measure.eval_rows(P[:, (0, 2, 1)]) - measure.eval_rows(P)
+    return _sweep(*_row_blocks(pts, swap))
 
 
 def check_additivity(
@@ -199,11 +195,11 @@ def check_additivity(
         left = measure.eval_rows(prods.reshape(-1, prods.shape[2])).reshape(b - a, -1)
         return left - ip[a:b] - iq - lam * ip[a:b] * iq
 
-    P, Q, spans, worker = _pair_blocks(gp, gq, budget, cross)
+    work, spans = _pair_blocks(gp, gq, budget, cross)
     lam = 2.0 ** (1.0 - measure.alpha_value) - 1.0
-    ip = measure.eval_rows(P)[:, None]
-    iq = measure.eval_rows(Q)[None, :]
-    return _pair_sweep(P, Q, spans, worker)
+    ip = measure.eval_rows(gp.points)[:, None]
+    iq = measure.eval_rows(gq.points)[None, :]
+    return _sweep(work, spans)
 
 
 def check_normalization(measure: InformationMeasure) -> float:
@@ -221,12 +217,8 @@ def check_sum_property(
 ) -> ResidualReport:
     """sup over the interior lattice of |I_n(P) - sum_i f(p_i)|."""
     pts = _interior_grid(n, resolution, budget).points
-
-    def block(span):
-        P = pts[span[0] : span[1]]
-        return measure.eval_rows(P) - np.sum(np.asarray(f(P)), axis=1), P.__getitem__
-
-    return _sweep(block, _spans(pts.shape[0]))
+    gap = lambda P: measure.eval_rows(P) - np.sum(np.asarray(f(P)), axis=1)
+    return _sweep(*_row_blocks(pts, gap))
 
 
 def recursivity_defect(
@@ -254,7 +246,7 @@ def recursivity_defect(
             - measure.eval_rows(merged)
             - pow0(s, a) * measure.eval_rows(level2)
         )
-        return d, P.__getitem__
+        return P, d
 
     # streamed, so the lattice is never held whole
     return _sweep(block, grid.iter_blocks(_CHUNK))
@@ -296,7 +288,7 @@ class GeneratingDefect:
 
     @property
     def within(self) -> bool:
-        return self.report.sup <= self.bound + 1e-9 * (1.0 + self.bound)
+        return _passes(self.report.sup, self.bound)
 
 
 def derive_generating_defect(
@@ -328,13 +320,11 @@ def sum_property_cauchy_gap(
     pts = TriangleGrid(resolution, closed=True).points
     f0 = float(f(0.0))
 
-    def block(span):
-        P = pts[span[0] : span[1]]
+    def gap(P):
         x, y = P[:, 0], P[:, 1]
-        d = np.asarray(f(x + y)) - np.asarray(f(x)) - np.asarray(f(y)) + f0
-        return d, P.__getitem__
+        return np.asarray(f(x + y)) - np.asarray(f(x)) - np.asarray(f(y)) + f0
 
-    return _sweep(block, _spans(pts.shape[0]), epsilon_target=2.0 * float(bound_i3))
+    return _sweep(*_row_blocks(pts, gap), epsilon_target=2.0 * float(bound_i3))
 
 
 def tabulate(measure: InformationMeasure, n: int, resolution: int, *, budget: int = 10**6):

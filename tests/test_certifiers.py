@@ -465,6 +465,21 @@ class TestAssociativity:
         with pytest.raises(BudgetExceededError):
             certify_associativity(A, B, *self.UVW, resolution=200, budget=100)
 
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_nan_off_the_epsilon_lattice_raises(self, side):
+        # with widths 1, 2, 1 at resolution 2 the distance lattices (15 nodes)
+        # hold the sum coordinate 0.75, which no u + v or v + w of the epsilon
+        # lattice (27 nodes) reaches; A is NaN at first argument 0.75, B at
+        # second argument 0.75
+        exact = PhiOfSum(PowerLaw(1.0, 2.0))
+
+        def holed(u, v):
+            return np.where(np.asarray((u, v)[side]) == 0.75, math.nan, exact(u, v))
+
+        ops = (holed, exact) if side == 0 else (exact, holed)
+        with pytest.raises(NonFiniteDefectError, match=" of 15 defects"):
+            certify_associativity(*ops, (0.0, 1.0), (0.0, 2.0), (0.0, 1.0), 2)
+
     def test_json_round_trip(self):
         cert = certify_associativity(
             AffineSum(), AffineSum(), *self.UVW, resolution=4

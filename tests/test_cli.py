@@ -615,7 +615,30 @@ class TestNonFiniteReports:
                   "note": float("inf")}
         with pytest.raises(NonFiniteDefectError, match="report.json"):
             run(config, out_dir=str(tmp_path))
-        assert not (tmp_path / "report.json").exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_defects_without_report_are_not_written(self, tmp_path):
+        config = {"schema": 1, "job": "residual", "equation": "fundamental", "alpha": 0.5,
+                  "function": POWER, "grid": {"kind": "triangle", "resolution": 16},
+                  "note": float("inf")}
+        with pytest.raises(NonFiniteDefectError, match="report.json"):
+            run(config, out_dir=str(tmp_path), dump_defects=True)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("config", [
+        {"schema": 1, "job": "sweep", "target": "constants", "alphas": ["x"]},
+        certify_config("hyperstability", NEG_FAMILY, -1.0, resolution=16, margins=["x"]),
+        certify_config("hyperstability", NEG_FAMILY, -1.0, resolution=16, margins=0.5),
+        {"schema": 1, "job": "blowup", "function": NEG_FAMILY, "alpha": -1.0,
+         "margins": ["x"], "resolution": 16},
+        {"schema": 1, "job": "certify", "theorem": "measure_sequence", "generator": POWER,
+         "epsilons": ["x", 0.1], "alpha": 0.5, "levels": 3, "resolution": 8},
+    ])
+    def test_malformed_number_list_is_a_config_error(self, tmp_path, capsys, config):
+        code, out = self.run_main(tmp_path, json.dumps(config))
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: config field ")
+        assert list(out.iterdir()) == []
 
 
 class TestDispatchLooksUpCertifiers:

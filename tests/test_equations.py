@@ -1,6 +1,7 @@
 """Residual sweeps for every supported equation kind."""
 
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -58,10 +59,10 @@ from infostab.equations import (
     _SCALE,
     _defect_and_points,
     _exact_total,
-    _stacked_point,
     _sum_form_blocks,
     _write_defect_rows,
 )
+from infostab.models import BivariateFunction, TernaryFunction
 
 TINY = 1e-12
 
@@ -286,9 +287,10 @@ def _rowwise_csv(rows):
 
 def _rows_in_sweep_order(kind, fns, grid):
     if isinstance(kind, SumFormAdditive):
-        P, Q, spans, worker = _sum_form_blocks(kind, fns, grid, 10**7)
+        work, spans = _sum_form_blocks(kind, fns, grid, 10**7)
+        P, Q = grid[0].points, grid[1].points
         for a, b in spans:
-            for local, d in enumerate(worker(a, b)):
+            for local, d in enumerate(work((a, b))[1]):
                 i, j = divmod(local, Q.shape[0])
                 yield np.concatenate([P[a + i], Q[j]]), d
         return
@@ -365,25 +367,59 @@ class TestSymmetryHomogeneity:
         with pytest.raises(ConfigurationError):
             homogeneity_residual(F, 1.0, PairGrid(4), t_set=(0.5, -1.0))
 
-    @pytest.mark.parametrize("n", [1, 5, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 7])
-    @pytest.mark.parametrize("width", [1, 4, 6])
-    def test_stacked_point_matches_chunk_walk(self, n, width):
-        def chunk_walk(idx):
-            # the per-chunk scan the closed form replaced, kept as its oracle
-            off = 0
-            for ci, size in enumerate(min(_CHUNK, n - s) for s in range(0, n, _CHUNK)):
-                if idx < off + size * width:
-                    return pts[ci * _CHUNK + (idx - off) % size]
-                off += size * width
-            raise IndexError(idx)
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_stacked_blocks_match_whole_array_oracle(self, jobs):
+        # a block stacks every variant of its rows, so in sweep order a hit
+        # sorts by its block of _CHUNK rows, then its variant, then its row
+        def first_in_sweep_order(pts, hits):
+            variant, row = np.nonzero(hits)
+            return tuple(pts[min(zip(row // _CHUNK, variant, row))[2]].tolist())
 
-        pts = np.arange(n, dtype=float)[:, None]
-        total = n * width
-        edges = {c * _CHUNK * width + d for c in range(n // _CHUNK + 2) for d in (-1, 0, 1)}
-        idxs = {-1, total - 1} | set(range(0, total, max(1, total // 500)))
-        idxs |= {i for i in edges if 0 <= i < total}
-        for i in sorted(idxs):
-            assert _stacked_point(pts, width, i) == chunk_walk(i), i
+        class Skewed(TernaryFunction):
+            def __init__(self, holed):
+                self.holed = holed
+
+            def _values(self, x, y, z):
+                out = x * y * y + 2.0 * x * z - z * z * z
+                return np.where((x > 0.9) & (z < 0.1), math.nan, out) if self.holed else out
+
+        class Tilted(BivariateFunction):
+            def __init__(self, holed):
+                self.holed = holed
+
+            def _values(self, u, v):
+                out = u * u * v + 0.3 * v
+                return np.where((u > 0.95) & (v < 0.05), math.nan, out) if self.holed else out
+
+        cone, pairs, ts = ConeGrid(33), PairGrid(200), (0.25, 0.5, 2.0, 4.0)
+
+        def symmetry_whole(F):
+            x, y, z = cone.points.T
+            cols = (x, y, z)
+            return np.stack([F(*(cols[i] for i in p)) - F(x, y, z) for p in permutations(range(3))])
+
+        def homogeneity_whole(F):
+            u, v = pairs.points.T
+            return np.stack([F(t * u, t * v) - t**2.0 * F(u, v) for t in ts])
+
+        cases = (
+            (Skewed, cone, lambda F: symmetry_residual(F, cone, jobs=jobs), symmetry_whole),
+            (Tilted, pairs, lambda F: homogeneity_residual(F, 2.0, pairs, ts, jobs=jobs),
+             homogeneity_whole),
+        )
+        for cls, grid, sweep, whole in cases:
+            pts = grid.points
+            assert pts.shape[0] > _CHUNK
+            d = np.abs(whole(cls(False)))
+            rep = sweep(cls(False))
+            assert rep.sup == d.max()
+            assert rep.argmax_point == first_in_sweep_order(pts, d == d.max())
+            bad = ~np.isfinite(whole(cls(True)))
+            assert 0 < bad.sum() < bad.size
+            with pytest.raises(NonFiniteDefectError) as exc:
+                sweep(cls(True))
+            assert f"{bad.sum()} of {bad.size} defects" in str(exc.value)
+            assert f"the first at {first_in_sweep_order(pts, bad)}" in str(exc.value)
 
 
 @settings(max_examples=25, deadline=None)
@@ -505,9 +541,9 @@ class TestNonFiniteDefects:
             return tuple(np.concatenate([grids[0].points[i], grids[1].points[j]]).tolist())
 
         def all_defects(f):
-            P, Q, spans, worker = _sum_form_blocks(kind, f, grids, 10**7)
-            assert len(spans) == P.shape[0] and Q.shape[0] > _CHUNK
-            return np.concatenate([worker(a, b) for a, b in spans])
+            work, spans = _sum_form_blocks(kind, f, grids, 10**7)
+            assert len(spans) == grids[0].count and grids[1].count > _CHUNK
+            return np.concatenate([work(span)[1] for span in spans])
 
         noisy = FunctionSum((XLogX(-1.0), ScaledBump(0.4, 0.2, 1e-3)))
         d = np.abs(all_defects(noisy))
