@@ -29,15 +29,16 @@ from .equations import (
     _pair_blocks,
     _passes,
     _row_blocks,
+    _simplex_blocks,
     _spans,
     _sweep,
+    _within_budget,
     certificate_slack,
     homogeneity_residual,
     residual,
     symmetry_residual,
 )
 from .errors import (
-    BudgetExceededError,
     ConfigurationError,
     DispatchError,
     UnsupportedParameterError,
@@ -209,10 +210,10 @@ def _distance(points, gap):
     return _sweep(lambda block: block, [(points, gap)]).sup
 
 
-def _ternary_distance(F, G, pts):
+def _ternary_distance(F, G, pts, jobs):
     """sup over the rows of pts of |F - G|, two ternary functions."""
     gap = lambda P: np.asarray(F(*P.T)) - np.asarray(G(*P.T))
-    return _sweep(*_row_blocks(pts, gap)).sup
+    return _sweep(*_row_blocks(pts, gap), jobs=jobs).sup
 
 
 def _plain(v):
@@ -628,6 +629,9 @@ def certify_measure_sequence(
     alpha keyword.  For alpha >= 0 the bound at level n is
     sum(eps_k, k=2..n-1) + (n-1) K(alpha) (2 eps_2 + eps_1); for alpha < 0
     the K term drops and only the recursivity defects remain.
+
+    The recursivity and distance sweeps stream their lattices on one thread
+    whatever jobs is, since a thread pool would hold every block at once.
     """
     if levels < 2:
         raise ConfigurationError(f"levels must be at least 2, got {levels}")
@@ -709,23 +713,9 @@ def certify_measure_sequence(
         if statement:
             rows.append(SequenceRow(n=n, bound=row_bound))
             continue
-        grid = SimplexGrid(n, resolution, closed=False, budget=budget)
-        if grid.count > budget:
-            raise BudgetExceededError(
-                f"level {n} lattice holds {grid.count} points, over the "
-                f"budget of {budget}"
-            )
-        dist = _sweep(
-            lambda P: (P, measure.eval_rows(P) - j_rows(P, n)), grid.iter_blocks()
-        ).sup
-        rows.append(
-            SequenceRow(
-                n=n,
-                bound=row_bound,
-                distance=dist,
-                satisfied=_passes(dist, row_bound),
-            )
-        )
+        gap = lambda P: measure.eval_rows(P) - j_rows(P, n)
+        dist = _sweep(*_simplex_blocks(n, resolution, False, budget, gap)).sup
+        rows.append(SequenceRow(n, row_bound, dist, _passes(dist, row_bound)))
 
     overall = None if statement else all(r.satisfied for r in rows)
     return MeasureSequenceCertificate(
@@ -804,7 +794,7 @@ def certify_entropy_equation(
         bnd = eps1 + eps2
         fit_trace = {"c": c}
 
-    distance = _ternary_distance(H, candidate, pts)
+    distance = _ternary_distance(H, candidate, pts, jobs)
     trace = CertifierTrace.of(
         eps1=eps1,
         eps2=eps2,
@@ -895,21 +885,19 @@ def certify_associativity(
     r = int(resolution)
     if r < 1:
         raise ConfigurationError(f"resolution must be >= 1, got {resolution}")
-    if (r + 1) ** 3 > budget:
-        raise BudgetExceededError(
-            f"{(r + 1) ** 3} lattice points exceed the budget of {budget}"
-        )
+    _within_budget((r + 1) ** 3, budget)
     us = np.linspace(u0, u1, r + 1)
     vs = np.linspace(v0, v1, r + 1)
     ws = np.linspace(w0, w1, r + 1)
 
-    uu, vv, ww = (t.ravel() for t in np.meshgrid(us, vs, ws, indexing="ij"))
+    # stacked from broadcast views, so the (u, v, w) matrix is the one copy
+    uvw = np.stack(np.meshgrid(us, vs, ws, indexing="ij", copy=False), axis=-1).reshape(-1, 3)
 
-    def gap(span):
-        u, v, w = (t[span[0] : span[1]] for t in (uu, vv, ww))
-        return np.stack([u, v, w], axis=1), np.asarray(A(u + v, w)) - np.asarray(B(u, v + w))
+    def gap(P):
+        u, v, w = P.T
+        return np.asarray(A(u + v, w)) - np.asarray(B(u, v + w))
 
-    eps = _sweep(gap, _spans(uu.size)).sup
+    eps = _sweep(*_row_blocks(uvw, gap)).sup
 
     def phi(sv):
         sv = np.asarray(sv, dtype=float)
@@ -1031,7 +1019,7 @@ def certify_modified_entropy(
             tuple(float(t) for t in s_nodes), tuple(float(t) for t in phi_vals)
         ),
     )
-    distance = _ternary_distance(f, candidate, grid.points)
+    distance = _ternary_distance(f, candidate, grid.points, jobs)
     trace = CertifierTrace.of(eps1=eps1, eps2=eps2, box=box, **fit_trace)
     return StabilityCertificate(
         theorem="modified_entropy",
@@ -1061,16 +1049,14 @@ def certify_sum_form(
     regular additive representative kappa*p is the one-parameter Chebyshev
     (minimax) fit on the closed unit lattice, solved by golden-section search
     over the bracket [-M, M], M = 2 * sup|phi| * resolution.  The certificate
-    passes when the bounded remainder stays under epsilon.
+    passes when the bounded remainder stays under epsilon.  The epsilon sweep
+    streams its lattice on one thread whatever jobs is, since a thread pool
+    would hold every block at once.
     """
     if n < 3:
         raise ConfigurationError(f"the sum-form theorem needs n >= 3, got {n}")
-    grid = SimplexGrid(n, resolution, closed=True, budget=budget)
-    if grid.count > budget:
-        raise BudgetExceededError(
-            f"{grid.count} lattice points exceed the budget of {budget}"
-        )
-    eps = _sweep(lambda P: (P, np.sum(np.asarray(phi(P)), axis=1)), grid.iter_blocks()).sup
+    sums = lambda P: np.sum(np.asarray(phi(P)), axis=1)
+    eps = _sweep(*_simplex_blocks(n, resolution, True, budget, sums)).sup
 
     xs = UnitGrid(resolution, closed=True).points
     pv = np.asarray(phi(xs))
@@ -1240,7 +1226,7 @@ def certify_sum_form_mixed(
     fq = np.sum(np.asarray(f(gq.points)), axis=1)
     pa = np.sum(pow0(gp.points, av), axis=1)
     qb = np.sum(pow0(gq.points, bv), axis=1)
-    eps = _sweep(work, spans).sup
+    eps = _sweep(work, spans, jobs=jobs).sup
 
     xs = UnitGrid(resolution, closed=True).points
     fv = np.asarray(f(xs))

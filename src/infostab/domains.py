@@ -39,6 +39,8 @@ __all__ = [
     "grid_to_csv",
 ]
 
+_CHUNK = 1 << 15  # rows per block of every blocked sweep
+
 
 # ---------------------------------------------------------------------------
 # conventions
@@ -155,7 +157,8 @@ class TriangleGrid(_CsvMixin):
 
     Open variant: x, y and x+y all in (0,1), i.e. i,j >= 1 with i+j <= R-1.
     Closed variant: x, y in [0,1) with x+y <= 1 (the asymmetric closure that
-    keeps 1-x and 1-y positive), i.e. i,j <= R-1 with i+j <= R.
+    keeps 1-x and 1-y positive), i.e. i,j <= R-1 with i+j <= R.  ``count``
+    gives the number of points without building them.
     """
 
     resolution: int
@@ -168,6 +171,11 @@ class TriangleGrid(_CsvMixin):
                 f"triangle grid ({'closed' if self.closed else 'open'}) needs "
                 f"resolution >= {least}, got {self.resolution}"
             )
+
+    @property
+    def count(self):
+        r = self.resolution
+        return (r + 1) * (r + 2) // 2 - 2 if self.closed else (r - 1) * (r - 2) // 2
 
     @cached_property
     def points(self):
@@ -211,9 +219,7 @@ class SimplexGrid(_CsvMixin):
     @property
     def count(self):
         r, n = self.resolution, self.n
-        if self.closed:
-            return math.comb(r + n - 1, n - 1)
-        return math.comb(r - 1, n - 1)
+        return math.comb(r + n - 1 if self.closed else r - 1, n - 1)
 
     def _blocks(self, rows, prefix=()):
         """The lattice points under a fixed leading ``prefix``, in order, as
@@ -256,11 +262,13 @@ class SimplexGrid(_CsvMixin):
         (pts,) = self._blocks(self.count)
         return _freeze(pts)
 
-    def iter_blocks(self, rows=250_000):
-        """Yield ``points`` in order as blocks of 1..``rows`` rows, for sweeps
-        past the budget, which it ignores.  Blocks follow leading-prefix
-        groups, so they may be short; working memory stays within a small
-        multiple of ``rows * n * 8`` bytes at any lattice size."""
+    def iter_blocks(self, rows=_CHUNK):
+        """Yield ``points`` in order as blocks of 1..``rows`` rows, by default
+        the one block size of every blocked sweep.  The grid's budget guards
+        ``points`` only; a sweep checks its own before it streams.  Blocks
+        follow leading-prefix groups, so they may be short; working memory
+        stays within a small multiple of ``rows * n * 8`` bytes at any
+        lattice size."""
         if rows < 1:
             raise ConfigurationError(f"blocks need at least one row, got {rows}")
         return self._blocks(rows)

@@ -10,9 +10,12 @@ order.  A NaN or infinite defect raises NonFiniteDefectError.
 
 Every sweep has one block contract: work(item) returns (points, defects),
 and value i of defects belongs to row i % len(points), so a block that
-stacks several variants of each point carries its points once.  _blocks
-gives the (work, items) of an equation kind on a grid, from _row_blocks or
-_pair_blocks; residual reduces those blocks and dump_defects_csv writes them.
+stacks several variants of each point carries its points once.  Blocks of
+_CHUNK rows come from _row_blocks (a point matrix), _pair_blocks (a pair
+lattice) or _simplex_blocks (a streamed simplex lattice); _within_budget
+checks a sweep's defect samples against its budget before the lattice is
+built.  _blocks gives the (work, items) of an equation kind on a grid;
+residual reduces those blocks and dump_defects_csv writes them.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .domains import ConeGrid, PairGrid, SimplexGrid, TriangleGrid, UnitGrid, pow0
+from .domains import _CHUNK, ConeGrid, PairGrid, SimplexGrid, TriangleGrid, UnitGrid, pow0
 from .errors import BudgetExceededError, ConfigurationError, NonFiniteDefectError
 from .models import Alpha, BivariateFunction, ScalarFunction, TernaryFunction
 
@@ -49,8 +52,6 @@ __all__ = [
     "product_distribution",
     "dump_defects_csv",
 ]
-
-_CHUNK = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +244,12 @@ def _non_finite(bad, size, first):
     )
 
 
+def _within_budget(samples, budget):
+    """Refuse a sweep whose report would hold more than budget defect samples."""
+    if samples > budget:
+        raise BudgetExceededError(f"{samples} defect samples exceed the budget of {budget}")
+
+
 def _spans(count, step=_CHUNK):
     """Consecutive (start, stop) spans of at most step rows covering range(count)."""
     return [(s, min(s + step, count)) for s in range(0, count, step)]
@@ -256,6 +263,15 @@ def _row_blocks(pts, defect):
         return block, defect(block)
 
     return work, _spans(pts.shape[0])
+
+
+def _simplex_blocks(n, resolution, closed, budget, defect):
+    """(work, blocks) of defect(rows) over a simplex lattice within budget,
+    streamed _CHUNK rows a block.  Sweep them on one thread: a thread pool
+    would submit, and so hold, every block at once."""
+    grid = SimplexGrid(n, resolution, closed=closed)
+    _within_budget(grid.count, budget)
+    return (lambda P: (P, defect(P))), grid.iter_blocks(_CHUNK)
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +347,7 @@ def _pair_blocks(gp, gq, budget, cross):
     point is its P row, then its Q row, and its defect comes from
     cross(a, b, prods), where prods[i, j] holds the coordinates of the product
     P[a + i] * Q[j].  A span holds about _CHUNK pairs and at least one row of P."""
-    pairs = gp.count * gq.count
-    if pairs > budget:
-        raise BudgetExceededError(
-            f"{pairs} distribution pairs exceed the budget of {budget}"
-        )
+    _within_budget(gp.count * gq.count, budget)
     P = gp.points
     Q = gq.points
     n = P.shape[1]
@@ -388,7 +400,9 @@ def _defect_and_points(kind, fns, grid, budget):
     """Return (points, defect_fn) for the single-matrix equation kinds, within budget."""
     if isinstance(kind, FundamentalParametric):
         f = _one_function(fns)
-        pts = _expect_grid(grid, TriangleGrid, "FundamentalParametric").points
+        g = _expect_grid(grid, TriangleGrid, "FundamentalParametric")
+        _within_budget(g.count, budget)
+        pts = g.points
         defect = lambda p: _fundamental_defect(f, kind.alpha, p)
     elif isinstance(kind, Cocycle):
         F = _one_function(fns)
@@ -468,8 +482,7 @@ def _defect_and_points(kind, fns, grid, budget):
 
     else:
         raise ConfigurationError(f"unknown equation kind {kind!r}")
-    if pts.shape[0] > budget:
-        raise BudgetExceededError(f"{pts.shape[0]} grid points exceed the budget of {budget}")
+    _within_budget(pts.shape[0], budget)
     return pts, defect
 
 
@@ -535,20 +548,14 @@ _PERMS3 = (
 
 def symmetry_residual(F: TernaryFunction, grid: ConeGrid, *, jobs: int = 1) -> ResidualReport:
     """sup over all six argument permutations of |F(P) - F(sigma P)|."""
-    g = _expect_grid(grid, ConeGrid, "symmetry")
-    pts = g.points
-    base = np.asarray(F(pts[:, 0], pts[:, 1], pts[:, 2]))
+    pts = _expect_grid(grid, ConeGrid, "symmetry").points
 
-    def block(span):
-        a, b = span
-        chunk = pts[a:b]
-        cols = []
-        for perm in _PERMS3:
-            v = np.asarray(F(chunk[:, perm[0]], chunk[:, perm[1]], chunk[:, perm[2]]))
-            cols.append(v - base[a:b])
-        return chunk, np.concatenate(cols)
+    def gaps(block):
+        # _PERMS3 starts with the identity, whose values are the base
+        vals = [np.asarray(F(*(block[:, i] for i in perm))) for perm in _PERMS3]
+        return np.concatenate([v - vals[0] for v in vals])
 
-    return _sweep(block, _spans(pts.shape[0]), jobs=jobs)
+    return _sweep(*_row_blocks(pts, gaps), jobs=jobs)
 
 
 def homogeneity_residual(
@@ -561,20 +568,14 @@ def homogeneity_residual(
 ) -> ResidualReport:
     """sup over scales t and grid pairs of |F(tu, tv) - t^alpha F(u, v)|."""
     a = Alpha.of(alpha).value
-    g = _expect_grid(grid, PairGrid, "homogeneity")
-    pts = g.points
-    base = np.asarray(F(pts[:, 0], pts[:, 1]))
+    pts = _expect_grid(grid, PairGrid, "homogeneity").points
     ts = [float(t) for t in t_set]
     if not ts or any(t <= 0 for t in ts):
         raise ConfigurationError("t_set must hold strictly positive scales")
 
-    def block(span):
-        a0, b0 = span
-        chunk = pts[a0:b0]
-        cols = []
-        for t in ts:
-            v = np.asarray(F(t * chunk[:, 0], t * chunk[:, 1]))
-            cols.append(v - (t**a) * base[a0:b0])
-        return chunk, np.concatenate(cols)
+    def gaps(block):
+        u, v = block[:, 0], block[:, 1]
+        base = np.asarray(F(u, v))
+        return np.concatenate([np.asarray(F(t * u, t * v)) - (t**a) * base for t in ts])
 
-    return _sweep(block, _spans(pts.shape[0]), jobs=jobs)
+    return _sweep(*_row_blocks(pts, gaps), jobs=jobs)

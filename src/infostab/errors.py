@@ -22,7 +22,7 @@ class ConfigurationError(InfostabError, ValueError):
 
 
 class BudgetExceededError(ConfigurationError):
-    """A sweep would evaluate more points than the configured budget allows."""
+    """A sweep would hold more defect samples than the configured budget allows."""
 
 
 class UnsupportedParameterError(InfostabError, ValueError):

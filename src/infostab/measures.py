@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import SimplexGrid, TriangleGrid, pow0
-from .equations import _CHUNK, FundamentalParametric, ResidualReport, _passes, _row_blocks
-from .equations import _pair_blocks, _sweep, residual
-from .errors import BudgetExceededError, ConfigurationError, InvalidDistributionError
+from .equations import FundamentalParametric, ResidualReport, _pair_blocks, _passes, _row_blocks
+from .equations import _simplex_blocks, _sweep, _within_budget, residual
+from .errors import ConfigurationError, InvalidDistributionError
 from .models import Alpha, ScalarFunction, validate_distribution
 
 __all__ = [
@@ -141,22 +141,14 @@ class InformationMeasure:
         return float(self.eval_rows(arr[None, :])[0])
 
 
-def _interior_grid(n, resolution, budget):
-    return SimplexGrid(n, resolution, closed=False, budget=budget)
-
-
 def check_symmetry(
     measure: InformationMeasure, n: int, resolution: int, *, budget: int = 10**6
 ) -> ResidualReport:
     """sup over all n! coordinate permutations and grid points of the gap."""
-    grid = _interior_grid(n, resolution, budget)
+    grid = SimplexGrid(n, resolution, budget=budget)
+    _within_budget(grid.count * math.factorial(n), budget)
     pts = grid.points
     perms = list(itertools.permutations(range(n)))
-    if pts.shape[0] * len(perms) > budget:
-        raise BudgetExceededError(
-            f"{pts.shape[0]} points x {len(perms)} permutations exceed the "
-            f"budget of {budget}"
-        )
     base = measure.eval_rows(pts)
     # one block per permutation, in order
     return _sweep(lambda perm: (pts, measure.eval_rows(pts[:, perm]) - base), perms)
@@ -166,7 +158,7 @@ def check_semisymmetry3(
     measure: InformationMeasure, resolution: int, *, budget: int = 10**6
 ) -> ResidualReport:
     """sup over the interior 3-simplex of |I_3(p1,p2,p3) - I_3(p1,p3,p2)|."""
-    pts = _interior_grid(3, resolution, budget).points
+    pts = SimplexGrid(3, resolution, budget=budget).points
     swap = lambda P: measure.eval_rows(P[:, (0, 2, 1)]) - measure.eval_rows(P)
     return _sweep(*_row_blocks(pts, swap))
 
@@ -187,8 +179,8 @@ def check_additivity(
         raise ConfigurationError(
             f"product level {n * m} beyond this measure's max_n={measure.max_n}"
         )
-    gp = _interior_grid(n, resolution, budget)
-    gq = _interior_grid(m, resolution, budget)
+    gp = SimplexGrid(n, resolution, budget=budget)
+    gq = SimplexGrid(m, resolution, budget=budget)
 
     def cross(a, b, prods):
         # prods[i, j] holds the nm coordinates of P[a + i] * Q[j]
@@ -216,7 +208,7 @@ def check_sum_property(
     budget: int = 10**6,
 ) -> ResidualReport:
     """sup over the interior lattice of |I_n(P) - sum_i f(p_i)|."""
-    pts = _interior_grid(n, resolution, budget).points
+    pts = SimplexGrid(n, resolution, budget=budget).points
     gap = lambda P: measure.eval_rows(P) - np.sum(np.asarray(f(P)), axis=1)
     return _sweep(*_row_blocks(pts, gap))
 
@@ -230,26 +222,19 @@ def recursivity_defect(
     """
     if n < 3:
         raise ConfigurationError(f"recursivity defect needs n >= 3, got {n}")
-    grid = _interior_grid(n, resolution, budget)
-    if grid.count > budget:
-        raise BudgetExceededError(
-            f"simplex grid would hold {grid.count} points, over the budget of {budget}"
-        )
     a = measure.alpha_value
 
-    def block(P):
+    def defect(P):
         s = P[:, 0] + P[:, 1]
         merged = np.concatenate([s[:, None], P[:, 2:]], axis=1)
         level2 = np.stack([P[:, 0] / s, P[:, 1] / s], axis=1)
-        d = (
+        return (
             measure.eval_rows(P)
             - measure.eval_rows(merged)
             - pow0(s, a) * measure.eval_rows(level2)
         )
-        return P, d
 
-    # streamed, so the lattice is never held whole
-    return _sweep(block, grid.iter_blocks(_CHUNK))
+    return _sweep(*_simplex_blocks(n, resolution, False, budget, defect))
 
 
 class _GeneratorFunction(ScalarFunction):
@@ -317,7 +302,9 @@ def sum_property_cauchy_gap(
 ) -> ResidualReport:
     """Gap |f(x+y) - f(x) - f(y) + f(0)| on the closed triangle, with the
     target 2*bound_i3 implied by a bounded level-3 measure."""
-    pts = TriangleGrid(resolution, closed=True).points
+    grid = TriangleGrid(resolution, closed=True)
+    _within_budget(grid.count, budget)
+    pts = grid.points
     f0 = float(f(0.0))
 
     def gap(P):
@@ -329,7 +316,7 @@ def sum_property_cauchy_gap(
 
 def tabulate(measure: InformationMeasure, n: int, resolution: int, *, budget: int = 10**6):
     """Interior lattice points and I_n values, ready for CSV export."""
-    grid = _interior_grid(n, resolution, budget)
+    grid = SimplexGrid(n, resolution, budget=budget)
     pts = grid.points
     vals = measure.eval_rows(pts)
     return pts, vals

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -327,6 +328,20 @@ class TestMeasureSequence:
         )
         cert = certify_measure_sequence(m, 5, 24)
         assert cert.satisfied
+
+    def test_streamed_levels_memory(self):
+        noise = tuple(LevelNoise(k, 1e-4, seed=20 + k) for k in (3, 4, 5))
+        m = exact_measure(0.5, max_n=6, perturbations=noise)
+        tracemalloc.start()
+        try:
+            cert = certify_measure_sequence(m, 6, 30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.satisfied
+        # about 10 MB in _CHUNK-row blocks; one block per level, 5.7 MB of
+        # points at level 6, peaks at 28 MB
+        assert peak < 16 * 2**20
 
     def test_statement_mode(self):
         gen = PowerFamily(kappa(2.0), kappa(2.0), 2.0)

@@ -450,10 +450,26 @@ class TestRunPlumbing:
         with pytest.raises(ConfigurationError):
             run({"schema": 1, "job": "launch"}, out_dir=str(tmp_path))
 
-    def test_report_bytes_independent_of_jobs(self, tmp_path):
-        config = {"schema": 1, "job": "residual", "equation": "fundamental",
-                  "alpha": 0.5, "function": NOISY_POWER,
-                  "grid": {"kind": "triangle", "resolution": 128}}
+    @pytest.mark.parametrize("config", [
+        {"schema": 1, "job": "residual", "equation": "fundamental",
+         "alpha": 0.5, "function": NOISY_POWER,
+         "grid": {"kind": "triangle", "resolution": 128}},
+        # each of the certify configs sweeps more than one block
+        {"schema": 1, "job": "certify", "theorem": "sum_form_mixed",
+         "function": {"kind": "sum", "terms": [
+             {"kind": "power_law", "scale": 0.6, "alpha": 0.5}, dict(BUMP, height=1e-4)]},
+         "n": 3, "m": 3, "alpha": 0.5, "beta": 2.0, "resolution": 20},
+        {"schema": 1, "job": "certify", "theorem": "entropy_equation",
+         "function": {"kind": "wave3", "height": 1e-3, "seed": 5},
+         "alpha": 0.0, "resolution": 40},
+        {"schema": 1, "job": "certify", "theorem": "modified_entropy",
+         "function": {"kind": "sum3", "terms": [
+             {"kind": "modified_entropy_solution", "coeff": 0.4, "alpha": 2.0,
+              "phi": {"kind": "xlog2", "scale": 1.0}},
+             {"kind": "wave3", "height": 1e-4, "seed": 2}]},
+         "alpha": 2.0, "n": 1.0, "resolution": 40},
+    ], ids=["residual", "sum_form_mixed", "entropy_equation", "modified_entropy"])
+    def test_report_bytes_independent_of_jobs(self, tmp_path, config):
         serial_dir = tmp_path / "serial"
         parallel_dir = tmp_path / "parallel"
         serial_dir.mkdir()

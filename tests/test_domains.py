@@ -167,6 +167,14 @@ class TestTriangleGrid:
         assert pts.min() > 0.0
         assert np.max(pts[:, 0] + pts[:, 1]) < 1.0
 
+    @pytest.mark.parametrize(
+        "r, closed",
+        [(2, True)] + [(r, closed) for r in (3, 4, 5, 7, 64, 96, 2048) for closed in (False, True)],
+    )
+    def test_count_is_the_number_of_points(self, r, closed):
+        grid = TriangleGrid(r, closed=closed)
+        assert grid.count == len(grid.points)
+
     def test_minimum_resolutions(self):
         with pytest.raises(InvalidResolutionError):
             TriangleGrid(2)

@@ -1,6 +1,7 @@
 """Residual sweeps for every supported equation kind."""
 
 import math
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import exact_measure
 from infostab import (
     BudgetExceededError,
     CauchyAdditive,
@@ -32,6 +34,7 @@ from infostab import (
     PairGrid,
     PhiEquation,
     PhiForm,
+    PhiOfSum,
     PowerFamily,
     PowerLaw,
     PowerLog,
@@ -46,12 +49,18 @@ from infostab import (
     UnitGrid,
     XLogX,
     alpha_sum_generator,
+    certify_associativity,
     certify_fundamental_open,
+    certify_measure_sequence,
+    certify_sum_form,
+    check_symmetry,
     dump_defects_csv,
     homogeneity_residual,
     product_distribution,
+    recursivity_defect,
     residual,
     sampled,
+    sum_property_cauchy_gap,
     symmetry_residual,
 )
 from infostab.equations import (
@@ -492,6 +501,61 @@ class TestExactMean:
         assert reps[0].mean.hex() == (math.fsum(d.tolist()) / d.size).hex()
         assert reps[0].sup == float(d.max())
         assert reps[0].argmax_point == tuple(pts[int(np.argmax(d))].tolist())
+
+
+_FAMILY = PowerFamily(1.0, 1.0, 0.5)
+_MEASURE = exact_measure(0.5, max_n=6)
+_UNIT = (0.0, 1.0)
+
+_REFUSAL = r"^\d+ defect samples exceed the budget of \d+$"
+# each sweep asks for more defect samples than its budget: the count it names
+# is the "samples" its report would carry
+_OVER_BUDGET = {
+    "residual_triangle": lambda path: residual(
+        FundamentalParametric(0.5), _FAMILY, TriangleGrid(64), budget=100
+    ),
+    "residual_sum_form": lambda path: residual(
+        SumFormAdditive(3, 3), XLogX(-1.0), (SimplexGrid(3, 12, closed=True),) * 2, budget=1000
+    ),
+    "dump_defects_csv": lambda path: dump_defects_csv(
+        FundamentalParametric(0.5), _FAMILY, TriangleGrid(64), path, budget=100
+    ),
+    # 165 points fit the budget, their 24 permutations do not
+    "check_symmetry": lambda path: check_symmetry(_MEASURE, 4, 12, budget=500),
+    "recursivity_defect": lambda path: recursivity_defect(_MEASURE, 4, 40, budget=100),
+    # levels 3 and 4 fit, level 5 does not
+    "certify_measure_sequence": lambda path: certify_measure_sequence(
+        _MEASURE, 6, 30, budget=10_000
+    ),
+    "certify_sum_form": lambda path: certify_sum_form(PowerLaw(1.0, 1.0), 3, 64, budget=100),
+    "certify_associativity": lambda path: certify_associativity(
+        PhiOfSum(PowerLaw(1.0, 2.0)), PhiOfSum(PowerLaw(1.0, 2.0)), _UNIT, _UNIT, _UNIT, 20,
+        budget=100,
+    ),
+    "sum_property_cauchy_gap": lambda path: sum_property_cauchy_gap(
+        0.1, PowerLaw(1.0, 1.0), 64, budget=10
+    ),
+}
+
+
+class TestBudget:
+    @pytest.mark.parametrize("sweep", sorted(_OVER_BUDGET))
+    def test_every_sweep_refuses_with_one_message(self, tmp_path, sweep):
+        path = tmp_path / "defects.csv"
+        with pytest.raises(BudgetExceededError, match=_REFUSAL):
+            _OVER_BUDGET[sweep](path)
+        assert not path.exists()
+
+    def test_triangle_refused_before_it_is_built(self):
+        # its 4,495,501 points alone would take 72 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="^4495501 defect samples"):
+                residual(FundamentalParametric(0.5), _FAMILY, TriangleGrid(3000), budget=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def _with_bad_node(bad, node=20):
