@@ -16,6 +16,13 @@ lattice) or _simplex_blocks (a streamed simplex lattice); _within_budget
 checks a sweep's defect samples against its budget before the lattice is
 built.  _blocks gives the (work, items) of an equation kind on a grid;
 residual reduces those blocks and dump_defects_csv writes them.
+
+The fundamental-equation kernel reads node tables: f(k/R) and
+(1 - k/R)^alpha are evaluated once per sweep over the node indices k the
+triangle uses, and each block recovers its indices as rint(block * R), which
+is exact for k < 2^51.  Only the two quotients y/(1-x) and x/(1-y) are
+evaluated per point, and every defect is bit-identical to the per-point
+expression.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .domains import _CHUNK, ConeGrid, PairGrid, SimplexGrid, TriangleGrid, UnitGrid, pow0
-from .errors import BudgetExceededError, ConfigurationError, NonFiniteDefectError
+from .errors import BudgetExceededError, ConfigurationError, DomainError, NonFiniteDefectError
 from .models import Alpha, BivariateFunction, ScalarFunction, TernaryFunction
 
 __all__ = [
@@ -294,35 +301,73 @@ def _two_functions(fns):
     return fns
 
 
-def _fundamental_defect(f, alpha, pts):
-    x = pts[:, 0]
-    y = pts[:, 1]
-    rx = 1.0 - x
-    ry = 1.0 - y
-    # on the closed edge x + y = 1 the quotients are 1 exactly but can round
-    # above it; inside the triangle they stay at most 1 - 1/R
-    return (
-        f(x)
-        + pow0(rx, alpha) * f(np.minimum(y / rx, 1.0))
-        - f(y)
-        - pow0(ry, alpha) * f(np.minimum(x / ry, 1.0))
-    )
+def _fundamental_kernel(f, alpha, grid):
+    """defect(block) of FundamentalParametric(alpha) on a TriangleGrid.
+
+    Every coordinate is k/R for a node index k in lo..R-1-lo (lo = 0 closed,
+    1 open), so f(k/R) and (1 - k/R)^alpha come from node tables built once,
+    before any block runs.  A block recovers its indices as rint(block * R),
+    exactly, since |fl(k/R) R - k| <= k 2^-52 < 1/2; only the two quotients
+    are evaluated per point, and every defect is the per-point expression's
+    bit for bit.
+    """
+    r, lo = grid.resolution, 0 if grid.closed else 1
+    nodes = np.arange(lo, r - lo) / float(r)
+    try:
+        fk = np.broadcast_to(f(nodes), nodes.shape)  # f may return a scalar
+    except DomainError:
+        # raise what the per-point sweep meets first: f at x, y/(1-x), y,
+        # x/(1-y), block by block
+        pts = grid.points
+        for a, b in _spans(pts.shape[0]):
+            x, y = pts[a:b, 0], pts[a:b, 1]
+            for v in (x, np.minimum(y / (1.0 - x), 1.0), y, np.minimum(x / (1.0 - y), 1.0)):
+                f(v)
+        raise
+    pk = pow0(1.0 - nodes, alpha)
+
+    def defect(block):
+        x, y = block[:, 0], block[:, 1]
+        i = np.rint(x * r).astype(np.intp) - lo
+        j = np.rint(y * r).astype(np.intp) - lo
+        # on the closed edge x + y = 1 the quotients are 1 exactly but can
+        # round above it; inside the triangle they stay at most 1 - 1/R
+        return (
+            fk[i]
+            + pk[i] * f(np.minimum(y / (1.0 - x), 1.0))
+            - fk[j]
+            - pk[j] * f(np.minimum(x / (1.0 - y), 1.0))
+        )
+
+    return defect
 
 
-def _pairs_in_domain(grid: UnitGrid):
-    pts = grid.points
-    x, y = np.meshgrid(pts, pts, indexing="ij")
-    x = x.ravel()
-    y = y.ravel()
-    s = x + y
-    keep = s <= 1.0 + 1e-12 if grid.closed else s < 1.0 - 1e-12
-    return np.stack([x[keep], y[keep]], axis=1)
+def _unit_pairs(kind, grid, budget, keep="all"):
+    """The (x, y) pairs of a UnitGrid's points, x-major, within budget: all of
+    them, those with x + y in the grid's interval ("domain"), or those with
+    x + y > 0 ("nonzero").  The closed-form count is checked first."""
+    g = _expect_grid(grid, UnitGrid, type(kind).__name__)
+    r, n = g.resolution, g.points.size
+    if keep == "domain":
+        count = (r + 1) * (r + 2) // 2 if g.closed else (r - 1) * (r - 2) // 2
+    else:
+        count = n * n - (keep == "nonzero" and g.closed)
+    _within_budget(count, budget)
+    x, y = np.meshgrid(g.points, g.points, indexing="ij")
+    pts = np.stack([x.ravel(), y.ravel()], axis=1)
+    if keep == "all":
+        return pts
+    s = pts[:, 0] + pts[:, 1]
+    if keep == "nonzero":
+        return pts[s > 0]
+    return pts[s <= 1.0 + 1e-12 if g.closed else s < 1.0 - 1e-12]
 
 
-def _all_pairs(grid: UnitGrid):
-    pts = grid.points
-    x, y = np.meshgrid(pts, pts, indexing="ij")
-    return np.stack([x.ravel(), y.ravel()], axis=1)
+def _cone_points(kind, grid, budget):
+    """A ConeGrid's points, once its resolution**3 points fit the budget."""
+    g = _expect_grid(grid, ConeGrid, type(kind).__name__)
+    _within_budget(g.resolution**3, budget)
+    return g.points
 
 
 def product_distribution(p, q):
@@ -397,16 +442,18 @@ def _sum_form_blocks(kind, f, grid, budget):
 
 
 def _defect_and_points(kind, fns, grid, budget):
-    """Return (points, defect_fn) for the single-matrix equation kinds, within budget."""
+    """Return (points, defect_fn) for the single-matrix equation kinds, within
+    budget.  The triangle, cone and unit-pair kinds check the closed-form
+    count of their points before they build them."""
     if isinstance(kind, FundamentalParametric):
         f = _one_function(fns)
         g = _expect_grid(grid, TriangleGrid, "FundamentalParametric")
         _within_budget(g.count, budget)
         pts = g.points
-        defect = lambda p: _fundamental_defect(f, kind.alpha, p)
+        defect = _fundamental_kernel(f, kind.alpha, g)
     elif isinstance(kind, Cocycle):
         F = _one_function(fns)
-        pts = _expect_grid(grid, ConeGrid, "Cocycle").points
+        pts = _cone_points(kind, grid, budget)
 
         def defect(pts):
             x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
@@ -414,7 +461,7 @@ def _defect_and_points(kind, fns, grid, budget):
 
     elif isinstance(kind, EntropyEq):
         H = _one_function(fns)
-        pts = _expect_grid(grid, ConeGrid, "EntropyEq").points
+        pts = _cone_points(kind, grid, budget)
 
         def defect(pts):
             x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
@@ -423,7 +470,7 @@ def _defect_and_points(kind, fns, grid, budget):
 
     elif isinstance(kind, ModifiedEntropy):
         f = _one_function(fns)
-        pts = _expect_grid(grid, ConeGrid, "ModifiedEntropy").points
+        pts = _cone_points(kind, grid, budget)
         a = kind.alpha
 
         def defect(pts):
@@ -438,23 +485,19 @@ def _defect_and_points(kind, fns, grid, budget):
 
     elif isinstance(kind, CauchyAdditive):
         f = _one_function(fns)
-        g = _expect_grid(grid, UnitGrid, "CauchyAdditive")
-        pts = _pairs_in_domain(g)
+        pts = _unit_pairs(kind, grid, budget, "domain")
         defect = lambda p: f(p[:, 0] + p[:, 1]) - f(p[:, 0]) - f(p[:, 1])
     elif isinstance(kind, Multiplicative):
         f = _one_function(fns)
-        g = _expect_grid(grid, UnitGrid, "Multiplicative")
-        pts = _all_pairs(g)
+        pts = _unit_pairs(kind, grid, budget)
         defect = lambda p: f(p[:, 0] * p[:, 1]) - f(p[:, 0]) * f(p[:, 1])
     elif isinstance(kind, Logarithmic):
         f = _one_function(fns)
-        g = _expect_grid(grid, UnitGrid, "Logarithmic")
-        pts = _all_pairs(g)
+        pts = _unit_pairs(kind, grid, budget)
         defect = lambda p: f(p[:, 0] * p[:, 1]) - f(p[:, 0]) - f(p[:, 1])
     elif isinstance(kind, PhiEquation):
         f = _one_function(fns)
-        g = _expect_grid(grid, UnitGrid, "PhiEquation")
-        pts = _all_pairs(g)
+        pts = _unit_pairs(kind, grid, budget)
 
         def defect(p):
             x, y = p[:, 0], p[:, 1]
@@ -462,9 +505,7 @@ def _defect_and_points(kind, fns, grid, budget):
 
     elif isinstance(kind, DaroczyIdentity):
         f, phi = _two_functions(fns)
-        g = _expect_grid(grid, UnitGrid, "DaroczyIdentity")
-        pts = _all_pairs(g)
-        pts = pts[(pts[:, 0] + pts[:, 1]) > 0]
+        pts = _unit_pairs(kind, grid, budget, "nonzero")
 
         def defect(p):
             x, y = p[:, 0], p[:, 1]
@@ -473,8 +514,8 @@ def _defect_and_points(kind, fns, grid, budget):
 
     elif isinstance(kind, InfoFunctionForm):
         f, phi = _two_functions(fns)
-        g = _expect_grid(grid, UnitGrid, "InfoFunctionForm")
-        pts = g.points[:, None]
+        pts = _expect_grid(grid, UnitGrid, "InfoFunctionForm").points[:, None]
+        _within_budget(pts.shape[0], budget)
 
         def defect(p):
             x = p[:, 0]
@@ -482,7 +523,6 @@ def _defect_and_points(kind, fns, grid, budget):
 
     else:
         raise ConfigurationError(f"unknown equation kind {kind!r}")
-    _within_budget(pts.shape[0], budget)
     return pts, defect
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import exact_measure
+from _helpers import exact_measure, fundamental_defect
 from infostab import (
     BudgetExceededError,
     CauchyAdditive,
@@ -18,6 +18,7 @@ from infostab import (
     ConeGrid,
     ConfigurationError,
     DaroczyIdentity,
+    DomainError,
     EntropyEq,
     EntropySolution,
     FunctionSum,
@@ -66,6 +67,7 @@ from infostab import (
 from infostab.equations import (
     _CHUNK,
     _SCALE,
+    _blocks,
     _defect_and_points,
     _exact_total,
     _sum_form_blocks,
@@ -101,6 +103,116 @@ class TestFundamental:
     def test_wrong_grid_type(self):
         with pytest.raises(ConfigurationError):
             residual(FundamentalParametric(2.0), ShannonInfo(), UnitGrid(8))
+
+
+_NODE_FUNCTIONS = {
+    "noisy_power_bump": FunctionSum(
+        (sampled(PowerFamily(2.0, 1.0, 0.5), 37), ScaledBump(0.4, 0.2, 1e-3))
+    ),
+    "power_family": PowerFamily(1.7, -0.4, 0.5),
+    "log_family": LogFamily(0.8, 0.3),
+    "shannon": ShannonInfo(),
+    "lambda": lambda x: np.sin(3.0 * x) + x * np.log1p(x),
+    "scalar_lambda": lambda x: 1.0,
+}
+_NODE_ALPHAS = (-1.0, 0.0, 0.5, 2.0)
+
+
+def _oracle_blocks(f, alpha, grid):
+    """The per-point defect of every _CHUNK-row block of the grid, in order."""
+    pts = grid.points
+    return [
+        (pts[a : a + _CHUNK], fundamental_defect(f, alpha, pts[a : a + _CHUNK]))
+        for a in range(0, pts.shape[0], _CHUNK)
+    ]
+
+
+def _outcome(run):
+    """run()'s value, or the type and message of what it raised."""
+    try:
+        return run()
+    except InfostabError as exc:
+        return type(exc), str(exc)
+
+
+class TestNodeTables:
+    """The node-table kernel against the per-point oracle, bit for bit."""
+
+    @pytest.mark.parametrize("closed", [False, True])
+    @pytest.mark.parametrize("resolution", [3, 7, 96, 384, 768, 1000, 2048])
+    def test_blocks_match_the_oracle(self, resolution, closed):
+        grid = TriangleGrid(resolution, closed=closed)
+        configs = [(a, name) for a in _NODE_ALPHAS for name in _NODE_FUNCTIONS]
+        if resolution >= 1000:
+            # every alpha and every function once, to keep the suite fast
+            configs = list(zip(_NODE_ALPHAS * 2, _NODE_FUNCTIONS))
+        for alpha, name in configs:
+            f = _NODE_FUNCTIONS[name]
+            want = _outcome(lambda: _oracle_blocks(f, alpha, grid))
+
+            def tabled():
+                work, items = _blocks(FundamentalParametric(alpha), f, grid, 10**7)
+                return [work(item) for item in items]
+
+            got = _outcome(tabled)
+            if isinstance(want, tuple):  # LogFamily at 1 on the closed edge
+                assert got == want, (name, alpha)
+                continue
+            assert len(got) == len(want)
+            for (gp, gd), (wp, wd) in zip(got, want):
+                assert np.array_equal(gp, wp) and gd.dtype == np.float64
+                assert np.array_equal(gd.view(np.uint64), wd.view(np.uint64)), (name, alpha)
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_residual_reduces_the_oracle(self, closed):
+        f, grid = _NODE_FUNCTIONS["noisy_power_bump"], TriangleGrid(768, closed=closed)
+        d = np.abs(fundamental_defect(f, 0.5, grid.points))
+        for jobs in (1, 2):
+            rep = residual(FundamentalParametric(0.5), f, grid, jobs=jobs)
+            assert rep.mean.hex() == (math.fsum(d.tolist()) / d.size).hex()
+            assert rep.sup == float(d.max()) and rep.samples == d.size
+            assert rep.argmax_point == tuple(grid.points[int(np.argmax(d))].tolist())
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("resolution", [64, 768])
+    def test_nan_node_raises_the_oracle_message(self, resolution):
+        f, grid = _with_bad_node(math.nan), TriangleGrid(resolution)
+        d = fundamental_defect(f, 0.5, grid.points)
+        bad = ~np.isfinite(d)
+        first = tuple(grid.points[int(np.argmax(bad))].tolist())
+        msg = f"{int(bad.sum())} of {d.size} defects are NaN or infinite, the first at {first}"
+        for jobs in (1, 2):
+            with pytest.raises(NonFiniteDefectError) as exc:
+                residual(FundamentalParametric(0.5), f, grid, jobs=jobs)
+            assert str(exc.value) == msg
+
+    @pytest.mark.parametrize("closed", [False, True])
+    @pytest.mark.parametrize("resolution", [64, 1000])
+    @pytest.mark.parametrize("span", [(0.0, 0.5), (0.25, 1.0)])
+    def test_narrow_domain_raises_the_oracle_message(self, span, resolution, closed):
+        xs = np.linspace(*span, 33)
+        f, grid = GridSample(tuple(xs), tuple(xs * xs)), TriangleGrid(resolution, closed=closed)
+        want = _outcome(lambda: _oracle_blocks(f, 2.0, grid))
+        assert want[0] is DomainError
+        assert _outcome(lambda: residual(FundamentalParametric(2.0), f, grid)) == want
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_f_on_two_values_per_point_and_one_pow0_per_sweep(self, closed, monkeypatch):
+        from infostab import equations
+
+        grid, values, pow0_calls = TriangleGrid(64, closed=closed), [], []
+        real_pow0 = equations.pow0
+        monkeypatch.setattr(
+            equations, "pow0", lambda *a: pow0_calls.append(1) or real_pow0(*a)
+        )
+
+        def counted(x):
+            values.append(np.size(x))
+            return ShannonInfo()(x)
+
+        residual(FundamentalParametric(0.5), counted, grid)
+        assert sum(values) <= 2 * grid.count + grid.resolution + 1
+        assert len(pow0_calls) == 1
 
 
 class TestConeEquations:
@@ -215,9 +327,7 @@ class TestReport:
         assert 0.0 < rep.mean <= rep.sup
         # the worst point re-evaluates to the reported sup
         pts = np.array([rep.argmax_point])
-        from infostab.equations import _fundamental_defect
-
-        again = abs(float(_fundamental_defect(g, 2.0, pts)[0]))
+        again = abs(float(fundamental_defect(g, 2.0, pts)[0]))
         assert math.isclose(again, rep.sup, rel_tol=1e-12)
 
     def test_within_target_logic(self):
@@ -536,6 +646,23 @@ _OVER_BUDGET = {
         0.1, PowerLaw(1.0, 1.0), 64, budget=10
     ),
 }
+# the unit-pair and cone kinds of residual, each with a grid of its kind
+_PAIR_AND_CONE_KINDS = {
+    "cauchy_additive": (CauchyAdditive(), PowerLaw(2.5, 1.0), UnitGrid),
+    "multiplicative": (Multiplicative(), PowerLaw(1.0, 1.7), UnitGrid),
+    "logarithmic": (Logarithmic(), PowerLog(2.0, 0.0), UnitGrid),
+    "phi_equation": (PhiEquation(), XLogX(-1.0), UnitGrid),
+    "daroczy_identity": (DaroczyIdentity(), (ShannonInfo(), XLogX(-1.0)), UnitGrid),
+    "cocycle": (Cocycle(), CocycleForm(XLogX(1.0)), ConeGrid),
+    "entropy_eq": (EntropyEq(), EntropySolution(0.7, 2.0), ConeGrid),
+    "modified_entropy": (
+        ModifiedEntropy(2.0), ModifiedEntropySolution(0.4, 2.0, XLogX(1.0)), ConeGrid
+    ),
+}
+_OVER_BUDGET.update(
+    (f"residual_{name}", lambda path, k=k, f=f, g=g: residual(k, f, g(16), budget=100))
+    for name, (k, f, g) in _PAIR_AND_CONE_KINDS.items()
+)
 
 
 class TestBudget:
@@ -556,6 +683,33 @@ class TestBudget:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize("name", sorted(_PAIR_AND_CONE_KINDS))
+    def test_pairs_and_cones_refused_before_they_are_built(self, name):
+        # at resolution 3000 the pairs alone would take 72 to 144 MB, and the
+        # 1,728,000 points of ConeGrid(120) take 41 MB
+        kind, fns, grid = _PAIR_AND_CONE_KINDS[name]
+        grid = grid(3000) if grid is UnitGrid else grid(120)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match=_REFUSAL):
+                residual(kind, fns, grid, budget=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("name", sorted(_PAIR_AND_CONE_KINDS))
+    def test_closed_form_counts_match_the_built_points(self, name):
+        kind, fns, grid = _PAIR_AND_CONE_KINDS[name]
+        grids = [grid(r) for r in range(2, 41)]
+        if grid is UnitGrid:
+            grids += [UnitGrid(r, closed=True) for r in range(2, 41)]
+        for g in grids:
+            n = _defect_and_points(kind, fns, g, 10**7)[0].shape[0]
+            _defect_and_points(kind, fns, g, n)
+            with pytest.raises(BudgetExceededError, match=f"^{n} defect samples"):
+                _defect_and_points(kind, fns, g, n - 1)
 
 
 def _with_bad_node(bad, node=20):
