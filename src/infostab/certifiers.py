@@ -713,7 +713,7 @@ def certify_measure_sequence(
         if statement:
             rows.append(SequenceRow(n=n, bound=row_bound))
             continue
-        gap = lambda P: measure.eval_rows(P) - j_rows(P, n)
+        gap = lambda P: measure._eval_rows(P) - j_rows(P, n)
         dist = _sweep(*_simplex_blocks(n, resolution, False, budget, gap)).sup
         rows.append(SequenceRow(n, row_bound, dist, _passes(dist, row_bound)))
 

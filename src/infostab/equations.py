@@ -345,22 +345,25 @@ def _fundamental_kernel(f, alpha, grid):
 def _unit_pairs(kind, grid, budget, keep="all"):
     """The (x, y) pairs of a UnitGrid's points, x-major, within budget: all of
     them, those with x + y in the grid's interval ("domain"), or those with
-    x + y > 0 ("nonzero").  The closed-form count is checked first."""
+    x + y > 0 ("nonzero").  The closed-form count is checked first, and only
+    the kept pairs are built: point i of a "domain" lattice pairs with the
+    first n - i points (n - 1 - i when open), since its coordinates are k/R."""
     g = _expect_grid(grid, UnitGrid, type(kind).__name__)
-    r, n = g.resolution, g.points.size
+    x = g.points
+    n = x.size
     if keep == "domain":
-        count = (r + 1) * (r + 2) // 2 if g.closed else (r - 1) * (r - 2) // 2
+        counts = np.arange(n, 0, -1) - (not g.closed)
     else:
-        count = n * n - (keep == "nonzero" and g.closed)
+        counts = np.full(n, n)
+    drop = int(keep == "nonzero" and g.closed)  # the pair (0, 0) comes first
+    count = int(counts.sum()) - drop
     _within_budget(count, budget)
-    x, y = np.meshgrid(g.points, g.points, indexing="ij")
-    pts = np.stack([x.ravel(), y.ravel()], axis=1)
-    if keep == "all":
-        return pts
-    s = pts[:, 0] + pts[:, 1]
-    if keep == "nonzero":
-        return pts[s > 0]
-    return pts[s <= 1.0 + 1e-12 if g.closed else s < 1.0 - 1e-12]
+    pts = np.empty((count + drop, 2))
+    pts[:, 0] = np.repeat(x, counts)
+    partner = np.arange(count + drop)
+    partner -= np.repeat(np.cumsum(counts) - counts, counts)
+    pts[:, 1] = x[partner]
+    return pts[drop:]
 
 
 def _cone_points(kind, grid, budget):

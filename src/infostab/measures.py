@@ -11,6 +11,13 @@ approximate measures with measurable defects.  Checkers sweep the axioms on
 interior simplex lattices block by block and reduce the defects with the
 residual sweeps' reducer, so their reports carry the same exact sup,
 argmax point and exactly rounded mean, and fail on NaN or inf the same way.
+
+Distributions are validated at the public entry only: eval_rows (and eval)
+scan their rows for positivity and unit sums, while the lattice sweeps,
+whose rows are interior simplex points by construction, evaluate through
+_eval_rows, which keeps only the level check.  The splitting defect runs one
+recursion per block: _split returns I_n(P) together with the I_{n-1} value,
+the (p1+p2)^alpha weight and the level-2 generator value it was built from.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,10 +69,17 @@ class LevelNoise:
                 f"perturbations attach at levels >= 3, got {self.level}"
             )
 
-    def values(self, P: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _params(self):
+        """The seeded frequencies (a read-only array) and phase, drawn on
+        first use; equality and hashing still see only the fields."""
         rng = np.random.default_rng((int(self.seed), int(self.level)))
         freqs = rng.uniform(2.0, 11.0, size=self.level)
-        phase = rng.uniform(0.0, 2.0 * math.pi)
+        freqs.flags.writeable = False
+        return freqs, rng.uniform(0.0, 2.0 * math.pi)
+
+    def values(self, P: np.ndarray) -> np.ndarray:
+        freqs, phase = self._params
         return self.height * np.sin(P @ freqs + phase)
 
 
@@ -108,11 +123,7 @@ class InformationMeasure:
         P = np.asarray(P, dtype=float)
         if P.ndim != 2 or P.shape[1] < 2:
             raise InvalidDistributionError("expected an (N, n) matrix with n >= 2")
-        n = P.shape[1]
-        if n > self.max_n:
-            raise ConfigurationError(
-                f"level {n} beyond this measure's max_n={self.max_n}"
-            )
+        self._check_level(P.shape[1])
         if float(P.min()) <= 0.0:
             raise InvalidDistributionError(
                 "measures are evaluated on strictly positive distributions"
@@ -120,18 +131,47 @@ class InformationMeasure:
         validate_distribution(P, tol=1e-9)
         return self._recurse(P)
 
+    def _eval_rows(self, P: np.ndarray) -> np.ndarray:
+        """eval_rows for lattice blocks, whose rows are interior distributions
+        by construction: the level check without the distribution scans."""
+        self._check_level(P.shape[1])
+        return self._recurse(P)
+
+    def _check_level(self, n: int):
+        if n > self.max_n:
+            raise ConfigurationError(
+                f"level {n} beyond this measure's max_n={self.max_n}"
+            )
+
     def _recurse(self, P: np.ndarray) -> np.ndarray:
-        n = P.shape[1]
-        if n == 2:
+        if P.shape[1] == 2:
             return np.asarray(self.generator(P[:, 1]), dtype=float)
-        s = P[:, 0] + P[:, 1]
-        merged = np.concatenate([s[:, None], P[:, 2:]], axis=1)
-        out = self._recurse(merged) + pow0(s, self.alpha_value) * np.asarray(
-            self.generator(P[:, 1] / s)
-        )
-        for pert in self._noise_at(n):
-            out = out + pert.values(P)
-        return out
+        return self._split(P)[0]
+
+    def _split(self, P: np.ndarray):
+        """The top splitting step at level n >= 3, from one pass:
+        (I_n(P), I_{n-1}(p1+p2, p3 ...), (p1+p2)^alpha, f(p2/(p1+p2))).
+
+        The recursion is unrolled bottom up, in the order it evaluates.  Its
+        level-k rows are (p1+...+p_{n-k+1}, p_{n-k+2} ... p_n), and their
+        merged first coordinates are the running sums of P, added left to
+        right as the recursion adds them; a level's rows are built only where
+        a perturbation reads them."""
+        n = P.shape[1]
+        sums = [P[:, 0]]
+        for j in range(1, n - 1):
+            sums.append(sums[-1] + P[:, j])
+        out = np.asarray(self.generator(P[:, -1]), dtype=float)
+        for k in range(3, n + 1):
+            i = n + 1 - k  # the column split off from the running sum at level k
+            inner = out
+            weight = pow0(sums[i], self.alpha_value)
+            g2 = np.asarray(self.generator(P[:, i] / sums[i]))
+            out = inner + weight * g2
+            for pert in self._noise_at(k):
+                rows = P if k == n else np.concatenate([sums[i - 1][:, None], P[:, i:]], axis=1)
+                out = out + pert.values(rows)
+        return out, inner, weight, g2
 
     def eval(self, p) -> float:
         """Evaluate I_n at a single distribution."""
@@ -149,9 +189,9 @@ def check_symmetry(
     _within_budget(grid.count * math.factorial(n), budget)
     pts = grid.points
     perms = list(itertools.permutations(range(n)))
-    base = measure.eval_rows(pts)
+    base = measure._eval_rows(pts)
     # one block per permutation, in order
-    return _sweep(lambda perm: (pts, measure.eval_rows(pts[:, perm]) - base), perms)
+    return _sweep(lambda perm: (pts, measure._eval_rows(pts[:, perm]) - base), perms)
 
 
 def check_semisymmetry3(
@@ -159,7 +199,7 @@ def check_semisymmetry3(
 ) -> ResidualReport:
     """sup over the interior 3-simplex of |I_3(p1,p2,p3) - I_3(p1,p3,p2)|."""
     pts = SimplexGrid(3, resolution, budget=budget).points
-    swap = lambda P: measure.eval_rows(P[:, (0, 2, 1)]) - measure.eval_rows(P)
+    swap = lambda P: measure._eval_rows(P[:, (0, 2, 1)]) - measure._eval_rows(P)
     return _sweep(*_row_blocks(pts, swap))
 
 
@@ -184,13 +224,13 @@ def check_additivity(
 
     def cross(a, b, prods):
         # prods[i, j] holds the nm coordinates of P[a + i] * Q[j]
-        left = measure.eval_rows(prods.reshape(-1, prods.shape[2])).reshape(b - a, -1)
+        left = measure._eval_rows(prods.reshape(-1, prods.shape[2])).reshape(b - a, -1)
         return left - ip[a:b] - iq - lam * ip[a:b] * iq
 
     work, spans = _pair_blocks(gp, gq, budget, cross)
     lam = 2.0 ** (1.0 - measure.alpha_value) - 1.0
-    ip = measure.eval_rows(gp.points)[:, None]
-    iq = measure.eval_rows(gq.points)[None, :]
+    ip = measure._eval_rows(gp.points)[:, None]
+    iq = measure._eval_rows(gq.points)[None, :]
     return _sweep(work, spans)
 
 
@@ -209,7 +249,7 @@ def check_sum_property(
 ) -> ResidualReport:
     """sup over the interior lattice of |I_n(P) - sum_i f(p_i)|."""
     pts = SimplexGrid(n, resolution, budget=budget).points
-    gap = lambda P: measure.eval_rows(P) - np.sum(np.asarray(f(P)), axis=1)
+    gap = lambda P: measure._eval_rows(P) - np.sum(np.asarray(f(P)), axis=1)
     return _sweep(*_row_blocks(pts, gap))
 
 
@@ -222,17 +262,11 @@ def recursivity_defect(
     """
     if n < 3:
         raise ConfigurationError(f"recursivity defect needs n >= 3, got {n}")
-    a = measure.alpha_value
 
     def defect(P):
-        s = P[:, 0] + P[:, 1]
-        merged = np.concatenate([s[:, None], P[:, 2:]], axis=1)
-        level2 = np.stack([P[:, 0] / s, P[:, 1] / s], axis=1)
-        return (
-            measure.eval_rows(P)
-            - measure.eval_rows(merged)
-            - pow0(s, a) * measure.eval_rows(level2)
-        )
+        measure._check_level(n)
+        out, inner, weight, g2 = measure._split(P)
+        return out - inner - weight * g2
 
     return _sweep(*_simplex_blocks(n, resolution, False, budget, defect))
 
@@ -318,5 +352,5 @@ def tabulate(measure: InformationMeasure, n: int, resolution: int, *, budget: in
     """Interior lattice points and I_n values, ready for CSV export."""
     grid = SimplexGrid(n, resolution, budget=budget)
     pts = grid.points
-    vals = measure.eval_rows(pts)
+    vals = measure._eval_rows(pts)
     return pts, vals

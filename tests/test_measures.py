@@ -17,6 +17,7 @@ from infostab import (
     InformationMeasure,
     InvalidDistributionError,
     LevelNoise,
+    LogFamily,
     NonFiniteDefectError,
     PowerFamily,
     ScaledBump,
@@ -32,7 +33,6 @@ from infostab import (
     check_sum_property,
     check_symmetry,
     derive_generating_defect,
-    pow0,
     recursivity_defect,
     sampled,
     shannon_entropy,
@@ -40,7 +40,10 @@ from infostab import (
     tabulate,
 )
 
-from _helpers import exact_measure, kappa
+from infostab import certifiers, measures
+from infostab.models import ScalarFunction
+
+from _helpers import exact_measure, kappa, recursive_measure, recursivity_oracle
 
 LOG2_3 = 1.5849625007211562
 
@@ -209,10 +212,7 @@ class TestBlockedChecks:
         m = _noisy_measure()
         pts = SimplexGrid(n, r).points
         assert pts.shape[0] > 32768
-        s = pts[:, 0] + pts[:, 1]
-        merged = np.concatenate([s[:, None], pts[:, 2:]], axis=1)
-        level2 = np.stack([pts[:, 0] / s, pts[:, 1] / s], axis=1)
-        diff = m.eval_rows(pts) - m.eval_rows(merged) - pow0(s, 0.5) * m.eval_rows(level2)
+        diff = recursivity_oracle(m, pts)
         assert _fields(recursivity_defect(m, n, r)) == _whole_report(diff, pts.__getitem__)
 
     def test_recursivity_budget(self):
@@ -271,6 +271,145 @@ class TestBlockedChecks:
             check_semisymmetry3(bad, 32)
         with pytest.raises(NonFiniteDefectError):
             recursivity_defect(bad, 4, 32)
+
+
+# generators of the one-pass checks: degrees 0.5, 2, -1, 3, 1 and 0
+_GENERATORS = (
+    (PowerFamily(kappa(0.5), kappa(0.5), 0.5), 0.5),
+    (PowerFamily(kappa(2.0), kappa(2.0), 2.0), 2.0),
+    (PowerFamily(kappa(-1.0), kappa(-1.0), -1.0), -1.0),
+    (PowerFamily(kappa(3.0), kappa(3.0), 3.0), 3.0),
+    (ShannonInfo(), 1.0),
+    (LogFamily(-1.0, 0.25), 0.0),
+)
+_ONE_PASS_MEASURES = [
+    InformationMeasure(g, a, 6, noise)
+    for g, a in _GENERATORS
+    for noise in ((), tuple(LevelNoise(k, 1e-4 * k, 20 + k) for k in (3, 4, 5, 6)))
+]
+
+
+class _Counted(ScalarFunction):
+    """A generator that counts the values it is evaluated on."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.values = 0
+
+    def _values(self, arr):
+        self.values += arr.size
+        return self.inner(arr)
+
+
+class TestOnePass:
+    """The unrolled recursion and the one-pass splitting defect against the
+    recursive oracles, bit for bit."""
+
+    @pytest.mark.parametrize("r", [7, 13, 40])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_recursivity_blocks_match_the_oracle(self, n, r, monkeypatch):
+        blocks = []
+
+        def sweep(work, items):
+            items = list(items)
+            blocks.extend(work(item) for item in items)
+            return real_sweep(work, items)
+
+        real_sweep = measures._sweep
+        monkeypatch.setattr(measures, "_sweep", sweep)
+        # at n=6, R=40 (575,757 points) the bench's noisy shape and one plain
+        # measure, to keep the suite fast
+        chosen = _ONE_PASS_MEASURES if (n, r) != (6, 40) else _ONE_PASS_MEASURES[1:3]
+        for m in chosen:
+            blocks.clear()
+            recursivity_defect(m, n, r)
+            assert len(blocks) == len(list(SimplexGrid(n, r).iter_blocks()))
+            for P, got in blocks:
+                want = recursivity_oracle(m, P)
+                assert got.dtype == np.float64
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), m
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_private_and_public_rows_match_the_recursion(self, n):
+        for m in _ONE_PASS_MEASURES:
+            for block in SimplexGrid(n, 24).iter_blocks():
+                want = recursive_measure(m, block).view(np.uint64)
+                assert np.array_equal(m._eval_rows(block).view(np.uint64), want), m
+                assert np.array_equal(m.eval_rows(block).view(np.uint64), want), m
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_generator_runs_once_per_level(self, n):
+        counted = _Counted(PowerFamily(kappa(0.5), kappa(0.5), 0.5))
+        m = InformationMeasure(counted, 0.5, 6, _noisy_measure().perturbations)
+        recursivity_defect(m, n, 20)
+        # one recursion per block: (n - 1) generator values per point
+        assert counted.values == (n - 1) * SimplexGrid(n, 20).count
+
+    def test_lattice_sweeps_skip_the_distribution_scans(self, monkeypatch):
+        scans, per_block = [], []
+        real_validate = measures.validate_distribution
+        monkeypatch.setattr(
+            measures,
+            "validate_distribution",
+            lambda *a, **k: scans.append(1) or real_validate(*a, **k),
+        )
+        real_blocks = certifiers._simplex_blocks
+
+        def blocks(n, resolution, closed, budget, defect):
+            def counted(P):
+                before = len(scans)
+                out = defect(P)
+                per_block.append(len(scans) - before)
+                return out
+
+            return real_blocks(n, resolution, closed, budget, counted)
+
+        monkeypatch.setattr(certifiers, "_simplex_blocks", blocks)
+        m = _noisy_measure()
+        recursivity_defect(m, 5, 30)
+        assert scans == []
+        certifiers.certify_measure_sequence(m, 6, 20)
+        assert len(per_block) >= 5 and not any(per_block)
+        before = len(scans)
+        m.eval_rows(SimplexGrid(3, 8).points)
+        assert len(scans) == before + 1  # the public entry still validates
+
+    def test_level_check_keeps_its_place(self):
+        m = _noisy_measure()
+        with pytest.raises(ConfigurationError, match="^level 7 beyond this measure's max_n=6$"):
+            recursivity_defect(m, 7, 12)
+        with pytest.raises(BudgetExceededError):
+            recursivity_defect(m, 7, 12, budget=100)
+        with pytest.raises(ConfigurationError, match="^level 7 beyond"):
+            check_sum_property(m, XLogX(-1.0), 7, 12)
+
+
+class TestLevelNoiseCache:
+    def test_drawn_once_and_equal_to_a_fresh_draw(self, monkeypatch):
+        noise = LevelNoise(5, 1e-3, seed=9)
+        P = SimplexGrid(5, 12).points
+        first = noise.values(P)
+        rng = np.random.default_rng((9, 5))
+        freqs = rng.uniform(2.0, 11.0, size=5)
+        phase = rng.uniform(0.0, 2.0 * math.pi)
+        assert np.array_equal(noise._params[0].view(np.uint64), freqs.view(np.uint64))
+        assert noise._params[1] == phase
+        assert np.array_equal(first, 1e-3 * np.sin(P @ freqs + phase))
+        assert not noise._params[0].flags.writeable
+
+        def no_draw(*args):
+            raise AssertionError("LevelNoise drew its parameters again")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        assert np.array_equal(noise.values(P), first)
+
+    def test_equality_hash_and_scaling_see_only_the_fields(self):
+        used, fresh = LevelNoise(4, 2e-3, seed=3), LevelNoise(4, 2e-3, seed=3)
+        used.values(SimplexGrid(4, 8).points)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        m = InformationMeasure(ShannonInfo(), 1.0, 4, (used,))
+        assert m.scaled(2.0).perturbations == (LevelNoise(4, 4e-3, seed=3),)
 
 
 class TestGeneratingDefect:
