@@ -65,7 +65,6 @@ from .models import (
     PowerLog,
     Regime,
     XLogX,
-    alpha_entropy,
     config_of,
 )
 
@@ -559,6 +558,33 @@ def hyperstability_blowup_probe(
 # sequences of information measures
 
 
+def _sequence_candidate(a: Alpha, coefficients, resolution):
+    """J_n(P) on blocks P of any level's simplex lattice of the resolution."""
+    c = coefficients["c"]
+    if a.regime is Regime.ZERO:
+        lam = coefficients["lam"]
+        return lambda P: c * float(P.shape[1] - 1) + lam * np.log2(P[:, 0])
+    d, v = coefficients["d"], a.value
+    scale = 1.0 / (2.0 ** (1.0 - v) - 1.0)
+    powers_of = _lattice_pow0(resolution, v)
+
+    def j_rows(P):
+        powers = powers_of(P)
+        # H_n sums the powers in alpha_entropy's order, so it keeps its bits
+        hn = scale * (np.sum(powers, axis=-1) - 1.0)
+        return c * hn + d * (powers[:, 0] - 1.0)
+
+    return j_rows
+
+
+def _lattice_pow0(resolution, alpha):
+    """pow0(P, alpha) for blocks P of a simplex lattice of the resolution,
+    bit for bit: one node table pow0(k/R, alpha), k = 0..R, gathered at
+    rint(P * R), which recovers every k exactly (as in _fundamental_kernel)."""
+    table = pow0(np.arange(resolution + 1) / float(resolution), alpha)
+    return lambda P: table[np.rint(P * resolution).astype(np.intp)]
+
+
 @dataclass(frozen=True)
 class SequenceRow:
     """One level of a measure-sequence certificate."""
@@ -630,8 +656,13 @@ def certify_measure_sequence(
     sum(eps_k, k=2..n-1) + (n-1) K(alpha) (2 eps_2 + eps_1); for alpha < 0
     the K term drops and only the recursivity defects remain.
 
-    The recursivity and distance sweeps stream their lattices on one thread
-    whatever jobs is, since a thread pool would hold every block at once.
+    The candidate is fitted first, since it reads only the level-2
+    generator.  Then every level's lattice is streamed once, on one thread
+    whatever jobs is (a thread pool would hold every block at once): one
+    splitting recursion per block gives both the level's recursivity defect
+    and its distance to J_n.  Errors are raised in that order: configuration,
+    alpha = 1, the fit, the semi-symmetry sweep, then the levels in order,
+    each level's recursivity error before its distance error.
     """
     if levels < 2:
         raise ConfigurationError(f"levels must be at least 2, got {levels}")
@@ -648,11 +679,6 @@ def certify_measure_sequence(
                 f"measure supports n <= {measure.max_n}, need {max(3, levels)}"
             )
         f = _GeneratorFunction(measure)
-        eps = [check_semisymmetry3(measure, resolution, budget=budget).sup]
-        for k in range(2, top + 1):
-            eps.append(
-                recursivity_defect(measure, k + 1, resolution, budget=budget).sup
-            )
         statement = False
     else:
         try:
@@ -695,12 +721,21 @@ def certify_measure_sequence(
         }
         trace = trace.extended(j_c=coefficients["c"], j_d=coefficients["d"])
 
-    def j_rows(block, n):
-        p1 = block[:, 0]
-        if a.regime is Regime.ZERO:
-            return coefficients["c"] * float(n - 1) + coefficients["lam"] * np.log2(p1)
-        hn = np.asarray(alpha_entropy(block, v))
-        return coefficients["c"] * hn + coefficients["d"] * (pow0(p1, v) - 1.0)
+    distances = {}
+    if not statement:
+        eps = [check_semisymmetry3(measure, resolution, budget=budget).sup]
+        # built once the budget has bounded the resolution
+        j_rows = _sequence_candidate(a, coefficients, resolution)
+        gap = lambda P: measure._eval_rows(P) - j_rows(P)
+        distances[2] = _sweep(*_simplex_blocks(2, resolution, False, budget, gap)).sup
+        for n in range(3, int(levels) + 1):
+            split, dist = recursivity_defect(
+                measure, n, resolution, budget=budget, against=j_rows
+            )
+            eps.append(split.sup)
+            distances[n] = dist.sup
+        if levels == 2:  # the level-2 bound still reads eps_2
+            eps.append(recursivity_defect(measure, 3, resolution, budget=budget).sup)
 
     rows = []
     for n in range(2, int(levels) + 1):
@@ -712,10 +747,9 @@ def certify_measure_sequence(
             ) * k_const * (2.0 * eps[1] + eps[0])
         if statement:
             rows.append(SequenceRow(n=n, bound=row_bound))
-            continue
-        gap = lambda P: measure._eval_rows(P) - j_rows(P, n)
-        dist = _sweep(*_simplex_blocks(n, resolution, False, budget, gap)).sup
-        rows.append(SequenceRow(n, row_bound, dist, _passes(dist, row_bound)))
+        else:
+            dist = distances[n]
+            rows.append(SequenceRow(n, row_bound, dist, _passes(dist, row_bound)))
 
     overall = None if statement else all(r.satisfied for r in rows)
     return MeasureSequenceCertificate(

@@ -15,7 +15,9 @@ _CHUNK rows come from _row_blocks (a point matrix), _pair_blocks (a pair
 lattice) or _simplex_blocks (a streamed simplex lattice); _within_budget
 checks a sweep's defect samples against its budget before the lattice is
 built.  _blocks gives the (work, items) of an equation kind on a grid;
-residual reduces those blocks and dump_defects_csv writes them.
+residual reduces those blocks and dump_defects_csv writes them.  _sweep
+summarises each block and _fold folds the summaries, so a stream that yields
+two defects per block can fold each into its own report.
 
 The fundamental-equation kernel reads node tables: f(k/R) and
 (1 - k/R)^alpha are evaluated once per sweep over the node indices k the
@@ -214,15 +216,21 @@ def _sweep(work, items, *, jobs=1, epsilon_target=None):
     """Reduce work(item) -> (points, defects) over items to one report.
 
     Each block is summarised where it is computed, in a worker thread when
-    jobs > 1, so no defect array outlives its block.  Summaries are folded in
-    item order: the sup keeps the first index, and the mean is the exact
-    total, correctly rounded, over the sample count.
+    jobs > 1, so no defect array outlives its block, and the summaries are
+    folded in item order.
     """
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
             summaries = list(pool.map(lambda item: _summary(*work(item)), items))
     else:
         summaries = (_summary(*work(item)) for item in items)
+    return _fold(summaries, epsilon_target)
+
+
+def _fold(summaries, epsilon_target=None):
+    """The report of block summaries, folded in order: the sup keeps the
+    first index, and the mean is the exact total, correctly rounded, over
+    the sample count."""
     size = total = bad = 0
     sup, point, bad_point = -1.0, (), ()
     for n, block_sup, block_point, block_total, block_bad, block_bad_point in summaries:

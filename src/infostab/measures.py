@@ -17,7 +17,8 @@ scan their rows for positivity and unit sums, while the lattice sweeps,
 whose rows are interior simplex points by construction, evaluate through
 _eval_rows, which keeps only the level check.  The splitting defect runs one
 recursion per block: _split returns I_n(P) together with the I_{n-1} value,
-the (p1+p2)^alpha weight and the level-2 generator value it was built from.
+the (p1+p2)^alpha weight and the level-2 generator value it was built from,
+and the same recursion can also give a block's distance to a candidate.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .domains import SimplexGrid, TriangleGrid, pow0
 from .equations import FundamentalParametric, ResidualReport, _pair_blocks, _passes, _row_blocks
-from .equations import _simplex_blocks, _sweep, _within_budget, residual
+from .equations import _fold, _simplex_blocks, _summary, _sweep, _within_budget, residual
 from .errors import ConfigurationError, InvalidDistributionError
 from .models import Alpha, ScalarFunction, validate_distribution
 
@@ -124,11 +125,7 @@ class InformationMeasure:
         if P.ndim != 2 or P.shape[1] < 2:
             raise InvalidDistributionError("expected an (N, n) matrix with n >= 2")
         self._check_level(P.shape[1])
-        if float(P.min()) <= 0.0:
-            raise InvalidDistributionError(
-                "measures are evaluated on strictly positive distributions"
-            )
-        validate_distribution(P, tol=1e-9)
+        validate_distribution(P, tol=1e-9, positive=True)
         return self._recurse(P)
 
     def _eval_rows(self, P: np.ndarray) -> np.ndarray:
@@ -198,7 +195,9 @@ def check_semisymmetry3(
     measure: InformationMeasure, resolution: int, *, budget: int = 10**6
 ) -> ResidualReport:
     """sup over the interior 3-simplex of |I_3(p1,p2,p3) - I_3(p1,p3,p2)|."""
-    pts = SimplexGrid(3, resolution, budget=budget).points
+    grid = SimplexGrid(3, resolution, budget=budget)
+    _within_budget(grid.count, budget)
+    pts = grid.points
     swap = lambda P: measure._eval_rows(P[:, (0, 2, 1)]) - measure._eval_rows(P)
     return _sweep(*_row_blocks(pts, swap))
 
@@ -248,27 +247,47 @@ def check_sum_property(
     budget: int = 10**6,
 ) -> ResidualReport:
     """sup over the interior lattice of |I_n(P) - sum_i f(p_i)|."""
-    pts = SimplexGrid(n, resolution, budget=budget).points
+    grid = SimplexGrid(n, resolution, budget=budget)
+    _within_budget(grid.count, budget)
+    pts = grid.points
     gap = lambda P: measure._eval_rows(P) - np.sum(np.asarray(f(P)), axis=1)
     return _sweep(*_row_blocks(pts, gap))
 
 
 def recursivity_defect(
-    measure: InformationMeasure, n: int, resolution: int, *, budget: int = 10**6
-) -> ResidualReport:
+    measure: InformationMeasure,
+    n: int,
+    resolution: int,
+    *,
+    budget: int = 10**6,
+    against=None,
+):
     """sup over the interior n-lattice of the level-n splitting defect
 
         |I_n(P) - I_{n-1}(p1+p2, p3 ...) - (p1+p2)^alpha I_2(p1/s, p2/s)|
+
+    With against, a callable J on the lattice's rows, the same stream also
+    measures the distance |I_n(P) - J(P)|: one recursion per block gives both
+    defects, and the pair (splitting report, distance report) is returned.
     """
     if n < 3:
         raise ConfigurationError(f"recursivity defect needs n >= 3, got {n}")
 
-    def defect(P):
+    def split(P):
         measure._check_level(n)
         out, inner, weight, g2 = measure._split(P)
-        return out - inner - weight * g2
+        return out, out - inner - weight * g2
 
-    return _sweep(*_simplex_blocks(n, resolution, False, budget, defect))
+    if against is None:
+        return _sweep(*_simplex_blocks(n, resolution, False, budget, lambda P: split(P)[1]))
+
+    def both(P):
+        out, defect = split(P)
+        return _summary(P, defect), _summary(P, out - against(P))
+
+    work, blocks = _simplex_blocks(n, resolution, False, budget, both)
+    splits, gaps = zip(*(work(P)[1] for P in blocks))
+    return _fold(splits), _fold(gaps)
 
 
 class _GeneratorFunction(ScalarFunction):
@@ -351,6 +370,7 @@ def sum_property_cauchy_gap(
 def tabulate(measure: InformationMeasure, n: int, resolution: int, *, budget: int = 10**6):
     """Interior lattice points and I_n values, ready for CSV export."""
     grid = SimplexGrid(n, resolution, budget=budget)
+    _within_budget(grid.count, budget)
     pts = grid.points
     vals = measure._eval_rows(pts)
     return pts, vals

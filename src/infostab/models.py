@@ -551,23 +551,32 @@ class Wave2(BivariateFunction):
 # entropies
 
 
-def validate_distribution(p, tol=1e-9):
-    """Check nonnegativity and unit sum; returns the cleaned float array."""
+def validate_distribution(p, tol=1e-9, *, positive=False):
+    """Check nonnegativity (strict positivity when positive) and unit sum
+    with one min scan and one row-sum scan; returns the cleaned float array.
+
+    Coordinates down to -tol are clipped to 0.0.  When every coordinate is
+    already positive the clip is the identity and the float array itself is
+    returned; a zero may be -0.0, which the clip turns into 0.0.
+    """
     arr = np.asarray(p, dtype=float)
     rows = np.atleast_2d(arr)
     if rows.size == 0 or rows.shape[-1] < 1:
         raise InvalidDistributionError("empty distribution")
-    if float(rows.min()) < -tol:
+    low = float(rows.min())
+    if positive and low <= 0.0:
         raise InvalidDistributionError(
-            f"negative coordinate {float(rows.min())!r} in distribution"
+            "measures are evaluated on strictly positive distributions"
         )
+    if low < -tol:
+        raise InvalidDistributionError(f"negative coordinate {low!r} in distribution")
     sums = rows.sum(axis=-1)
     worst = float(np.abs(sums - 1.0).max())
     if worst > tol:
         raise InvalidDistributionError(
             f"coordinates sum to 1 only within {worst:.3e}, tolerance {tol:.1e}"
         )
-    return np.clip(arr, 0.0, None)
+    return arr if low > 0.0 else np.clip(arr, 0.0, None)
 
 
 def shannon_entropy(p):

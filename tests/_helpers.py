@@ -1,8 +1,18 @@
 """Shared constructions for the test modules."""
 
+import math
+
 import numpy as np
 
-from infostab import InformationMeasure, PowerFamily, ShannonInfo, pow0
+from infostab import (
+    Alpha,
+    InformationMeasure,
+    PowerFamily,
+    Regime,
+    ShannonInfo,
+    alpha_entropy,
+    pow0,
+)
 
 
 def kappa(alpha):
@@ -58,3 +68,64 @@ def recursive_measure(m, P):
         if pert.level == n:
             out = out + pert.values(P)
     return out
+
+
+def two_sweep_sequences(measure, levels, resolution, *, budget=10**6):
+    """certify_measure_sequence as it was before its level sweeps were fused,
+    at each count in levels: every epsilon first, then each level's lattice
+    swept again for the distance, with J_n from the public alpha_entropy.
+    The oracle of the fused certificate, which must match it byte for byte.
+
+    One set of sweeps up to max(levels) serves every count, since a level's
+    epsilon, bound and distance do not depend on how many levels are
+    certified."""
+    from infostab import certifiers as c
+    from infostab.measures import check_semisymmetry3, recursivity_defect
+
+    a = Alpha.of(measure.alpha_value)
+    last = max(levels)
+    f = c._GeneratorFunction(measure)
+    eps = [check_semisymmetry3(measure, resolution, budget=budget).sup]
+    for k in range(2, max(2, last - 1) + 1):
+        eps.append(recursivity_defect(measure, k + 1, resolution, budget=budget).sup)
+    v = a.value
+    candidate, trace = c._fit(f, a, resolution)
+    k_const = None if a.regime is Regime.NEGATIVE else c.stability_constant_K(a)
+    if a.regime is Regime.ZERO:
+        coefficients = {"c": candidate.offset, "lam": candidate.slope}
+    else:
+        coefficients = {
+            "c": (2.0 ** (1.0 - v) - 1.0) * candidate.a,
+            "d": candidate.b - candidate.a,
+        }
+        trace = trace.extended(j_c=coefficients["c"], j_d=coefficients["d"])
+
+    def j_rows(block, n):
+        p1 = block[:, 0]
+        if a.regime is Regime.ZERO:
+            return coefficients["c"] * float(n - 1) + coefficients["lam"] * np.log2(p1)
+        hn = np.asarray(alpha_entropy(block, v))
+        return coefficients["c"] * hn + coefficients["d"] * (pow0(p1, v) - 1.0)
+
+    rows = []
+    for n in range(2, last + 1):
+        row_bound = math.fsum(eps[k - 1] for k in range(2, n))
+        if a.regime is not Regime.NEGATIVE:
+            row_bound += (n - 1) * k_const * (2.0 * eps[1] + eps[0])
+        gap = lambda P: measure._eval_rows(P) - j_rows(P, n)
+        dist = c._sweep(*c._simplex_blocks(n, resolution, False, budget, gap)).sup
+        rows.append(c.SequenceRow(n, row_bound, dist, c._passes(dist, row_bound)))
+    return {
+        m: c.MeasureSequenceCertificate(
+            alpha=v,
+            levels=m,
+            resolution=int(resolution),
+            epsilons=tuple(eps[: max(2, m - 1)]),
+            candidate=candidate,
+            coefficients=coefficients,
+            rows=tuple(rows[: m - 1]),
+            satisfied=all(r.satisfied for r in rows[: m - 1]),
+            trace=trace,
+        )
+        for m in levels
+    }

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import exact_measure, kappa
+from _helpers import exact_measure, kappa, two_sweep_sequences
 from infostab import (
     AffineSum,
     Alpha,
@@ -24,6 +24,7 @@ from infostab import (
     FunctionSum,
     FundamentalParametric,
     GridSample,
+    InformationMeasure,
     LevelNoise,
     LogFamily,
     ModifiedEntropySolution,
@@ -35,6 +36,8 @@ from infostab import (
     PowerLog,
     ProductUV,
     ScaledBump,
+    ShannonInfo,
+    SimplexGrid,
     Sum3,
     TriangleGrid,
     UnsupportedParameterError,
@@ -54,6 +57,7 @@ from infostab import (
     certify_sum_form_mixed,
     certify_sum_form_multiplicative,
     hyperstability_blowup_probe,
+    pow0,
     residual,
     sampled,
     scalar_from_config,
@@ -61,7 +65,7 @@ from infostab import (
     stability_constant_T,
     stability_constants,
 )
-from infostab.certifiers import _hyperstable_fit
+from infostab.certifiers import _hyperstable_fit, _lattice_pow0
 
 
 def perturbed(f, height, center=0.5, width=0.2):
@@ -300,6 +304,16 @@ class TestBlowupProbe:
             hyperstability_blowup_probe(f, 2.0, [0.25], resolution=64)
 
 
+def _streamed_levels(monkeypatch):
+    """The list that records the level n of every simplex lattice streamed."""
+    streamed = []
+    real = SimplexGrid.iter_blocks
+    monkeypatch.setattr(
+        SimplexGrid, "iter_blocks", lambda g, *a: streamed.append(g.n) or real(g, *a)
+    )
+    return streamed
+
+
 class TestMeasureSequence:
     @pytest.mark.parametrize("alpha", [0.5, 2.0, -1.0])
     def test_exact_measure_levels(self, alpha):
@@ -379,6 +393,47 @@ class TestMeasureSequence:
         json.dumps(d)
         assert d["theorem"] == "measure_sequence"
         assert len(d["rows"]) == 3
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 3.0, -1.0, 0.0])
+    def test_fused_levels_match_the_two_sweep_oracle(self, alpha, noisy):
+        noise = (LevelNoise(3, 1e-3, 11), LevelNoise(5, 2e-3, 12)) if noisy else ()
+        if alpha == 0.0:
+            m = InformationMeasure(LogFamily(-0.5, 1.0), 0.0, 6, noise)
+        else:
+            m = exact_measure(alpha, max_n=6, perturbations=noise)
+        for r in (7, 13, 24, 40):
+            want = two_sweep_sequences(m, (2, 3, 4, 6), r)
+            for levels, cert in want.items():
+                got = certify_measure_sequence(m, levels, r)
+                assert json.dumps(got.to_json_dict()) == json.dumps(cert.to_json_dict())
+
+    @pytest.mark.parametrize("r", [7, 13, 40, 96])
+    @pytest.mark.parametrize("alpha", [-1.0, 0.5, 2.0, 3.0])
+    def test_node_table_gather_matches_pow0(self, alpha, r):
+        powers_of = _lattice_pow0(r, alpha)
+        for n in (2, 3, 4):
+            for block in SimplexGrid(n, r).iter_blocks():
+                got = powers_of(block)
+                assert np.array_equal(got.view(np.uint64), pow0(block, alpha).view(np.uint64))
+
+    @pytest.mark.parametrize("levels", [2, 4, 6])
+    def test_each_level_lattice_streams_once(self, levels, monkeypatch):
+        streamed = _streamed_levels(monkeypatch)
+        noise = (LevelNoise(3, 1e-3, 11), LevelNoise(5, 2e-3, 12))
+        cert = certify_measure_sequence(exact_measure(0.5, 6, noise), levels, 20)
+        assert cert.satisfied
+        # level 2 streams for its distance only, and levels == 2 still
+        # streams level 3 for eps_2
+        assert sorted(streamed) == list(range(2, max(3, levels) + 1))
+
+    @pytest.mark.parametrize("r, budget", [(40, 10**6), (400, 10**5)])
+    def test_alpha_one_refused_before_any_sweep(self, r, budget, monkeypatch):
+        streamed = _streamed_levels(monkeypatch)
+        m = InformationMeasure(ShannonInfo(), 1.0, 6)
+        with pytest.raises(UnsupportedParameterError, match="alpha = 1"):
+            certify_measure_sequence(m, 6, r, budget=budget)
+        assert streamed == []
 
 
 class TestEntropyEquation:

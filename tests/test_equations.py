@@ -54,6 +54,8 @@ from infostab import (
     certify_fundamental_open,
     certify_measure_sequence,
     certify_sum_form,
+    check_semisymmetry3,
+    check_sum_property,
     check_symmetry,
     dump_defects_csv,
     homogeneity_residual,
@@ -63,6 +65,7 @@ from infostab import (
     sampled,
     sum_property_cauchy_gap,
     symmetry_residual,
+    tabulate,
 )
 from infostab.equations import (
     _CHUNK,
@@ -638,6 +641,15 @@ _OVER_BUDGET = {
     "certify_measure_sequence": lambda path: certify_measure_sequence(
         _MEASURE, 6, 30, budget=10_000
     ),
+    # refused at the semi-symmetry sweep, by the sweep's budget and not the grid's
+    "certify_measure_sequence_small": lambda path: certify_measure_sequence(
+        _MEASURE, 6, 30, budget=100
+    ),
+    "check_semisymmetry3": lambda path: check_semisymmetry3(_MEASURE, 40, budget=100),
+    "check_sum_property": lambda path: check_sum_property(
+        _MEASURE, XLogX(-1.0), 4, 40, budget=100
+    ),
+    "tabulate": lambda path: tabulate(_MEASURE, 4, 40, budget=100),
     "certify_sum_form": lambda path: certify_sum_form(PowerLaw(1.0, 1.0), 3, 64, budget=100),
     "certify_associativity": lambda path: certify_associativity(
         PhiOfSum(PowerLaw(1.0, 2.0)), PhiOfSum(PowerLaw(1.0, 2.0)), _UNIT, _UNIT, _UNIT, 20,

@@ -79,6 +79,10 @@ class TestConstruction:
             m.eval_rows(np.array([0.5, 0.5]))
         with pytest.raises(ConfigurationError):
             InformationMeasure(ShannonInfo(), 1.0, max_n=3).eval([0.25] * 4)
+        with pytest.raises(InvalidDistributionError, match="^empty distribution$"):
+            m.eval_rows(np.empty((0, 3)))
+        with pytest.raises(InvalidDistributionError, match="^measures are evaluated on strictly"):
+            m.eval([1.5, -0.5])  # positivity is checked before the sign
 
 
 class TestRecursionExactness:
@@ -353,7 +357,7 @@ class TestOnePass:
             "validate_distribution",
             lambda *a, **k: scans.append(1) or real_validate(*a, **k),
         )
-        real_blocks = certifiers._simplex_blocks
+        real_blocks = measures._simplex_blocks
 
         def blocks(n, resolution, closed, budget, defect):
             def counted(P):
@@ -364,7 +368,10 @@ class TestOnePass:
 
             return real_blocks(n, resolution, closed, budget, counted)
 
+        # the level-2 distance streams from certifiers, every fused level
+        # from recursivity_defect in measures
         monkeypatch.setattr(certifiers, "_simplex_blocks", blocks)
+        monkeypatch.setattr(measures, "_simplex_blocks", blocks)
         m = _noisy_measure()
         recursivity_defect(m, 5, 30)
         assert scans == []
@@ -373,6 +380,19 @@ class TestOnePass:
         before = len(scans)
         m.eval_rows(SimplexGrid(3, 8).points)
         assert len(scans) == before + 1  # the public entry still validates
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_fused_distance_matches_its_own_sweep(self, n):
+        m = _noisy_measure()
+        against = lambda P: np.asarray(alpha_entropy(P, 0.5))
+        split, dist = recursivity_defect(m, n, 24, against=against)
+        assert split == recursivity_defect(m, n, 24)
+        pts = SimplexGrid(n, 24).points
+        gap = m._eval_rows(pts) - against(pts)
+        assert dist.sup == float(np.max(np.abs(gap)))
+        assert dist.mean == math.fsum(np.abs(gap)) / gap.size
+        assert dist.samples == gap.size
+        assert dist.argmax_point == tuple(pts[int(np.argmax(np.abs(gap)))].tolist())
 
     def test_level_check_keeps_its_place(self):
         m = _noisy_measure()

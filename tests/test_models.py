@@ -224,6 +224,24 @@ class TestDistributions:
         out = validate_distribution([1.0 + 1e-12, -1e-12])
         assert out.min() == 0.0
 
+    def test_validate_clips_only_where_it_changes_a_value(self):
+        rows = np.array([[0.25, 0.75], [0.5, 0.5]])
+        assert validate_distribution(rows) is rows  # positive: the clip is the identity
+        out = validate_distribution(np.array([-0.0, 1.0]))
+        assert out.tolist() == [0.0, 1.0] and not np.signbit(out[0])
+        out = validate_distribution(np.array([-1e-12, 1.0 + 1e-12]))
+        assert out[0] == 0.0 and not np.signbit(out[0])
+
+    def test_validate_positive_keeps_the_measure_message(self):
+        positive = "^measures are evaluated on strictly positive distributions$"
+        for rows in ([[0.0, 1.0]], [[-0.0, 1.0]], [[1.5, -0.5]]):
+            with pytest.raises(InvalidDistributionError, match=positive):
+                validate_distribution(rows, positive=True)
+        with pytest.raises(InvalidDistributionError, match="^negative coordinate -0.5 "):
+            validate_distribution([[1.5, -0.5]])
+        with pytest.raises(InvalidDistributionError, match="^coordinates sum to 1 only"):
+            validate_distribution([[0.7, 0.7]], positive=True)
+
     def test_validate_rejects(self):
         with pytest.raises(InvalidDistributionError):
             validate_distribution([0.7, 0.7])
