@@ -3,6 +3,12 @@
 Reads a versioned JSON run configuration, dispatches residual / certify /
 measure / sweep / blowup jobs, and writes machine-readable reports:
 report.json always, summary.csv for tabular jobs, defects.csv on request.
+Equations and theorems are table entries read by one path.  An `_EQUATIONS`
+entry holds the kind class, its parameter fields, the descriptor builder and
+the arity; a `_THEOREMS` entry the certifier's name, its defects.csv lattice
+and its config fields with their readers.  The fundamental regime dispatch,
+associativity's list checks and measure_sequence's two input forms keep code
+of their own.
 
 Exit codes: 0 when every certificate is satisfied (or the residual met its
 target), 1 when a bound was violated, 2 for configuration errors and for
@@ -196,54 +202,38 @@ def _build_measure(desc):
 # ---------------------------------------------------------------------------
 # equation registry for residual jobs
 
-# name -> (factory(cfg), descriptor builder, how many functions)
+_PARAMETERS = {"alpha": _float_field, "n": _int_field, "m": _int_field}
+
+# name -> (kind class, its parameter fields in argument order, descriptor
+# builder, how many functions); every parameter is read by _PARAMETERS
 _EQUATIONS = {
-    "fundamental": (
-        lambda cfg: FundamentalParametric(Alpha.of(_float_field(cfg, "alpha")).value),
-        scalar_from_config,
-        1,
-    ),
-    "entropy": (lambda cfg: EntropyEq(), ternary_from_config, 1),
-    "modified_entropy": (
-        lambda cfg: ModifiedEntropy(Alpha.of(_float_field(cfg, "alpha")).value),
-        ternary_from_config,
-        1,
-    ),
-    "cocycle": (lambda cfg: Cocycle(), bivariate_from_config, 1),
-    "cauchy_additive": (lambda cfg: CauchyAdditive(), scalar_from_config, 1),
-    "multiplicative": (lambda cfg: Multiplicative(), scalar_from_config, 1),
-    "logarithmic": (lambda cfg: Logarithmic(), scalar_from_config, 1),
-    "phi": (lambda cfg: PhiEquation(), scalar_from_config, 1),
-    "daroczy": (lambda cfg: DaroczyIdentity(), scalar_from_config, 2),
-    "info_function_form": (lambda cfg: InfoFunctionForm(), scalar_from_config, 2),
-    "sum_form_additive": (
-        lambda cfg: SumFormAdditive(_int_field(cfg, "n"), _int_field(cfg, "m")),
-        scalar_from_config,
-        1,
-    ),
-    "sum_form_alpha": (
-        lambda cfg: SumFormAlpha(
-            Alpha.of(_float_field(cfg, "alpha")).value,
-            _int_field(cfg, "n"),
-            _int_field(cfg, "m"),
-        ),
-        scalar_from_config,
-        1,
-    ),
-    "sum_form_multiplicative": (
-        lambda cfg: SumFormMultiplicative(_int_field(cfg, "n"), _int_field(cfg, "m")),
-        scalar_from_config,
-        1,
-    ),
+    "fundamental": (FundamentalParametric, ("alpha",), scalar_from_config, 1),
+    "entropy": (EntropyEq, (), ternary_from_config, 1),
+    "modified_entropy": (ModifiedEntropy, ("alpha",), ternary_from_config, 1),
+    "cocycle": (Cocycle, (), bivariate_from_config, 1),
+    "cauchy_additive": (CauchyAdditive, (), scalar_from_config, 1),
+    "multiplicative": (Multiplicative, (), scalar_from_config, 1),
+    "logarithmic": (Logarithmic, (), scalar_from_config, 1),
+    "phi": (PhiEquation, (), scalar_from_config, 1),
+    "daroczy": (DaroczyIdentity, (), scalar_from_config, 2),
+    "info_function_form": (InfoFunctionForm, (), scalar_from_config, 2),
+    "sum_form_additive": (SumFormAdditive, ("n", "m"), scalar_from_config, 1),
+    "sum_form_alpha": (SumFormAlpha, ("alpha", "n", "m"), scalar_from_config, 1),
+    "sum_form_multiplicative": (SumFormMultiplicative, ("n", "m"), scalar_from_config, 1),
 }
+
+
+def _equation_kind(name, cfg):
+    cls, params = _EQUATIONS[name][:2]
+    return cls(*(_PARAMETERS[p](cfg, p) for p in params))
 
 
 def _job_residual(cfg, jobs, dump):
     name = _field(cfg, "equation")
     if name not in _EQUATIONS:
         raise ConfigurationError(f"config field 'equation' is unknown: '{name}'")
-    factory, builder, arity = _EQUATIONS[name]
-    kind = factory(cfg)
+    kind = _equation_kind(name, cfg)
+    builder, arity = _EQUATIONS[name][2:]
     budget = _int_field(cfg, "budget", 10**7)
     grid = _build_grid(_field(cfg, "grid"), budget)
     if arity == 1:
@@ -299,13 +289,40 @@ def _certify_fundamental(
     return cert, closed
 
 
+def _function_field(builder):
+    return lambda cfg, name: _build_function(builder, _field(cfg, name), name)
+
+
+_SCALAR, _TERNARY = _function_field(scalar_from_config), _function_field(ternary_from_config)
+
+# name -> (certifier name, looked up in this module at call time so that a
+# wrapper installed on it sees the call; defects.csv as (equation name, config
+# field of the cone's box) or None; (config field, reader[, default]) in
+# argument order, a field with a default optional and passed by keyword)
+_THEOREMS = {
+    "entropy_equation": ("certify_entropy_equation", ("entropy", "bound"), (
+        ("function", _TERNARY), ("alpha", _float_field), ("resolution", _int_field),
+        ("bound", _float_field, 1.0))),
+    "modified_entropy": ("certify_modified_entropy", ("modified_entropy", "n"), (
+        ("function", _TERNARY), ("alpha", _float_field), ("n", _float_field),
+        ("resolution", _int_field))),
+    "sum_form": ("certify_sum_form", None, (
+        ("function", _SCALAR), ("n", _int_field), ("resolution", _int_field))),
+    "sum_form_multiplicative": ("certify_sum_form_multiplicative", None, (
+        ("function", _SCALAR), ("n", _int_field), ("m", _int_field), ("resolution", _int_field))),
+    "sum_form_mixed": ("certify_sum_form_mixed", None, (
+        ("function", _SCALAR), ("alpha", _float_field), ("beta", _float_field),
+        ("n", _int_field), ("m", _int_field), ("resolution", _int_field))),
+}
+
+
 def _job_certify(cfg, jobs, dump):
     theorem = _field(cfg, "theorem")
     budget = _int_field(cfg, "budget", 10**7)
     dump_args = None
 
     if theorem in _FUNDAMENTAL:
-        f = _build_function(scalar_from_config, _field(cfg, "function"), "function")
+        f = _SCALAR(cfg, "function")
         alpha = _float_field(cfg, "alpha")
         resolution = _int_field(cfg, "resolution")
         override = _field(cfg, "epsilon", None)
@@ -330,40 +347,13 @@ def _job_certify(cfg, jobs, dump):
         levels = _int_field(cfg, "levels")
         resolution = _int_field(cfg, "resolution")
         if "measure" in cfg:
-            cert = certify_measure_sequence(
-                _build_measure(cfg["measure"]),
-                levels,
-                resolution,
-                alpha=_field(cfg, "alpha", None),
-                budget=budget,
-                jobs=jobs,
-            )
+            measure, alpha = _build_measure(cfg["measure"]), _field(cfg, "alpha", None)
         else:
-            gen = _build_function(
-                scalar_from_config, _field(cfg, "generator"), "generator"
-            )
-            cert = certify_measure_sequence(
-                (gen, _float_list(cfg, "epsilons")),
-                levels,
-                resolution,
-                alpha=_float_field(cfg, "alpha"),
-                budget=budget,
-                jobs=jobs,
-            )
-        result = cert.to_json_dict()
-    elif theorem == "entropy_equation":
-        H = _build_function(ternary_from_config, _field(cfg, "function"), "function")
-        resolution = _int_field(cfg, "resolution")
-        box = _float_field(cfg, "bound", 1.0)
-        cert = certify_entropy_equation(
-            H,
-            _float_field(cfg, "alpha"),
-            resolution,
-            bound=box,
-            jobs=jobs,
-            budget=budget,
+            measure = (_SCALAR(cfg, "generator"), _float_list(cfg, "epsilons"))
+            alpha = _float_field(cfg, "alpha")
+        cert = certify_measure_sequence(
+            measure, levels, resolution, alpha=alpha, budget=budget, jobs=jobs
         )
-        dump_args = (EntropyEq(), H, ConeGrid(resolution, bound=box, budget=budget))
         result = cert.to_json_dict()
     elif theorem == "associativity":
         descs = _field(cfg, "functions")
@@ -382,53 +372,17 @@ def _job_certify(cfg, jobs, dump):
             A, B, ivs[0], ivs[1], ivs[2], _int_field(cfg, "resolution"), budget=budget
         )
         result = cert.to_json_dict()
-    elif theorem == "modified_entropy":
-        f = _build_function(ternary_from_config, _field(cfg, "function"), "function")
-        alpha = _float_field(cfg, "alpha")
-        box = _float_field(cfg, "n")
-        resolution = _int_field(cfg, "resolution")
-        cert = certify_modified_entropy(
-            f, alpha, box, resolution, jobs=jobs, budget=budget
-        )
-        dump_args = (
-            ModifiedEntropy(cert.alpha),
-            f,
-            ConeGrid(resolution, bound=box, budget=budget),
-        )
-        result = cert.to_json_dict()
-    elif theorem == "sum_form":
-        phi = _build_function(scalar_from_config, _field(cfg, "function"), "function")
-        cert = certify_sum_form(
-            phi,
-            _int_field(cfg, "n"),
-            _int_field(cfg, "resolution"),
-            jobs=jobs,
-            budget=budget,
-        )
-        result = cert.to_json_dict()
-    elif theorem == "sum_form_multiplicative":
-        g = _build_function(scalar_from_config, _field(cfg, "function"), "function")
-        cert = certify_sum_form_multiplicative(
-            g,
-            _int_field(cfg, "n"),
-            _int_field(cfg, "m"),
-            _int_field(cfg, "resolution"),
-            jobs=jobs,
-            budget=budget,
-        )
-        result = cert.to_json_dict()
-    elif theorem == "sum_form_mixed":
-        f = _build_function(scalar_from_config, _field(cfg, "function"), "function")
-        cert = certify_sum_form_mixed(
-            f,
-            _float_field(cfg, "alpha"),
-            _float_field(cfg, "beta"),
-            _int_field(cfg, "n"),
-            _int_field(cfg, "m"),
-            _int_field(cfg, "resolution"),
-            jobs=jobs,
-            budget=budget,
-        )
+    elif theorem in _THEOREMS:
+        certifier, dump_spec, fields = _THEOREMS[theorem]
+        args, keywords = {}, {}
+        for name, read, *default in fields:
+            (keywords if default else args)[name] = read(cfg, name, *default)
+        cert = globals()[certifier](*args.values(), jobs=jobs, budget=budget, **keywords)
+        if dump_spec is not None:
+            equation, box_field = dump_spec
+            box = {**args, **keywords}[box_field]
+            grid = ConeGrid(args["resolution"], bound=box, budget=budget)
+            dump_args = (_equation_kind(equation, cfg), args["function"], grid)
         result = cert.to_json_dict()
     else:
         raise ConfigurationError(f"config field 'theorem' is unknown: '{theorem}'")
@@ -570,7 +524,7 @@ def _job_sweep(cfg, jobs, dump):
 
 
 def _job_blowup(cfg, jobs, dump):
-    f = _build_function(scalar_from_config, _field(cfg, "function"), "function")
+    f = _SCALAR(cfg, "function")
     alpha = _float_field(cfg, "alpha")
     probe = hyperstability_blowup_probe(
         f,

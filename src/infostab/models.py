@@ -564,6 +564,8 @@ def validate_distribution(p, tol=1e-9, *, positive=False):
     if rows.size == 0 or rows.shape[-1] < 1:
         raise InvalidDistributionError("empty distribution")
     low = float(rows.min())
+    if math.isnan(low):
+        raise InvalidDistributionError("NaN coordinate in distribution")
     if positive and low <= 0.0:
         raise InvalidDistributionError(
             "measures are evaluated on strictly positive distributions"

@@ -487,6 +487,87 @@ class TestRunPlumbing:
         assert raw == json.dumps(json.loads(raw), indent=2, sort_keys=True) + "\n"
 
 
+
+ENTROPY_SOLUTION = {"kind": "entropy_solution", "scale": 0.7, "alpha": 2.0}
+MODIFIED_SOLUTION = {"kind": "modified_entropy_solution", "coeff": 0.4, "alpha": 2.0,
+                     "phi": {"kind": "xlog2", "scale": 1.0}}
+PHI_OF_SUM = {"kind": "phi_of_sum", "phi": {"kind": "power_law", "scale": 1.0, "alpha": 2.0}}
+SHANNON_PAIR = [{"kind": "shannon_info"}, {"kind": "xlog2", "scale": -1.0}]
+UNIT = {"kind": "unit", "resolution": 8}
+CONE = {"kind": "cone", "resolution": 4}
+
+# every field each table entry requires, and nothing optional
+THEOREM_FIELDS = {
+    "entropy_equation": {"function": ENTROPY_SOLUTION, "alpha": 2.0, "resolution": 6},
+    "modified_entropy": {"function": MODIFIED_SOLUTION, "alpha": 2.0, "n": 1.0,
+                         "resolution": 6},
+    "sum_form": {"function": POWER, "n": 3, "resolution": 4},
+    "sum_form_multiplicative": {"function": POWER, "n": 3, "m": 3, "resolution": 3},
+    "sum_form_mixed": {"function": POWER, "alpha": 0.5, "beta": 2.0, "n": 3, "m": 3,
+                       "resolution": 3},
+}
+EQUATION_FIELDS = {
+    "fundamental": {"alpha": 0.5, "function": POWER,
+                    "grid": {"kind": "triangle", "resolution": 8}},
+    "entropy": {"function": ENTROPY_SOLUTION, "grid": CONE},
+    "modified_entropy": {"alpha": 2.0, "function": MODIFIED_SOLUTION, "grid": CONE},
+    "cocycle": {"function": PHI_OF_SUM, "grid": CONE},
+    "cauchy_additive": {"function": POWER, "grid": UNIT},
+    "multiplicative": {"function": POWER, "grid": UNIT},
+    "logarithmic": {"function": POWER, "grid": UNIT},
+    "phi": {"function": POWER, "grid": UNIT},
+    "daroczy": {"functions": SHANNON_PAIR, "grid": UNIT},
+    "info_function_form": {"functions": SHANNON_PAIR, "grid": UNIT},
+    "sum_form_additive": {"n": 3, "m": 3, "function": POWER,
+                          "grid": {"kind": "simplex_pair", "n": 3, "m": 3, "resolution": 4}},
+    "sum_form_alpha": {"alpha": 0.5, "n": 3, "m": 3, "function": POWER,
+                       "grid": {"kind": "simplex_pair", "n": 3, "m": 3, "resolution": 4}},
+    "sum_form_multiplicative": {"n": 3, "m": 3, "function": POWER,
+                                "grid": {"kind": "simplex_pair", "n": 3, "m": 3,
+                                         "resolution": 4}},
+}
+
+
+def without_each_required_field():
+    for theorem, fields in THEOREM_FIELDS.items():
+        yield {"schema": 1, "job": "certify", "theorem": theorem, **fields}
+    for equation, fields in EQUATION_FIELDS.items():
+        yield {"schema": 1, "job": "residual", "equation": equation, **fields}
+
+
+class TestTableEntriesRequireTheirFields:
+    """The theorem and equation tables are read by one generic path; each
+    entry must name every field it needs in the required-field message, and
+    with all of them present must reach its sweep (stubbed out here)."""
+
+    class Reached(Exception):
+        pass
+
+    def test_the_cases_cover_every_entry(self):
+        import infostab.cli as cli
+
+        assert set(THEOREM_FIELDS) == set(cli._THEOREMS)
+        assert set(EQUATION_FIELDS) == set(cli._EQUATIONS)
+
+    @pytest.mark.parametrize("config", list(without_each_required_field()),
+                             ids=lambda c: f"{c['job']}-{c.get('theorem', c.get('equation'))}")
+    def test_dropping_any_field_names_it(self, tmp_path, monkeypatch, config):
+        import infostab.cli as cli
+
+        def reached(*args, **kwargs):
+            raise self.Reached
+
+        for name in ["residual"] + [entry[0] for entry in cli._THEOREMS.values()]:
+            monkeypatch.setattr(cli, name, reached)
+        with pytest.raises(self.Reached):
+            run(config, out_dir=str(tmp_path))
+        for name in config.keys() - {"schema", "job"}:
+            partial = {k: v for k, v in config.items() if k != name}
+            message = f"^config field '{name}' is required$"
+            with pytest.raises(ConfigurationError, match=message):
+                run(partial, out_dir=str(tmp_path))
+        assert not (tmp_path / "report.json").exists()
+
 class TestMain:
     def write_config(self, tmp_path, config):
         path = tmp_path / "config.json"

@@ -18,6 +18,7 @@ from infostab import (
     EntropySolution,
     FunctionSum,
     GridSample,
+    InformationMeasure,
     InvalidDistributionError,
     LogFamily,
     ModifiedEntropySolution,
@@ -249,6 +250,15 @@ class TestDistributions:
             validate_distribution([1.5, -0.5])
         with pytest.raises(InvalidDistributionError):
             validate_distribution([])
+
+    def test_nan_coordinate_rejected_at_every_entry(self):
+        nan_message = "^NaN coordinate in distribution$"
+        with pytest.raises(InvalidDistributionError, match=nan_message):
+            validate_distribution([math.nan, 0.5])
+        with pytest.raises(InvalidDistributionError, match=nan_message):
+            alpha_entropy([math.nan, 0.5], 2.0)
+        with pytest.raises(InvalidDistributionError, match=nan_message):
+            InformationMeasure(ShannonInfo(), 1.0, 4).eval([math.nan, 0.5])
 
     def test_shannon_uniform_three(self):
         h = shannon_entropy([1 / 3, 1 / 3, 1 / 3])
