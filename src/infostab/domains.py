@@ -7,6 +7,11 @@ reproducible, makes refinement nesting exact in floating point (k/R and
 whenever the resolution is even.  Point arrays are materialised once per grid
 and returned read-only, so grids are safe to share across threads.
 
+The triangle, cone and pair lattices are written in place: one float matrix
+of the final shape is allocated and filled from a node table by slice or
+broadcast copies, so a build peaks at its output.  Simplex lattices are
+enumerated as integer compositions and scaled block by block.
+
 Conventions (applied uniformly, for every exponent alpha):
 
     0 * log2(0) = 0        0 / (0 + 0) = 0        0 ** alpha = 0
@@ -103,6 +108,18 @@ def _freeze(arr):
     return arr
 
 
+def _box(axis, k):
+    """The k-fold Cartesian power of axis as a C-ordered (len^k, k) matrix,
+    first coordinate slowest (meshgrid "ij" order), each column broadcast
+    straight into one matrix through a (len, ..., len, k) view."""
+    r = axis.size
+    out = np.empty((r**k, k))
+    view = out.reshape((r,) * k + (k,))
+    for j in range(k):
+        view[..., j] = axis.reshape((r,) + (1,) * (k - 1 - j))
+    return out
+
+
 def _compositions(prefix, rem, parts, lo):
     """Integer columns of every way to split ``rem[i]`` into ``parts`` parts of
     at least ``lo`` after the fixed leading parts ``prefix[j][i]``, prefix by
@@ -179,13 +196,22 @@ class TriangleGrid(_CsvMixin):
 
     @cached_property
     def points(self):
-        # (i, j) are the leading parts of the 3-part compositions of R; the
-        # closed variant drops the corners (0, R) and (R, 0)
-        r = self.resolution
-        cols = _compositions([], np.array([r]), 3, 0 if self.closed else 1)[:2]
-        if self.closed:
-            cols = [np.delete(c, [r, c.size - 1]) for c in cols]
-        return _freeze(_scaled(cols, r))
+        # lexicographic rows (i/R, j/R): row i holds j = lo..hi with
+        # hi = min(R - lo - i, R - 1), copied from the node table k/R into
+        # the final matrix; the first empty row ends the lattice
+        r, lo = self.resolution, 0 if self.closed else 1
+        nodes = np.arange(r + 1) / float(r)
+        out = np.empty((self.count, 2))
+        start = 0
+        for i in range(lo, r):
+            hi = min(r - lo - i, r - 1)
+            if hi < lo:
+                break
+            stop = start + hi - lo + 1
+            out[start:stop, 0] = nodes[i]
+            out[start:stop, 1] = nodes[lo : hi + 1]
+            start = stop
+        return _freeze(out)
 
 
 @dataclass(frozen=True)
@@ -298,10 +324,7 @@ class ConeGrid(_CsvMixin):
     @cached_property
     def points(self):
         step = self.bound / self.resolution
-        axis = np.arange(1, self.resolution + 1) * step
-        x, y, z = np.meshgrid(axis, axis, axis, indexing="ij")
-        pts = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
-        return _freeze(pts)
+        return _freeze(_box(np.arange(1, self.resolution + 1) * step, 3))
 
 
 @dataclass(frozen=True)
@@ -322,9 +345,7 @@ class PairGrid(_CsvMixin):
     @cached_property
     def points(self):
         step = self.bound / self.resolution
-        axis = np.arange(1, self.resolution + 1) * step
-        u, v = np.meshgrid(axis, axis, indexing="ij")
-        return _freeze(np.stack([u.ravel(), v.ravel()], axis=1))
+        return _freeze(_box(np.arange(1, self.resolution + 1) * step, 2))
 
 
 def grid_to_csv(points, path):

@@ -12,12 +12,13 @@ Every sweep has one block contract: work(item) returns (points, defects),
 and value i of defects belongs to row i % len(points), so a block that
 stacks several variants of each point carries its points once.  Blocks of
 _CHUNK rows come from _row_blocks (a point matrix), _pair_blocks (a pair
-lattice) or _simplex_blocks (a streamed simplex lattice); _within_budget
-checks a sweep's defect samples against its budget before the lattice is
-built.  _blocks gives the (work, items) of an equation kind on a grid;
-residual reduces those blocks and dump_defects_csv writes them.  _sweep
-summarises each block and _fold folds the summaries, so a stream that yields
-two defects per block can fold each into its own report.
+lattice, whose points build a row only on request) or _simplex_blocks (a
+streamed simplex lattice); _within_budget checks a sweep's defect samples
+against its budget before the lattice is built.  _blocks gives the
+(work, items) of an equation kind on a grid; residual reduces those blocks
+and dump_defects_csv writes them.  _sweep summarises each block and _fold
+folds the summaries, so a stream that yields two defects per block can fold
+each into its own report.
 
 The fundamental-equation kernel reads node tables: f(k/R) and
 (1 - k/R)^alpha are evaluated once per sweep over the node indices k the
@@ -397,25 +398,45 @@ def _expect_grid(grid, cls, kind_name):
     return grid
 
 
+class _PairRows:
+    """The points of a pair block, P-major: row i is the P row i // len(Q),
+    then the Q row i % len(Q).  A row is built only when asked for; the
+    whole matrix only when numpy converts the block, as a dump does."""
+
+    def __init__(self, P, Q):
+        self.P, self.Q = P, Q
+
+    def __len__(self):
+        return len(self.P) * len(self.Q)
+
+    def __getitem__(self, i):
+        p, q = divmod(i, len(self.Q))
+        return np.concatenate((self.P[p], self.Q[q]))
+
+    def __array__(self, dtype=None, copy=None):
+        n = self.P.shape[1]
+        out = np.empty((len(self.P), len(self.Q), n + self.Q.shape[1]), dtype=dtype)
+        out[:, :, :n] = self.P[:, None]
+        out[:, :, n:] = self.Q
+        return out.reshape(len(self), -1)
+
+
 def _pair_blocks(gp, gq, budget, cross):
     """(work, spans) over the pair lattice of two simplex grids, within budget.
     work((a, b)) pairs the rows P[a:b] with every row of Q, P-major: a pair's
-    point is its P row, then its Q row, and its defect comes from
-    cross(a, b, prods), where prods[i, j] holds the coordinates of the product
-    P[a + i] * Q[j].  A span holds about _CHUNK pairs and at least one row of P."""
+    point is its P row, then its Q row (a _PairRows block), and its defect
+    comes from cross(a, b, prods), where prods[i, j] holds the coordinates of
+    the product P[a + i] * Q[j].  A span holds about _CHUNK pairs and at least
+    one row of P."""
     _within_budget(gp.count * gq.count, budget)
     P = gp.points
     Q = gq.points
-    n = P.shape[1]
 
     def work(span):
         a, b = span
         prods = P[a:b, None, :, None] * Q[None, :, None, :]
-        points = np.empty((b - a, len(Q), n + Q.shape[1]))
-        points[:, :, :n] = P[a:b, None]
-        points[:, :, n:] = Q
         defects = np.ravel(cross(a, b, prods.reshape(b - a, len(Q), -1)))
-        return points.reshape(defects.size, -1), defects
+        return _PairRows(P[a:b], Q), defects
 
     return work, _spans(P.shape[0], max(1, _CHUNK // len(Q)))
 

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -611,6 +614,21 @@ class TestMain:
         code = main(["--config", path, "--out", str(out), "--dump-defects"])
         assert code == EXIT_OK
         assert (out / "defects.csv").exists()
+
+    def test_process_entry_point_writes_the_same_report(self, tmp_path):
+        # python -m infostab sets the allocator thresholds first; the report
+        # is the one the in-process run writes
+        config = certify_config("fundamental", NOISY_POWER, 0.5, resolution=256)
+        path = self.write_config(tmp_path, config)
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "infostab", "--config", path, "--out", str(out)],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert run(config, out_dir=str(tmp_path)) == EXIT_OK
+        assert (out / "report.json").read_bytes() == (tmp_path / "report.json").read_bytes()
 
     def test_jobs_flag(self, tmp_path):
         path = self.write_config(tmp_path, certify_config("fundamental", POWER, 0.5))

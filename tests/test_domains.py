@@ -135,7 +135,8 @@ def _masked_triangle(r, closed):
 class TestTriangleGrid:
     @pytest.mark.parametrize(
         "r, closed",
-        [(2, True)] + [(r, closed) for r in (3, 5, 7, 96, 512) for closed in (False, True)],
+        [(2, True)]
+        + [(r, closed) for r in (3, 5, 7, 96, 512, 2048) for closed in (False, True)],
     )
     def test_matches_masked_meshgrid(self, r, closed):
         assert _bits(TriangleGrid(r, closed=closed).points) == _bits(_masked_triangle(r, closed))
@@ -268,6 +269,56 @@ class TestSimplexGrid:
             SimplexGrid(3, 6).iter_blocks(rows=0)
 
 
+def _meshgrid_box(resolution, bound, k):
+    """The meshgrid-and-stack cone and pair build, kept as the oracle of its
+    replacement."""
+    axis = np.arange(1, resolution + 1) * (bound / resolution)
+    return np.stack([c.ravel() for c in np.meshgrid(*[axis] * k, indexing="ij")], axis=1)
+
+
+def _peak_over_output(build):
+    """tracemalloc peak of build() over the nbytes of the array it returns."""
+    tracemalloc.start()
+    try:
+        out = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / out.nbytes
+
+
+class TestInPlaceBuilds:
+    @pytest.mark.parametrize("r", [2, 3, 7, 40, 125])
+    @pytest.mark.parametrize("bound", [1.0, 2.0, 0.3, 7.5])
+    def test_cone_and_pair_match_meshgrid(self, r, bound):
+        assert _bits(ConeGrid(r, bound=bound).points) == _bits(_meshgrid_box(r, bound, 3))
+        assert _bits(PairGrid(r, bound=bound).points) == _bits(_meshgrid_box(r, bound, 2))
+
+    @pytest.mark.parametrize(
+        "grid", [TriangleGrid(64), TriangleGrid(64, closed=True), ConeGrid(6), PairGrid(6)]
+    )
+    def test_points_are_frozen_c_ordered_floats(self, grid):
+        pts = grid.points
+        assert pts.dtype == np.float64 and pts.flags.c_contiguous
+        with pytest.raises(ValueError):
+            pts[0, 0] = 0.5
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: TriangleGrid(2048, closed=True).points,
+            lambda: TriangleGrid(2048).points,
+            # 1,953,125 points, the largest cube under the default budget
+            lambda: ConeGrid(125).points,
+            lambda: PairGrid(1000).points,
+        ],
+        ids=["triangle-closed", "triangle-open", "cone", "pair"],
+    )
+    def test_build_peaks_at_its_output(self, build):
+        # room for the node table and the loop's views, not for a second copy
+        assert _peak_over_output(build) <= 1.05
+
+
 class TestConeAndPair:
     def test_cone_points_strictly_positive(self):
         g = ConeGrid(5, bound=2.0)
@@ -312,6 +363,25 @@ def test_triangle_open_inside_closed(r):
     open_pts = {tuple(p) for p in TriangleGrid(r).points.tolist()}
     closed_pts = {tuple(p) for p in TriangleGrid(r, closed=True).points.tolist()}
     assert open_pts <= closed_pts
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), closed=st.booleans())
+def test_triangle_indices_what_the_kernel_reads(data, closed):
+    # the fundamental kernel gathers one node table at rint(points * R) for
+    # both coordinates, so the j range must be the i range
+    r = data.draw(st.integers(min_value=2 if closed else 3, max_value=400), label="r")
+    grid = TriangleGrid(r, closed=closed)
+    pts = grid.points
+    assert grid.count == len(pts)
+    ij = np.rint(pts * r)
+    assert np.array_equal(ij / r, pts)
+    lo = 0 if closed else 1  # the node tables hold k = lo..R-1-lo
+    assert ij.min() >= lo and ij.max() <= r - 1 - lo
+    keys = ij[:, 0] * (r + 1) + ij[:, 1]
+    assert np.all(np.diff(keys) > 0)
+    swapped = np.sort(ij[:, 1] * (r + 1) + ij[:, 0])
+    assert np.array_equal(swapped, keys)
 
 
 @settings(max_examples=30, deadline=None)

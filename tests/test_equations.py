@@ -73,6 +73,7 @@ from infostab.equations import (
     _blocks,
     _defect_and_points,
     _exact_total,
+    _row,
     _sum_form_blocks,
     _unit_pairs,
     _write_defect_rows,
@@ -313,6 +314,25 @@ class TestSumForms:
         grids = (SimplexGrid(2, 50, closed=True), SimplexGrid(2, 50, closed=True))
         with pytest.raises(BudgetExceededError):
             residual(SumFormAdditive(2, 2), XLogX(-1.0), grids, budget=100)
+
+    def test_sum_form_blocks_carry_their_rows_apart(self):
+        # a block holds views of its P rows and of Q, not a pairs x (n+m)
+        # matrix; a row, or the whole matrix, is built on request
+        grids = (SimplexGrid(3, 40, closed=True), SimplexGrid(3, 40, closed=True))
+        work, spans = _sum_form_blocks(SumFormAdditive(3, 3), XLogX(-1.0), grids, 10**7)
+        P, Q = grids[0].points, grids[1].points
+        assert len(spans) > 1
+        for a, b in (spans[0], spans[-1]):
+            points, defects = work((a, b))
+            assert len(points) == defects.size == (b - a) * len(Q)
+            assert np.shares_memory(points.P, P) and points.Q is Q
+            full = np.asarray(points)
+            oracle = np.concatenate(
+                [np.repeat(P[a:b], len(Q), axis=0), np.tile(Q, (b - a, 1))], axis=1
+            )
+            assert full.view(np.uint64).tobytes() == oracle.view(np.uint64).tobytes()
+            for i in (0, len(Q) - 1, len(Q), defects.size - 1):
+                assert _row(points, i) == tuple(oracle[i].tolist())
 
     def test_product_distribution(self):
         out = product_distribution([0.5, 0.5], [0.5, 0.25, 0.25])
