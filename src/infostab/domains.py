@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 15  # rows per block of every blocked sweep
+_TEXT_ROWS = 1 << 12  # rows per slice of CSV text
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +350,143 @@ class PairGrid(_CsvMixin):
 
 
 def grid_to_csv(points, path):
-    """Write grid points to CSV, one point per row, full float precision."""
+    """Write grid points to CSV, one point per row, each value as %.17g."""
     arr = np.asarray(points, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
-    np.savetxt(path, arr, delimiter=",", fmt="%.17g")
+    with open(path, "w") as fh:
+        _write_csv(fh, arr)
 
+
+# ---------------------------------------------------------------------------
+# %.17g text
+
+
+@cache
+def _g17_tables():
+    """The tables of _g17, built on first use.
+
+    hi + lo is 10**(16 - e), to 2**-106 relative, at index e + 281 for
+    e = -281..281.
+    quad holds the ASCII digits of 0..9999 as 4-byte words, and zeros counts
+    their trailing zeros (4 for 0).  A text is 32 bytes, and digit k of the
+    17 sits at byte 7 + k.  keep, frac and pattern are text masks per (sign,
+    layout, cut) key, where cut digits are kept: layouts 0..3 are 0.ddd with
+    0..3 zeros after the point, 4..20 put 1..17 digits before it, and 21 is
+    d.ddde+XX.  keep selects the digits before the point and frac those after
+    it, which move one byte up; pattern adds the sign, then the "0." and
+    zeros, or the point.  exp holds the last text word: the exponent when
+    e < -4 or e >= 17, else nothing.
+    """
+    hi, lo = [], []
+    for e in range(-281, 282):
+        p, q = 10 ** max(16 - e, 0), 10 ** max(e - 16, 0)
+        n, d = (p / q).as_integer_ratio()
+        hi.append(n / d)
+        lo.append((p * d - n * q) / (q * d))
+    g = np.arange(10000)
+    quad = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1) + 48
+    zeros = (g % 10 == 0) * 1 + (g % 100 == 0) + (g % 1000 == 0) + (g == 0)
+    neg, lay, cut, b = np.ix_(range(2), range(22), range(18), range(32))
+    ints = np.where(lay < 4, 0, np.where(lay < 21, lay - 3, 1))
+    small = lay < 4
+    k = b - 7
+    pattern = (
+        45 * ((b == 0) & (neg == 1))
+        + 48 * (small & ((b == 1) | ((b >= 3) & (b < 3 + lay))))
+        + 46 * ((small & (b == 2)) | (~small & (b == 7 + ints) & (cut > ints)))
+    )
+    keep, frac = 255 * ((k >= 0) & (k < ints)), 255 * ((k >= ints) & (k < cut))
+    masks = np.stack(np.broadcast_arrays(keep, frac, pattern))
+    exp = np.zeros((563, 8), np.uint8)
+    for e in [*range(-281, -4), *range(17, 282)]:
+        text = b"e%+03d" % e
+        exp[e + 281, 1 : 1 + len(text)] = list(text)
+    return (
+        np.array(hi),
+        np.array(lo),
+        quad.astype(np.uint8).view(np.uint32).ravel(),
+        zeros,
+        *masks.astype(np.uint8).view("<u8").reshape(3, -1, 4),
+        exp.view("<u8").ravel(),
+    )
+
+
+def _g17(values):
+    """The text of '%.17g' % v for each float v, byte for byte, as 32-byte
+    strings with NUL bytes in and after the text; the last byte is NUL.
+
+    For finite |v| in [1e-280, 1e280], v * 10**(16 - e) with e = floor(log10
+    |v|) is formed to about 1e-14 and rounded to the integer N.  N is kept
+    when it had 17 digits before rounding, cannot carry into an 18th, and
+    the remainder lay more than 1e-6 from a tie (Gay 1990).  Zeros are
+    written directly.  Every other value goes to Python's '%.17g': NaN, inf,
+    |v| out of range, a near-tie, and a value next to a power of ten whose
+    log10 lands a decade off.
+    """
+    hi, lo10, quad, zeros, keep, frac, pattern, exp = _g17_tables()
+    x = np.asarray(values, dtype=np.float64)
+    a = np.abs(x)
+    zero = a == 0.0
+    fast = (a >= 1e-280) & (a <= 1e280)
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    # a * 10**(16 - e) as p + lo: Dekker's exact product of a and the
+    # table's hi, with Veltkamp's splits by 2**27 + 1, plus a times its lo
+    th = hi[e + 281]
+    p = a * th
+    c, d = a * 134217729.0, th * 134217729.0
+    ah, bh = c - (c - a), d - (d - th)
+    al, bl = a - ah, th - bh
+    lo = ((ah * bh - p) + ah * bl + al * bh) + al * bl + a * lo10[e + 281]
+    floor = np.floor(lo)
+    rem = lo - floor
+    n = p.astype(np.int64) + floor.astype(np.int64)
+    fast &= (n >= 10**16) & (n < 10**17 - 1) & (np.abs(rem - 0.5) > 1e-6)
+    n += rem > 0.5
+    n[zero] = e[zero] = 0
+    # N as the digit groups d dddd dddd dddd dddd, in words 1..5 of the text
+    top, low = np.divmod(n, 10**8)
+    first, mid = np.divmod(top, 10**8)
+    groups = (first, *np.divmod(mid, 10**4), *np.divmod(low, 10**4))
+    words = np.zeros((n.size, 8), np.uint32)
+    for j, g in enumerate(groups):
+        words[:, j + 1] = quad[g]
+    digits = words.view("<u8")  # little-endian: a shift by 8 moves a byte up
+    tz = zeros[groups[4]]
+    for j in (1, 2, 3):
+        tz += (tz == 4 * j) * zeros[groups[4 - j]]
+    expo = (e < -4) | (e >= 17)
+    ints = np.where(expo, 1, np.where(e < 0, 0, e + 1))
+    lay = np.where(expo, 21, np.where(e < 0, -e - 1, e + 4))
+    cut = np.maximum(17 - tz, ints)
+    key = (np.signbit(x) * 22 + lay) * 18 + cut
+    out = (digits & np.take(keep, key, axis=0)) | np.take(pattern, key, axis=0)
+    moved = (digits & np.take(frac, key, axis=0)).ravel()
+    flat = out.ravel()
+    flat |= moved << np.uint64(8)
+    flat[1:] |= moved[:-1] >> np.uint64(56)  # word 3 holds no digits to carry
+    out[:, 3] |= exp[e + 281]
+    text = out.view("S32").ravel()
+    slow = np.flatnonzero(~(fast | zero))
+    text[slow] = ["%.17g" % v for v in x[slow].tolist()]
+    return text
+
+
+def _write_csv(fh, points, last=None):
+    """Write each row of the float matrix points, then the matching value of
+    last when given, to the text file fh as one CSV line of %.17g fields,
+    _TEXT_ROWS rows at a time.  Lattice points repeat their coordinates, so
+    each distinct bit pattern of a slice is formatted once; bits, not
+    values, keep -0.0 and 0.0 apart."""
+    rows, d = points.shape
+    for s in range(0, rows, _TEXT_ROWS):
+        pts = np.ascontiguousarray(points[s : s + _TEXT_ROWS], dtype=np.float64)
+        keys, inverse = np.unique(pts.view(np.uint64), return_inverse=True)
+        cells = np.empty((len(pts), d + (last is not None)), "S32")
+        cells[:, :d] = np.take(_g17(keys.view(np.float64)), inverse.reshape(pts.shape))
+        if last is not None:
+            cells[:, d] = _g17(last[s : s + _TEXT_ROWS])
+        cells.view(np.uint8)[:, 31::32] = ord(",")
+        cells.view(np.uint8)[:, -1] = ord("\n")
+        fh.write(cells.tobytes().translate(None, b"\0").decode("ascii"))

@@ -16,9 +16,9 @@ lattice, whose points build a row only on request) or _simplex_blocks (a
 streamed simplex lattice); _within_budget checks a sweep's defect samples
 against its budget before the lattice is built.  _blocks gives the
 (work, items) of an equation kind on a grid; residual reduces those blocks
-and dump_defects_csv writes them.  _sweep summarises each block and _fold
-folds the summaries, so a stream that yields two defects per block can fold
-each into its own report.
+and dump_defects_csv writes them through domains._write_csv.  _sweep
+summarises each block and _fold folds the summaries, so a stream that yields
+two defects per block can fold each into its own report.
 
 The fundamental-equation kernel reads node tables: f(k/R) and
 (1 - k/R)^alpha are evaluated once per sweep over the node indices k the
@@ -37,7 +37,9 @@ from typing import Optional
 
 import numpy as np
 
-from .domains import _CHUNK, ConeGrid, PairGrid, SimplexGrid, TriangleGrid, UnitGrid, pow0
+from .domains import (
+    _CHUNK, ConeGrid, PairGrid, SimplexGrid, TriangleGrid, UnitGrid, _write_csv, pow0,
+)
 from .errors import BudgetExceededError, ConfigurationError, DomainError, NonFiniteDefectError
 from .models import Alpha, BivariateFunction, ScalarFunction, TernaryFunction
 
@@ -580,20 +582,9 @@ def residual(
 
 
 def _write_defect_rows(fh, pts, defects):
-    """Write one CSV row per point: its coordinates, then its defect, all %.17g.
-
-    Lattice coordinates repeat across a block, so each distinct value is
-    formatted once; values are keyed on their bit pattern so that -0.0 and
-    0.0 keep their own text.
-    """
-    pts = np.ascontiguousarray(pts, dtype=np.float64)
-    rows, d = pts.shape
-    keys, inverse = np.unique(pts.view(np.uint64).ravel(), return_inverse=True)
-    text = np.array(["%.17g" % v for v in keys.view(np.float64).tolist()], dtype=object)
-    args = np.empty((rows, d + 1), dtype=object)
-    args[:, :d] = text[inverse.reshape(rows, d)]
-    args[:, d] = np.asarray(defects, dtype=np.float64).tolist()
-    fh.write((("%s," * d + "%.17g\n") * rows) % tuple(args.ravel().tolist()))
+    """Write one CSV row per point: its coordinates, then its defect, each as
+    '%.17g' % v byte for byte, through the one CSV text path, _write_csv."""
+    _write_csv(fh, np.asarray(pts, dtype=np.float64), np.asarray(defects, dtype=np.float64))
 
 
 def dump_defects_csv(kind, fns, grid, path, *, budget: int = 10**7):

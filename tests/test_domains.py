@@ -27,6 +27,7 @@ from infostab import (
     ratio0,
     xlog2,
 )
+from infostab.domains import _g17
 
 
 class TestConventions:
@@ -355,6 +356,60 @@ class TestCsv:
         g.to_csv(path)
         back = np.loadtxt(path, delimiter=",")
         assert np.array_equal(np.atleast_1d(back), g.points)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            UnitGrid(6),
+            UnitGrid(768, closed=True),
+            TriangleGrid(40),
+            TriangleGrid(33, closed=True),
+            SimplexGrid(4, 13),
+            SimplexGrid(3, 9, closed=True),
+            ConeGrid(9, bound=2.5),
+        ],
+        ids=repr,
+    )
+    def test_bytes_match_savetxt(self, tmp_path, grid):
+        # np.savetxt, which grid_to_csv used to call, is the oracle
+        path, oracle = tmp_path / "grid.csv", tmp_path / "oracle.csv"
+        grid.to_csv(path)
+        pts = grid.points
+        np.savetxt(oracle, pts[:, None] if pts.ndim == 1 else pts, delimiter=",", fmt="%.17g")
+        assert path.read_bytes() == oracle.read_bytes()
+
+
+def _python_g17(values):
+    return [b"%.17g" % v for v in values.tolist()]
+
+
+def _texts(values):
+    return [t.replace(b"\0", b"") for t in _g17(values).tolist()]
+
+
+class TestG17Text:
+    """_g17 prints Python's '%.17g' % v byte for byte."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    def test_any_bit_pattern(self, bits):
+        # NaN payloads, infinities, signed zeros and subnormals included
+        x = np.array(bits, dtype=np.uint64).view(np.float64)
+        assert _texts(x) == _python_g17(x)
+
+    def test_edges(self):
+        tens = np.array([float(f"1e{k}") for k in range(-300, 301)])
+        odd = np.arange(1, 2**20, 2**13 - 1, dtype=np.float64)
+        ties = np.concatenate([odd / 2.0**m for m in range(1, 80)])
+        edges = [
+            0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+            np.inf, np.nan, 1e-280, 1e280, 9.9999999999999996e-281,
+            1e-4, 1e-5, 0.00012345678901234567, 1.2345678901234567e-5,
+            1e16, 1e17, 12345678901234568.0, 99999999999999999.0, 1.5e-150, 2.5e200,
+        ]
+        x = np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf), ties, edges])
+        x = np.concatenate([x, -x])
+        assert _texts(x) == _python_g17(x)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,6 @@
 """Residual sweeps for every supported equation kind."""
 
+import io
 import math
 import tracemalloc
 from itertools import permutations
@@ -447,6 +448,10 @@ def _noisy_info(x):
     return ShannonInfo()(x) + ScaledBump(0.4, 0.2, 0.01)(x)
 
 
+# the defect_dump benchmark's function: a power family plus a small bump
+_NOISY_POWER = FunctionSum((PowerFamily(2.0, 1.0, 0.5), ScaledBump(0.47, 0.2, 1e-3)))
+
+
 class TestDumpBytes:
     @pytest.mark.parametrize(
         "kind, fns, grid",
@@ -463,6 +468,9 @@ class TestDumpBytes:
             # one P row per block, so the dump spans two blocks
             (SumFormAdditive(2, 2), XLogX(-1.0),
              (SimplexGrid(2, 3), SimplexGrid(2, _CHUNK // 2, closed=True))),
+            # the benchmark's dump shape: two blocks, and defects written as
+            # exact zeros, 0.000ddd and d.ddde-XX
+            (FundamentalParametric(0.5), _NOISY_POWER, TriangleGrid(300)),
         ],
     )
     def test_block_writer_matches_rowwise(self, tmp_path, kind, fns, grid):
@@ -480,6 +488,32 @@ class TestDumpBytes:
             _write_defect_rows(fh, pts, defects)
         assert path.read_bytes() == _rowwise_csv(zip(pts, defects))
         assert path.read_text().splitlines()[:2] == ["0,-0,nan", "-0,0,inf"]
+
+    def test_noisy_power_defects_take_every_form(self, tmp_path):
+        # the last case of the test above
+        path = tmp_path / "defects.csv"
+        dump_defects_csv(FundamentalParametric(0.5), _NOISY_POWER, TriangleGrid(300), path)
+        texts = [line.rsplit(",", 1)[1] for line in path.read_text().splitlines()]
+        assert len(texts) > _CHUNK
+        assert "0" in texts
+        assert any("e-" in t for t in texts)
+        assert any(t.lstrip("-").startswith("0.0") for t in texts)
+
+    def test_block_writer_memory(self):
+        # one full R=768 block of the benchmark's dump, whose text the
+        # StringIO holds; the writer that called '%.17g' per value peaked at
+        # 2.9 times that text
+        work, items = _blocks(FundamentalParametric(0.5), _NOISY_POWER, TriangleGrid(768), 10**7)
+        pts, defects = work(items[0])
+        assert len(pts) == _CHUNK
+        fh = io.StringIO()
+        tracemalloc.start()
+        try:
+            _write_defect_rows(fh, pts, defects)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(fh.getvalue())
 
 
 class TestSymmetryHomogeneity:
