@@ -13,7 +13,7 @@ exactly-tight instances do not flap on rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -65,7 +65,7 @@ from .models import (
     PowerLog,
     Regime,
     XLogX,
-    config_of,
+    _plain,
 )
 
 __all__ = [
@@ -215,22 +215,6 @@ def _ternary_distance(F, G, pts, jobs):
     return _sweep(*_row_blocks(pts, gap), jobs=jobs).sup
 
 
-def _plain(v):
-    if v is None or isinstance(v, (bool, str)):
-        return v
-    if isinstance(v, np.bool_):
-        return bool(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        return float(v)
-    if isinstance(v, (tuple, list, np.ndarray)):
-        return [_plain(u) for u in v]
-    if isinstance(v, dict):
-        return {k: _plain(u) for k, u in v.items()}
-    return v
-
-
 @dataclass(frozen=True)
 class CertifierTrace:
     """Ordered intermediate values of a proof pipeline, kept for the report."""
@@ -260,8 +244,11 @@ class CertifierTrace:
                 return v
         return default
 
+    def items(self):
+        return self.entries
+
     def to_json_dict(self) -> dict:
-        return {k: _plain(v) for k, v in self.entries}
+        return _plain(self)
 
 
 @dataclass(frozen=True)
@@ -286,19 +273,7 @@ class StabilityCertificate:
     trace: CertifierTrace
 
     def to_json_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "alpha": None if self.alpha is None else float(self.alpha),
-            "resolution": int(self.resolution),
-            "epsilon": float(self.epsilon),
-            "epsilon_source": self.epsilon_source,
-            "constants": _plain(self.constants),
-            "candidate": config_of(self.candidate),
-            "distance": float(self.distance),
-            "bound": float(self.bound),
-            "satisfied": bool(self.satisfied),
-            "trace": self.trace.to_json_dict(),
-        }
+        return _plain(self)
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +580,7 @@ class MeasureSequenceCertificate:
     None.
     """
 
+    theorem: str = field(default="measure_sequence", init=False)
     alpha: float
     levels: int
     resolution: int
@@ -616,26 +592,7 @@ class MeasureSequenceCertificate:
     trace: CertifierTrace
 
     def to_json_dict(self) -> dict:
-        return {
-            "theorem": "measure_sequence",
-            "alpha": float(self.alpha),
-            "levels": int(self.levels),
-            "resolution": int(self.resolution),
-            "epsilons": [float(e) for e in self.epsilons],
-            "candidate": config_of(self.candidate),
-            "coefficients": _plain(self.coefficients),
-            "rows": [
-                {
-                    "n": int(r.n),
-                    "bound": float(r.bound),
-                    "distance": None if r.distance is None else float(r.distance),
-                    "satisfied": r.satisfied,
-                }
-                for r in self.rows
-            ],
-            "satisfied": self.satisfied,
-            "trace": self.trace.to_json_dict(),
-        }
+        return _plain(self)
 
 
 def certify_measure_sequence(
@@ -862,6 +819,7 @@ class AssociativityCertificate:
     """Bridged representation phi with its two bounds: the B side must track
     phi(t+s) within epsilon and the A side within 2 * epsilon."""
 
+    theorem: str = field(default="associativity", init=False)
     epsilon: float
     resolution: int
     intervals: tuple
@@ -874,19 +832,7 @@ class AssociativityCertificate:
     trace: CertifierTrace
 
     def to_json_dict(self) -> dict:
-        return {
-            "theorem": "associativity",
-            "epsilon": float(self.epsilon),
-            "resolution": int(self.resolution),
-            "intervals": [[float(lo), float(hi)] for lo, hi in self.intervals],
-            "phi": config_of(self.phi),
-            "distance_a": float(self.distance_a),
-            "bound_a": float(self.bound_a),
-            "distance_b": float(self.distance_b),
-            "bound_b": float(self.bound_b),
-            "satisfied": bool(self.satisfied),
-            "trace": self.trace.to_json_dict(),
-        }
+        return _plain(self)
 
 
 def certify_associativity(

@@ -38,8 +38,7 @@ from .certifiers import (
     certify_sum_form_mixed,
     certify_sum_form_multiplicative,
     hyperstability_blowup_probe,
-    stability_constant_K,
-    stability_constant_T,
+    stability_constants,
 )
 from .domains import ConeGrid, PairGrid, SimplexGrid, TriangleGrid, UnitGrid
 from .equations import (
@@ -76,6 +75,7 @@ from .models import (
     PowerFamily,
     Regime,
     ScaledBump,
+    _plain,
     bivariate_from_config,
     scalar_from_config,
     ternary_from_config,
@@ -253,15 +253,7 @@ def _job_residual(cfg, jobs, dump):
     if target is not None:
         target = _float_field(cfg, "epsilon_target")
     rep = residual(kind, fns, grid, jobs=jobs, budget=budget, epsilon_target=target)
-    result = {
-        "equation": name,
-        "sup": rep.sup,
-        "mean": rep.mean,
-        "argmax_point": [float(c) for c in rep.argmax_point],
-        "samples": rep.samples,
-        "epsilon_target": target,
-        "within_target": rep.within_target,
-    }
+    result = {"equation": name, **_plain(rep), "within_target": rep.within_target}
     files = _defects_file(kind, fns, grid, budget) if dump else {}
     return result, files, EXIT_OK if rep.within_target else EXIT_VIOLATION
 
@@ -452,20 +444,14 @@ def _job_sweep(cfg, jobs, dump):
         rows = []
         table = []
         for av in alphas:
-            a = Alpha.of(av)
-            k = stability_constant_K(a)
-            t = (
-                stability_constant_T(a)
-                if a.regime is Regime.POSITIVE_NOT_ONE
-                else None
-            )
+            c = stability_constants(av)
             gap = (
                 None
-                if t is None
-                else abs(k * abs(2.0 ** (1.0 - a.value) - 1.0) - (4.0 * t + 3.0))
+                if c.T is None
+                else abs(c.K * abs(2.0 ** (1.0 - c.alpha) - 1.0) - (4.0 * c.T + 3.0))
             )
-            rows.append({"alpha": a.value, "K": k, "T": t, "relation_gap": gap})
-            table.append([a.value, k, t, gap])
+            rows.append({"alpha": c.alpha, "K": c.K, "T": c.T, "relation_gap": gap})
+            table.append([c.alpha, c.K, c.T, gap])
         files = _summary_file(["alpha", "K", "T", "relation_gap"], table)
         return {"rows": rows}, files, EXIT_OK
 

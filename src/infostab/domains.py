@@ -478,10 +478,11 @@ def _write_csv(fh, points, last=None):
     last when given, to the text file fh as one CSV line of %.17g fields,
     _TEXT_ROWS rows at a time.  Lattice points repeat their coordinates, so
     each distinct bit pattern of a slice is formatted once; bits, not
-    values, keep -0.0 and 0.0 apart."""
+    values, keep -0.0 and 0.0 apart.  Both may be array-likes."""
+    points = np.asarray(points, dtype=np.float64)
     rows, d = points.shape
     for s in range(0, rows, _TEXT_ROWS):
-        pts = np.ascontiguousarray(points[s : s + _TEXT_ROWS], dtype=np.float64)
+        pts = np.ascontiguousarray(points[s : s + _TEXT_ROWS])
         keys, inverse = np.unique(pts.view(np.uint64), return_inverse=True)
         cells = np.empty((len(pts), d + (last is not None)), "S32")
         cells[:, :d] = np.take(_g17(keys.view(np.float64)), inverse.reshape(pts.shape))

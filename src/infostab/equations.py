@@ -581,19 +581,13 @@ def residual(
     return _sweep(work, items, jobs=jobs, epsilon_target=epsilon_target)
 
 
-def _write_defect_rows(fh, pts, defects):
-    """Write one CSV row per point: its coordinates, then its defect, each as
-    '%.17g' % v byte for byte, through the one CSV text path, _write_csv."""
-    _write_csv(fh, np.asarray(pts, dtype=np.float64), np.asarray(defects, dtype=np.float64))
-
-
 def dump_defects_csv(kind, fns, grid, path, *, budget: int = 10**7):
     """Stream per-point defects to CSV (point coordinates, then the defect);
     the budget is checked before the file is opened."""
     work, items = _blocks(kind, fns, grid, budget)
     with open(path, "w") as fh:
         for item in items:
-            _write_defect_rows(fh, *work(item))
+            _write_csv(fh, *work(item))
 
 
 # ---------------------------------------------------------------------------

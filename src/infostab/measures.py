@@ -246,12 +246,9 @@ def check_sum_property(
     *,
     budget: int = 10**6,
 ) -> ResidualReport:
-    """sup over the interior lattice of |I_n(P) - sum_i f(p_i)|."""
-    grid = SimplexGrid(n, resolution, budget=budget)
-    _within_budget(grid.count, budget)
-    pts = grid.points
+    """sup over the interior lattice of |I_n(P) - sum_i f(p_i)|, streamed."""
     gap = lambda P: measure._eval_rows(P) - np.sum(np.asarray(f(P)), axis=1)
-    return _sweep(*_row_blocks(pts, gap))
+    return _sweep(*_simplex_blocks(n, resolution, False, budget, gap))
 
 
 def recursivity_defect(

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, fields
-from typing import Callable
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -84,6 +83,9 @@ class Alpha:
 
     value: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "value", float(self.value))
+
     @property
     def regime(self) -> Regime:
         v = self.value
@@ -97,9 +99,7 @@ class Alpha:
 
     @staticmethod
     def of(value) -> "Alpha":
-        if isinstance(value, Alpha):
-            return value
-        return Alpha(float(value))
+        return value if isinstance(value, Alpha) else Alpha(value)
 
 
 # ---------------------------------------------------------------------------
@@ -681,23 +681,34 @@ _NESTED_LIST_FIELDS = {"terms"}
 
 def config_of(fn) -> dict:
     """Plain-dict descriptor of a representation, invertible by *_from_config."""
-    cls = type(fn)
-    if cls not in _KIND_OF:
-        raise UnsupportedParameterError(
-            f"{cls.__name__} has no config descriptor"
-        )
-    out = {"kind": _KIND_OF[cls]}
-    for f in fields(fn):
-        val = getattr(fn, f.name)
-        if f.name in _NESTED_SCALAR_FIELDS:
-            out[f.name] = config_of(val)
-        elif f.name in _NESTED_LIST_FIELDS:
-            out[f.name] = [config_of(t) for t in val]
-        elif isinstance(val, tuple):
-            out[f.name] = list(val)
-        else:
-            out[f.name] = val
-    return out
+    name = _KIND_OF.get(type(fn))
+    if name is None:
+        raise UnsupportedParameterError(f"{type(fn).__name__} has no config descriptor")
+    return {"kind": name, **{f.name: _plain(getattr(fn, f.name)) for f in fields(fn)}}
+
+
+def _plain(v):
+    """The JSON value of a library value, the one path from reports to JSON:
+    numpy scalars become Python scalars, tuples, lists and arrays lists,
+    anything with items() an object, function representations their config_of
+    descriptors and other dataclasses their fields in order."""
+    if v is None or isinstance(v, (bool, str)):
+        return v
+    if isinstance(v, np.bool_):
+        return bool(v)
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    if isinstance(v, (float, np.floating)):
+        return float(v)
+    if isinstance(v, (tuple, list, np.ndarray)):
+        return [_plain(u) for u in v]
+    if hasattr(v, "items"):
+        return {k: _plain(u) for k, u in v.items()}
+    if callable(v):
+        return config_of(v)
+    if is_dataclass(v):
+        return {f.name: _plain(getattr(v, f.name)) for f in fields(v)}
+    return v
 
 
 def _from_config(cfg, kinds, label):

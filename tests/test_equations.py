@@ -68,6 +68,7 @@ from infostab import (
     symmetry_residual,
     tabulate,
 )
+from infostab.domains import _write_csv
 from infostab.equations import (
     _CHUNK,
     _SCALE,
@@ -77,7 +78,6 @@ from infostab.equations import (
     _row,
     _sum_form_blocks,
     _unit_pairs,
-    _write_defect_rows,
 )
 from infostab.models import BivariateFunction, TernaryFunction
 
@@ -485,7 +485,7 @@ class TestDumpBytes:
         defects = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1])
         path = tmp_path / "defects.csv"
         with open(path, "w") as fh:
-            _write_defect_rows(fh, pts, defects)
+            _write_csv(fh, pts, defects)
         assert path.read_bytes() == _rowwise_csv(zip(pts, defects))
         assert path.read_text().splitlines()[:2] == ["0,-0,nan", "-0,0,inf"]
 
@@ -509,7 +509,7 @@ class TestDumpBytes:
         fh = io.StringIO()
         tracemalloc.start()
         try:
-            _write_defect_rows(fh, pts, defects)
+            _write_csv(fh, pts, defects)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
