@@ -6,7 +6,9 @@ candidate solution, evaluate the explicit constants, and check that the
 distance between the data and the candidate stays under constant * epsilon.
 The outcome is a frozen certificate that serialises to a plain JSON dict.
 
-Bound checks carry a uniform numeric slack of 1e-9 * (1 + bound) so that
+Each certificate record computes its own verdict from its distances and
+bounds, so a verdict cannot disagree with the numbers beside it.  Bound
+checks carry a uniform numeric slack of 1e-9 * (1 + bound) so that
 exactly-tight instances do not flap on rounding.
 """
 
@@ -255,22 +257,27 @@ class CertifierTrace:
 class StabilityCertificate:
     """Outcome of one stability pipeline: candidate, distance, bound, verdict.
 
-    epsilon_source is "measured" when epsilon came from a grid sweep inside
-    the certifier and "supplied" when the caller overrode it to reproduce a
-    statement-style bound.
+    The verdict is computed, not passed: satisfied is distance <= bound plus
+    the certificate slack.  epsilon_source is "measured" when epsilon came
+    from a grid sweep inside the certifier and "supplied" when the caller
+    overrode it to reproduce a statement-style bound.
     """
 
     theorem: str
     alpha: Optional[float]
     resolution: int
     epsilon: float
-    epsilon_source: str
-    constants: dict
+    epsilon_source: str = field(default="measured", kw_only=True)
+    constants: dict = field(default_factory=dict, kw_only=True)
     candidate: object
     distance: float
     bound: float
-    satisfied: bool
+    satisfied: bool = field(init=False)
     trace: CertifierTrace
+
+    def __post_init__(self):
+        object.__setattr__(self, "resolution", int(self.resolution))
+        object.__setattr__(self, "satisfied", _passes(self.distance, self.bound))
 
     def to_json_dict(self) -> dict:
         return _plain(self)
@@ -384,17 +391,8 @@ def _certify_fundamental(theorem, f, alpha, resolution, closed, jobs, budget, ep
                 endpoint_gap1=abs(float(f(1.0)) - (candidate.a - candidate.b)),
             )
     return StabilityCertificate(
-        theorem=theorem,
-        alpha=a.value,
-        resolution=int(resolution),
-        epsilon=eps,
-        epsilon_source=source,
-        constants=constants,
-        candidate=candidate,
-        distance=distance,
-        bound=bound,
-        satisfied=_passes(distance, bound),
-        trace=trace,
+        theorem, a.value, resolution, eps, candidate, distance, bound, trace,
+        epsilon_source=source, constants=constants,
     )
 
 
@@ -519,11 +517,7 @@ def hyperstability_blowup_probe(
             continue
         s = block[:, 0] + block[:, 1]
         for i, h in enumerate(hs):
-            keep = s <= 1.0 - h + 1e-12
-            if np.any(keep):
-                worst = float(np.max(d[keep]))
-                if worst > sups[i]:
-                    sups[i] = worst
+            sups[i] = float(np.max(d, where=s <= 1.0 - h + 1e-12, initial=sups[i]))
     if bad:
         raise _non_finite(bad, size, first)
     return list(zip(hs, sups))
@@ -562,12 +556,17 @@ def _lattice_pow0(resolution, alpha):
 
 @dataclass(frozen=True)
 class SequenceRow:
-    """One level of a measure-sequence certificate."""
+    """One level of a measure-sequence certificate; its verdict is None when
+    the distance is not computable (statement mode)."""
 
     n: int
     bound: float
     distance: Optional[float] = None
-    satisfied: Optional[bool] = None
+    satisfied: Optional[bool] = field(init=False)
+
+    def __post_init__(self):
+        ok = None if self.distance is None else _passes(self.distance, self.bound)
+        object.__setattr__(self, "satisfied", ok)
 
 
 @dataclass(frozen=True)
@@ -577,7 +576,7 @@ class MeasureSequenceCertificate:
     epsilons holds (eps_1, eps_2, ...): the 3-semi-symmetry defect first,
     then the recursivity defects of levels 3, 4, ...  In statement mode
     (generator plus supplied defects) distances are not computable and stay
-    None.
+    None, and so does the verdict; otherwise it holds when every row's does.
     """
 
     theorem: str = field(default="measure_sequence", init=False)
@@ -588,8 +587,13 @@ class MeasureSequenceCertificate:
     candidate: object
     coefficients: dict
     rows: tuple
-    satisfied: Optional[bool]
+    satisfied: Optional[bool] = field(init=False)
     trace: CertifierTrace
+
+    def __post_init__(self):
+        verdicts = [r.satisfied for r in self.rows]
+        ok = None if None in verdicts else all(verdicts)
+        object.__setattr__(self, "satisfied", ok)
 
     def to_json_dict(self) -> dict:
         return _plain(self)
@@ -702,13 +706,8 @@ def certify_measure_sequence(
             row_bound = math.fsum(eps[k - 1] for k in range(2, n)) + (
                 n - 1
             ) * k_const * (2.0 * eps[1] + eps[0])
-        if statement:
-            rows.append(SequenceRow(n=n, bound=row_bound))
-        else:
-            dist = distances[n]
-            rows.append(SequenceRow(n, row_bound, dist, _passes(dist, row_bound)))
+        rows.append(SequenceRow(n, row_bound, distances.get(n)))
 
-    overall = None if statement else all(r.satisfied for r in rows)
     return MeasureSequenceCertificate(
         alpha=v,
         levels=int(levels),
@@ -717,7 +716,6 @@ def certify_measure_sequence(
         candidate=candidate,
         coefficients=coefficients,
         rows=tuple(rows),
-        satisfied=overall,
         trace=trace,
     )
 
@@ -796,17 +794,8 @@ def certify_entropy_equation(
         **fit_trace,
     )
     return StabilityCertificate(
-        theorem="entropy_equation",
-        alpha=v,
-        resolution=int(resolution),
-        epsilon=eps2,
-        epsilon_source="measured",
+        "entropy_equation", v, resolution, eps2, candidate, distance, bnd, trace,
         constants=constants,
-        candidate=candidate,
-        distance=distance,
-        bound=bnd,
-        satisfied=_passes(distance, bnd),
-        trace=trace,
     )
 
 
@@ -817,7 +806,8 @@ def certify_entropy_equation(
 @dataclass(frozen=True)
 class AssociativityCertificate:
     """Bridged representation phi with its two bounds: the B side must track
-    phi(t+s) within epsilon and the A side within 2 * epsilon."""
+    phi(t+s) within epsilon and the A side within 2 * epsilon.  Both bounds
+    and the verdict are computed from epsilon and the two distances."""
 
     theorem: str = field(default="associativity", init=False)
     epsilon: float
@@ -825,11 +815,17 @@ class AssociativityCertificate:
     intervals: tuple
     phi: GridSample
     distance_a: float
-    bound_a: float
+    bound_a: float = field(init=False)
     distance_b: float
-    bound_b: float
-    satisfied: bool
+    bound_b: float = field(init=False)
+    satisfied: bool = field(init=False)
     trace: CertifierTrace
+
+    def __post_init__(self):
+        object.__setattr__(self, "bound_a", 2.0 * self.epsilon)
+        object.__setattr__(self, "bound_b", self.epsilon)
+        ok = _passes(self.distance_a, self.bound_a) and _passes(self.distance_b, self.bound_b)
+        object.__setattr__(self, "satisfied", ok)
 
     def to_json_dict(self) -> dict:
         return _plain(self)
@@ -902,9 +898,6 @@ def certify_associativity(
     uu2, tt = (t.ravel() for t in np.meshgrid(us, ts, indexing="ij"))
     dist_b = _distance(np.stack([uu2, tt], axis=1), np.asarray(B(uu2, tt)) - phi(uu2 + tt))
 
-    bound_a = 2.0 * eps
-    bound_b = eps
-    ok = _passes(dist_a, bound_a) and _passes(dist_b, bound_b)
     trace = CertifierTrace.of(
         anchor_v_window=(v0, v1),
         anchor_w_window=(w0, w1),
@@ -917,10 +910,7 @@ def certify_associativity(
         intervals=((u0, u1), (v0, v1), (w0, w1)),
         phi=snapshot,
         distance_a=dist_a,
-        bound_a=bound_a,
         distance_b=dist_b,
-        bound_b=bound_b,
-        satisfied=ok,
         trace=trace,
     )
 
@@ -1002,17 +992,7 @@ def certify_modified_entropy(
     distance = _ternary_distance(f, candidate, grid.points, jobs)
     trace = CertifierTrace.of(eps1=eps1, eps2=eps2, box=box, **fit_trace)
     return StabilityCertificate(
-        theorem="modified_entropy",
-        alpha=v,
-        resolution=r,
-        epsilon=eps1,
-        epsilon_source="measured",
-        constants=constants,
-        candidate=candidate,
-        distance=distance,
-        bound=bnd,
-        satisfied=_passes(distance, bnd),
-        trace=trace,
+        "modified_entropy", v, r, eps1, candidate, distance, bnd, trace, constants=constants
     )
 
 
@@ -1069,17 +1049,7 @@ def certify_sum_form(
     distance = _distance(xs, rel - kappa * xs)
     trace = CertifierTrace.of(n=int(n), kappa=kappa, phi0=phi0, bracket=m_hi)
     return StabilityCertificate(
-        theorem="sum_form",
-        alpha=None,
-        resolution=int(resolution),
-        epsilon=eps,
-        epsilon_source="measured",
-        constants={},
-        candidate=PowerLaw(kappa, 1.0),
-        distance=distance,
-        bound=eps,
-        satisfied=_passes(distance, eps),
-        trace=trace,
+        "sum_form", None, resolution, eps, PowerLaw(kappa, 1.0), distance, eps, trace
     )
 
 
@@ -1150,17 +1120,7 @@ def certify_sum_form_multiplicative(
         n=int(n), m=int(m), kappa=kappa, beta=beta, fit_failed=fit_failed, sup_g=sup_g
     )
     return StabilityCertificate(
-        theorem="sum_form_multiplicative",
-        alpha=None,
-        resolution=int(resolution),
-        epsilon=eps,
-        epsilon_source="measured",
-        constants={},
-        candidate=candidate,
-        distance=rem,
-        bound=eps,
-        satisfied=_passes(rem, eps),
-        trace=trace,
+        "sum_form_multiplicative", None, resolution, eps, candidate, rem, eps, trace
     )
 
 
@@ -1227,15 +1187,5 @@ def certify_sum_form_mixed(
 
     trace = CertifierTrace.of(n=int(n), m=int(m), beta=bv, kappa=0.0, **fitted)
     return StabilityCertificate(
-        theorem="sum_form_mixed",
-        alpha=av,
-        resolution=int(resolution),
-        epsilon=eps,
-        epsilon_source="measured",
-        constants={},
-        candidate=candidate,
-        distance=distance,
-        bound=eps,
-        satisfied=_passes(distance, eps),
-        trace=trace,
+        "sum_form_mixed", av, resolution, eps, candidate, distance, eps, trace
     )

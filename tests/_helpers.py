@@ -114,7 +114,7 @@ def two_sweep_sequences(measure, levels, resolution, *, budget=10**6):
             row_bound += (n - 1) * k_const * (2.0 * eps[1] + eps[0])
         gap = lambda P: measure._eval_rows(P) - j_rows(P, n)
         dist = c._sweep(*c._simplex_blocks(n, resolution, False, budget, gap)).sup
-        rows.append(c.SequenceRow(n, row_bound, dist, c._passes(dist, row_bound)))
+        rows.append(c.SequenceRow(n, row_bound, dist))
     return {
         m: c.MeasureSequenceCertificate(
             alpha=v,
@@ -124,7 +124,6 @@ def two_sweep_sequences(measure, levels, resolution, *, budget=10**6):
             candidate=candidate,
             coefficients=coefficients,
             rows=tuple(rows[: m - 1]),
-            satisfied=all(r.satisfied for r in rows[: m - 1]),
             trace=trace,
         )
         for m in levels

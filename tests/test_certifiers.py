@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from _helpers import exact_measure, kappa, two_sweep_sequences
 from infostab import (
     AffineSum,
     Alpha,
+    AssociativityCertificate,
     BudgetExceededError,
     CertifierTrace,
     ConfigurationError,
@@ -27,6 +29,7 @@ from infostab import (
     InformationMeasure,
     LevelNoise,
     LogFamily,
+    MeasureSequenceCertificate,
     ModifiedEntropySolution,
     NonFiniteDefectError,
     PhiForm,
@@ -36,8 +39,10 @@ from infostab import (
     PowerLog,
     ProductUV,
     ScaledBump,
+    SequenceRow,
     ShannonInfo,
     SimplexGrid,
+    StabilityCertificate,
     Sum3,
     TriangleGrid,
     UnsupportedParameterError,
@@ -139,6 +144,50 @@ class TestTrace:
     def test_slack(self):
         assert certificate_slack(0.0) == 1e-9
         assert certificate_slack(1.0) == 2e-9
+
+
+class TestDerivedVerdicts:
+    """Every certificate record computes its verdict from its own numbers."""
+
+    def test_stability_verdict_follows_distance(self):
+        cert = certify_fundamental_open(PowerFamily(2.0, 1.0, 0.5), 0.5, 16)
+        assert cert.satisfied
+        worse = replace(cert, distance=2 * cert.bound + 1)
+        assert worse.satisfied is False
+        assert replace(worse, distance=cert.distance).satisfied is True
+
+    def test_associativity_bounds_follow_epsilon(self):
+        UVW = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
+        cert = certify_associativity(ProductUV(1.0), ProductUV(1.0), *UVW, 8)
+        assert cert.satisfied and cert.distance_a > 0
+        tight = replace(cert, epsilon=cert.epsilon / 4)
+        assert tight.bound_a == 2.0 * tight.epsilon
+        assert tight.bound_b == tight.epsilon
+        assert tight.satisfied is (
+            tight.distance_a <= tight.bound_a + certificate_slack(tight.bound_a)
+            and tight.distance_b <= tight.bound_b + certificate_slack(tight.bound_b)
+        )
+        assert replace(cert, distance_a=3 * cert.epsilon).satisfied is False
+
+    def test_sequence_verdict_follows_rows(self):
+        assert SequenceRow(3, 1e-3).satisfied is None
+        assert SequenceRow(3, 1e-3, 2e-3).satisfied is False
+        cert = lambda *rows: MeasureSequenceCertificate(
+            2.0, 3, 8, (), None, {}, rows, CertifierTrace.of()
+        ).satisfied
+        ok, bad, statement = SequenceRow(2, 1.0, 0.5), SequenceRow(3, 1.0, 2.0), SequenceRow(3, 1.0)
+        assert cert(ok) is True
+        assert cert(ok, bad) is False
+        assert cert(ok, statement) is None
+        assert cert(statement) is None
+
+    @pytest.mark.parametrize(
+        "record",
+        [StabilityCertificate, SequenceRow, MeasureSequenceCertificate, AssociativityCertificate],
+    )
+    def test_verdict_is_not_an_argument(self, record):
+        with pytest.raises(TypeError, match="satisfied"):
+            record(satisfied=True)
 
 
 class TestFundamentalOpen:
@@ -363,7 +412,7 @@ class TestMeasureSequence:
             (gen, [1e-3, 1e-3, 1e-3, 1e-3]), 5, 24, alpha=2.0
         )
         assert cert.satisfied is None
-        assert all(r.distance is None for r in cert.rows)
+        assert all(r.distance is None and r.satisfied is None for r in cert.rows)
         bounds = [r.bound for r in cert.rows]
         assert all(b > 0 for b in bounds)
         assert bounds == sorted(bounds)

@@ -98,6 +98,15 @@ def test_certificate_json_is_frozen(name):
     assert digest(CERTIFICATES[name]().to_json_dict()) == CERTIFICATE_DIGESTS[name]
 
 
+def test_certificate_keys_keep_their_order():
+    # the digests sort their keys; this pins the order the fields write them in
+    keys = list(CERTIFICATES["fundamental_open"]().to_json_dict())
+    assert keys == [
+        "theorem", "alpha", "resolution", "epsilon", "epsilon_source", "constants",
+        "candidate", "distance", "bound", "satisfied", "trace",
+    ]
+
+
 def test_residual_report_is_frozen(tmp_path):
     config = {"schema": 1, "job": "residual", "equation": "fundamental", "alpha": 0.5,
               "function": {"kind": "sum", "terms": [
