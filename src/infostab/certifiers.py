@@ -77,7 +77,6 @@ __all__ = [
     "StabilityConstants",
     "stability_constants",
     "certificate_slack",
-    "CertifierTrace",
     "StabilityCertificate",
     "certify_fundamental_open",
     "certify_fundamental_closed",
@@ -218,42 +217,6 @@ def _ternary_distance(F, G, pts, jobs):
 
 
 @dataclass(frozen=True)
-class CertifierTrace:
-    """Ordered intermediate values of a proof pipeline, kept for the report."""
-
-    entries: tuple
-
-    @staticmethod
-    def of(**values) -> "CertifierTrace":
-        return CertifierTrace(tuple(values.items()))
-
-    def extended(self, **values) -> "CertifierTrace":
-        return CertifierTrace(self.entries + tuple(values.items()))
-
-    @property
-    def names(self):
-        return tuple(k for k, _ in self.entries)
-
-    def __getitem__(self, name):
-        for k, v in self.entries:
-            if k == name:
-                return v
-        raise KeyError(name)
-
-    def get(self, name, default=None):
-        for k, v in self.entries:
-            if k == name:
-                return v
-        return default
-
-    def items(self):
-        return self.entries
-
-    def to_json_dict(self) -> dict:
-        return _plain(self)
-
-
-@dataclass(frozen=True)
 class StabilityCertificate:
     """Outcome of one stability pipeline: candidate, distance, bound, verdict.
 
@@ -273,7 +236,7 @@ class StabilityCertificate:
     distance: float
     bound: float
     satisfied: bool = field(init=False)
-    trace: CertifierTrace
+    trace: dict
 
     def __post_init__(self):
         object.__setattr__(self, "resolution", int(self.resolution))
@@ -297,10 +260,7 @@ def _power_fit(f, a: Alpha):
     coef_a = f0_half / (2.0 ** (1.0 - v) - 1.0)
     coef_b = coef_a + c
     candidate = PowerFamily(coef_a, coef_b, v)
-    trace = CertifierTrace.of(
-        g_half=g_half, c=c, f0_half=f0_half, a=coef_a, b=coef_b
-    )
-    return candidate, trace
+    return candidate, dict(g_half=g_half, c=c, f0_half=f0_half, a=coef_a, b=coef_b)
 
 
 def _log_fit(f, resolution: int):
@@ -311,9 +271,7 @@ def _log_fit(f, resolution: int):
     basis = np.log2(us)
     lam = float(np.dot(g, basis) / np.dot(basis, basis))
     c = float(f(0.5)) + lam
-    candidate = LogFamily(lam, c)
-    trace = CertifierTrace.of(lam=lam, c=c, g_samples=int(us.size))
-    return candidate, trace
+    return LogFamily(lam, c), dict(lam=lam, c=c, g_samples=int(us.size))
 
 
 def _fit(f, a: Alpha, resolution: int):
@@ -321,7 +279,7 @@ def _fit(f, a: Alpha, resolution: int):
     family for alpha < 0, the log fit at alpha = 0, the power fit otherwise."""
     if a.regime is Regime.NEGATIVE:
         c, d = _hyperstable_fit(f, a)
-        return PowerFamily(c, d, a.value), CertifierTrace.of(c=c, d=d)
+        return PowerFamily(c, d, a.value), dict(c=c, d=d)
     if a.regime is Regime.ZERO:
         return _log_fit(f, resolution)
     return _power_fit(f, a)
@@ -372,7 +330,7 @@ def _certify_fundamental(theorem, f, alpha, resolution, closed, jobs, budget, ep
             # the interior collapses to the constant c
             value0, value1 = float(f(0.0)), float(f(1.0))
             candidate = EndpointPatch(Constant(candidate.offset), value0, value1)
-            trace = trace.extended(value0=value0, value1=value1)
+            trace |= {"value0": value0, "value1": value1}
         elif closed:
             t = stability_constant_T(a)
             constants["T"] = t
@@ -384,12 +342,12 @@ def _certify_fundamental(theorem, f, alpha, resolution, closed, jobs, budget, ep
         scale = float(np.max(np.abs(fv)))
         bound = 1e-8 * scale
         constants = {"tolerance": bound}
-        trace = trace.extended(scale=scale)
+        trace |= {"scale": scale}
         if closed:
-            trace = trace.extended(
-                endpoint_gap0=abs(float(f(0.0))),
-                endpoint_gap1=abs(float(f(1.0)) - (candidate.a - candidate.b)),
-            )
+            trace |= {
+                "endpoint_gap0": abs(float(f(0.0))),
+                "endpoint_gap1": abs(float(f(1.0)) - (candidate.a - candidate.b)),
+            }
     return StabilityCertificate(
         theorem, a.value, resolution, eps, candidate, distance, bound, trace,
         epsilon_source=source, constants=constants,
@@ -588,7 +546,7 @@ class MeasureSequenceCertificate:
     coefficients: dict
     rows: tuple
     satisfied: Optional[bool] = field(init=False)
-    trace: CertifierTrace
+    trace: dict
 
     def __post_init__(self):
         verdicts = [r.satisfied for r in self.rows]
@@ -680,7 +638,7 @@ def certify_measure_sequence(
             "c": (2.0 ** (1.0 - v) - 1.0) * candidate.a,
             "d": candidate.b - candidate.a,
         }
-        trace = trace.extended(j_c=coefficients["c"], j_d=coefficients["d"])
+        trace |= {"j_c": coefficients["c"], "j_d": coefficients["d"]}
 
     distances = {}
     if not statement:
@@ -700,12 +658,9 @@ def certify_measure_sequence(
 
     rows = []
     for n in range(2, int(levels) + 1):
-        if a.regime is Regime.NEGATIVE:
-            row_bound = math.fsum(eps[k - 1] for k in range(2, n))
-        else:
-            row_bound = math.fsum(eps[k - 1] for k in range(2, n)) + (
-                n - 1
-            ) * k_const * (2.0 * eps[1] + eps[0])
+        row_bound = math.fsum(eps[k - 1] for k in range(2, n))
+        if a.regime is not Regime.NEGATIVE:
+            row_bound += (n - 1) * k_const * (2.0 * eps[1] + eps[0])
         rows.append(SequenceRow(n, row_bound, distances.get(n)))
 
     return MeasureSequenceCertificate(
@@ -742,6 +697,8 @@ def certify_entropy_equation(
     """
     a = Alpha.of(alpha)
     grid = ConeGrid(resolution, bound=bound, budget=budget)
+    # six permutations of R^3 points, more than homogeneity's 4 R^2 samples
+    _within_budget(6 * grid.resolution**3, budget)
     eps1 = symmetry_residual(H, grid, jobs=jobs).sup
     eps2 = residual(EntropyEq(), H, grid, jobs=jobs, budget=budget).sup
 
@@ -784,7 +741,7 @@ def certify_entropy_equation(
         fit_trace = {"c": c}
 
     distance = _ternary_distance(H, candidate, pts, jobs)
-    trace = CertifierTrace.of(
+    trace = dict(
         eps1=eps1,
         eps2=eps2,
         eps3=eps3,
@@ -819,7 +776,7 @@ class AssociativityCertificate:
     distance_b: float
     bound_b: float = field(init=False)
     satisfied: bool = field(init=False)
-    trace: CertifierTrace
+    trace: dict
 
     def __post_init__(self):
         object.__setattr__(self, "bound_a", 2.0 * self.epsilon)
@@ -898,7 +855,7 @@ def certify_associativity(
     uu2, tt = (t.ravel() for t in np.meshgrid(us, ts, indexing="ij"))
     dist_b = _distance(np.stack([uu2, tt], axis=1), np.asarray(B(uu2, tt)) - phi(uu2 + tt))
 
-    trace = CertifierTrace.of(
+    trace = dict(
         anchor_v_window=(v0, v1),
         anchor_w_window=(w0, w1),
         s_lo=float(s_nodes[0]),
@@ -946,6 +903,7 @@ def certify_modified_entropy(
     box = float(n)
     grid = ConeGrid(resolution, bound=box, budget=budget)
     eps1 = residual(ModifiedEntropy(a.value), f, grid, jobs=jobs, budget=budget).sup
+    _within_budget(6 * grid.resolution**3, budget)
     eps2 = symmetry_residual(f, grid, jobs=jobs).sup
 
     r = int(resolution)
@@ -990,7 +948,7 @@ def certify_modified_entropy(
         ),
     )
     distance = _ternary_distance(f, candidate, grid.points, jobs)
-    trace = CertifierTrace.of(eps1=eps1, eps2=eps2, box=box, **fit_trace)
+    trace = dict(eps1=eps1, eps2=eps2, box=box, **fit_trace)
     return StabilityCertificate(
         "modified_entropy", v, r, eps1, candidate, distance, bnd, trace, constants=constants
     )
@@ -1047,7 +1005,7 @@ def certify_sum_form(
                 f2 = remainder_sup(x2)
         kappa = 0.5 * (lo + hi)
     distance = _distance(xs, rel - kappa * xs)
-    trace = CertifierTrace.of(n=int(n), kappa=kappa, phi0=phi0, bracket=m_hi)
+    trace = dict(n=int(n), kappa=kappa, phi0=phi0, bracket=m_hi)
     return StabilityCertificate(
         "sum_form", None, resolution, eps, PowerLaw(kappa, 1.0), distance, eps, trace
     )
@@ -1116,9 +1074,7 @@ def certify_sum_form_multiplicative(
         fit_failed = False
     rem = _distance(xs, gv - kappa * xs if fit_failed else gv - kappa * xs - pow0(xs, beta))
 
-    trace = CertifierTrace.of(
-        n=int(n), m=int(m), kappa=kappa, beta=beta, fit_failed=fit_failed, sup_g=sup_g
-    )
+    trace = dict(n=int(n), m=int(m), kappa=kappa, beta=beta, fit_failed=fit_failed, sup_g=sup_g)
     return StabilityCertificate(
         "sum_form_multiplicative", None, resolution, eps, candidate, rem, eps, trace
     )
@@ -1185,7 +1141,7 @@ def certify_sum_form_mixed(
         fitted = {"c": c}
     distance = _distance(xs, fv - np.asarray(candidate(xs)))
 
-    trace = CertifierTrace.of(n=int(n), m=int(m), beta=bv, kappa=0.0, **fitted)
+    trace = dict(n=int(n), m=int(m), beta=bv, kappa=0.0, **fitted)
     return StabilityCertificate(
         "sum_form_mixed", av, resolution, eps, candidate, distance, eps, trace
     )

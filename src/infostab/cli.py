@@ -116,6 +116,13 @@ def _float_field(cfg, name, default=_MISSING):
     return float(v)
 
 
+def _bool_field(cfg, name, default=_MISSING):
+    v = _field(cfg, name, default)
+    if not isinstance(v, bool):
+        raise ConfigurationError(f"config field '{name}' must be true or false, got {v!r}")
+    return v
+
+
 def _float_list(cfg, name):
     v = _field(cfg, name)
     if not isinstance(v, list) or not v:
@@ -142,22 +149,22 @@ def _build_grid(desc, budget):
     kind = _field(desc, "kind")
     if kind == "unit":
         return UnitGrid(
-            _int_field(desc, "resolution"), closed=bool(_field(desc, "closed", False))
+            _int_field(desc, "resolution"), closed=_bool_field(desc, "closed", False)
         )
     if kind == "triangle":
         return TriangleGrid(
-            _int_field(desc, "resolution"), closed=bool(_field(desc, "closed", False))
+            _int_field(desc, "resolution"), closed=_bool_field(desc, "closed", False)
         )
     if kind == "simplex":
         return SimplexGrid(
             _int_field(desc, "n"),
             _int_field(desc, "resolution"),
-            closed=bool(_field(desc, "closed", False)),
+            closed=_bool_field(desc, "closed", False),
             budget=_int_field(desc, "budget", budget),
         )
     if kind == "simplex_pair":
         r = _int_field(desc, "resolution")
-        closed = bool(_field(desc, "closed", True))
+        closed = _bool_field(desc, "closed", True)
         b = _int_field(desc, "budget", budget)
         return (
             SimplexGrid(_int_field(desc, "n"), r, closed=closed, budget=b),
@@ -323,7 +330,7 @@ def _job_certify(cfg, jobs, dump):
             override = _float_field(cfg, "epsilon")
         cert, closed = _certify_fundamental(
             theorem, f, alpha, resolution, jobs, budget,
-            closed=bool(_field(cfg, "closed", False)), override=override,
+            closed=_bool_field(cfg, "closed", False), override=override,
         )
         dump_args = (FundamentalParametric(cert.alpha), f, TriangleGrid(resolution, closed=closed))
         result = cert.to_json_dict()
@@ -340,7 +347,8 @@ def _job_certify(cfg, jobs, dump):
         levels = _int_field(cfg, "levels")
         resolution = _int_field(cfg, "resolution")
         if "measure" in cfg:
-            measure, alpha = _build_measure(cfg["measure"]), _field(cfg, "alpha", None)
+            measure = _build_measure(cfg["measure"])
+            alpha = None if _field(cfg, "alpha", None) is None else _float_field(cfg, "alpha")
         else:
             measure = (_SCALAR(cfg, "generator"), _float_list(cfg, "epsilons"))
             alpha = _float_field(cfg, "alpha")

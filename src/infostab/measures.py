@@ -292,8 +292,6 @@ class _GeneratorFunction(ScalarFunction):
 
     def __init__(self, measure: InformationMeasure):
         self._measure = measure
-        self._lo = 0.0
-        self._hi = 1.0
 
     def _values(self, arr):
         flat = np.ravel(arr)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -679,6 +680,20 @@ _NESTED_SCALAR_FIELDS = {"phi", "f", "inner"}
 _NESTED_LIST_FIELDS = {"terms"}
 
 
+def _real(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+# what a descriptor value must be, by its field's annotation; a bool is no number
+_FIELD_VALUES = {
+    "float": ("a real number", _real),
+    "int": ("an integer", lambda v: _real(v) and isinstance(v, numbers.Integral)),
+    "bool": ("a boolean", lambda v: isinstance(v, (bool, np.bool_))),
+    "tuple": ("a list of real numbers",
+              lambda v: isinstance(v, (list, tuple)) and all(map(_real, v))),
+}
+
+
 def config_of(fn) -> dict:
     """Plain-dict descriptor of a representation, invertible by *_from_config."""
     name = _KIND_OF.get(type(fn))
@@ -732,10 +747,13 @@ def _from_config(cfg, kinds, label):
         elif f.name in _NESTED_LIST_FIELDS:
             loader = ternary_from_config if kind == "sum3" else scalar_from_config
             kwargs[f.name] = tuple(loader(t) for t in val)
-        elif isinstance(val, list):
-            kwargs[f.name] = tuple(val)
         else:
-            kwargs[f.name] = val
+            what, ok = _FIELD_VALUES[f.type]
+            if not ok(val):
+                raise UnsupportedParameterError(
+                    f"field {f.name!r} of {label} kind {kind!r} must be {what}, got {val!r}"
+                )
+            kwargs[f.name] = tuple(val) if f.type == "tuple" else val
     extra = set(cfg) - {"kind"} - {f.name for f in fields(cls)}
     if extra:
         raise UnsupportedParameterError(

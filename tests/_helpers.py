@@ -98,7 +98,7 @@ def two_sweep_sequences(measure, levels, resolution, *, budget=10**6):
             "c": (2.0 ** (1.0 - v) - 1.0) * candidate.a,
             "d": candidate.b - candidate.a,
         }
-        trace = trace.extended(j_c=coefficients["c"], j_d=coefficients["d"])
+        trace = trace | {"j_c": coefficients["c"], "j_d": coefficients["d"]}
 
     def j_rows(block, n):
         p1 = block[:, 0]

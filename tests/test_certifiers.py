@@ -16,7 +16,6 @@ from infostab import (
     Alpha,
     AssociativityCertificate,
     BudgetExceededError,
-    CertifierTrace,
     ConfigurationError,
     Constant,
     Constant3,
@@ -71,6 +70,7 @@ from infostab import (
     stability_constants,
 )
 from infostab.certifiers import _hyperstable_fit, _lattice_pow0
+from infostab.models import _plain
 
 
 def perturbed(f, height, center=0.5, width=0.2):
@@ -125,19 +125,9 @@ class TestConstants:
 
 
 class TestTrace:
-    def test_access(self):
-        t = CertifierTrace.of(a=1.0).extended(b=2)
-        assert t.names == ("a", "b")
-        assert t["a"] == 1.0
-        assert t.get("missing", 7) == 7
-        with pytest.raises(KeyError):
-            t["missing"]
-
     def test_json_coercion(self):
-        t = CertifierTrace.of(
-            x=np.float64(1.5), flag=np.bool_(True), arr=np.array([1, 2])
-        )
-        d = t.to_json_dict()
+        t = dict(x=np.float64(1.5), flag=np.bool_(True), arr=np.array([1, 2]))
+        d = _plain(t)
         assert d == {"x": 1.5, "flag": True, "arr": [1, 2]}
         assert isinstance(d["flag"], bool)
 
@@ -173,7 +163,7 @@ class TestDerivedVerdicts:
         assert SequenceRow(3, 1e-3).satisfied is None
         assert SequenceRow(3, 1e-3, 2e-3).satisfied is False
         cert = lambda *rows: MeasureSequenceCertificate(
-            2.0, 3, 8, (), None, {}, rows, CertifierTrace.of()
+            2.0, 3, 8, (), None, {}, rows, {}
         ).satisfied
         ok, bad, statement = SequenceRow(2, 1.0, 0.5), SequenceRow(3, 1.0, 2.0), SequenceRow(3, 1.0)
         assert cert(ok) is True
@@ -643,6 +633,30 @@ class TestModifiedEntropy:
             certify_modified_entropy(f, 1.0, 1.0, 12)
         with pytest.raises(ConfigurationError):
             certify_modified_entropy(f, 2.0, 0.0, 12)
+
+
+# the cone certifiers' symmetry sweep holds six permutations of R^3 points
+CONE_CERTIFIERS = {
+    "entropy_equation": lambda budget: certify_entropy_equation(
+        EntropySolution(0.7, 2.0), 2.0, 20, budget=budget
+    ),
+    "modified_entropy": lambda budget: certify_modified_entropy(
+        ModifiedEntropySolution(0.4, 2.0, XLogX(1.0)), 2.0, 1.0, 20, budget=budget
+    ),
+}
+
+
+@pytest.mark.parametrize("budget", [8000, 16000, 47999])
+@pytest.mark.parametrize("name", list(CONE_CERTIFIERS))
+def test_cone_symmetry_sweep_keeps_the_budget(name, budget):
+    message = f"^48000 defect samples exceed the budget of {budget}$"
+    with pytest.raises(BudgetExceededError, match=message):
+        CONE_CERTIFIERS[name](budget)
+
+
+@pytest.mark.parametrize("name", list(CONE_CERTIFIERS))
+def test_cone_certifiers_run_at_their_sample_count(name):
+    assert CONE_CERTIFIERS[name](48000).satisfied
 
 
 class TestSumForms:

@@ -672,6 +672,75 @@ def nan_node_sample():
     return sample
 
 
+def triangle_residual(function, **grid):
+    return {"schema": 1, "job": "residual", "equation": "fundamental", "alpha": 0.5,
+            "function": function, "grid": {"kind": "triangle", "resolution": 16, **grid}}
+
+
+KAPPA_HALF = 1.0 / (2.0**0.5 - 1.0)
+MEASURE = {"generator": {"kind": "power_family", "a": KAPPA_HALF, "b": KAPPA_HALF,
+                         "alpha": 0.5}, "alpha": 0.5, "max_n": 4}
+CONE_JOBS = {
+    "entropy_equation": {"function": {"kind": "entropy_solution", "scale": 0.7, "alpha": 2.0},
+                         "alpha": 2.0},
+    "modified_entropy": {"function": {"kind": "modified_entropy_solution", "coeff": 0.4,
+                                      "alpha": 2.0, "phi": {"kind": "xlog2", "scale": 1.0}},
+                         "alpha": 2.0, "n": 1.0},
+}
+
+
+class TestMalformedValues:
+    """A config value of the wrong type exits 2 with a message naming its
+    field, and writes no report."""
+
+    @pytest.mark.parametrize("config, message", [
+        (triangle_residual({**POWER, "a": "x"}), "field 'a' of scalar function kind"),
+        (triangle_residual({**POWER, "a": True}), "must be a real number, got True"),
+        (triangle_residual({**POWER, "a": [1.0]}), "must be a real number, got [1.0]"),
+        (triangle_residual({"kind": "grid_sample", "xs": [0.0, "a", 1.0],
+                            "ys": [0.0, 1.0, 2.0]}),
+         "field 'xs' of scalar function kind 'grid_sample' must be a list of real numbers"),
+        (triangle_residual(POWER, closed="false"),
+         "config field 'closed' must be true or false, got 'false'"),
+        (certify_config("fundamental_closed", POWER, 0.5, closed=1),
+         "config field 'closed' must be true or false, got 1"),
+        ({"schema": 1, "job": "certify", "theorem": "measure_sequence", "measure": MEASURE,
+          "alpha": "x", "levels": 4, "resolution": 16},
+         "config field 'alpha' must be a number, got 'x'"),
+    ], ids=["string", "bool", "list", "grid_sample", "closed_string", "closed_int",
+            "measure_alpha"])
+    def test_exits_two_without_report(self, tmp_path, capsys, config, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("closed, samples", [(False, 105), (True, 151)])
+    def test_closed_reads_a_boolean(self, tmp_path, closed, samples):
+        code, report = run_job(tmp_path, triangle_residual(POWER, closed=closed))
+        assert code == EXIT_OK and report["result"]["samples"] == samples
+
+    def test_measure_alpha_may_be_given(self, tmp_path):
+        config = {"schema": 1, "job": "certify", "theorem": "measure_sequence",
+                  "measure": MEASURE, "alpha": 0.5, "levels": 4, "resolution": 16}
+        code, report = run_job(tmp_path, config)
+        assert code == EXIT_OK and report["result"]["satisfied"] is True
+
+    @pytest.mark.parametrize("theorem", list(CONE_JOBS))
+    def test_cone_budget_covers_the_symmetry_sweep(self, tmp_path, capsys, theorem):
+        config = {"schema": 1, "job": "certify", "theorem": theorem, "resolution": 20,
+                  "budget": 16000, **CONE_JOBS[theorem]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert "48000 defect samples exceed the budget of 16000" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+        assert run({**config, "budget": 48000}, out_dir=str(tmp_path)) == EXIT_OK
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 class TestNonFiniteReports:
     def run_main(self, tmp_path, text):

@@ -1,5 +1,6 @@
 """Representations, entropies and descriptor round-trips."""
 
+import importlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import infostab
 from infostab import (
     AffineSum,
     Alpha,
@@ -371,6 +373,50 @@ class TestDescriptors:
         with pytest.raises(UnsupportedParameterError):
             scalar_from_config({"kind": "power_family", "a": 1.0})
 
+    @pytest.mark.parametrize("load, cfg, name, what", [
+        (scalar_from_config, {"a": "x"}, "a", "a real number"),
+        (scalar_from_config, {"a": True}, "a", "a real number"),
+        (scalar_from_config, {"a": [1.0]}, "a", "a real number"),
+        (scalar_from_config, {"a": None}, "a", "a real number"),
+        (scalar_from_config, {"kind": "grid_sample", "xs": [0.0, "a", 1.0]}, "xs",
+         "a list of real numbers"),
+        (scalar_from_config, {"kind": "grid_sample", "xs": [0.0, False, 1.0]}, "xs",
+         "a list of real numbers"),
+        (scalar_from_config, {"kind": "grid_sample", "xs": 0.5}, "xs",
+         "a list of real numbers"),
+        (ternary_from_config, {"kind": "wave3", "seed": 6.0}, "seed", "an integer"),
+        (ternary_from_config, {"kind": "wave3", "seed": True}, "seed", "an integer"),
+        (ternary_from_config, {"kind": "wave3", "interior_only": "no"}, "interior_only",
+         "a boolean"),
+        (ternary_from_config, {"kind": "wave3", "interior_only": 0}, "interior_only",
+         "a boolean"),
+    ])
+    def test_malformed_value_names_field_and_kind(self, load, cfg, name, what):
+        base = {
+            scalar_from_config: {"kind": "power_family", "a": 2.0, "b": 1.0, "alpha": 0.5},
+            ternary_from_config: {"kind": "wave3", "height": 1e-3, "seed": 6},
+        }[load]
+        if cfg.get("kind") == "grid_sample":
+            base = {"kind": "grid_sample", "xs": [0.0, 0.5, 1.0], "ys": [0.0, 1.0, 2.0]}
+        desc = {**base, **cfg}
+        with pytest.raises(UnsupportedParameterError) as info:
+            load(desc)
+        assert str(info.value) == (
+            f"field {name!r} of {load.__name__.split('_')[0]} function kind "
+            f"{desc['kind']!r} must be {what}, got {cfg[name]!r}"
+        )
+
+    def test_numpy_scalars_are_accepted(self):
+        f = scalar_from_config({"kind": "power_family", "a": np.float64(2.0),
+                                "b": np.int64(1), "alpha": np.float32(0.5)})
+        assert f(0.5) == PowerFamily(2.0, 1.0, 0.5)(0.5)
+        g = ternary_from_config({"kind": "wave3", "height": 1e-3, "seed": np.int64(6),
+                                 "interior_only": np.bool_(False)})
+        assert g(0.3, 0.4, 0.2) == Wave3(1e-3, seed=6, interior_only=False)(0.3, 0.4, 0.2)
+        s = scalar_from_config({"kind": "grid_sample", "xs": [0.0, np.float64(1.0)],
+                                "ys": [1, 2.0]})
+        assert s.xs == (0.0, 1.0)
+
 
 @settings(max_examples=60, deadline=None)
 @given(
@@ -390,3 +436,16 @@ def test_two_point_entropy_symmetry(p, alpha):
     h1 = alpha_entropy([p, 1.0 - p], alpha)
     h2 = alpha_entropy([1.0 - p, p], alpha)
     assert math.isclose(h1, h2, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "module", ["certifiers", "domains", "equations", "errors", "measures", "models"]
+)
+def test_every_public_name_is_exported(module):
+    mod = importlib.import_module(f"infostab.{module}")
+    # errors.py has no __all__: its public names are the exceptions it defines
+    names = getattr(mod, "__all__", None) or [
+        n for n, v in vars(mod).items()
+        if not n.startswith("_") and getattr(v, "__module__", None) == mod.__name__
+    ]
+    assert names and [n for n in names if not hasattr(infostab, n)] == []

@@ -98,6 +98,33 @@ def test_certificate_json_is_frozen(name):
     assert digest(CERTIFICATES[name]().to_json_dict()) == CERTIFICATE_DIGESTS[name]
 
 
+# json.dumps without sort_keys: these also pin the order of the trace entries
+UNSORTED_DIGESTS = {
+    "fundamental_open": "91a5ee3993ed8708dd2552123bf1dce2f25015d9d684cc6fa7fb6bb81629e4bb",
+    "fundamental_closed": "0d54e9eacca00bfd29f7c82f94969fc6346c7ffd33dfbf47ceee3254c8d67c54",
+    "hyperstability": "27d274e4446593e5aa41aca35430b8bda2d34f37ff7ea9f82725b8c4609e88ce",
+    "entropy_equation": "3164d39956a3aded0c3fce9939acd7978f066cf1512a28a6459703e6d7654928",
+    "modified_entropy": "821f126577d06e2ecce23caa08be7b47199f267f2c6e4da5aaf07b6e29364ce1",
+    "sum_form": "a0a9ccc2e2583d54875d2d4abb3633ce052b21ce85e8835e1cb8352336df7dca",
+    "sum_form_multiplicative": "f89371dbacaa3e374bab24c558de5f3ba6ae31009125a3acd4a725f3ddf4e0be",
+    "sum_form_mixed": "1d89f8b3524cbec542184760fa6bf31218c2d81d2bbe5d04103386cc11a0f1fb",
+    "measure_sequence": "9b03775b0e4c423043440f6ac098f6cb7842247814b4100d832acbea6d73e022",
+    "measure_sequence_statement": "fd883bee8caee9a42d11c2914d9dfbba08de369e0f1408f138a031067a7ed616",
+    "associativity": "741d04ebdaa83a59ed3e30320a601510f0fee3c66f8393cec54078ec256a7db9",
+}
+
+
+@pytest.mark.parametrize("name", list(CERTIFICATES))
+def test_certificate_json_order_is_frozen(name):
+    text = json.dumps(CERTIFICATES[name]().to_json_dict(), allow_nan=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == UNSORTED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", list(CERTIFICATES))
+def test_trace_is_a_dict(name):
+    assert type(CERTIFICATES[name]().trace) is dict
+
+
 def test_certificate_keys_keep_their_order():
     # the digests sort their keys; this pins the order the fields write them in
     keys = list(CERTIFICATES["fundamental_open"]().to_json_dict())
