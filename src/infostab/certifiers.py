@@ -27,6 +27,7 @@ from .equations import (
     ModifiedEntropy,
     SumFormMultiplicative,
     _blocks,
+    _imap,
     _non_finite,
     _pair_blocks,
     _passes,
@@ -444,7 +445,7 @@ def certify_hyperstable(
 
 
 def hyperstability_blowup_probe(
-    f, alpha, margins, resolution: int = 2048, *, budget: int = 10**7
+    f, alpha, margins, resolution: int = 2048, *, budget: int = 10**7, jobs: int = 1
 ):
     """Equation-defect suprema on the shrinking domains {x + y <= 1 - h}.
 
@@ -452,6 +453,8 @@ def hyperstability_blowup_probe(
     level; for family-plus-bounded-perturbation data the sequence grows
     without bound as h -> 0, which is the numerical signature of the
     hyperstable regime.  Returns [(h, sup), ...] in the given margin order.
+    Blocks are swept on up to jobs threads and their maxima folded in block
+    order, so every supremum is exact at any jobs.
     """
     a = Alpha.of(alpha)
     if a.regime is not Regime.NEGATIVE:
@@ -462,20 +465,25 @@ def hyperstability_blowup_probe(
     if any(hs[i] <= hs[i + 1] for i in range(len(hs) - 1)):
         raise ConfigurationError("margins must decrease strictly toward 0")
     work, items = _blocks(FundamentalParametric(a.value), f, TriangleGrid(resolution), budget)
-    sups = [0.0] * len(hs)
-    size, bad, first = 0, 0, ()
-    for item in items:
+
+    def maxima(item):
+        # (size, non-finite count, first non-finite point, per-margin maxima)
         block, d = work(item)
         d = np.abs(d)
-        size += d.size
         finite = np.isfinite(d)
         if not finite.all():
-            bad += int(np.count_nonzero(~finite))
-            first = first or tuple(block[int(np.argmin(finite))].tolist())
-            continue
+            first = tuple(block[int(np.argmin(finite))].tolist())
+            return d.size, int(np.count_nonzero(~finite)), first, ()
         s = block[:, 0] + block[:, 1]
-        for i, h in enumerate(hs):
-            sups[i] = float(np.max(d, where=s <= 1.0 - h + 1e-12, initial=sups[i]))
+        sups = [float(np.max(d, where=s <= 1.0 - h + 1e-12, initial=0.0)) for h in hs]
+        return d.size, 0, (), sups
+
+    sups = [0.0] * len(hs)
+    size, bad, first = 0, 0, ()
+    for n, block_bad, block_first, block_sups in _imap(maxima, items, jobs):
+        size, bad, first = size + n, bad + block_bad, first or block_first
+        if not block_bad:
+            sups = [max(s, m) for s, m in zip(sups, block_sups)]
     if bad:
         raise _non_finite(bad, size, first)
     return list(zip(hs, sups))
@@ -576,12 +584,12 @@ def certify_measure_sequence(
     the K term drops and only the recursivity defects remain.
 
     The candidate is fitted first, since it reads only the level-2
-    generator.  Then every level's lattice is streamed once, on one thread
-    whatever jobs is (a thread pool would hold every block at once): one
-    splitting recursion per block gives both the level's recursivity defect
-    and its distance to J_n.  Errors are raised in that order: configuration,
-    alpha = 1, the fit, the semi-symmetry sweep, then the levels in order,
-    each level's recursivity error before its distance error.
+    generator.  Then every level's lattice is streamed once, on up to jobs
+    threads with at most 2 * jobs blocks in flight: one splitting recursion
+    per block gives both the level's recursivity defect and its distance to
+    J_n.  Errors are raised in that order: configuration, alpha = 1, the
+    fit, the semi-symmetry sweep, then the levels in order, each level's
+    recursivity error before its distance error.
     """
     if levels < 2:
         raise ConfigurationError(f"levels must be at least 2, got {levels}")
@@ -642,19 +650,20 @@ def certify_measure_sequence(
 
     distances = {}
     if not statement:
-        eps = [check_semisymmetry3(measure, resolution, budget=budget).sup]
+        eps = [check_semisymmetry3(measure, resolution, budget=budget, jobs=jobs).sup]
         # built once the budget has bounded the resolution
         j_rows = _sequence_candidate(a, coefficients, resolution)
         gap = lambda P: measure._eval_rows(P) - j_rows(P)
-        distances[2] = _sweep(*_simplex_blocks(2, resolution, False, budget, gap)).sup
+        blocks = _simplex_blocks(2, resolution, False, budget, gap)
+        distances[2] = _sweep(*blocks, jobs=jobs).sup
         for n in range(3, int(levels) + 1):
             split, dist = recursivity_defect(
-                measure, n, resolution, budget=budget, against=j_rows
+                measure, n, resolution, budget=budget, against=j_rows, jobs=jobs
             )
             eps.append(split.sup)
             distances[n] = dist.sup
         if levels == 2:  # the level-2 bound still reads eps_2
-            eps.append(recursivity_defect(measure, 3, resolution, budget=budget).sup)
+            eps.append(recursivity_defect(measure, 3, resolution, budget=budget, jobs=jobs).sup)
 
     rows = []
     for n in range(2, int(levels) + 1):
@@ -789,7 +798,7 @@ class AssociativityCertificate:
 
 
 def certify_associativity(
-    A, B, U, V, W, resolution: int, *, budget: int = 10**7
+    A, B, U, V, W, resolution: int, *, budget: int = 10**7, jobs: int = 1
 ) -> AssociativityCertificate:
     """Measure the associativity gap and check the bridged representation.
 
@@ -830,7 +839,7 @@ def certify_associativity(
         u, v, w = P.T
         return np.asarray(A(u + v, w)) - np.asarray(B(u, v + w))
 
-    eps = _sweep(*_row_blocks(uvw, gap)).sup
+    eps = _sweep(*_row_blocks(uvw, gap), jobs=jobs).sup
 
     def phi(sv):
         sv = np.asarray(sv, dtype=float)
@@ -968,13 +977,12 @@ def certify_sum_form(
     (minimax) fit on the closed unit lattice, solved by golden-section search
     over the bracket [-M, M], M = 2 * sup|phi| * resolution.  The certificate
     passes when the bounded remainder stays under epsilon.  The epsilon sweep
-    streams its lattice on one thread whatever jobs is, since a thread pool
-    would hold every block at once.
+    streams its lattice on up to jobs threads, at most 2 * jobs blocks at once.
     """
     if n < 3:
         raise ConfigurationError(f"the sum-form theorem needs n >= 3, got {n}")
     sums = lambda P: np.sum(np.asarray(phi(P)), axis=1)
-    eps = _sweep(*_simplex_blocks(n, resolution, True, budget, sums)).sup
+    eps = _sweep(*_simplex_blocks(n, resolution, True, budget, sums), jobs=jobs).sup
 
     xs = UnitGrid(resolution, closed=True).points
     pv = np.asarray(phi(xs))

@@ -143,18 +143,32 @@ def _build_function(builder, desc, field_name):
         ) from exc
 
 
+# grid kind -> the fields its descriptor may hold besides "kind"
+_GRID_FIELDS = {
+    "unit": ("resolution", "closed"),
+    "triangle": ("resolution", "closed"),
+    "simplex": ("n", "resolution", "closed", "budget"),
+    "simplex_pair": ("n", "m", "resolution", "closed", "budget"),
+    "cone": ("resolution", "bound", "budget"),
+    "pair": ("resolution", "bound"),
+}
+
+
 def _build_grid(desc, budget):
     if not isinstance(desc, dict):
         raise ConfigurationError("config field 'grid' must be an object")
     kind = _field(desc, "kind")
-    if kind == "unit":
-        return UnitGrid(
-            _int_field(desc, "resolution"), closed=_bool_field(desc, "closed", False)
+    if not isinstance(kind, str) or kind not in _GRID_FIELDS:
+        raise ConfigurationError(f"config field 'grid.kind' is unknown: '{kind}'")
+    unknown = sorted(set(desc) - {"kind", *_GRID_FIELDS[kind]}, key=str)
+    if unknown:
+        raise ConfigurationError(
+            f"config field 'grid.{unknown[0]}' is unknown for a {kind} grid; "
+            f"known: {', '.join(_GRID_FIELDS[kind])}"
         )
-    if kind == "triangle":
-        return TriangleGrid(
-            _int_field(desc, "resolution"), closed=_bool_field(desc, "closed", False)
-        )
+    if kind in ("unit", "triangle"):
+        cls = UnitGrid if kind == "unit" else TriangleGrid
+        return cls(_int_field(desc, "resolution"), closed=_bool_field(desc, "closed", False))
     if kind == "simplex":
         return SimplexGrid(
             _int_field(desc, "n"),
@@ -176,11 +190,7 @@ def _build_grid(desc, budget):
             bound=_float_field(desc, "bound", 1.0),
             budget=_int_field(desc, "budget", budget),
         )
-    if kind == "pair":
-        return PairGrid(
-            _int_field(desc, "resolution"), bound=_float_field(desc, "bound", 1.0)
-        )
-    raise ConfigurationError(f"config field 'grid.kind' is unknown: '{kind}'")
+    return PairGrid(_int_field(desc, "resolution"), bound=_float_field(desc, "bound", 1.0))
 
 
 def _build_measure(desc):
@@ -341,6 +351,7 @@ def _job_certify(cfg, jobs, dump):
                 _float_list(cfg, "margins"),
                 resolution=_int_field(cfg, "probe_resolution", 2048),
                 budget=budget,
+                jobs=jobs,
             )
             result["blowup"] = [[h, s] for h, s in probe]
     elif theorem == "measure_sequence":
@@ -370,7 +381,8 @@ def _job_certify(cfg, jobs, dump):
                 "config field 'intervals' must list three (lo, hi) pairs"
             )
         cert = certify_associativity(
-            A, B, ivs[0], ivs[1], ivs[2], _int_field(cfg, "resolution"), budget=budget
+            A, B, ivs[0], ivs[1], ivs[2], _int_field(cfg, "resolution"), budget=budget,
+            jobs=jobs,
         )
         result = cert.to_json_dict()
     elif theorem in _THEOREMS:
@@ -407,11 +419,11 @@ def _job_measure(cfg, jobs, dump):
             f"config field 'n' must lie in [2, max_n={measure.max_n}], got {top}"
         )
     symmetry = [
-        {"n": n, "sup": check_symmetry(measure, n, resolution, budget=budget).sup}
+        {"n": n, "sup": check_symmetry(measure, n, resolution, budget=budget, jobs=jobs).sup}
         for n in range(2, top + 1)
     ]
     recursivity = [
-        {"n": n, "sup": recursivity_defect(measure, n, resolution, budget=budget).sup}
+        {"n": n, "sup": recursivity_defect(measure, n, resolution, budget=budget, jobs=jobs).sup}
         for n in range(3, top + 1)
     ]
     gd = derive_generating_defect(measure, resolution, budget=budget, jobs=jobs)
@@ -419,7 +431,7 @@ def _job_measure(cfg, jobs, dump):
         "alpha": measure.alpha_value,
         "max_n": measure.max_n,
         "normalization_gap": float(check_normalization(measure)),
-        "semisymmetry3": check_semisymmetry3(measure, resolution, budget=budget).sup,
+        "semisymmetry3": check_semisymmetry3(measure, resolution, budget=budget, jobs=jobs).sup,
         "symmetry": symmetry,
         "recursivity": recursivity,
         "generating_defect": {
@@ -498,7 +510,7 @@ def _job_sweep(cfg, jobs, dump):
         entry = cert.to_json_dict()
         if cert.theorem == "hyperstability" and not cert.satisfied:
             margins = [2.0**-k for k in range(3, 10)]
-            probe = hyperstability_blowup_probe(f, av, margins, budget=budget)
+            probe = hyperstability_blowup_probe(f, av, margins, budget=budget, jobs=jobs)
             entry["blowup"] = [[h, s] for h, s in probe]
         certs.append(entry)
         table.append(
@@ -527,6 +539,7 @@ def _job_blowup(cfg, jobs, dump):
         _float_list(cfg, "margins"),
         resolution=_int_field(cfg, "resolution", 2048),
         budget=_int_field(cfg, "budget", 10**7),
+        jobs=jobs,
     )
     rows = [[h, s] for h, s in probe]
     first, last = probe[0][1], probe[-1][1]
@@ -571,6 +584,8 @@ _JOBS = {
 
 def run(config, *, out_dir: str = ".", jobs: int = 1, dump_defects: bool = False) -> int:
     """Execute one parsed config, write reports into out_dir, return exit code."""
+    if int(jobs) < 1:
+        raise ConfigurationError(f"--jobs must be at least 1, got {jobs}")
     if not isinstance(config, dict):
         raise ConfigurationError("config must be a JSON object")
     schema = config.get("schema")

@@ -18,7 +18,8 @@ against its budget before the lattice is built.  _blocks gives the
 (work, items) of an equation kind on a grid; residual reduces those blocks
 and dump_defects_csv writes them through domains._write_csv.  _sweep
 summarises each block and _fold folds the summaries, so a stream that yields
-two defects per block can fold each into its own report.
+two defects per block can fold each into its own report.  _imap runs the
+blocks of every sweep on up to jobs threads and returns them in order.
 
 The fundamental-equation kernel reads node tables: f(k/R) and
 (1 - k/R)^alpha are evaluated once per sweep over the node indices k the
@@ -30,6 +31,8 @@ expression.
 
 from __future__ import annotations
 
+import collections
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -215,6 +218,37 @@ def _row(points, i):
     return tuple(np.atleast_1d(points[i % len(points)]).tolist())
 
 
+def _imap(fn, items, jobs):
+    """fn over items, results in item order, on up to jobs threads.
+
+    With jobs <= 1 this is map.  Otherwise at most 2 * jobs items are in
+    flight, so a streamed lattice is never held whole, and items are pulled
+    only on the calling thread.  An error is raised at its item's place, as
+    map raises it; the pending items are then cancelled and every worker
+    thread has ended before the error propagates.  A sweep of one item
+    starts no thread.
+    """
+    items = iter(items)
+    head = list(itertools.islice(items, 2)) if jobs > 1 else []
+    if len(head) < 2:
+        yield from map(fn, itertools.chain(head, items))
+        return
+    pending = collections.deque()
+    # the pool starts a thread per submit until jobs are running, so it never
+    # holds more threads than items in flight
+    with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
+        try:
+            for item in itertools.chain(head, items):
+                pending.append(pool.submit(fn, item))
+                if len(pending) >= 2 * jobs:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
+
+
 def _sweep(work, items, *, jobs=1, epsilon_target=None):
     """Reduce work(item) -> (points, defects) over items to one report.
 
@@ -222,11 +256,7 @@ def _sweep(work, items, *, jobs=1, epsilon_target=None):
     jobs > 1, so no defect array outlives its block, and the summaries are
     folded in item order.
     """
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
-            summaries = list(pool.map(lambda item: _summary(*work(item)), items))
-    else:
-        summaries = (_summary(*work(item)) for item in items)
+    summaries = _imap(lambda item: _summary(*work(item)), items, jobs)
     return _fold(summaries, epsilon_target)
 
 
@@ -285,8 +315,8 @@ def _row_blocks(pts, defect):
 
 def _simplex_blocks(n, resolution, closed, budget, defect):
     """(work, blocks) of defect(rows) over a simplex lattice within budget,
-    streamed _CHUNK rows a block.  Sweep them on one thread: a thread pool
-    would submit, and so hold, every block at once."""
+    streamed _CHUNK rows a block; _sweep's window holds at most 2 * jobs
+    blocks at once."""
     grid = SimplexGrid(n, resolution, closed=closed)
     _within_budget(grid.count, budget)
     return (lambda P: (P, defect(P))), grid.iter_blocks(_CHUNK)

@@ -30,9 +30,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .domains import SimplexGrid, TriangleGrid, pow0
-from .equations import FundamentalParametric, ResidualReport, _pair_blocks, _passes, _row_blocks
-from .equations import _fold, _simplex_blocks, _summary, _sweep, _within_budget, residual
+from .domains import _CHUNK, SimplexGrid, TriangleGrid, pow0
+from .equations import (
+    FundamentalParametric, ResidualReport, _fold, _imap, _pair_blocks, _passes, _row_blocks,
+    _simplex_blocks, _spans, _summary, _sweep, _within_budget, residual,
+)
 from .errors import ConfigurationError, InvalidDistributionError
 from .models import Alpha, ScalarFunction, validate_distribution
 
@@ -179,7 +181,7 @@ class InformationMeasure:
 
 
 def check_symmetry(
-    measure: InformationMeasure, n: int, resolution: int, *, budget: int = 10**6
+    measure: InformationMeasure, n: int, resolution: int, *, budget: int = 10**6, jobs: int = 1
 ) -> ResidualReport:
     """sup over all n! coordinate permutations and grid points of the gap."""
     grid = SimplexGrid(n, resolution, budget=budget)
@@ -187,19 +189,25 @@ def check_symmetry(
     pts = grid.points
     perms = list(itertools.permutations(range(n)))
     base = measure._eval_rows(pts)
-    # one block per permutation, in order
-    return _sweep(lambda perm: (pts, measure._eval_rows(pts[:, perm]) - base), perms)
+
+    def gaps(span):
+        # the permutations perms[a:b] in order, each over the whole lattice
+        group = perms[span[0] : span[1]]
+        return pts, np.concatenate([measure._eval_rows(pts[:, p]) - base for p in group])
+
+    # about _CHUNK values a block, so a small lattice is one block
+    return _sweep(gaps, _spans(len(perms), max(1, _CHUNK // len(pts))), jobs=jobs)
 
 
 def check_semisymmetry3(
-    measure: InformationMeasure, resolution: int, *, budget: int = 10**6
+    measure: InformationMeasure, resolution: int, *, budget: int = 10**6, jobs: int = 1
 ) -> ResidualReport:
     """sup over the interior 3-simplex of |I_3(p1,p2,p3) - I_3(p1,p3,p2)|."""
     grid = SimplexGrid(3, resolution, budget=budget)
     _within_budget(grid.count, budget)
     pts = grid.points
     swap = lambda P: measure._eval_rows(P[:, (0, 2, 1)]) - measure._eval_rows(P)
-    return _sweep(*_row_blocks(pts, swap))
+    return _sweep(*_row_blocks(pts, swap), jobs=jobs)
 
 
 def check_additivity(
@@ -209,6 +217,7 @@ def check_additivity(
     resolution: int,
     *,
     budget: int = 10**6,
+    jobs: int = 1,
 ) -> ResidualReport:
     """Defect of degree-alpha additivity over pairs of interior lattices:
 
@@ -230,7 +239,7 @@ def check_additivity(
     lam = 2.0 ** (1.0 - measure.alpha_value) - 1.0
     ip = measure._eval_rows(gp.points)[:, None]
     iq = measure._eval_rows(gq.points)[None, :]
-    return _sweep(work, spans)
+    return _sweep(work, spans, jobs=jobs)
 
 
 def check_normalization(measure: InformationMeasure) -> float:
@@ -245,10 +254,11 @@ def check_sum_property(
     resolution: int,
     *,
     budget: int = 10**6,
+    jobs: int = 1,
 ) -> ResidualReport:
     """sup over the interior lattice of |I_n(P) - sum_i f(p_i)|, streamed."""
     gap = lambda P: measure._eval_rows(P) - np.sum(np.asarray(f(P)), axis=1)
-    return _sweep(*_simplex_blocks(n, resolution, False, budget, gap))
+    return _sweep(*_simplex_blocks(n, resolution, False, budget, gap), jobs=jobs)
 
 
 def recursivity_defect(
@@ -258,6 +268,7 @@ def recursivity_defect(
     *,
     budget: int = 10**6,
     against=None,
+    jobs: int = 1,
 ):
     """sup over the interior n-lattice of the level-n splitting defect
 
@@ -276,14 +287,15 @@ def recursivity_defect(
         return out, out - inner - weight * g2
 
     if against is None:
-        return _sweep(*_simplex_blocks(n, resolution, False, budget, lambda P: split(P)[1]))
+        blocks = _simplex_blocks(n, resolution, False, budget, lambda P: split(P)[1])
+        return _sweep(*blocks, jobs=jobs)
 
     def both(P):
         out, defect = split(P)
         return _summary(P, defect), _summary(P, out - against(P))
 
     work, blocks = _simplex_blocks(n, resolution, False, budget, both)
-    splits, gaps = zip(*(work(P)[1] for P in blocks))
+    splits, gaps = zip(*_imap(lambda P: work(P)[1], blocks, jobs))
     return _fold(splits), _fold(gaps)
 
 
@@ -333,8 +345,8 @@ def derive_generating_defect(
     if measure.max_n < 3:
         raise ConfigurationError("needs a measure defined at least up to level 3")
     f = _GeneratorFunction(measure)
-    eps1 = check_semisymmetry3(measure, resolution, budget=budget).sup
-    eps2 = recursivity_defect(measure, 3, resolution, budget=budget).sup
+    eps1 = check_semisymmetry3(measure, resolution, budget=budget, jobs=jobs).sup
+    eps2 = recursivity_defect(measure, 3, resolution, budget=budget, jobs=jobs).sup
     rep = residual(
         FundamentalParametric(measure.alpha_value),
         f,

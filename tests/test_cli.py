@@ -23,6 +23,11 @@ POWER = {"kind": "power_family", "a": 2.0, "b": 1.0, "alpha": 0.5}
 BUMP = {"kind": "bump", "center": 0.5, "width": 0.2, "height": 1e-3}
 NOISY_POWER = {"kind": "sum", "terms": [POWER, BUMP]}
 NEG_FAMILY = {"kind": "power_family", "a": 1.0, "b": 1.0, "alpha": -1.0}
+PHI_OF_SUM = {"kind": "phi_of_sum", "phi": {"kind": "power_law", "scale": 1.0, "alpha": 2.0}}
+NOISY_NEG = {"kind": "sum", "terms": [NEG_FAMILY, dict(BUMP, height=0.05)]}
+NOISY_MEASURE = {"generator": {"kind": "power_family", "a": -2.0, "b": -2.0, "alpha": 2.0},
+                 "alpha": 2.0, "max_n": 4,
+                 "perturbations": [{"level": 3, "height": 5e-5, "seed": 7}]}
 
 
 def run_job(tmp_path, config, **kwargs):
@@ -275,6 +280,21 @@ class TestRunResidual:
         with pytest.raises(ConfigurationError):
             run(config, out_dir=str(tmp_path))
 
+    @pytest.mark.parametrize("kind, field", [
+        ("unit", "bound"), ("triangle", "closd"), ("simplex", "m"),
+        ("simplex_pair", "bound"), ("cone", "closed"), ("pair", "budget"),
+    ])
+    def test_unknown_grid_field_is_refused(self, tmp_path, kind, field):
+        # a field another grid kind reads (or a misspelling) beside valid ones
+        grid = {"kind": kind, "resolution": 8, field: True}
+        if kind == "simplex_pair":
+            grid.update(n=3, m=3)
+        elif kind == "simplex":
+            grid.update(n=3)
+        with pytest.raises(ConfigurationError, match=f"'grid.{field}' is unknown"):
+            run(self.residual_config(grid=grid), out_dir=str(tmp_path))
+        assert not (tmp_path / "report.json").exists()
+
     def test_wrong_function_arity(self, tmp_path):
         config = {"schema": 1, "job": "residual", "equation": "daroczy",
                   "functions": [{"kind": "shannon_info"}],
@@ -471,17 +491,36 @@ class TestRunPlumbing:
               "phi": {"kind": "xlog2", "scale": 1.0}},
              {"kind": "wave3", "height": 1e-4, "seed": 2}]},
          "alpha": 2.0, "n": 1.0, "resolution": 40},
-    ], ids=["residual", "sum_form_mixed", "entropy_equation", "modified_entropy"])
+        # the blow-up probe sweeps the R=2048 triangle at the failing alpha
+        {"schema": 1, "job": "sweep", "target": "fundamental", "alphas": [-1.0],
+         "family": {"a": 1.0, "b": 1.0}, "noise": {"height": 1e-3}, "resolution": 32},
+        {"schema": 1, "job": "blowup", "function": NOISY_NEG, "alpha": -1.0,
+         "margins": [0.125, 0.0625, 0.03125], "resolution": 512},
+        certify_config("hyperstability", NOISY_NEG, -1.0, margins=[0.125, 0.0625],
+                       probe_resolution=512),
+        # the level-4 lattice at R=64 holds 39,711 points
+        {"schema": 1, "job": "certify", "theorem": "measure_sequence",
+         "measure": NOISY_MEASURE, "levels": 4, "resolution": 64},
+        {"schema": 1, "job": "certify", "theorem": "sum_form", "n": 3, "resolution": 300,
+         "function": {"kind": "sum", "terms": [
+             {"kind": "power_law", "scale": 0.7, "alpha": 1.0},
+             {"kind": "constant", "value": -0.7 / 3.0}]}},
+        {"schema": 1, "job": "certify", "theorem": "associativity",
+         "functions": [PHI_OF_SUM, PHI_OF_SUM], "resolution": 40,
+         "intervals": [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]},
+        # every measure check sweeps at least two blocks at R=260
+        {"schema": 1, "job": "measure", "measure": NOISY_MEASURE, "n": 3, "resolution": 260},
+    ], ids=["residual", "sum_form_mixed", "entropy_equation", "modified_entropy",
+            "sweep_probe", "blowup", "hyperstability_margins", "measure_sequence",
+            "sum_form", "associativity", "measure"])
     def test_report_bytes_independent_of_jobs(self, tmp_path, config):
-        serial_dir = tmp_path / "serial"
-        parallel_dir = tmp_path / "parallel"
-        serial_dir.mkdir()
-        parallel_dir.mkdir()
-        run(config, out_dir=str(serial_dir), jobs=1)
-        run(config, out_dir=str(parallel_dir), jobs=8)
-        serial = (serial_dir / "report.json").read_bytes()
-        parallel = (parallel_dir / "report.json").read_bytes()
-        assert serial == parallel
+        outputs = []
+        for jobs in (1, 8):
+            out = tmp_path / str(jobs)
+            out.mkdir()
+            run(config, out_dir=str(out), jobs=jobs)
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
 
     def test_report_is_sorted_and_newline_terminated(self, tmp_path):
         run_job(tmp_path, certify_config("fundamental", POWER, 0.5))
@@ -494,7 +533,6 @@ class TestRunPlumbing:
 ENTROPY_SOLUTION = {"kind": "entropy_solution", "scale": 0.7, "alpha": 2.0}
 MODIFIED_SOLUTION = {"kind": "modified_entropy_solution", "coeff": 0.4, "alpha": 2.0,
                      "phi": {"kind": "xlog2", "scale": 1.0}}
-PHI_OF_SUM = {"kind": "phi_of_sum", "phi": {"kind": "power_law", "scale": 1.0, "alpha": 2.0}}
 SHANNON_PAIR = [{"kind": "shannon_info"}, {"kind": "xlog2", "scale": -1.0}]
 UNIT = {"kind": "unit", "resolution": 8}
 CONE = {"kind": "cone", "resolution": 4}
@@ -634,6 +672,16 @@ class TestMain:
         path = self.write_config(tmp_path, certify_config("fundamental", POWER, 0.5))
         out = tmp_path / "out"
         assert main(["--config", path, "--out", str(out), "--jobs", "4"]) == EXIT_OK
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_exits_two(self, tmp_path, capsys, jobs):
+        path = self.write_config(tmp_path, certify_config("fundamental", POWER, 0.5))
+        out = tmp_path / "out"
+        assert main(["--config", path, "--out", str(out), "--jobs", str(jobs)]) == EXIT_CONFIG
+        assert "--jobs" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+        with pytest.raises(ConfigurationError, match="--jobs"):
+            run(certify_config("fundamental", POWER, 0.5), out_dir=str(out), jobs=jobs)
 
     def test_violation_passes_through(self, tmp_path):
         config = {"schema": 1, "job": "residual", "equation": "fundamental",

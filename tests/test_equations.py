@@ -2,6 +2,8 @@
 
 import io
 import math
+import threading
+import time
 import tracemalloc
 from itertools import permutations
 
@@ -75,6 +77,7 @@ from infostab.equations import (
     _blocks,
     _defect_and_points,
     _exact_total,
+    _imap,
     _row,
     _sum_form_blocks,
     _unit_pairs,
@@ -876,3 +879,63 @@ class TestNonFiniteDefects:
         with pytest.raises(NonFiniteDefectError) as exc:
             residual(kind, bad, grids, jobs=2)
         assert str(first) in str(exc.value)
+
+
+class TestOrderedMap:
+    """_imap: results in item order, a bounded window, errors in order."""
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_results_come_back_in_item_order(self, jobs):
+        def fn(i):
+            time.sleep((i * 7 % 5) * 2e-4)  # later items often finish first
+            return i * i
+
+        assert list(_imap(fn, range(30), jobs)) == [i * i for i in range(30)]
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_items_are_pulled_at_most_two_jobs_ahead(self, jobs):
+        consumed, ahead = [0], []
+
+        def items():
+            for i in range(40):
+                ahead.append(i + 1 - consumed[0])
+                yield i
+
+        for _ in _imap(lambda i: time.sleep(1e-4), items(), jobs):
+            consumed[0] += 1
+        assert consumed[0] == 40
+        assert max(ahead) == (1 if jobs == 1 else 2 * jobs)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_the_first_error_in_item_order_is_raised(self, jobs):
+        calls = []
+
+        def fn(i):
+            calls.append(i)
+            if i == 3:
+                time.sleep(0.02)  # block 5 raises first in time
+            if i in (3, 5):
+                raise ValueError(f"block {i}")
+            return i
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="block 3"):
+            list(_imap(fn, range(40), jobs))
+        assert threading.active_count() == before
+        # the window stopped at block 3 + 2 * jobs; pending blocks were cancelled
+        assert max(calls) <= 3 + 2 * jobs
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_a_one_item_sweep_starts_no_thread(self, count):
+        seen = []
+        fn = lambda i: seen.append((threading.current_thread(), threading.active_count()))
+        before = threading.active_count()
+        list(_imap(fn, range(count), 4))
+        assert seen == [(threading.main_thread(), before)] * count
+
+    def test_no_more_threads_than_items(self):
+        counts = []
+        before = threading.active_count()
+        list(_imap(lambda i: counts.append(threading.active_count()), range(3), 16))
+        assert max(counts) <= before + 3
+        assert threading.active_count() == before

@@ -314,10 +314,10 @@ class TestOnePass:
     def test_recursivity_blocks_match_the_oracle(self, n, r, monkeypatch):
         blocks = []
 
-        def sweep(work, items):
+        def sweep(work, items, **options):
             items = list(items)
             blocks.extend(work(item) for item in items)
-            return real_sweep(work, items)
+            return real_sweep(work, items, **options)
 
         real_sweep = measures._sweep
         monkeypatch.setattr(measures, "_sweep", sweep)
