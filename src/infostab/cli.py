@@ -143,7 +143,8 @@ def _build_function(builder, desc, field_name):
         ) from exc
 
 
-# grid kind -> the fields its descriptor may hold besides "kind"
+# grid kind -> the fields its descriptor may hold besides "kind"; each tuple
+# must list exactly the fields its branch of _build_grid reads
 _GRID_FIELDS = {
     "unit": ("resolution", "closed"),
     "triangle": ("resolution", "closed"),
@@ -166,9 +167,14 @@ def _build_grid(desc, budget):
             f"config field 'grid.{unknown[0]}' is unknown for a {kind} grid; "
             f"known: {', '.join(_GRID_FIELDS[kind])}"
         )
-    if kind in ("unit", "triangle"):
-        cls = UnitGrid if kind == "unit" else TriangleGrid
-        return cls(_int_field(desc, "resolution"), closed=_bool_field(desc, "closed", False))
+    if kind == "unit":
+        return UnitGrid(
+            _int_field(desc, "resolution"), closed=_bool_field(desc, "closed", False)
+        )
+    if kind == "triangle":
+        return TriangleGrid(
+            _int_field(desc, "resolution"), closed=_bool_field(desc, "closed", False)
+        )
     if kind == "simplex":
         return SimplexGrid(
             _int_field(desc, "n"),
@@ -190,7 +196,11 @@ def _build_grid(desc, budget):
             bound=_float_field(desc, "bound", 1.0),
             budget=_int_field(desc, "budget", budget),
         )
-    return PairGrid(_int_field(desc, "resolution"), bound=_float_field(desc, "bound", 1.0))
+    if kind == "pair":
+        return PairGrid(
+            _int_field(desc, "resolution"), bound=_float_field(desc, "bound", 1.0)
+        )
+    raise ConfigurationError(f"config field 'grid.kind' is unknown: '{kind}'")
 
 
 def _build_measure(desc):

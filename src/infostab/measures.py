@@ -30,10 +30,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .domains import _CHUNK, SimplexGrid, TriangleGrid, pow0
+from .domains import SimplexGrid, TriangleGrid, pow0
 from .equations import (
     FundamentalParametric, ResidualReport, _fold, _imap, _pair_blocks, _passes, _row_blocks,
-    _simplex_blocks, _spans, _summary, _sweep, _within_budget, residual,
+    _simplex_blocks, _summary, _sweep, _within_budget, residual,
 )
 from .errors import ConfigurationError, InvalidDistributionError
 from .models import Alpha, ScalarFunction, validate_distribution
@@ -189,14 +189,8 @@ def check_symmetry(
     pts = grid.points
     perms = list(itertools.permutations(range(n)))
     base = measure._eval_rows(pts)
-
-    def gaps(span):
-        # the permutations perms[a:b] in order, each over the whole lattice
-        group = perms[span[0] : span[1]]
-        return pts, np.concatenate([measure._eval_rows(pts[:, p]) - base for p in group])
-
-    # about _CHUNK values a block, so a small lattice is one block
-    return _sweep(gaps, _spans(len(perms), max(1, _CHUNK // len(pts))), jobs=jobs)
+    # one block per permutation, in order
+    return _sweep(lambda perm: (pts, measure._eval_rows(pts[:, perm]) - base), perms, jobs=jobs)
 
 
 def check_semisymmetry3(
@@ -217,7 +211,6 @@ def check_additivity(
     resolution: int,
     *,
     budget: int = 10**6,
-    jobs: int = 1,
 ) -> ResidualReport:
     """Defect of degree-alpha additivity over pairs of interior lattices:
 
@@ -239,7 +232,7 @@ def check_additivity(
     lam = 2.0 ** (1.0 - measure.alpha_value) - 1.0
     ip = measure._eval_rows(gp.points)[:, None]
     iq = measure._eval_rows(gq.points)[None, :]
-    return _sweep(work, spans, jobs=jobs)
+    return _sweep(work, spans)
 
 
 def check_normalization(measure: InformationMeasure) -> float:
@@ -254,11 +247,10 @@ def check_sum_property(
     resolution: int,
     *,
     budget: int = 10**6,
-    jobs: int = 1,
 ) -> ResidualReport:
     """sup over the interior lattice of |I_n(P) - sum_i f(p_i)|, streamed."""
     gap = lambda P: measure._eval_rows(P) - np.sum(np.asarray(f(P)), axis=1)
-    return _sweep(*_simplex_blocks(n, resolution, False, budget, gap), jobs=jobs)
+    return _sweep(*_simplex_blocks(n, resolution, False, budget, gap))
 
 
 def recursivity_defect(

@@ -17,7 +17,7 @@ from infostab import (
     config_of,
     sampled,
 )
-from infostab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main, run
+from infostab.cli import _GRID_FIELDS, EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, _build_grid, main, run
 
 POWER = {"kind": "power_family", "a": 2.0, "b": 1.0, "alpha": 0.5}
 BUMP = {"kind": "bump", "center": 0.5, "width": 0.2, "height": 1e-3}
@@ -294,6 +294,16 @@ class TestRunResidual:
         with pytest.raises(ConfigurationError, match=f"'grid.{field}' is unknown"):
             run(self.residual_config(grid=grid), out_dir=str(tmp_path))
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("kind, field", [
+        (kind, field) for kind, fields in _GRID_FIELDS.items() for field in fields
+    ])
+    def test_every_listed_grid_field_is_read(self, kind, field):
+        # a malformed value is refused only if the kind's branch reads the field
+        grid = {"kind": kind, "resolution": 8, "n": 3, "m": 3}
+        grid = {k: v for k, v in grid.items() if k == "kind" or k in _GRID_FIELDS[kind]}
+        with pytest.raises(ConfigurationError, match=f"config field '{field}' must be"):
+            _build_grid(grid | {field: "x"}, 10**6)
 
     def test_wrong_function_arity(self, tmp_path):
         config = {"schema": 1, "job": "residual", "equation": "daroczy",
