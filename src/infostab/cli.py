@@ -4,24 +4,32 @@ Reads a versioned JSON run configuration, dispatches residual / certify /
 measure / sweep / blowup jobs, and writes machine-readable reports:
 report.json always, summary.csv for tabular jobs, defects.csv on request.
 Equations and theorems are table entries read by one path.  An `_EQUATIONS`
-entry holds the kind class, its parameter fields, the descriptor builder and
-the arity; a `_THEOREMS` entry the certifier's name, its defects.csv lattice
-and its config fields with their readers.  The fundamental regime dispatch,
-associativity's list checks and measure_sequence's two input forms keep code
-of their own.
+entry holds the kind class, whose dataclass fields are its parameters, the
+descriptor builder and the arity; a `_THEOREMS` entry the certifier's name,
+its defects.csv lattice and its config fields with their readers.  The
+fundamental regime dispatch, associativity's list checks and
+measure_sequence's two input forms keep code of their own.
+
+The readers are the one record of which config fields exist: `run` records
+the names `_field` reads from each config object, and each job, before its
+first sweep, refuses the first field no reader read.  Function descriptors
+are left to their builders, which refuse unknown fields themselves.
 
 Exit codes: 0 when every certificate is satisfied (or the residual met its
-target), 1 when a bound was violated, 2 for configuration errors and for
-NaN or infinite values, with which no file is written at all.  Reports
-carry no timestamps and all reductions are order-fixed, so identical configs
-produce byte-identical report.json at any parallelism.
+target), 1 when a bound was violated, 2 for configuration errors, for NaN or
+infinite values and for files that cannot be read or written; no report is
+written in those cases.  Reports carry no timestamps and all reductions are
+order-fixed, so identical configs produce byte-identical report.json at any
+parallelism.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextvars
 import csv
 import ctypes
+import dataclasses
 import json
 import os
 import sys
@@ -40,7 +48,7 @@ from .certifiers import (
     hyperstability_blowup_probe,
     stability_constants,
 )
-from .domains import ConeGrid, PairGrid, SimplexGrid, TriangleGrid, UnitGrid
+from .domains import ConeGrid, SimplexGrid, TriangleGrid, UnitGrid
 from .equations import (
     CauchyAdditive,
     Cocycle,
@@ -89,14 +97,20 @@ EXIT_CONFIG = 2
 
 _MISSING = object()
 
+# id(config object) -> the names read from it, while run() works; the config
+# outlives the run, so no other object takes the id of one of its objects
+_READS = contextvars.ContextVar("infostab_config_reads")
+
 
 # ---------------------------------------------------------------------------
 # config plumbing
 
 
 def _field(cfg, name, default=_MISSING):
-    if isinstance(cfg, dict) and name in cfg:
-        return cfg[name]
+    if isinstance(cfg, dict):
+        _READS.get().setdefault(id(cfg), set()).add(name)
+        if name in cfg:
+            return cfg[name]
     if default is _MISSING:
         raise ConfigurationError(f"config field '{name}' is required")
     return default
@@ -104,6 +118,8 @@ def _field(cfg, name, default=_MISSING):
 
 def _int_field(cfg, name, default=_MISSING):
     v = _field(cfg, name, default)
+    if v is None and default is None:
+        return None
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigurationError(f"config field '{name}' must be an integer, got {v!r}")
     return int(v)
@@ -111,6 +127,8 @@ def _int_field(cfg, name, default=_MISSING):
 
 def _float_field(cfg, name, default=_MISSING):
     v = _field(cfg, name, default)
+    if v is None and default is None:
+        return None
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigurationError(f"config field '{name}' must be a number, got {v!r}")
     return float(v)
@@ -143,62 +161,51 @@ def _build_function(builder, desc, field_name):
         ) from exc
 
 
-# grid kind -> the fields its descriptor may hold besides "kind"; each tuple
-# must list exactly the fields its branch of _build_grid reads
-_GRID_FIELDS = {
-    "unit": ("resolution", "closed"),
-    "triangle": ("resolution", "closed"),
-    "simplex": ("n", "resolution", "closed", "budget"),
-    "simplex_pair": ("n", "m", "resolution", "closed", "budget"),
-    "cone": ("resolution", "bound", "budget"),
-    "pair": ("resolution", "bound"),
-}
+def _function_list(cfg, builder, count):
+    descs = _field(cfg, "functions")
+    if not isinstance(descs, list) or len(descs) != count:
+        raise ConfigurationError(f"config field 'functions' must list {count} descriptors")
+    return tuple(_build_function(builder, d, f"functions[{i}]") for i, d in enumerate(descs))
+
+
+def _refuse_unread(value, path=""):
+    """Refuse the first field of a config value that no reader read, by its
+    dotted path: report.json echoes the config as the input its claim holds for."""
+    reads = _READS.get()
+    if isinstance(value, list):
+        for i, v in enumerate(value):
+            _refuse_unread(v, f"{path}[{i}]")
+    elif isinstance(value, dict) and id(value) in reads:
+        known = reads[id(value)]
+        for key, v in value.items():
+            where = f"{path}.{key}" if path else str(key)
+            if key not in known:
+                raise ConfigurationError(
+                    f"config field '{where}' is unknown; known: {', '.join(sorted(known))}"
+                )
+            _refuse_unread(v, where)
 
 
 def _build_grid(desc, budget):
     if not isinstance(desc, dict):
         raise ConfigurationError("config field 'grid' must be an object")
     kind = _field(desc, "kind")
-    if not isinstance(kind, str) or kind not in _GRID_FIELDS:
-        raise ConfigurationError(f"config field 'grid.kind' is unknown: '{kind}'")
-    unknown = sorted(set(desc) - {"kind", *_GRID_FIELDS[kind]}, key=str)
-    if unknown:
-        raise ConfigurationError(
-            f"config field 'grid.{unknown[0]}' is unknown for a {kind} grid; "
-            f"known: {', '.join(_GRID_FIELDS[kind])}"
-        )
-    if kind == "unit":
-        return UnitGrid(
+    if kind in ("unit", "triangle"):
+        return (UnitGrid if kind == "unit" else TriangleGrid)(
             _int_field(desc, "resolution"), closed=_bool_field(desc, "closed", False)
-        )
-    if kind == "triangle":
-        return TriangleGrid(
-            _int_field(desc, "resolution"), closed=_bool_field(desc, "closed", False)
-        )
-    if kind == "simplex":
-        return SimplexGrid(
-            _int_field(desc, "n"),
-            _int_field(desc, "resolution"),
-            closed=_bool_field(desc, "closed", False),
-            budget=_int_field(desc, "budget", budget),
         )
     if kind == "simplex_pair":
         r = _int_field(desc, "resolution")
         closed = _bool_field(desc, "closed", True)
-        b = _int_field(desc, "budget", budget)
         return (
-            SimplexGrid(_int_field(desc, "n"), r, closed=closed, budget=b),
-            SimplexGrid(_int_field(desc, "m"), r, closed=closed, budget=b),
+            SimplexGrid(_int_field(desc, "n"), r, closed=closed, budget=budget),
+            SimplexGrid(_int_field(desc, "m"), r, closed=closed, budget=budget),
         )
     if kind == "cone":
         return ConeGrid(
             _int_field(desc, "resolution"),
             bound=_float_field(desc, "bound", 1.0),
-            budget=_int_field(desc, "budget", budget),
-        )
-    if kind == "pair":
-        return PairGrid(
-            _int_field(desc, "resolution"), bound=_float_field(desc, "bound", 1.0)
+            budget=budget,
         )
     raise ConfigurationError(f"config field 'grid.kind' is unknown: '{kind}'")
 
@@ -211,49 +218,43 @@ def _build_measure(desc):
     )
     alpha = _float_field(desc, "alpha")
     max_n = _int_field(desc, "max_n", 8)
-    perts = []
-    for p in _field(desc, "perturbations", []):
-        if not isinstance(p, dict):
-            raise ConfigurationError(
-                "config field 'measure.perturbations' must list objects"
-            )
-        perts.append(
-            LevelNoise(
-                _int_field(p, "level"),
-                _float_field(p, "height"),
-                _int_field(p, "seed"),
-            )
-        )
-    return InformationMeasure(gen, alpha, max_n, tuple(perts))
+    perts = _field(desc, "perturbations", [])
+    if not isinstance(perts, list) or not all(isinstance(p, dict) for p in perts):
+        raise ConfigurationError("config field 'measure.perturbations' must list objects")
+    noise = tuple(
+        LevelNoise(_int_field(p, "level"), _float_field(p, "height"), _int_field(p, "seed"))
+        for p in perts
+    )
+    return InformationMeasure(gen, alpha, max_n, noise)
 
 
 # ---------------------------------------------------------------------------
 # equation registry for residual jobs
 
-_PARAMETERS = {"alpha": _float_field, "n": _int_field, "m": _int_field}
+# a kind's parameters are its dataclass fields, read by their annotated type
+_PARAMETERS = {"float": _float_field, "int": _int_field}
 
-# name -> (kind class, its parameter fields in argument order, descriptor
-# builder, how many functions); every parameter is read by _PARAMETERS
+# name -> (kind class, descriptor builder, how many functions)
 _EQUATIONS = {
-    "fundamental": (FundamentalParametric, ("alpha",), scalar_from_config, 1),
-    "entropy": (EntropyEq, (), ternary_from_config, 1),
-    "modified_entropy": (ModifiedEntropy, ("alpha",), ternary_from_config, 1),
-    "cocycle": (Cocycle, (), bivariate_from_config, 1),
-    "cauchy_additive": (CauchyAdditive, (), scalar_from_config, 1),
-    "multiplicative": (Multiplicative, (), scalar_from_config, 1),
-    "logarithmic": (Logarithmic, (), scalar_from_config, 1),
-    "phi": (PhiEquation, (), scalar_from_config, 1),
-    "daroczy": (DaroczyIdentity, (), scalar_from_config, 2),
-    "info_function_form": (InfoFunctionForm, (), scalar_from_config, 2),
-    "sum_form_additive": (SumFormAdditive, ("n", "m"), scalar_from_config, 1),
-    "sum_form_alpha": (SumFormAlpha, ("alpha", "n", "m"), scalar_from_config, 1),
-    "sum_form_multiplicative": (SumFormMultiplicative, ("n", "m"), scalar_from_config, 1),
+    "fundamental": (FundamentalParametric, scalar_from_config, 1),
+    "entropy": (EntropyEq, ternary_from_config, 1),
+    "modified_entropy": (ModifiedEntropy, ternary_from_config, 1),
+    "cocycle": (Cocycle, bivariate_from_config, 1),
+    "cauchy_additive": (CauchyAdditive, scalar_from_config, 1),
+    "multiplicative": (Multiplicative, scalar_from_config, 1),
+    "logarithmic": (Logarithmic, scalar_from_config, 1),
+    "phi": (PhiEquation, scalar_from_config, 1),
+    "daroczy": (DaroczyIdentity, scalar_from_config, 2),
+    "info_function_form": (InfoFunctionForm, scalar_from_config, 2),
+    "sum_form_additive": (SumFormAdditive, scalar_from_config, 1),
+    "sum_form_alpha": (SumFormAlpha, scalar_from_config, 1),
+    "sum_form_multiplicative": (SumFormMultiplicative, scalar_from_config, 1),
 }
 
 
 def _equation_kind(name, cfg):
-    cls, params = _EQUATIONS[name][:2]
-    return cls(*(_PARAMETERS[p](cfg, p) for p in params))
+    cls = _EQUATIONS[name][0]
+    return cls(*(_PARAMETERS[f.type](cfg, f.name) for f in dataclasses.fields(cls)))
 
 
 def _job_residual(cfg, jobs, dump):
@@ -261,24 +262,15 @@ def _job_residual(cfg, jobs, dump):
     if name not in _EQUATIONS:
         raise ConfigurationError(f"config field 'equation' is unknown: '{name}'")
     kind = _equation_kind(name, cfg)
-    builder, arity = _EQUATIONS[name][2:]
+    builder, arity = _EQUATIONS[name][1:]
     budget = _int_field(cfg, "budget", 10**7)
     grid = _build_grid(_field(cfg, "grid"), budget)
     if arity == 1:
         fns = _build_function(builder, _field(cfg, "function"), "function")
     else:
-        descs = _field(cfg, "functions")
-        if not isinstance(descs, list) or len(descs) != arity:
-            raise ConfigurationError(
-                f"config field 'functions' must list {arity} descriptors"
-            )
-        fns = tuple(
-            _build_function(builder, d, f"functions[{i}]")
-            for i, d in enumerate(descs)
-        )
-    target = _field(cfg, "epsilon_target", None)
-    if target is not None:
-        target = _float_field(cfg, "epsilon_target")
+        fns = _function_list(cfg, builder, arity)
+    target = _float_field(cfg, "epsilon_target", None)
+    _refuse_unread(cfg)
     rep = residual(kind, fns, grid, jobs=jobs, budget=budget, epsilon_target=target)
     result = {"equation": name, **_plain(rep), "within_target": rep.within_target}
     files = _defects_file(kind, fns, grid, budget) if dump else {}
@@ -291,16 +283,21 @@ def _job_residual(cfg, jobs, dump):
 _FUNDAMENTAL = ("fundamental", "fundamental_open", "fundamental_closed", "hyperstability")
 
 
+def _dispatch(theorem, alpha):
+    """The fundamental-equation theorem to run: "fundamental" is hyperstability
+    for alpha < 0 and fundamental_open otherwise."""
+    if theorem != "fundamental":
+        return theorem
+    return "hyperstability" if Alpha.of(alpha).regime is Regime.NEGATIVE else "fundamental_open"
+
+
 def _certify_fundamental(
     theorem, f, alpha, resolution, jobs, budget, *, closed=False, override=None
 ):
-    """Run one fundamental-equation theorem and return (certificate, closed),
-    closed naming the triangle it swept.  "fundamental" picks hyperstability
-    for alpha < 0 and the open domain otherwise.  The certifiers are looked
-    up in this module at call time, so a wrapper installed on them sees it."""
-    if theorem == "fundamental":
-        negative = Alpha.of(alpha).regime is Regime.NEGATIVE
-        theorem = "hyperstability" if negative else "fundamental_open"
+    """Run one fundamental-equation theorem that _dispatch resolved and return
+    (certificate, closed), closed naming the triangle it swept.  The
+    certifiers are looked up in this module at call time, so a wrapper
+    installed on them sees it."""
     if theorem == "hyperstability":
         return certify_hyperstable(f, alpha, resolution, closed, jobs=jobs, budget=budget), closed
     closed = theorem == "fundamental_closed"
@@ -339,77 +336,71 @@ _THEOREMS = {
 def _job_certify(cfg, jobs, dump):
     theorem = _field(cfg, "theorem")
     budget = _int_field(cfg, "budget", 10**7)
-    dump_args = None
+    dump_args = probe = None
 
     if theorem in _FUNDAMENTAL:
         f = _SCALAR(cfg, "function")
         alpha = _float_field(cfg, "alpha")
         resolution = _int_field(cfg, "resolution")
-        override = _field(cfg, "epsilon", None)
-        if override is not None:
-            override = _float_field(cfg, "epsilon")
+        override = _float_field(cfg, "epsilon", None)
+        closed = _bool_field(cfg, "closed", False)
+        theorem, margins = _dispatch(theorem, alpha), None
+        if theorem == "hyperstability" and _field(cfg, "margins", None) is not None:
+            margins = _float_list(cfg, "margins")
+            probe_resolution = _int_field(cfg, "probe_resolution", 2048)
+        _refuse_unread(cfg)
         cert, closed = _certify_fundamental(
-            theorem, f, alpha, resolution, jobs, budget,
-            closed=_bool_field(cfg, "closed", False), override=override,
+            theorem, f, alpha, resolution, jobs, budget, closed=closed, override=override
         )
         dump_args = (FundamentalParametric(cert.alpha), f, TriangleGrid(resolution, closed=closed))
-        result = cert.to_json_dict()
-        if cert.theorem == "hyperstability" and _field(cfg, "margins", None) is not None:
+        if margins is not None:
             probe = hyperstability_blowup_probe(
-                f,
-                alpha,
-                _float_list(cfg, "margins"),
-                resolution=_int_field(cfg, "probe_resolution", 2048),
-                budget=budget,
-                jobs=jobs,
+                f, alpha, margins, resolution=probe_resolution, budget=budget, jobs=jobs
             )
-            result["blowup"] = [[h, s] for h, s in probe]
     elif theorem == "measure_sequence":
         levels = _int_field(cfg, "levels")
         resolution = _int_field(cfg, "resolution")
-        if "measure" in cfg:
-            measure = _build_measure(cfg["measure"])
-            alpha = None if _field(cfg, "alpha", None) is None else _float_field(cfg, "alpha")
+        desc = _field(cfg, "measure", None)
+        if desc is not None:
+            measure = _build_measure(desc)
+            alpha = _float_field(cfg, "alpha", None)
         else:
             measure = (_SCALAR(cfg, "generator"), _float_list(cfg, "epsilons"))
             alpha = _float_field(cfg, "alpha")
+        _refuse_unread(cfg)
         cert = certify_measure_sequence(
             measure, levels, resolution, alpha=alpha, budget=budget, jobs=jobs
         )
-        result = cert.to_json_dict()
     elif theorem == "associativity":
-        descs = _field(cfg, "functions")
-        if not isinstance(descs, list) or len(descs) != 2:
-            raise ConfigurationError(
-                "config field 'functions' must list the two operations [A, B]"
-            )
-        A = _build_function(bivariate_from_config, descs[0], "functions[0]")
-        B = _build_function(bivariate_from_config, descs[1], "functions[1]")
+        A, B = _function_list(cfg, bivariate_from_config, 2)
         ivs = _field(cfg, "intervals")
         if not isinstance(ivs, list) or len(ivs) != 3:
             raise ConfigurationError(
                 "config field 'intervals' must list three (lo, hi) pairs"
             )
+        resolution = _int_field(cfg, "resolution")
+        _refuse_unread(cfg)
         cert = certify_associativity(
-            A, B, ivs[0], ivs[1], ivs[2], _int_field(cfg, "resolution"), budget=budget,
-            jobs=jobs,
+            A, B, ivs[0], ivs[1], ivs[2], resolution, budget=budget, jobs=jobs
         )
-        result = cert.to_json_dict()
     elif theorem in _THEOREMS:
         certifier, dump_spec, fields = _THEOREMS[theorem]
         args, keywords = {}, {}
         for name, read, *default in fields:
             (keywords if default else args)[name] = read(cfg, name, *default)
+        _refuse_unread(cfg)
         cert = globals()[certifier](*args.values(), jobs=jobs, budget=budget, **keywords)
         if dump_spec is not None:
             equation, box_field = dump_spec
             box = {**args, **keywords}[box_field]
             grid = ConeGrid(args["resolution"], bound=box, budget=budget)
             dump_args = (_equation_kind(equation, cfg), args["function"], grid)
-        result = cert.to_json_dict()
     else:
         raise ConfigurationError(f"config field 'theorem' is unknown: '{theorem}'")
 
+    result = cert.to_json_dict()
+    if probe is not None:
+        result["blowup"] = [[h, s] for h, s in probe]
     files = _defects_file(*dump_args, budget) if dump and dump_args is not None else {}
     code = EXIT_VIOLATION if cert.satisfied is False else EXIT_OK
     return result, files, code
@@ -428,6 +419,8 @@ def _job_measure(cfg, jobs, dump):
         raise ConfigurationError(
             f"config field 'n' must lie in [2, max_n={measure.max_n}], got {top}"
         )
+    level = _int_field(cfg, "tabulate", None)
+    _refuse_unread(cfg)
     symmetry = [
         {"n": n, "sup": check_symmetry(measure, n, resolution, budget=budget, jobs=jobs).sup}
         for n in range(2, top + 1)
@@ -453,9 +446,8 @@ def _job_measure(cfg, jobs, dump):
         },
     }
     files = {}
-    level = _field(cfg, "tabulate", None)
     if level is not None:
-        pts, vals = tabulate(measure, _int_field(cfg, "tabulate"), resolution, budget=budget)
+        pts, vals = tabulate(measure, level, resolution, budget=budget)
         rows = [list(p) + [v] for p, v in zip(pts.tolist(), vals.tolist())]
         header = [f"p{i + 1}" for i in range(pts.shape[1])] + ["value"]
         files = _summary_file(header, rows)
@@ -471,8 +463,8 @@ def _job_sweep(cfg, jobs, dump):
     alphas = _float_list(cfg, "alphas")
 
     if target == "constants":
-        rows = []
-        table = []
+        _refuse_unread(cfg)
+        header, table = ["alpha", "K", "T", "relation_gap"], []
         for av in alphas:
             c = stability_constants(av)
             gap = (
@@ -480,10 +472,9 @@ def _job_sweep(cfg, jobs, dump):
                 if c.T is None
                 else abs(c.K * abs(2.0 ** (1.0 - c.alpha) - 1.0) - (4.0 * c.T + 3.0))
             )
-            rows.append({"alpha": c.alpha, "K": c.K, "T": c.T, "relation_gap": gap})
             table.append([c.alpha, c.K, c.T, gap])
-        files = _summary_file(["alpha", "K", "T", "relation_gap"], table)
-        return {"rows": rows}, files, EXIT_OK
+        rows = [dict(zip(header, row)) for row in table]
+        return {"rows": rows}, _summary_file(header, table), EXIT_OK
 
     if target not in _FUNDAMENTAL:
         raise ConfigurationError(
@@ -509,6 +500,7 @@ def _job_sweep(cfg, jobs, dump):
         )
     resolution = _int_field(cfg, "resolution")
     budget = _int_field(cfg, "budget", 10**7)
+    _refuse_unread(cfg)
     certs = []
     table = []
     all_ok = True
@@ -516,7 +508,7 @@ def _job_sweep(cfg, jobs, dump):
         base = PowerFamily(a0, b0, Alpha.of(av).value)
         f = base if bump is None else FunctionSum((base, bump))
         regime = Alpha.of(av).regime
-        cert, _ = _certify_fundamental(target, f, av, resolution, jobs, budget)
+        cert, _ = _certify_fundamental(_dispatch(target, av), f, av, resolution, jobs, budget)
         entry = cert.to_json_dict()
         if cert.theorem == "hyperstability" and not cert.satisfied:
             margins = [2.0**-k for k in range(3, 10)]
@@ -543,13 +535,12 @@ def _job_sweep(cfg, jobs, dump):
 def _job_blowup(cfg, jobs, dump):
     f = _SCALAR(cfg, "function")
     alpha = _float_field(cfg, "alpha")
+    margins = _float_list(cfg, "margins")
+    resolution = _int_field(cfg, "resolution", 2048)
+    budget = _int_field(cfg, "budget", 10**7)
+    _refuse_unread(cfg)
     probe = hyperstability_blowup_probe(
-        f,
-        alpha,
-        _float_list(cfg, "margins"),
-        resolution=_int_field(cfg, "resolution", 2048),
-        budget=_int_field(cfg, "budget", 10**7),
-        jobs=jobs,
+        f, alpha, margins, resolution=resolution, budget=budget, jobs=jobs
     )
     rows = [[h, s] for h, s in probe]
     first, last = probe[0][1], probe[-1][1]
@@ -598,15 +589,19 @@ def run(config, *, out_dir: str = ".", jobs: int = 1, dump_defects: bool = False
         raise ConfigurationError(f"--jobs must be at least 1, got {jobs}")
     if not isinstance(config, dict):
         raise ConfigurationError("config must be a JSON object")
-    schema = config.get("schema")
-    if schema != 1:
-        raise ConfigurationError(f"config field 'schema' must be 1, got {schema!r}")
-    job = _field(config, "job")
-    if job not in _JOBS:
-        raise ConfigurationError(
-            f"config field 'job' must be one of {sorted(_JOBS)}, got '{job}'"
-        )
-    result, files, code = _JOBS[job](config, int(jobs), bool(dump_defects))
+    reads = _READS.set({})
+    try:
+        schema = _int_field(config, "schema")
+        if schema != 1:
+            raise ConfigurationError(f"config field 'schema' must be 1, got {schema!r}")
+        job = _field(config, "job")
+        if job not in _JOBS:
+            raise ConfigurationError(
+                f"config field 'job' must be one of {sorted(_JOBS)}, got '{job}'"
+            )
+        result, files, code = _JOBS[job](config, int(jobs), bool(dump_defects))
+    finally:
+        _READS.reset(reads)
     payload = {
         "schema": 1,
         "job": job,
@@ -650,9 +645,9 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             config = json.load(fh, parse_constant=_refuse_constant)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (json.JSONDecodeError, ConfigurationError) as exc:
@@ -668,6 +663,9 @@ def main(argv=None) -> int:
         )
     except InfostabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"error: cannot write reports: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

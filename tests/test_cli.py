@@ -1,6 +1,7 @@
 """End-to-end checks for the config-driven command line runner."""
 
 import csv
+import inspect
 import json
 import os
 import subprocess
@@ -17,7 +18,7 @@ from infostab import (
     config_of,
     sampled,
 )
-from infostab.cli import _GRID_FIELDS, EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, _build_grid, main, run
+from infostab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main, run
 
 POWER = {"kind": "power_family", "a": 2.0, "b": 1.0, "alpha": 0.5}
 BUMP = {"kind": "bump", "center": 0.5, "width": 0.2, "height": 1e-3}
@@ -283,27 +284,18 @@ class TestRunResidual:
     @pytest.mark.parametrize("kind, field", [
         ("unit", "bound"), ("triangle", "closd"), ("simplex", "m"),
         ("simplex_pair", "bound"), ("cone", "closed"), ("pair", "budget"),
+        ("cone", "budget"),
     ])
     def test_unknown_grid_field_is_refused(self, tmp_path, kind, field):
-        # a field another grid kind reads (or a misspelling) beside valid ones
+        # a field another grid kind reads (or a misspelling) beside valid ones;
+        # no equation sweeps a simplex or pair lattice, so neither kind is built
         grid = {"kind": kind, "resolution": 8, field: True}
         if kind == "simplex_pair":
             grid.update(n=3, m=3)
-        elif kind == "simplex":
-            grid.update(n=3)
-        with pytest.raises(ConfigurationError, match=f"'grid.{field}' is unknown"):
+        refused = "kind" if kind in ("simplex", "pair") else field
+        with pytest.raises(ConfigurationError, match=f"'grid.{refused}' is unknown"):
             run(self.residual_config(grid=grid), out_dir=str(tmp_path))
         assert not (tmp_path / "report.json").exists()
-
-    @pytest.mark.parametrize("kind, field", [
-        (kind, field) for kind, fields in _GRID_FIELDS.items() for field in fields
-    ])
-    def test_every_listed_grid_field_is_read(self, kind, field):
-        # a malformed value is refused only if the kind's branch reads the field
-        grid = {"kind": kind, "resolution": 8, "n": 3, "m": 3}
-        grid = {k: v for k, v in grid.items() if k == "kind" or k in _GRID_FIELDS[kind]}
-        with pytest.raises(ConfigurationError, match=f"config field '{field}' must be"):
-            _build_grid(grid | {field: "x"}, 10**6)
 
     def test_wrong_function_arity(self, tmp_path):
         config = {"schema": 1, "job": "residual", "equation": "daroczy",
@@ -475,6 +467,13 @@ class TestRunPlumbing:
         with pytest.raises(ConfigurationError):
             run({"schema": 2, "job": "certify"}, out_dir=str(tmp_path))
 
+    @pytest.mark.parametrize("schema", [True, 1.0])
+    def test_schema_is_the_integer_one(self, tmp_path, schema):
+        config = {"schema": schema, "job": "sweep", "target": "constants", "alphas": [2.0]}
+        with pytest.raises(ConfigurationError, match="'schema' must be an integer"):
+            run(config, out_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_must_be_object(self, tmp_path):
         with pytest.raises(ConfigurationError):
             run(["schema", 1], out_dir=str(tmp_path))
@@ -619,6 +618,116 @@ class TestTableEntriesRequireTheirFields:
                 run(partial, out_dir=str(tmp_path))
         assert not (tmp_path / "report.json").exists()
 
+def with_field(config, path, value=True):
+    """A deep copy of config with value set at path, a list of keys and
+    indices whose last entry names the new field."""
+    config = json.loads(json.dumps(config))
+    *parents, name = path
+    node = config
+    for key in parents:
+        node = node[key]
+    node[name] = value
+    return config
+
+
+MEASURE_JOB = {"schema": 1, "job": "measure", "measure": NOISY_MEASURE, "resolution": 8}
+FAMILY_SWEEP = {"schema": 1, "job": "sweep", "target": "fundamental", "alphas": [0.5],
+                "family": {"a": 1.0, "b": 1.0}, "noise": {"height": 5e-4},
+                "resolution": 16}
+# (id, a config every reader accepts, the path of a field no reader reads)
+UNREAD_FIELDS = [
+    ("residual", {"schema": 1, "job": "residual", "equation": "fundamental",
+                  "alpha": 0.5, "function": POWER,
+                  "grid": {"kind": "triangle", "resolution": 8}}, ["epsilon_targte"]),
+    ("grid", {"schema": 1, "job": "residual", "equation": "fundamental", "alpha": 0.5,
+              "function": POWER, "grid": {"kind": "triangle", "resolution": 8}},
+     ["grid", "closd"]),
+    # the config of the report that certified at R=16 and echoed the misspelling
+    ("fundamental_open", {"schema": 1, "job": "certify", "theorem": "fundamental_open",
+                          "function": POWER, "alpha": 0.5, "resolution": 16},
+     ["resolutoin"]),
+    ("hyperstability", certify_config("hyperstability", NEG_FAMILY, -1.0, resolution=16),
+     ["margin"]),
+    ("measure_sequence-statement",
+     {"schema": 1, "job": "certify", "theorem": "measure_sequence", "generator": POWER,
+      "epsilons": [1e-6, 1e-5], "alpha": 0.5, "levels": 3, "resolution": 8}, ["epsilon"]),
+    ("measure_sequence-measure",
+     {"schema": 1, "job": "certify", "theorem": "measure_sequence", "measure": NOISY_MEASURE,
+      "levels": 3, "resolution": 8}, ["epsilons"]),
+    ("measure_sequence-measure.field",
+     {"schema": 1, "job": "certify", "theorem": "measure_sequence", "measure": NOISY_MEASURE,
+      "levels": 3, "resolution": 8}, ["measure", "max_m"]),
+    ("associativity",
+     {"schema": 1, "job": "certify", "theorem": "associativity",
+      "functions": [PHI_OF_SUM, PHI_OF_SUM], "resolution": 4,
+      "intervals": [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]}, ["bound"]),
+    *[(theorem, {"schema": 1, "job": "certify", "theorem": theorem, **fields}, ["closed"])
+      for theorem, fields in THEOREM_FIELDS.items()],
+    ("measure", MEASURE_JOB, ["tabluate"]),
+    ("measure.field", MEASURE_JOB, ["measure", "perturbation"]),
+    ("measure.perturbations", MEASURE_JOB, ["measure", "perturbations", 0, "sede"]),
+    ("sweep-constants", {"schema": 1, "job": "sweep", "target": "constants", "alphas": [2.0]},
+     ["family"]),
+    ("sweep-family", FAMILY_SWEEP, ["resolutoin"]),
+    ("family", FAMILY_SWEEP, ["family", "c"]),
+    ("noise", FAMILY_SWEEP, ["noise", "widht"]),
+    ("blowup", {"schema": 1, "job": "blowup", "function": NEG_FAMILY, "alpha": -1.0,
+                "margins": [0.25, 0.125], "resolution": 16}, ["probe_resolution"]),
+]
+
+
+class TestUnreadFieldsAreRefused:
+    """A field that no reader of its job reads exits 2 naming its dotted path,
+    before any sweep runs and without writing a file."""
+
+    class Reached(Exception):
+        pass
+
+    def stub_sweeps(self, monkeypatch):
+        import infostab.cli as cli
+
+        def reached(*args, **kwargs):
+            raise self.Reached
+
+        for name, value in list(vars(cli).items()):
+            if inspect.isfunction(value) and value.__module__ in (
+                "infostab.certifiers", "infostab.equations", "infostab.measures"
+            ):
+                monkeypatch.setattr(cli, name, reached)
+
+    @pytest.mark.parametrize("config, path", [case[1:] for case in UNREAD_FIELDS],
+                             ids=[case[0] for case in UNREAD_FIELDS])
+    def test_refused_before_any_sweep(self, tmp_path, capsys, monkeypatch, config, path):
+        self.stub_sweeps(monkeypatch)
+        with pytest.raises(self.Reached):
+            run(config, out_dir=str(tmp_path))
+        bad = tmp_path / "config.json"
+        bad.write_text(json.dumps(with_field(config, path)))
+        out = tmp_path / "out"
+        assert main(["--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
+        dotted = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
+        assert f"error: config field '{dotted}' is unknown; known: " in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("theorem, alpha, field", [
+        ("fundamental_open", 0.5, "margins"), ("fundamental_closed", 0.5, "margins"),
+        ("fundamental", 0.5, "margins"), ("hyperstability", -1.0, "probe_resolution"),
+    ])
+    def test_probe_fields_only_where_the_probe_runs(self, tmp_path, theorem, alpha, field):
+        config = certify_config(theorem, POWER, alpha, resolution=16, **{field: [0.25]})
+        with pytest.raises(ConfigurationError, match=f"^config field '{field}' is unknown"):
+            run(config, out_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("theorem", ["hyperstability", "fundamental"])
+    def test_margins_add_the_blowup_profile_when_hyperstable(self, tmp_path, theorem):
+        config = certify_config(theorem, NOISY_NEG, -1.0, resolution=16,
+                                margins=[0.25, 0.125], probe_resolution=32)
+        code, report = run_job(tmp_path, config)
+        assert report["result"]["theorem"] == "hyperstability"
+        assert [h for h, _ in report["result"]["blowup"]] == [0.25, 0.125]
+
+
 class TestMain:
     def write_config(self, tmp_path, config):
         path = tmp_path / "config.json"
@@ -641,6 +750,29 @@ class TestMain:
         path.write_text("{not json")
         assert main(["--config", str(path)]) == EXIT_CONFIG
         assert capsys.readouterr().err.strip()
+
+    def test_config_not_utf8_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"schema": 1, "job": "\xff"}')
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("blocked", ["out_under_a_file", "report_is_a_directory"])
+    def test_unwritable_reports_exit_two(self, tmp_path, capsys, blocked):
+        path = self.write_config(tmp_path, {"schema": 1, "job": "sweep",
+                                            "target": "constants", "alphas": [2.0]})
+        if blocked == "out_under_a_file":
+            (tmp_path / "file").write_text("")
+            out = tmp_path / "file" / "out"
+        else:
+            out = tmp_path / "out"
+            (out / "report.json").mkdir(parents=True)
+        assert main(["--config", path, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write reports: ") and err.count("\n") == 1
 
     def test_config_error_exits_two(self, tmp_path, capsys):
         path = self.write_config(tmp_path, {"schema": 1, "job": "launch"})
@@ -765,8 +897,10 @@ class TestMalformedValues:
         ({"schema": 1, "job": "certify", "theorem": "measure_sequence", "measure": MEASURE,
           "alpha": "x", "levels": 4, "resolution": 16},
          "config field 'alpha' must be a number, got 'x'"),
+        ({"schema": 1, "job": "measure", "measure": {**NOISY_MEASURE, "perturbations": 5},
+          "resolution": 8}, "config field 'measure.perturbations' must list objects"),
     ], ids=["string", "bool", "list", "grid_sample", "closed_string", "closed_int",
-            "measure_alpha"])
+            "measure_alpha", "perturbations_not_a_list"])
     def test_exits_two_without_report(self, tmp_path, capsys, config, message):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -853,8 +987,9 @@ class TestNonFiniteReports:
 
     def test_report_with_nonfinite_value_is_not_written(self, tmp_path):
         # only run() can receive a NaN config value; main refuses the literal
-        config = {"schema": 1, "job": "sweep", "target": "constants", "alphas": [2.0],
-                  "note": float("inf")}
+        config = {"schema": 1, "job": "residual", "equation": "fundamental", "alpha": 0.5,
+                  "function": POWER, "grid": {"kind": "triangle", "resolution": 16},
+                  "epsilon_target": float("inf")}
         with pytest.raises(NonFiniteDefectError, match="report.json"):
             run(config, out_dir=str(tmp_path))
         assert list(tmp_path.iterdir()) == []
@@ -862,7 +997,7 @@ class TestNonFiniteReports:
     def test_defects_without_report_are_not_written(self, tmp_path):
         config = {"schema": 1, "job": "residual", "equation": "fundamental", "alpha": 0.5,
                   "function": POWER, "grid": {"kind": "triangle", "resolution": 16},
-                  "note": float("inf")}
+                  "epsilon_target": float("inf")}
         with pytest.raises(NonFiniteDefectError, match="report.json"):
             run(config, out_dir=str(tmp_path), dump_defects=True)
         assert list(tmp_path.iterdir()) == []
