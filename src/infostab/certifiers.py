@@ -286,7 +286,7 @@ def _fit(f, a: Alpha, resolution: int):
     return _power_fit(f, a)
 
 
-def _certify_fundamental(theorem, f, alpha, resolution, closed, jobs, budget, epsilon_override):
+def _certify_fundamental(theorem, f, alpha, resolution, closed, jobs, budget, epsilon):
     """The stability proof of the two-variable equation in every regime;
     theorem is the public name whose regime checks run first.  Epsilon comes
     from the triangle lattice of the domain unless supplied, the distance
@@ -311,7 +311,7 @@ def _certify_fundamental(theorem, f, alpha, resolution, closed, jobs, budget, ep
         raise ConfigurationError(
             f"resolution must be even so 1/2 is a grid node, got {resolution}"
         )
-    if epsilon_override is None:
+    if epsilon is None:
         report = residual(
             FundamentalParametric(a.value),
             f,
@@ -321,7 +321,7 @@ def _certify_fundamental(theorem, f, alpha, resolution, closed, jobs, budget, ep
         )
         eps, source = report.sup, "measured"
     else:
-        eps, source = float(epsilon_override), "supplied"
+        eps, source = float(epsilon), "supplied"
     if not hyperstable:
         k = stability_constant_K(a)
         constants = {"K": k}
@@ -362,17 +362,18 @@ def certify_fundamental_open(
     *,
     jobs: int = 1,
     budget: int = 10**7,
-    epsilon_override=None,
+    epsilon=None,
 ) -> StabilityCertificate:
     """Open-domain stability certificate for the two-variable equation.
 
     Measures the equation defect on the open triangle lattice, reruns the
     proof's construction (power family for alpha not in {0,1}, logarithmic
     family at alpha = 0) and checks sup |f - candidate| <= K(alpha) * eps
-    on the open unit lattice.
+    on the open unit lattice.  A given epsilon replaces the measured defect
+    and is reported with epsilon_source "supplied".
     """
     return _certify_fundamental(
-        "fundamental_open", f, alpha, resolution, False, jobs, budget, epsilon_override
+        "fundamental_open", f, alpha, resolution, False, jobs, budget, epsilon
     )
 
 
@@ -383,7 +384,7 @@ def certify_fundamental_closed(
     *,
     jobs: int = 1,
     budget: int = 10**7,
-    epsilon_override=None,
+    epsilon=None,
 ) -> StabilityCertificate:
     """Closed-domain variant: epsilon from the closed triangle lattice and the
     candidate extended to [0, 1].
@@ -394,7 +395,7 @@ def certify_fundamental_closed(
     c with f's own endpoint values patched in, bound K(0) * eps.
     """
     return _certify_fundamental(
-        "fundamental_closed", f, alpha, resolution, True, jobs, budget, epsilon_override
+        "fundamental_closed", f, alpha, resolution, True, jobs, budget, epsilon
     )
 
 

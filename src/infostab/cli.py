@@ -6,9 +6,10 @@ report.json always, summary.csv for tabular jobs, defects.csv on request.
 Equations and theorems are table entries read by one path.  An `_EQUATIONS`
 entry holds the kind class, whose dataclass fields are its parameters, the
 descriptor builder and the arity; a `_THEOREMS` entry the certifier's name,
-its defects.csv lattice and its config fields with their readers.  The
-fundamental regime dispatch, associativity's list checks and
-measure_sequence's two input forms keep code of their own.
+its defects.csv equation and lattice, and exactly the config fields the
+certifier takes, with their readers.  "fundamental" resolves to an entry by
+regime; associativity's list checks and measure_sequence's two input forms
+keep code of their own.
 
 The readers are the one record of which config fields exist: `run` records
 the names `_field` reads from each config object, and each job, before its
@@ -291,36 +292,41 @@ def _dispatch(theorem, alpha):
     return "hyperstability" if Alpha.of(alpha).regime is Regime.NEGATIVE else "fundamental_open"
 
 
-def _certify_fundamental(
-    theorem, f, alpha, resolution, jobs, budget, *, closed=False, override=None
-):
-    """Run one fundamental-equation theorem that _dispatch resolved and return
-    (certificate, closed), closed naming the triangle it swept.  The
-    certifiers are looked up in this module at call time, so a wrapper
-    installed on them sees it."""
-    if theorem == "hyperstability":
-        return certify_hyperstable(f, alpha, resolution, closed, jobs=jobs, budget=budget), closed
-    closed = theorem == "fundamental_closed"
-    certify = certify_fundamental_closed if closed else certify_fundamental_open
-    cert = certify(f, alpha, resolution, jobs=jobs, budget=budget, epsilon_override=override)
-    return cert, closed
-
-
 def _function_field(builder):
     return lambda cfg, name: _build_function(builder, _field(cfg, name), name)
 
 
 _SCALAR, _TERNARY = _function_field(scalar_from_config), _function_field(ternary_from_config)
 
+
+def _triangle(closed):
+    # the triangle the certifier swept: hyperstability reads `closed`, the others fix it
+    return lambda v, budget: TriangleGrid(v["resolution"], closed=v.get("closed", closed))
+
+
+def _cone(box):
+    return lambda v, budget: ConeGrid(v["resolution"], bound=v[box], budget=budget)
+
+
+_FUNDAMENTAL_FIELDS = (
+    ("function", _SCALAR), ("alpha", _float_field), ("resolution", _int_field))
+
 # name -> (certifier name, looked up in this module at call time so that a
-# wrapper installed on it sees the call; defects.csv as (equation name, config
-# field of the cone's box) or None; (config field, reader[, default]) in
-# argument order, a field with a default optional and passed by keyword)
+# wrapper installed on it sees the call; defects.csv as (equation name, its
+# grid built from the values read and the budget) or None; (config field,
+# reader[, default]) in argument order, a field with a default optional and
+# passed by keyword)
 _THEOREMS = {
-    "entropy_equation": ("certify_entropy_equation", ("entropy", "bound"), (
+    "fundamental_open": ("certify_fundamental_open", ("fundamental", _triangle(False)), (
+        *_FUNDAMENTAL_FIELDS, ("epsilon", _float_field, None))),
+    "fundamental_closed": ("certify_fundamental_closed", ("fundamental", _triangle(True)), (
+        *_FUNDAMENTAL_FIELDS, ("epsilon", _float_field, None))),
+    "hyperstability": ("certify_hyperstable", ("fundamental", _triangle(False)), (
+        *_FUNDAMENTAL_FIELDS, ("closed", _bool_field, False))),
+    "entropy_equation": ("certify_entropy_equation", ("entropy", _cone("bound")), (
         ("function", _TERNARY), ("alpha", _float_field), ("resolution", _int_field),
         ("bound", _float_field, 1.0))),
-    "modified_entropy": ("certify_modified_entropy", ("modified_entropy", "n"), (
+    "modified_entropy": ("certify_modified_entropy", ("modified_entropy", _cone("n")), (
         ("function", _TERNARY), ("alpha", _float_field), ("n", _float_field),
         ("resolution", _int_field))),
     "sum_form": ("certify_sum_form", None, (
@@ -336,28 +342,11 @@ _THEOREMS = {
 def _job_certify(cfg, jobs, dump):
     theorem = _field(cfg, "theorem")
     budget = _int_field(cfg, "budget", 10**7)
+    if theorem == "fundamental":
+        theorem = _dispatch(theorem, _float_field(cfg, "alpha"))
     dump_args = probe = None
 
-    if theorem in _FUNDAMENTAL:
-        f = _SCALAR(cfg, "function")
-        alpha = _float_field(cfg, "alpha")
-        resolution = _int_field(cfg, "resolution")
-        override = _float_field(cfg, "epsilon", None)
-        closed = _bool_field(cfg, "closed", False)
-        theorem, margins = _dispatch(theorem, alpha), None
-        if theorem == "hyperstability" and _field(cfg, "margins", None) is not None:
-            margins = _float_list(cfg, "margins")
-            probe_resolution = _int_field(cfg, "probe_resolution", 2048)
-        _refuse_unread(cfg)
-        cert, closed = _certify_fundamental(
-            theorem, f, alpha, resolution, jobs, budget, closed=closed, override=override
-        )
-        dump_args = (FundamentalParametric(cert.alpha), f, TriangleGrid(resolution, closed=closed))
-        if margins is not None:
-            probe = hyperstability_blowup_probe(
-                f, alpha, margins, resolution=probe_resolution, budget=budget, jobs=jobs
-            )
-    elif theorem == "measure_sequence":
+    if theorem == "measure_sequence":
         levels = _int_field(cfg, "levels")
         resolution = _int_field(cfg, "resolution")
         desc = _field(cfg, "measure", None)
@@ -388,13 +377,21 @@ def _job_certify(cfg, jobs, dump):
         args, keywords = {}, {}
         for name, read, *default in fields:
             (keywords if default else args)[name] = read(cfg, name, *default)
+        margins = None
+        if theorem == "hyperstability" and _field(cfg, "margins", None) is not None:
+            margins = _float_list(cfg, "margins")
+            probe_resolution = _int_field(cfg, "probe_resolution", 2048)
         _refuse_unread(cfg)
         cert = globals()[certifier](*args.values(), jobs=jobs, budget=budget, **keywords)
+        if margins is not None:
+            probe = hyperstability_blowup_probe(
+                args["function"], args["alpha"], margins,
+                resolution=probe_resolution, budget=budget, jobs=jobs,
+            )
         if dump_spec is not None:
-            equation, box_field = dump_spec
-            box = {**args, **keywords}[box_field]
-            grid = ConeGrid(args["resolution"], bound=box, budget=budget)
-            dump_args = (_equation_kind(equation, cfg), args["function"], grid)
+            equation, grid = dump_spec
+            values = {**args, **keywords}
+            dump_args = (_equation_kind(equation, cfg), values["function"], grid(values, budget))
     else:
         raise ConfigurationError(f"config field 'theorem' is unknown: '{theorem}'")
 
@@ -410,16 +407,19 @@ def _job_certify(cfg, jobs, dump):
 # measure job
 
 
+def _level_field(cfg, name, max_n, default):
+    v = _int_field(cfg, name, default)
+    if v is not None and not 2 <= v <= max_n:
+        raise ConfigurationError(f"config field '{name}' must lie in [2, max_n={max_n}], got {v}")
+    return v
+
+
 def _job_measure(cfg, jobs, dump):
     budget = _int_field(cfg, "budget", 10**6)
     measure = _build_measure(_field(cfg, "measure"))
     resolution = _int_field(cfg, "resolution")
-    top = _int_field(cfg, "n", 3)
-    if top < 2 or top > measure.max_n:
-        raise ConfigurationError(
-            f"config field 'n' must lie in [2, max_n={measure.max_n}], got {top}"
-        )
-    level = _int_field(cfg, "tabulate", None)
+    top = _level_field(cfg, "n", measure.max_n, 3)
+    level = _level_field(cfg, "tabulate", measure.max_n, None)
     _refuse_unread(cfg)
     symmetry = [
         {"n": n, "sup": check_symmetry(measure, n, resolution, budget=budget, jobs=jobs).sup}
@@ -508,7 +508,8 @@ def _job_sweep(cfg, jobs, dump):
         base = PowerFamily(a0, b0, Alpha.of(av).value)
         f = base if bump is None else FunctionSum((base, bump))
         regime = Alpha.of(av).regime
-        cert, _ = _certify_fundamental(_dispatch(target, av), f, av, resolution, jobs, budget)
+        certify = globals()[_THEOREMS[_dispatch(target, av)][0]]
+        cert = certify(f, av, resolution, jobs=jobs, budget=budget)
         entry = cert.to_json_dict()
         if cert.theorem == "hyperstability" and not cert.satisfied:
             margins = [2.0**-k for k in range(3, 10)]

@@ -114,10 +114,6 @@ class ScalarFunction:
     _hi = 1.0
     _open_hi = False
 
-    @property
-    def domain(self):
-        return (self._lo, self._hi)
-
     def _check(self, arr):
         if arr.size == 0:
             return

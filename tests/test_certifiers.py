@@ -216,7 +216,7 @@ class TestFundamentalOpen:
 
     def test_epsilon_override(self):
         f = PowerFamily(1.0, 2.0, 2.0)
-        cert = certify_fundamental_open(f, 2.0, 64, epsilon_override=1e-3)
+        cert = certify_fundamental_open(f, 2.0, 64, epsilon=1e-3)
         assert cert.epsilon == 1e-3
         assert cert.epsilon_source == "supplied"
         assert cert.bound == stability_constant_K(2.0) * 1e-3
@@ -766,7 +766,7 @@ class TestNonFiniteFundamental:
         # a supplied epsilon skips the defect sweep, so the distance meets the NaN
         g = _with_nan_node(0.5, 20)
         with pytest.raises(NonFiniteDefectError) as exc:
-            certify(g, 0.5, 64, epsilon_override=1e-3)
+            certify(g, 0.5, 64, epsilon=1e-3)
         assert str(exc.value) == (
             f"1 of {count} defects are NaN or infinite, the first at (0.3125,)"
         )

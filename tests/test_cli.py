@@ -49,6 +49,25 @@ def certify_config(theorem, function, alpha, **extra):
     return config
 
 
+class Reached(Exception):
+    """A stubbed sweep was called."""
+
+
+def stub_sweeps(monkeypatch):
+    """Replace every certifiers, equations and measures entry point the cli
+    calls with a stub that raises Reached."""
+    import infostab.cli as cli
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    for name, value in list(vars(cli).items()):
+        if inspect.isfunction(value) and value.__module__ in (
+            "infostab.certifiers", "infostab.equations", "infostab.measures"
+        ):
+            monkeypatch.setattr(cli, name, reached)
+
+
 class TestRunCertify:
     def test_exact_fundamental_passes(self, tmp_path):
         config = certify_config("fundamental", POWER, 0.5, resolution=256)
@@ -548,6 +567,9 @@ CONE = {"kind": "cone", "resolution": 4}
 
 # every field each table entry requires, and nothing optional
 THEOREM_FIELDS = {
+    "fundamental_open": {"function": POWER, "alpha": 0.5, "resolution": 16},
+    "fundamental_closed": {"function": POWER, "alpha": 0.5, "resolution": 16},
+    "hyperstability": {"function": NEG_FAMILY, "alpha": -1.0, "resolution": 16},
     "entropy_equation": {"function": ENTROPY_SOLUTION, "alpha": 2.0, "resolution": 6},
     "modified_entropy": {"function": MODIFIED_SOLUTION, "alpha": 2.0, "n": 1.0,
                          "resolution": 6},
@@ -590,9 +612,6 @@ class TestTableEntriesRequireTheirFields:
     entry must name every field it needs in the required-field message, and
     with all of them present must reach its sweep (stubbed out here)."""
 
-    class Reached(Exception):
-        pass
-
     def test_the_cases_cover_every_entry(self):
         import infostab.cli as cli
 
@@ -602,14 +621,8 @@ class TestTableEntriesRequireTheirFields:
     @pytest.mark.parametrize("config", list(without_each_required_field()),
                              ids=lambda c: f"{c['job']}-{c.get('theorem', c.get('equation'))}")
     def test_dropping_any_field_names_it(self, tmp_path, monkeypatch, config):
-        import infostab.cli as cli
-
-        def reached(*args, **kwargs):
-            raise self.Reached
-
-        for name in ["residual"] + [entry[0] for entry in cli._THEOREMS.values()]:
-            monkeypatch.setattr(cli, name, reached)
-        with pytest.raises(self.Reached):
+        stub_sweeps(monkeypatch)
+        with pytest.raises(Reached):
             run(config, out_dir=str(tmp_path))
         for name in config.keys() - {"schema", "job"}:
             partial = {k: v for k, v in config.items() if k != name}
@@ -617,6 +630,23 @@ class TestTableEntriesRequireTheirFields:
             with pytest.raises(ConfigurationError, match=message):
                 run(partial, out_dir=str(tmp_path))
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("theorem", sorted(THEOREM_FIELDS))
+    def test_entries_match_their_certifier(self, theorem):
+        """Each required field is one positional parameter without a default,
+        and each optional field a parameter that accepts it by keyword."""
+        import infostab.certifiers as certifiers
+        import infostab.cli as cli
+
+        certifier, _, fields = cli._THEOREMS[theorem]
+        parameters = inspect.signature(getattr(certifiers, certifier)).parameters.values()
+        positional = [p for p in parameters if p.default is p.empty
+                      and p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+        keywords = {p.name for p in parameters
+                    if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)}
+        assert len(positional) == sum(1 for field in fields if len(field) == 2)
+        assert {field[0] for field in fields if len(field) == 3} | {"jobs", "budget"} <= keywords
+
 
 def with_field(config, path, value=True):
     """A deep copy of config with value set at path, a list of keys and
@@ -642,12 +672,6 @@ UNREAD_FIELDS = [
     ("grid", {"schema": 1, "job": "residual", "equation": "fundamental", "alpha": 0.5,
               "function": POWER, "grid": {"kind": "triangle", "resolution": 8}},
      ["grid", "closd"]),
-    # the config of the report that certified at R=16 and echoed the misspelling
-    ("fundamental_open", {"schema": 1, "job": "certify", "theorem": "fundamental_open",
-                          "function": POWER, "alpha": 0.5, "resolution": 16},
-     ["resolutoin"]),
-    ("hyperstability", certify_config("hyperstability", NEG_FAMILY, -1.0, resolution=16),
-     ["margin"]),
     ("measure_sequence-statement",
      {"schema": 1, "job": "certify", "theorem": "measure_sequence", "generator": POWER,
       "epsilons": [1e-6, 1e-5], "alpha": 0.5, "levels": 3, "resolution": 8}, ["epsilon"]),
@@ -661,7 +685,10 @@ UNREAD_FIELDS = [
      {"schema": 1, "job": "certify", "theorem": "associativity",
       "functions": [PHI_OF_SUM, PHI_OF_SUM], "resolution": 4,
       "intervals": [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]}, ["bound"]),
-    *[(theorem, {"schema": 1, "job": "certify", "theorem": theorem, **fields}, ["closed"])
+    # fundamental_open: the config of the report that certified at R=16 and
+    # echoed the misspelling; hyperstability takes `closed`
+    *[(theorem, {"schema": 1, "job": "certify", "theorem": theorem, **fields},
+       [{"fundamental_open": "resolutoin", "hyperstability": "margin"}.get(theorem, "closed")])
       for theorem, fields in THEOREM_FIELDS.items()],
     ("measure", MEASURE_JOB, ["tabluate"]),
     ("measure.field", MEASURE_JOB, ["measure", "perturbation"]),
@@ -680,26 +707,11 @@ class TestUnreadFieldsAreRefused:
     """A field that no reader of its job reads exits 2 naming its dotted path,
     before any sweep runs and without writing a file."""
 
-    class Reached(Exception):
-        pass
-
-    def stub_sweeps(self, monkeypatch):
-        import infostab.cli as cli
-
-        def reached(*args, **kwargs):
-            raise self.Reached
-
-        for name, value in list(vars(cli).items()):
-            if inspect.isfunction(value) and value.__module__ in (
-                "infostab.certifiers", "infostab.equations", "infostab.measures"
-            ):
-                monkeypatch.setattr(cli, name, reached)
-
     @pytest.mark.parametrize("config, path", [case[1:] for case in UNREAD_FIELDS],
                              ids=[case[0] for case in UNREAD_FIELDS])
     def test_refused_before_any_sweep(self, tmp_path, capsys, monkeypatch, config, path):
-        self.stub_sweeps(monkeypatch)
-        with pytest.raises(self.Reached):
+        stub_sweeps(monkeypatch)
+        with pytest.raises(Reached):
             run(config, out_dir=str(tmp_path))
         bad = tmp_path / "config.json"
         bad.write_text(json.dumps(with_field(config, path)))
@@ -712,9 +724,18 @@ class TestUnreadFieldsAreRefused:
     @pytest.mark.parametrize("theorem, alpha, field", [
         ("fundamental_open", 0.5, "margins"), ("fundamental_closed", 0.5, "margins"),
         ("fundamental", 0.5, "margins"), ("hyperstability", -1.0, "probe_resolution"),
+        ("fundamental_open", 0.5, "closed"), ("fundamental_closed", 0.5, "closed"),
+        ("fundamental", 0.5, "closed"), ("hyperstability", -1.0, "epsilon"),
+        ("fundamental", -1.0, "epsilon"),
     ])
-    def test_probe_fields_only_where_the_probe_runs(self, tmp_path, theorem, alpha, field):
-        config = certify_config(theorem, POWER, alpha, resolution=16, **{field: [0.25]})
+    def test_probe_fields_only_where_the_probe_runs(
+        self, tmp_path, monkeypatch, theorem, alpha, field
+    ):
+        """Fields only some fundamental theorems take: the probe's, `closed`
+        (hyperstability's) and `epsilon` (the open and closed theorems')."""
+        stub_sweeps(monkeypatch)
+        value = {"closed": True, "epsilon": 0.5}.get(field, [0.25])
+        config = certify_config(theorem, POWER, alpha, resolution=16, **{field: value})
         with pytest.raises(ConfigurationError, match=f"^config field '{field}' is unknown"):
             run(config, out_dir=str(tmp_path))
         assert list(tmp_path.iterdir()) == []
@@ -892,16 +913,21 @@ class TestMalformedValues:
          "field 'xs' of scalar function kind 'grid_sample' must be a list of real numbers"),
         (triangle_residual(POWER, closed="false"),
          "config field 'closed' must be true or false, got 'false'"),
-        (certify_config("fundamental_closed", POWER, 0.5, closed=1),
+        (certify_config("hyperstability", NEG_FAMILY, -1.0, closed=1),
          "config field 'closed' must be true or false, got 1"),
         ({"schema": 1, "job": "certify", "theorem": "measure_sequence", "measure": MEASURE,
           "alpha": "x", "levels": 4, "resolution": 16},
          "config field 'alpha' must be a number, got 'x'"),
         ({"schema": 1, "job": "measure", "measure": {**NOISY_MEASURE, "perturbations": 5},
           "resolution": 8}, "config field 'measure.perturbations' must list objects"),
+        ({"schema": 1, "job": "measure", "measure": NOISY_MEASURE, "resolution": 8,
+          "tabulate": 1}, "config field 'tabulate' must lie in [2, max_n=4], got 1"),
+        ({"schema": 1, "job": "measure", "measure": NOISY_MEASURE, "resolution": 8,
+          "tabulate": 9}, "config field 'tabulate' must lie in [2, max_n=4], got 9"),
     ], ids=["string", "bool", "list", "grid_sample", "closed_string", "closed_int",
-            "measure_alpha", "perturbations_not_a_list"])
-    def test_exits_two_without_report(self, tmp_path, capsys, config, message):
+            "measure_alpha", "perturbations_not_a_list", "tabulate_low", "tabulate_high"])
+    def test_exits_two_without_report(self, tmp_path, capsys, monkeypatch, config, message):
+        stub_sweeps(monkeypatch)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         out = tmp_path / "out"
