@@ -27,10 +27,12 @@ from .equations import (
     ModifiedEntropy,
     SumFormMultiplicative,
     _blocks,
+    _first,
     _imap,
     _non_finite,
     _pair_blocks,
     _passes,
+    _row,
     _row_blocks,
     _simplex_blocks,
     _spans,
@@ -286,6 +288,17 @@ def _fit(f, a: Alpha, resolution: int):
     return _power_fit(f, a)
 
 
+def _refuse_regime(theorem, a: Alpha):
+    """Refuse a fundamental-equation theorem whose regime excludes alpha."""
+    if theorem == "hyperstability":
+        if a.regime is not Regime.NEGATIVE:
+            raise DispatchError("hyperstability needs alpha < 0; use the fundamental certifiers")
+    elif a.regime is Regime.NEGATIVE:
+        raise DispatchError("negative alpha is the hyperstable regime; use certify_hyperstable")
+    elif a.regime is Regime.ONE:
+        raise DispatchError("alpha = 1 is outside the method; no certifier exists there")
+
+
 def _certify_fundamental(theorem, f, alpha, resolution, closed, jobs, budget, epsilon):
     """The stability proof of the two-variable equation in every regime;
     theorem is the public name whose regime checks run first.  Epsilon comes
@@ -293,20 +306,9 @@ def _certify_fundamental(theorem, f, alpha, resolution, closed, jobs, budget, ep
     from its unit lattice."""
     a = Alpha.of(alpha)
     hyperstable = theorem == "hyperstability"
+    _refuse_regime(theorem, a)
     if hyperstable:
-        if a.regime is not Regime.NEGATIVE:
-            raise DispatchError(
-                "hyperstability needs alpha < 0; use the fundamental certifiers"
-            )
         candidate, trace = _fit(f, a, resolution)
-    elif a.regime is Regime.NEGATIVE:
-        raise DispatchError(
-            "negative alpha is the hyperstable regime; use certify_hyperstable"
-        )
-    elif a.regime is Regime.ONE:
-        raise DispatchError(
-            "alpha = 1 is outside the method; no certifier exists there"
-        )
     elif int(resolution) % 2:
         raise ConfigurationError(
             f"resolution must be even so 1/2 is a grid node, got {resolution}"
@@ -333,9 +335,9 @@ def _certify_fundamental(theorem, f, alpha, resolution, closed, jobs, budget, ep
             candidate = EndpointPatch(Constant(candidate.offset), value0, value1)
             trace |= {"value0": value0, "value1": value1}
         elif closed:
-            t = stability_constant_T(a)
-            constants["T"] = t
-            bound = max(k, t + 1.0) * eps
+            # the proof's bound max{K, T + 1} * eps is K * eps: K = (4T + 3) /
+            # |2^(1-alpha) - 1|, whose denominator lies in (0, 1) here
+            constants["T"] = stability_constant_T(a)
     xs = UnitGrid(resolution, closed=closed).points
     fv = np.asarray(f(xs))
     distance = _distance(xs, fv - np.asarray(candidate(xs)))
@@ -391,8 +393,9 @@ def certify_fundamental_closed(
 
     For alpha > 0 the piecewise extension coincides with the power family
     under the zero-power convention (0 at x=0, a-b at x=1) and the bound is
-    max{K, T+1} * eps.  For alpha = 0 the interior collapses to the constant
-    c with f's own endpoint values patched in, bound K(0) * eps.
+    max{K, T+1} * eps, which is K * eps, since K > 4T + 3 at every such
+    alpha; T is reported beside K.  For alpha = 0 the interior collapses to
+    the constant c with f's own endpoint values patched in, bound K(0) * eps.
     """
     return _certify_fundamental(
         "fundamental_closed", f, alpha, resolution, True, jobs, budget, epsilon
@@ -465,28 +468,31 @@ def hyperstability_blowup_probe(
         raise ConfigurationError("margins must lie strictly between 0 and 1")
     if any(hs[i] <= hs[i + 1] for i in range(len(hs) - 1)):
         raise ConfigurationError("margins must decrease strictly toward 0")
-    work, items = _blocks(FundamentalParametric(a.value), f, TriangleGrid(resolution), budget)
+    work, items = _blocks(
+        FundamentalParametric(a.value), f, TriangleGrid(resolution), budget, mirrored=True
+    )
 
     def maxima(item):
-        # (size, non-finite count, first non-finite point, per-margin maxima)
-        block, d = work(item)
+        # (size, non-finite count, (rank, point) of the first non-finite
+        # value, per-margin maxima); x + y is the same at a point's mirror
+        points, d, ranks = work(item)
         d = np.abs(d)
-        finite = np.isfinite(d)
-        if not finite.all():
-            first = tuple(block[int(np.argmin(finite))].tolist())
-            return d.size, int(np.count_nonzero(~finite)), first, ()
-        s = block[:, 0] + block[:, 1]
+        bad = ~np.isfinite(d)
+        if bad.any():
+            i = _first(bad, ranks)
+            return d.size, int(np.count_nonzero(bad)), (int(ranks[i]), _row(points, i)), ()
+        s = points[:, 0] + points[:, 1]
         sups = [float(np.max(d, where=s <= 1.0 - h + 1e-12, initial=0.0)) for h in hs]
-        return d.size, 0, (), sups
+        return d.size, 0, (math.inf, ()), sups
 
     sups = [0.0] * len(hs)
-    size, bad, first = 0, 0, ()
+    size, bad, first = 0, 0, (math.inf, ())
     for n, block_bad, block_first, block_sups in _imap(maxima, items, jobs):
-        size, bad, first = size + n, bad + block_bad, first or block_first
+        size, bad, first = size + n, bad + block_bad, min(first, block_first)
         if not block_bad:
             sups = [max(s, m) for s, m in zip(sups, block_sups)]
     if bad:
-        raise _non_finite(bad, size, first)
+        raise _non_finite(bad, size, first[1])
     return list(zip(hs, sups))
 
 

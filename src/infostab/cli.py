@@ -36,6 +36,7 @@ import os
 import sys
 
 from .certifiers import (
+    _refuse_regime,
     certify_associativity,
     certify_entropy_equation,
     certify_fundamental_closed,
@@ -501,6 +502,8 @@ def _job_sweep(cfg, jobs, dump):
     resolution = _int_field(cfg, "resolution")
     budget = _int_field(cfg, "budget", 10**7)
     _refuse_unread(cfg)
+    for av in alphas:  # a regime the target excludes is refused before any sweep
+        _refuse_regime(_dispatch(target, av), Alpha.of(av))
     certs = []
     table = []
     all_ok = True

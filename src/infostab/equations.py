@@ -10,12 +10,13 @@ order.  A NaN or infinite defect raises NonFiniteDefectError.
 
 Every sweep has one block contract: work(item) returns (points, defects),
 and value i of defects belongs to row i % len(points), so a block that
-stacks several variants of each point carries its points once.  Blocks of
-_CHUNK rows come from _row_blocks (a point matrix), _pair_blocks (a pair
-lattice, whose points build a row only on request) or _simplex_blocks (a
-streamed simplex lattice); _within_budget checks a sweep's defect samples
-against its budget before the lattice is built.  _blocks gives the
-(work, items) of an equation kind on a grid; residual reduces those blocks
+stacks several variants of each point carries its points once; a mirrored
+block adds the rank of each value.  Blocks of _CHUNK rows come from
+_row_blocks (a point matrix), _pair_blocks (a pair lattice, whose points
+build a row only on request) or _simplex_blocks (a streamed simplex
+lattice); _within_budget checks a sweep's defect samples against its
+budget before the lattice is built.  _blocks gives the (work, items) of an
+equation kind on a grid; residual reduces those blocks
 and dump_defects_csv writes them through domains._write_csv.  _sweep
 summarises each block and _fold folds the summaries, so a stream that yields
 two defects per block can fold each into its own report.  _imap runs the
@@ -24,9 +25,12 @@ blocks of every sweep on up to jobs threads and returns them in order.
 The fundamental-equation kernel reads node tables: f(k/R) and
 (1 - k/R)^alpha are evaluated once per sweep over the node indices k the
 triangle uses, and each block recovers its indices as rint(block * R), which
-is exact for k < 2^51.  Only the two quotients y/(1-x) and x/(1-y) are
-evaluated per point, and every defect is bit-identical to the per-point
-expression.
+is exact for k < 2^51.  A reduction sweeps it mirrored: point (j, i) needs f
+at the two quotients y/(1-x) and x/(1-y) of (i, j), so a block of the points
+with i <= j and their mirrors evaluates f once per point and yields each
+defect with the lexicographic rank of its point; _summary and _fold break
+sup ties and pick the first non-finite point by least rank.  Every defect
+is bit-identical to the per-point expression.
 """
 
 from __future__ import annotations
@@ -203,15 +207,28 @@ def _exact_total(values):
     return total
 
 
-def _summary(points, defects):
-    """(size, sup, its point, exact total, non-finite count, first non-finite
-    point) of one block of |defects|; value i belongs to row i % len(points)."""
+def _summary(points, defects, ranks=None):
+    """(size, sup, exact total, non-finite count, rank, point) of one block of
+    |defects|; rank and point are the sup's, or the first non-finite value's.
+    Value i belongs to row i % len(points) and ranks 0, so _fold keeps the
+    earlier of two blocks; a mirrored block ranks it ranks[i] instead."""
     ab = np.abs(np.asarray(defects, dtype=float)).ravel()
     i = int(np.argmax(ab))  # the first NaN, else the first inf, else the max
-    if math.isfinite(ab[i]):
-        return ab.size, float(ab[i]), _row(points, i), _exact_total(ab), 0, ()
-    bad = ~np.isfinite(ab)
-    return ab.size, -1.0, (), 0, int(np.count_nonzero(bad)), _row(points, int(np.argmax(bad)))
+    bad = None if math.isfinite(ab[i]) else ~np.isfinite(ab)
+    if ranks is not None:
+        i = _first(ab == ab[i] if bad is None else bad, ranks)
+    elif bad is not None:
+        i = int(np.argmax(bad))
+    rank = 0 if ranks is None else int(ranks[i])
+    if bad is None:
+        return ab.size, float(ab[i]), _exact_total(ab), 0, rank, _row(points, i)
+    return ab.size, -1.0, 0, int(np.count_nonzero(bad)), rank, _row(points, i)
+
+
+def _first(mask, ranks):
+    """The index of the least-ranked value that mask selects."""
+    k = np.flatnonzero(mask)
+    return int(k[np.argmin(ranks[k])])
 
 
 def _row(points, i):
@@ -261,19 +278,19 @@ def _sweep(work, items, *, jobs=1, epsilon_target=None):
 
 
 def _fold(summaries, epsilon_target=None):
-    """The report of block summaries, folded in order: the sup keeps the
-    first index, and the mean is the exact total, correctly rounded, over
-    the sample count."""
+    """The report of block summaries, folded in order: the sup and the first
+    non-finite point are of least rank, then of the earlier block, and the
+    mean is the exact total, correctly rounded, over the sample count."""
     size = total = bad = 0
-    sup, point, bad_point = -1.0, (), ()
-    for n, block_sup, block_point, block_total, block_bad, block_bad_point in summaries:
+    sup, sup_rank, point, first = -1.0, 0, (), None
+    for n, block_sup, block_total, block_bad, rank, block_point in summaries:
         size, total, bad = size + n, total + block_total, bad + block_bad
-        if block_bad and not bad_point:
-            bad_point = block_bad_point
-        if block_sup > sup:
-            sup, point = block_sup, block_point
+        if block_bad and (first is None or rank < first[0]):
+            first = rank, block_point
+        if block_sup > sup or block_sup == sup and rank < sup_rank:
+            sup, sup_rank, point = block_sup, rank, block_point
     if bad:
-        raise _non_finite(bad, size, bad_point)
+        raise _non_finite(bad, size, first[1])
     if size == 0:
         raise ConfigurationError("empty grid: nothing to sweep")
     return ResidualReport(
@@ -342,44 +359,75 @@ def _two_functions(fns):
     return fns
 
 
+def _quotient(y, x):
+    # on the closed edge x + y = 1 the quotient is 1 exactly but can round
+    # above it; inside the triangle it stays at most 1 - 1/R
+    return np.minimum(y / (1.0 - x), 1.0)
+
+
 def _fundamental_kernel(f, alpha, grid):
-    """defect(block) of FundamentalParametric(alpha) on a TriangleGrid.
+    """defect(block) of FundamentalParametric(alpha) on a TriangleGrid, and
+    as defect.mirrored the (work, spans) of a sweep with half the f work.
 
     Every coordinate is k/R for a node index k in lo..R-1-lo (lo = 0 closed,
     1 open), so f(k/R) and (1 - k/R)^alpha come from node tables built once,
     before any block runs.  A block recovers its indices as rint(block * R),
-    exactly, since |fl(k/R) R - k| <= k 2^-52 < 1/2; only the two quotients
-    are evaluated per point, and every defect is the per-point expression's
-    bit for bit.
+    exactly, since |fl(k/R) R - k| <= k 2^-52 < 1/2.  Point (j, i) needs f at
+    the quotients of (i, j), so a mirrored block keeps the points with
+    i <= j of _CHUNK / 2 rows of grid.points, adds the mirrors of those off
+    the diagonal, evaluates f once per point, at y/(1-x), and reads f at
+    x/(1-y) from the mirror.  It returns the points, their defects and their
+    lexicographic ranks (row start plus j - lo).  Every defect is the
+    per-point expression's, bit for bit, and a DomainError replays the
+    per-point sweep to raise the first it meets.
     """
     r, lo = grid.resolution, 0 if grid.closed else 1
+    pts = grid.points
     nodes = np.arange(lo, r - lo) / float(r)
-    try:
-        fk = np.broadcast_to(f(nodes), nodes.shape)  # f may return a scalar
-    except DomainError:
-        # raise what the per-point sweep meets first: f at x, y/(1-x), y,
-        # x/(1-y), block by block
-        pts = grid.points
-        for a, b in _spans(pts.shape[0]):
-            x, y = pts[a:b, 0], pts[a:b, 1]
-            for v in (x, np.minimum(y / (1.0 - x), 1.0), y, np.minimum(x / (1.0 - y), 1.0)):
-                f(v)
-        raise
+
+    def first_domain_error(fn, *args):
+        try:
+            return fn(*args)
+        except DomainError:
+            # raise what the per-point sweep meets first: f at x, y/(1-x), y,
+            # x/(1-y), block by block
+            for a, b in _spans(pts.shape[0]):
+                x, y = pts[a:b, 0], pts[a:b, 1]
+                for v in (x, _quotient(y, x), y, _quotient(x, y)):
+                    f(v)
+            raise
+
+    fk = first_domain_error(lambda: np.broadcast_to(f(nodes), nodes.shape))  # f may return a scalar
     pk = pow0(1.0 - nodes, alpha)
+    length = np.minimum(r - 2 * lo - np.arange(nodes.size), r - 1) - lo + 1
+    end = np.cumsum(length)
+    start = end - length  # the rank of each row's first point
+
+    def expression(i, j, f1, f2):
+        # the per-point defect, left to right, from f at y/(1-x) and x/(1-y)
+        return fk[i] + pk[i] * f1 - fk[j] - pk[j] * f2
 
     def defect(block):
         x, y = block[:, 0], block[:, 1]
-        i = np.rint(x * r).astype(np.intp) - lo
-        j = np.rint(y * r).astype(np.intp) - lo
-        # on the closed edge x + y = 1 the quotients are 1 exactly but can
-        # round above it; inside the triangle they stay at most 1 - 1/R
-        return (
-            fk[i]
-            + pk[i] * f(np.minimum(y / (1.0 - x), 1.0))
-            - fk[j]
-            - pk[j] * f(np.minimum(x / (1.0 - y), 1.0))
-        )
+        i, j = (np.rint(block * r).astype(np.intp) - lo).T
+        return expression(i, j, f(_quotient(y, x)), f(_quotient(x, y)))
 
+    def mirrored(span):
+        i, j = (np.rint(pts[span[0] : span[1]] * r).astype(np.intp) - lo).T
+        off = np.flatnonzero(i < j)
+        io, jo, ii, n = i[off], j[off], i[i == j], off.size
+        # the points with i < j, those with i == j, then the mirrors of the first
+        i, j = np.concatenate((io, ii, jo)), np.concatenate((jo, ii, io))
+        m, xy = i.size - n, np.empty((2, i.size))
+        xy[0], xy[1] = nodes[i], nodes[j]
+        fq = np.broadcast_to(f(_quotient(xy[1], xy[0])), i.shape)
+        # x/(1-y) is y/(1-x) of the mirror, and of the point itself if i == j
+        fp = np.concatenate((fq[m:], fq[n:m], fq[:n]))
+        return xy.T, expression(i, j, fq, fp), start[i] + j
+
+    # a block holds at most _CHUNK values, and rows past node (R - lo) // 2 keep none
+    last = int(end[(r - lo) // 2 - lo])
+    defect.mirrored = (lambda span: first_domain_error(mirrored, span)), _spans(last, _CHUNK // 2)
     return defect
 
 
@@ -590,11 +638,15 @@ def _defect_and_points(kind, fns, grid, budget):
     return pts, defect
 
 
-def _blocks(kind, fns, grid, budget):
-    """The (work, items) of one equation's defect sweep over a grid, within budget."""
+def _blocks(kind, fns, grid, budget, mirrored=False):
+    """The (work, items) of one equation's defect sweep over a grid, within
+    budget; a reduction asks for the mirrored FundamentalParametric blocks."""
     if isinstance(kind, (SumFormAdditive, SumFormAlpha, SumFormMultiplicative)):
         return _sum_form_blocks(kind, _one_function(fns), grid, budget)
-    return _row_blocks(*_defect_and_points(kind, fns, grid, budget))
+    pts, defect = _defect_and_points(kind, fns, grid, budget)
+    if mirrored and isinstance(kind, FundamentalParametric):
+        return defect.mirrored
+    return _row_blocks(pts, defect)
 
 
 def residual(
@@ -607,7 +659,7 @@ def residual(
     epsilon_target: Optional[float] = None,
 ) -> ResidualReport:
     """Sweep one equation's defect over a grid and reduce it to a report."""
-    work, items = _blocks(kind, fns, grid, budget)
+    work, items = _blocks(kind, fns, grid, budget, mirrored=True)
     return _sweep(work, items, jobs=jobs, epsilon_target=epsilon_target)
 
 

@@ -70,6 +70,7 @@ from infostab import (
     stability_constants,
 )
 from infostab.certifiers import _hyperstable_fit, _lattice_pow0
+from infostab.equations import _passes
 from infostab.models import _plain
 
 
@@ -90,6 +91,13 @@ class TestConstants:
         lhs = stability_constant_K(alpha) * abs(2.0 ** (1.0 - alpha) - 1.0)
         rhs = 4.0 * stability_constant_T(alpha) + 3.0
         assert math.isclose(lhs, rhs, rel_tol=1e-12)
+
+    def test_closed_bound_weight_is_K(self):
+        # |2^(1-alpha) - 1| < 1 for every alpha > 0 but 1, so K > 4T + 3 > T + 1
+        # and the closed bound max{K, T + 1} * eps is K * eps
+        alphas = np.concatenate((np.linspace(0.005, 0.995, 199), np.linspace(1.005, 200.0, 801)))
+        for alpha in alphas.tolist():
+            assert stability_constant_K(alpha) > stability_constant_T(alpha) + 1.0, alpha
 
     def test_unsupported_parameters(self):
         with pytest.raises(UnsupportedParameterError):
@@ -145,6 +153,16 @@ class TestDerivedVerdicts:
         worse = replace(cert, distance=2 * cert.bound + 1)
         assert worse.satisfied is False
         assert replace(worse, distance=cert.distance).satisfied is True
+
+    def test_verdict_holds_at_bound_plus_slack(self):
+        # the edge is inclusive: a distance of exactly bound + slack passes,
+        # and the next float up fails
+        cert = certify_fundamental_open(PowerFamily(2.0, 1.0, 0.5), 0.5, 16)
+        edge = cert.bound + certificate_slack(cert.bound)
+        above = float(np.nextafter(edge, np.inf))
+        assert _passes(edge, cert.bound) and not _passes(above, cert.bound)
+        assert replace(cert, distance=edge).satisfied is True
+        assert replace(cert, distance=above).satisfied is False
 
     def test_associativity_bounds_follow_epsilon(self):
         UVW = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))

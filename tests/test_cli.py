@@ -11,6 +11,7 @@ import pytest
 
 from infostab import (
     ConfigurationError,
+    DispatchError,
     InfostabError,
     NonFiniteDefectError,
     PowerFamily,
@@ -439,6 +440,30 @@ class TestRunSweep:
                   "alphas": [1.0], "family": {"a": 1.0, "b": 1.0}, "resolution": 16}
         with pytest.raises(ConfigurationError):
             run(config, out_dir=str(tmp_path))
+
+    @pytest.mark.parametrize("target, alphas, message", [
+        ("hyperstability", [-1.0, -0.5, 0.5], "hyperstability needs alpha < 0"),
+        ("fundamental_open", [0.5, -1.0], "negative alpha is the hyperstable regime"),
+    ])
+    def test_regime_mismatch_refused_before_any_certificate(
+        self, tmp_path, capsys, monkeypatch, target, alphas, message
+    ):
+        import infostab.cli as cli
+
+        calls = []
+        for name in [n for n in vars(cli) if n.startswith("certify_")]:
+            monkeypatch.setattr(cli, name, lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(cli, "hyperstability_blowup_probe", lambda *a, **k: calls.append(a))
+        config = {"schema": 1, "job": "sweep", "target": target, "alphas": alphas,
+                  "family": {"a": 1.0, "b": 1.0}, "noise": {"height": 5e-4},
+                  "resolution": 16}
+        with pytest.raises(DispatchError, match=f"^{message}"):
+            run(config, out_dir=str(tmp_path))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert calls == []
 
     def test_empty_alphas_rejected(self, tmp_path):
         config = {"schema": 1, "job": "sweep", "target": "constants", "alphas": []}

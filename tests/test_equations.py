@@ -1,7 +1,10 @@
 """Residual sweeps for every supported equation kind."""
 
+import functools
+import hashlib
 import io
 import math
+import re
 import threading
 import time
 import tracemalloc
@@ -62,6 +65,7 @@ from infostab import (
     check_symmetry,
     dump_defects_csv,
     homogeneity_residual,
+    hyperstability_blowup_probe,
     product_distribution,
     recursivity_defect,
     residual,
@@ -144,33 +148,98 @@ def _outcome(run):
         return type(exc), str(exc)
 
 
+def _digest(blocks):
+    """The sha256 of the bits of a sequence of float64 arrays."""
+    h = hashlib.sha256()
+    for d in blocks:
+        assert d.dtype == np.float64
+        h.update(np.ascontiguousarray(d))
+    return h.hexdigest()
+
+
+def _node_configs(resolution):
+    """The (alpha, function name) pairs the oracle tests run at a resolution."""
+    if resolution >= 1000:
+        # every alpha and every function once, to keep the suite fast
+        return list(zip(_NODE_ALPHAS * 2, _NODE_FUNCTIONS))
+    return [(a, name) for a in _NODE_ALPHAS for name in _NODE_FUNCTIONS]
+
+
+@functools.cache
+def _oracle(name, alpha, resolution, closed):
+    """The digest of the per-point defects of the triangle in lattice order,
+    or the type and message of what the per-point sweep raised; built once
+    per module, and shared by the tests of both kernel layouts."""
+    grid = TriangleGrid(resolution, closed=closed)
+    blocks = _outcome(lambda: _oracle_blocks(_NODE_FUNCTIONS[name], alpha, grid))
+    return blocks if isinstance(blocks, tuple) else _digest(d for _, d in blocks)
+
+
+_ORACLE_RESOLUTIONS = [3, 7, 96, 384, 768, 1000, 2048]
+
+
 class TestNodeTables:
     """The node-table kernel against the per-point oracle, bit for bit."""
 
     @pytest.mark.parametrize("closed", [False, True])
-    @pytest.mark.parametrize("resolution", [3, 7, 96, 384, 768, 1000, 2048])
+    @pytest.mark.parametrize("resolution", _ORACLE_RESOLUTIONS)
     def test_blocks_match_the_oracle(self, resolution, closed):
+        # the lattice-order blocks a dump writes
         grid = TriangleGrid(resolution, closed=closed)
-        configs = [(a, name) for a in _NODE_ALPHAS for name in _NODE_FUNCTIONS]
-        if resolution >= 1000:
-            # every alpha and every function once, to keep the suite fast
-            configs = list(zip(_NODE_ALPHAS * 2, _NODE_FUNCTIONS))
-        for alpha, name in configs:
-            f = _NODE_FUNCTIONS[name]
-            want = _outcome(lambda: _oracle_blocks(f, alpha, grid))
+        for alpha, name in _node_configs(resolution):
 
             def tabled():
-                work, items = _blocks(FundamentalParametric(alpha), f, grid, 10**7)
+                kind, f = FundamentalParametric(alpha), _NODE_FUNCTIONS[name]
+                work, items = _blocks(kind, f, grid, 10**7)
                 return [work(item) for item in items]
 
-            got = _outcome(tabled)
+            got, want = _outcome(tabled), _oracle(name, alpha, resolution, closed)
             if isinstance(want, tuple):  # LogFamily at 1 on the closed edge
                 assert got == want, (name, alpha)
                 continue
-            assert len(got) == len(want)
-            for (gp, gd), (wp, wd) in zip(got, want):
-                assert np.array_equal(gp, wp) and gd.dtype == np.float64
-                assert np.array_equal(gd.view(np.uint64), wd.view(np.uint64)), (name, alpha)
+            assert len(got) == -(-grid.count // _CHUNK)
+            for k, (gp, gd) in enumerate(got):
+                assert np.array_equal(gp, grid.points[k * _CHUNK : (k + 1) * _CHUNK])
+                assert gd.dtype == np.float64 and gd.shape == (len(gp),)
+            assert _digest(gd for _, gd in got) == want, (name, alpha)
+
+    @pytest.mark.parametrize("closed", [False, True])
+    @pytest.mark.parametrize("resolution", _ORACLE_RESOLUTIONS)
+    def test_mirrored_blocks_match_the_oracle(self, resolution, closed):
+        # the blocks every reduction folds, put back in lattice order by rank
+        grid = TriangleGrid(resolution, closed=closed)
+        for k, (alpha, name) in enumerate(_node_configs(resolution)):
+
+            def mirrored():
+                kind, f = FundamentalParametric(alpha), _NODE_FUNCTIONS[name]
+                work, items = _blocks(kind, f, grid, 10**7, mirrored=True)
+                defects, seen, size = np.empty(grid.count), np.zeros(grid.count, bool), 0
+                for points, d, r in map(work, items):
+                    assert d.dtype == np.float64 and len(points) == d.size == r.size
+                    if k == 0:  # the points and ranks do not depend on f
+                        assert np.array_equal(np.asarray(points), grid.points[r])
+                        seen[r] = True
+                    defects[r], size = d, size + d.size
+                # every point has one defect
+                assert size == grid.count and (k > 0 or seen.all())
+                return _digest([defects])
+
+            assert _outcome(mirrored) == _oracle(name, alpha, resolution, closed), (name, alpha)
+
+    @pytest.mark.parametrize("closed", [False, True])
+    @pytest.mark.parametrize("f", [PowerFamily(0.0, 0.0, 2.0), PowerFamily(1.7, -0.4, 2.0)])
+    def test_sup_ties_keep_the_first_lattice_point(self, f, closed):
+        # every defect of the zero function is 0; this exact member's sup is a
+        # rounding error that 8 points share, and the first mirrored block to
+        # meet it does not hold the first of them in lattice order
+        grid = TriangleGrid(768, closed=closed)
+        d = np.abs(fundamental_defect(f, 2.0, grid.points))
+        ties = np.flatnonzero(d == d.max())
+        assert ties.size > 1
+        for jobs in (1, 2):
+            rep = residual(FundamentalParametric(2.0), f, grid, jobs=jobs)
+            assert rep.sup == d[ties[0]]
+            assert rep.argmax_point == tuple(grid.points[ties[0]].tolist())
 
     @pytest.mark.parametrize("closed", [False, True])
     def test_residual_reduces_the_oracle(self, closed):
@@ -195,6 +264,25 @@ class TestNodeTables:
                 residual(FundamentalParametric(0.5), f, grid, jobs=jobs)
             assert str(exc.value) == msg
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_first_non_finite_point_is_first_in_lattice_order(self):
+        # f is NaN only at the quotient of the diagonal point (5, 5) and at
+        # y/(1-x) of (5, 20), which (20, 5) shares; a mirrored block lists
+        # (5, 20) before (5, 5), which comes first in lattice order
+        r = 64
+        q = lambda i, j: (j / r) / (1.0 - i / r)
+        holes = np.array([q(5, 5), q(5, 20)])
+        f = lambda x: np.where(np.isin(x, holes), math.nan, x)
+        pts = TriangleGrid(r).points
+        bad = ~np.isfinite(fundamental_defect(f, -1.0, pts))
+        assert bad.sum() == 3 and pts[int(np.argmax(bad))].tolist() == [5 / r, 5 / r]
+        msg = f"3 of {bad.size} defects are NaN or infinite, the first at {(5 / r, 5 / r)}"
+        for jobs in (1, 2):
+            with pytest.raises(NonFiniteDefectError, match=re.escape(msg)):
+                residual(FundamentalParametric(-1.0), f, TriangleGrid(r), jobs=jobs)
+            with pytest.raises(NonFiniteDefectError, match=re.escape(msg)):
+                hyperstability_blowup_probe(f, -1.0, [0.25], r, jobs=jobs)
+
     @pytest.mark.parametrize("closed", [False, True])
     @pytest.mark.parametrize("resolution", [64, 1000])
     @pytest.mark.parametrize("span", [(0.0, 0.5), (0.25, 1.0)])
@@ -203,10 +291,30 @@ class TestNodeTables:
         f, grid = GridSample(tuple(xs), tuple(xs * xs)), TriangleGrid(resolution, closed=closed)
         want = _outcome(lambda: _oracle_blocks(f, 2.0, grid))
         assert want[0] is DomainError
-        assert _outcome(lambda: residual(FundamentalParametric(2.0), f, grid)) == want
+        for jobs in (1, 2):
+            got = _outcome(lambda: residual(FundamentalParametric(2.0), f, grid, jobs=jobs))
+            assert got == want
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("resolution", [97, 768])
+    def test_blowup_probe_matches_the_oracle(self, resolution):
+        f, pts = _NODE_FUNCTIONS["noisy_power_bump"], TriangleGrid(resolution).points
+        d = np.abs(fundamental_defect(f, -1.0, pts))
+        s = pts[:, 0] + pts[:, 1]
+        margins = [0.25, 0.125, 1.5 / resolution]
+        want = [(h, float(np.max(d, where=s <= 1.0 - h + 1e-12, initial=0.0))) for h in margins]
+        bad = _with_bad_node(math.nan)
+        with pytest.raises(NonFiniteDefectError) as sweep:
+            residual(FundamentalParametric(-1.0), bad, TriangleGrid(resolution))
+        for jobs in (1, 2):
+            probe = hyperstability_blowup_probe(f, -1.0, margins, resolution, jobs=jobs)
+            assert probe == want
+            with pytest.raises(NonFiniteDefectError) as exc:
+                hyperstability_blowup_probe(bad, -1.0, margins, resolution, jobs=jobs)
+            assert str(exc.value) == str(sweep.value)
 
     @pytest.mark.parametrize("closed", [False, True])
-    def test_f_on_two_values_per_point_and_one_pow0_per_sweep(self, closed, monkeypatch):
+    def test_f_on_one_value_per_point_and_one_pow0_per_sweep(self, closed, monkeypatch):
         from infostab import equations
 
         grid, values, pow0_calls = TriangleGrid(64, closed=closed), [], []
@@ -220,7 +328,9 @@ class TestNodeTables:
             return ShannonInfo()(x)
 
         residual(FundamentalParametric(0.5), counted, grid)
-        assert sum(values) <= 2 * grid.count + grid.resolution + 1
+        # the node table, then one value per point: a point's mirror shares
+        # its two quotients, and the two quotients agree on the diagonal
+        assert sum(values) <= grid.count + grid.resolution + 1
         assert len(pow0_calls) == 1
 
 
