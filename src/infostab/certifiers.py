@@ -182,26 +182,13 @@ class StabilityConstants:
     alpha: float
     K: float
     T: Optional[float] = None
-    n: Optional[float] = None
-    c_n: Optional[float] = None
-    d_n: Optional[float] = None
 
 
-def stability_constants(alpha, n=None) -> StabilityConstants:
+def stability_constants(alpha) -> StabilityConstants:
     a = Alpha.of(alpha)
     k = stability_constant_K(a)
     t = stability_constant_T(a) if a.regime is Regime.POSITIVE_NOT_ONE else None
-    c_n = d_n = None
-    if n is not None:
-        c_n, d_n = box_growth_constants(n, a)
-    return StabilityConstants(
-        alpha=a.value,
-        K=k,
-        T=t,
-        n=None if n is None else float(n),
-        c_n=c_n,
-        d_n=d_n,
-    )
+    return StabilityConstants(alpha=a.value, K=k, T=t)
 
 
 # ---------------------------------------------------------------------------

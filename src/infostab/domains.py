@@ -41,7 +41,6 @@ __all__ = [
     "SimplexGrid",
     "ConeGrid",
     "PairGrid",
-    "grid_to_csv",
 ]
 
 _CHUNK = 1 << 15  # rows per block of every blocked sweep
@@ -144,13 +143,8 @@ def _scaled(cols, resolution):
     return np.divide(out, float(resolution), out=out)
 
 
-class _CsvMixin:
-    def to_csv(self, path):
-        grid_to_csv(self.points, path)
-
-
 @dataclass(frozen=True)
-class UnitGrid(_CsvMixin):
+class UnitGrid:
     """Lattice on the unit interval: {k/R} with k = 1..R-1, or 0..R when closed."""
 
     resolution: int
@@ -170,7 +164,7 @@ class UnitGrid(_CsvMixin):
 
 
 @dataclass(frozen=True)
-class TriangleGrid(_CsvMixin):
+class TriangleGrid:
     """Lattice on the triangle domain of the two-variable functional equation.
 
     Open variant: x, y and x+y all in (0,1), i.e. i,j >= 1 with i+j <= R-1.
@@ -216,7 +210,7 @@ class TriangleGrid(_CsvMixin):
 
 
 @dataclass(frozen=True)
-class SimplexGrid(_CsvMixin):
+class SimplexGrid:
     """Lattice on the probability simplex with n coordinates.
 
     Open variant: all coordinates k_i/R with k_i >= 1 (strict interior).
@@ -302,7 +296,7 @@ class SimplexGrid(_CsvMixin):
 
 
 @dataclass(frozen=True)
-class ConeGrid(_CsvMixin):
+class ConeGrid:
     """Strictly positive lattice triples in (0, bound]^3 for the cone domain."""
 
     resolution: int
@@ -329,7 +323,7 @@ class ConeGrid(_CsvMixin):
 
 
 @dataclass(frozen=True)
-class PairGrid(_CsvMixin):
+class PairGrid:
     """Strictly positive lattice pairs in (0, bound]^2."""
 
     resolution: int
@@ -347,15 +341,6 @@ class PairGrid(_CsvMixin):
     def points(self):
         step = self.bound / self.resolution
         return _freeze(_box(np.arange(1, self.resolution + 1) * step, 2))
-
-
-def grid_to_csv(points, path):
-    """Write grid points to CSV, one point per row, each value as %.17g."""
-    arr = np.asarray(points, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    with open(path, "w") as fh:
-        _write_csv(fh, arr)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ from .domains import (
     _CHUNK, ConeGrid, PairGrid, SimplexGrid, TriangleGrid, UnitGrid, _write_csv, pow0,
 )
 from .errors import BudgetExceededError, ConfigurationError, DomainError, NonFiniteDefectError
-from .models import Alpha, BivariateFunction, ScalarFunction, TernaryFunction
+from .models import Alpha, BivariateFunction, TernaryFunction
 
 __all__ = [
     "FundamentalParametric",
@@ -68,7 +68,6 @@ __all__ = [
     "residual",
     "symmetry_residual",
     "homogeneity_residual",
-    "product_distribution",
     "dump_defects_csv",
 ]
 
@@ -462,14 +461,6 @@ def _cone_points(kind, grid, budget):
     return g.points
 
 
-def product_distribution(p, q):
-    """P*Q: the nm-coordinate product distribution (p_1 q_1 ... p_n q_m)."""
-    p = np.atleast_2d(np.asarray(p, dtype=float))
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    out = p[:, :, None] * q[:, None, :]
-    return out.reshape(p.shape[0], -1)
-
-
 def _expect_grid(grid, cls, kind_name):
     if not isinstance(grid, cls):
         raise ConfigurationError(
@@ -701,16 +692,14 @@ def homogeneity_residual(
     F: BivariateFunction,
     alpha,
     grid: PairGrid,
-    t_set=(0.25, 0.5, 2.0, 4.0),
     *,
     jobs: int = 1,
 ) -> ResidualReport:
-    """sup over scales t and grid pairs of |F(tu, tv) - t^alpha F(u, v)|."""
+    """sup over the scales t in (1/4, 1/2, 2, 4) and the grid pairs of
+    |F(tu, tv) - t^alpha F(u, v)|."""
     a = Alpha.of(alpha).value
     pts = _expect_grid(grid, PairGrid, "homogeneity").points
-    ts = [float(t) for t in t_set]
-    if not ts or any(t <= 0 for t in ts):
-        raise ConfigurationError("t_set must hold strictly positive scales")
+    ts = (0.25, 0.5, 2.0, 4.0)
 
     def gaps(block):
         u, v = block[:, 0], block[:, 1]

@@ -49,7 +49,6 @@ __all__ = [
     "recursivity_defect",
     "GeneratingDefect",
     "derive_generating_defect",
-    "sum_property_cauchy_gap",
     "tabulate",
 ]
 
@@ -110,13 +109,6 @@ class InformationMeasure:
     @property
     def alpha_value(self) -> float:
         return Alpha.of(self.alpha).value
-
-    def scaled(self, factor: float) -> "InformationMeasure":
-        """Same measure with every perturbation height multiplied by factor."""
-        perts = tuple(
-            LevelNoise(p.level, factor * p.height, p.seed) for p in self.perturbations
-        )
-        return InformationMeasure(self.generator, self.alpha, self.max_n, perts)
 
     def _noise_at(self, n: int):
         return [p for p in self.perturbations if p.level == n]
@@ -347,23 +339,6 @@ def derive_generating_defect(
         budget=budget,
     )
     return GeneratingDefect(f=f, report=rep, eps_semisymmetry=eps1, eps_recursivity=eps2)
-
-
-def sum_property_cauchy_gap(
-    bound_i3: float, f: ScalarFunction, resolution: int, *, budget: int = 10**6
-) -> ResidualReport:
-    """Gap |f(x+y) - f(x) - f(y) + f(0)| on the closed triangle, with the
-    target 2*bound_i3 implied by a bounded level-3 measure."""
-    grid = TriangleGrid(resolution, closed=True)
-    _within_budget(grid.count, budget)
-    pts = grid.points
-    f0 = float(f(0.0))
-
-    def gap(P):
-        x, y = P[:, 0], P[:, 1]
-        return np.asarray(f(x + y)) - np.asarray(f(x)) - np.asarray(f(y)) + f0
-
-    return _sweep(*_row_blocks(pts, gap), epsilon_target=2.0 * float(bound_i3))
 
 
 def tabulate(measure: InformationMeasure, n: int, resolution: int, *, budget: int = 10**6):

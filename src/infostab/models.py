@@ -55,11 +55,8 @@ __all__ = [
     "Wave2",
     "shannon_entropy",
     "alpha_entropy",
-    "shannon_info_function",
     "entropy_limit_gap",
     "validate_distribution",
-    "alpha_sum_generator",
-    "sampled",
     "scalar_from_config",
     "ternary_from_config",
     "bivariate_from_config",
@@ -602,35 +599,11 @@ def alpha_entropy(p, alpha):
     return out
 
 
-_SHANNON_INFO = ShannonInfo()
-
-
-def shannon_info_function(x):
-    """The information function of the Shannon entropy, S(1/2) = 1."""
-    return _SHANNON_INFO(x)
-
-
 def entropy_limit_gap(p, delta):
     """|H^(1+delta) - H^1| at the distribution p, for nonzero delta."""
     if delta == 0:
         raise DomainError("delta must be nonzero")
     return abs(alpha_entropy(p, 1.0 + delta) - shannon_entropy(p))
-
-
-def alpha_sum_generator(alpha) -> ScalarFunction:
-    """Generator of the sum property: sum f(p_i) equals the degree-alpha entropy."""
-    a = Alpha.of(alpha)
-    if a.regime is Regime.ONE:
-        return XLogX(-1.0)
-    scale = 1.0 / (2.0 ** (1.0 - a.value) - 1.0)
-    return FunctionSum((PowerLaw(scale, a.value), PowerLaw(-scale, 1.0)))
-
-
-def sampled(fn: ScalarFunction, resolution: int, closed=True) -> GridSample:
-    """Tabulate a scalar function on the unit lattice as a GridSample."""
-    ks = np.arange(0, resolution + 1) if closed else np.arange(1, resolution)
-    xs = ks / float(resolution)
-    return GridSample(tuple(xs), tuple(np.asarray(fn(xs), dtype=float)))
 
 
 # ---------------------------------------------------------------------------

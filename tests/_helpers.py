@@ -6,10 +6,15 @@ import numpy as np
 
 from infostab import (
     Alpha,
+    FunctionSum,
+    GridSample,
     InformationMeasure,
+    LevelNoise,
     PowerFamily,
+    PowerLaw,
     Regime,
     ShannonInfo,
+    XLogX,
     alpha_entropy,
     pow0,
 )
@@ -17,6 +22,26 @@ from infostab import (
 
 def kappa(alpha):
     return 1.0 / (2.0 ** (1.0 - alpha) - 1.0)
+
+
+def sampled(fn, resolution):
+    """fn tabulated on the closed unit lattice {k/R} as a GridSample."""
+    xs = np.arange(0, resolution + 1) / float(resolution)
+    return GridSample(tuple(xs), tuple(np.asarray(fn(xs), dtype=float)))
+
+
+def alpha_sum_generator(alpha):
+    """Generator of the sum property: sum f(p_i) equals the degree-alpha entropy."""
+    if alpha == 1.0:
+        return XLogX(-1.0)
+    k = kappa(alpha)
+    return FunctionSum((PowerLaw(k, alpha), PowerLaw(-k, 1.0)))
+
+
+def scaled_measure(m, factor):
+    """m with every perturbation height multiplied by factor."""
+    perts = tuple(LevelNoise(p.level, factor * p.height, p.seed) for p in m.perturbations)
+    return InformationMeasure(m.generator, m.alpha, m.max_n, perts)
 
 
 def exact_measure(alpha, max_n=8, perturbations=()):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import exact_measure, kappa, two_sweep_sequences
+from _helpers import exact_measure, kappa, sampled, two_sweep_sequences
 from infostab import (
     AffineSum,
     Alpha,
@@ -63,7 +63,6 @@ from infostab import (
     hyperstability_blowup_probe,
     pow0,
     residual,
-    sampled,
     scalar_from_config,
     stability_constant_K,
     stability_constant_T,
@@ -119,13 +118,11 @@ class TestConstants:
         assert all(a < b for a, b in zip(cs, cs[1:]))
 
     def test_bundle(self):
-        sc = stability_constants(2.0, n=3)
+        sc = stability_constants(2.0)
         assert sc.alpha == 2.0
         assert math.isclose(sc.K, 2406.0, rel_tol=1e-9)
         assert math.isclose(sc.T, 300.0, rel_tol=1e-9)
-        assert sc.c_n == box_growth_constants(3, 2.0)[0]
-        neg = stability_constants(-1.0)
-        assert neg.T is None and neg.c_n is None
+        assert stability_constants(-1.0).T is None
 
     def test_bad_box_bound(self):
         with pytest.raises(ConfigurationError):

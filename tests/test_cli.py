@@ -17,9 +17,10 @@ from infostab import (
     PowerFamily,
     UnsupportedParameterError,
     config_of,
-    sampled,
 )
 from infostab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main, run
+
+from _helpers import sampled
 
 POWER = {"kind": "power_family", "a": 2.0, "b": 1.0, "alpha": 0.5}
 BUMP = {"kind": "bump", "center": 0.5, "width": 0.2, "height": 1e-3}

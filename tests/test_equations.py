@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import exact_measure, fundamental_defect
+from _helpers import alpha_sum_generator, exact_measure, fundamental_defect, sampled
 from infostab import (
     BudgetExceededError,
     CauchyAdditive,
@@ -55,7 +55,6 @@ from infostab import (
     TriangleGrid,
     UnitGrid,
     XLogX,
-    alpha_sum_generator,
     certify_associativity,
     certify_fundamental_open,
     certify_measure_sequence,
@@ -66,11 +65,8 @@ from infostab import (
     dump_defects_csv,
     homogeneity_residual,
     hyperstability_blowup_probe,
-    product_distribution,
     recursivity_defect,
     residual,
-    sampled,
-    sum_property_cauchy_gap,
     symmetry_residual,
     tabulate,
 )
@@ -448,11 +444,6 @@ class TestSumForms:
             for i in (0, len(Q) - 1, len(Q), defects.size - 1):
                 assert _row(points, i) == tuple(oracle[i].tolist())
 
-    def test_product_distribution(self):
-        out = product_distribution([0.5, 0.5], [0.5, 0.25, 0.25])
-        assert out.shape == (1, 6)
-        assert math.isclose(float(out.sum()), 1.0, abs_tol=1e-12)
-
 
 class TestReport:
     def test_fields_and_argmax(self):
@@ -652,11 +643,6 @@ class TestSymmetryHomogeneity:
         rep = homogeneity_residual(F, 2.0, PairGrid(8, bound=0.5))
         assert rep.sup > 0.1
 
-    def test_bad_t_set(self):
-        F = RatioLift(ShannonInfo(), 1.0)
-        with pytest.raises(ConfigurationError):
-            homogeneity_residual(F, 1.0, PairGrid(4), t_set=(0.5, -1.0))
-
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_stacked_blocks_match_whole_array_oracle(self, jobs):
         # a block stacks every variant of its rows, so in sweep order a hit
@@ -694,7 +680,7 @@ class TestSymmetryHomogeneity:
 
         cases = (
             (Skewed, cone, lambda F: symmetry_residual(F, cone, jobs=jobs), symmetry_whole),
-            (Tilted, pairs, lambda F: homogeneity_residual(F, 2.0, pairs, ts, jobs=jobs),
+            (Tilted, pairs, lambda F: homogeneity_residual(F, 2.0, pairs, jobs=jobs),
              homogeneity_whole),
         )
         for cls, grid, sweep, whole in cases:
@@ -821,9 +807,6 @@ _OVER_BUDGET = {
     "certify_associativity": lambda path: certify_associativity(
         PhiOfSum(PowerLaw(1.0, 2.0)), PhiOfSum(PowerLaw(1.0, 2.0)), _UNIT, _UNIT, _UNIT, 20,
         budget=100,
-    ),
-    "sum_property_cauchy_gap": lambda path: sum_property_cauchy_gap(
-        0.1, PowerLaw(1.0, 1.0), 64, budget=10
     ),
 }
 # the unit-pair and cone kinds of residual, each with a grid of its kind

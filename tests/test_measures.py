@@ -23,10 +23,8 @@ from infostab import (
     ScaledBump,
     ShannonInfo,
     SimplexGrid,
-    TriangleGrid,
     XLogX,
     alpha_entropy,
-    alpha_sum_generator,
     check_additivity,
     check_normalization,
     check_semisymmetry3,
@@ -34,16 +32,17 @@ from infostab import (
     check_symmetry,
     derive_generating_defect,
     recursivity_defect,
-    sampled,
     shannon_entropy,
-    sum_property_cauchy_gap,
     tabulate,
 )
 
 from infostab import certifiers, measures
 from infostab.models import ScalarFunction
 
-from _helpers import exact_measure, kappa, recursive_measure, recursivity_oracle
+from _helpers import (
+    alpha_sum_generator, exact_measure, kappa, recursive_measure, recursivity_oracle, sampled,
+    scaled_measure,
+)
 
 LOG2_3 = 1.5849625007211562
 
@@ -62,12 +61,6 @@ class TestConstruction:
     def test_perturbation_type_checked(self):
         with pytest.raises(ConfigurationError):
             InformationMeasure(ShannonInfo(), 1.0, perturbations=("noise",))
-
-    def test_scaled(self):
-        m = exact_measure(2.0, perturbations=(LevelNoise(3, 0.01, 1),))
-        m2 = m.scaled(2.0)
-        assert m2.perturbations[0].height == 0.02
-        assert m2.generator is m.generator
 
     def test_eval_rejects_bad_input(self):
         m = exact_measure(1.0)
@@ -179,7 +172,7 @@ class TestPerturbations:
     def test_perturbation_linearity(self):
         m = exact_measure(2.0, perturbations=(LevelNoise(3, 1e-3, seed=3),))
         a = recursivity_defect(m, 3, 12).sup
-        b = recursivity_defect(m.scaled(2.0), 3, 12).sup
+        b = recursivity_defect(scaled_measure(m, 2.0), 3, 12).sup
         assert b <= 2.0 * a + 1e-12
 
     def test_deterministic_across_order(self):
@@ -259,12 +252,6 @@ class TestBlockedChecks:
         diff = m.eval_rows(prod).reshape(ip.size, iq.size) - ip - iq - lam * ip * iq
         want = _whole_report(diff, lambda i: np.r_[P[i // iq.size], Q[i % iq.size]])
         assert _fields(check_additivity(m, 2, 3, 60)) == want
-
-        g = FunctionSum((XLogX(-1.0), ScaledBump(0.4, 0.2, 1e-3)))
-        pts = TriangleGrid(400, closed=True).points
-        x, y = pts[:, 0], pts[:, 1]
-        diff = g(x + y) - g(x) - g(y) + float(g(0.0))
-        assert _fields(sum_property_cauchy_gap(1.0, g, 400)) == _whole_report(diff, pts.__getitem__)
 
     def test_nonfinite_generator_raises(self):
         g = sampled(ShannonInfo(), 64)
@@ -429,7 +416,7 @@ class TestLevelNoiseCache:
         assert used == fresh and hash(used) == hash(fresh)
         assert repr(used) == repr(fresh)
         m = InformationMeasure(ShannonInfo(), 1.0, 4, (used,))
-        assert m.scaled(2.0).perturbations == (LevelNoise(4, 4e-3, seed=3),)
+        assert scaled_measure(m, 2.0).perturbations == (LevelNoise(4, 4e-3, seed=3),)
 
 
 class TestGeneratingDefect:
@@ -455,18 +442,6 @@ class TestGeneratingDefect:
     def test_needs_level_three(self):
         with pytest.raises(ConfigurationError):
             derive_generating_defect(exact_measure(1.0, max_n=2), 16)
-
-
-class TestCauchyGap:
-    def test_within_generous_bound(self):
-        rep = sum_property_cauchy_gap(2.0, XLogX(-1.0), 32)
-        assert rep.epsilon_target == 4.0
-        assert rep.within_target
-        assert math.isclose(rep.sup, 1.0, abs_tol=1e-9)
-
-    def test_tight_bound_fails(self):
-        rep = sum_property_cauchy_gap(0.1, XLogX(-1.0), 32)
-        assert not rep.within_target
 
 
 class TestTabulate:
