@@ -4,12 +4,12 @@ Reads a versioned JSON run configuration, dispatches residual / certify /
 measure / sweep / blowup jobs, and writes machine-readable reports:
 report.json always, summary.csv for tabular jobs, defects.csv on request.
 Equations and theorems are table entries read by one path.  An `_EQUATIONS`
-entry holds the kind class, whose dataclass fields are its parameters, the
-descriptor builder and the arity; a `_THEOREMS` entry the certifier's name,
-its defects.csv equation and lattice, and exactly the config fields the
-certifier takes, with their readers.  "fundamental" resolves to an entry by
-regime; associativity's list checks and measure_sequence's two input forms
-keep code of their own.
+entry holds the kind class, whose dataclass fields are its parameters and
+which states how many functions it takes, and the descriptor builder; a
+`_THEOREMS` entry the certifier's name, its defects.csv equation and
+lattice, and exactly the config fields the certifier takes, with their
+readers.  "fundamental" resolves to an entry by regime; associativity's list
+checks and measure_sequence's two input forms keep code of their own.
 
 The readers are the one record of which config fields exist: `run` records
 the names `_field` reads from each config object, and each job, before its
@@ -65,6 +65,7 @@ from .equations import (
     SumFormAdditive,
     SumFormAlpha,
     SumFormMultiplicative,
+    _passes,
     dump_defects_csv,
     residual,
 )
@@ -236,21 +237,21 @@ def _build_measure(desc):
 # a kind's parameters are its dataclass fields, read by their annotated type
 _PARAMETERS = {"float": _float_field, "int": _int_field}
 
-# name -> (kind class, descriptor builder, how many functions)
+# name -> (kind class, descriptor builder); the class states how many functions
 _EQUATIONS = {
-    "fundamental": (FundamentalParametric, scalar_from_config, 1),
-    "entropy": (EntropyEq, ternary_from_config, 1),
-    "modified_entropy": (ModifiedEntropy, ternary_from_config, 1),
-    "cocycle": (Cocycle, bivariate_from_config, 1),
-    "cauchy_additive": (CauchyAdditive, scalar_from_config, 1),
-    "multiplicative": (Multiplicative, scalar_from_config, 1),
-    "logarithmic": (Logarithmic, scalar_from_config, 1),
-    "phi": (PhiEquation, scalar_from_config, 1),
-    "daroczy": (DaroczyIdentity, scalar_from_config, 2),
-    "info_function_form": (InfoFunctionForm, scalar_from_config, 2),
-    "sum_form_additive": (SumFormAdditive, scalar_from_config, 1),
-    "sum_form_alpha": (SumFormAlpha, scalar_from_config, 1),
-    "sum_form_multiplicative": (SumFormMultiplicative, scalar_from_config, 1),
+    "fundamental": (FundamentalParametric, scalar_from_config),
+    "entropy": (EntropyEq, ternary_from_config),
+    "modified_entropy": (ModifiedEntropy, ternary_from_config),
+    "cocycle": (Cocycle, bivariate_from_config),
+    "cauchy_additive": (CauchyAdditive, scalar_from_config),
+    "multiplicative": (Multiplicative, scalar_from_config),
+    "logarithmic": (Logarithmic, scalar_from_config),
+    "phi": (PhiEquation, scalar_from_config),
+    "daroczy": (DaroczyIdentity, scalar_from_config),
+    "info_function_form": (InfoFunctionForm, scalar_from_config),
+    "sum_form_additive": (SumFormAdditive, scalar_from_config),
+    "sum_form_alpha": (SumFormAlpha, scalar_from_config),
+    "sum_form_multiplicative": (SumFormMultiplicative, scalar_from_config),
 }
 
 
@@ -264,19 +265,20 @@ def _job_residual(cfg, jobs, dump):
     if name not in _EQUATIONS:
         raise ConfigurationError(f"config field 'equation' is unknown: '{name}'")
     kind = _equation_kind(name, cfg)
-    builder, arity = _EQUATIONS[name][1:]
+    builder = _EQUATIONS[name][1]
     budget = _int_field(cfg, "budget", 10**7)
     grid = _build_grid(_field(cfg, "grid"), budget)
-    if arity == 1:
+    if kind.functions == 1:
         fns = _build_function(builder, _field(cfg, "function"), "function")
     else:
-        fns = _function_list(cfg, builder, arity)
+        fns = _function_list(cfg, builder, kind.functions)
     target = _float_field(cfg, "epsilon_target", None)
     _refuse_unread(cfg)
-    rep = residual(kind, fns, grid, jobs=jobs, budget=budget, epsilon_target=target)
-    result = {"equation": name, **_plain(rep), "within_target": rep.within_target}
+    rep = residual(kind, fns, grid, jobs=jobs, budget=budget)
+    within = target is None or _passes(rep.sup, target)
+    result = {"equation": name, **_plain(rep), "epsilon_target": target, "within_target": within}
     files = _defects_file(kind, fns, grid, budget) if dump else {}
-    return result, files, EXIT_OK if rep.within_target else EXIT_VIOLATION
+    return result, files, EXIT_OK if within else EXIT_VIOLATION
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import (
     BudgetExceededError,
-    ConfigurationError,
     DomainError,
     InvalidResolutionError,
 )
@@ -217,9 +216,9 @@ class SimplexGrid:
     Closed variant: k_i >= 0.  Points are ordered lexicographically in the
     integer compositions (k_1, ..., k_n), so the first coordinate is
     nondecreasing.  ``points`` materialises the lattice within ``budget``;
-    ``iter_blocks(rows)`` streams the same points, bit for bit and in the same
-    order, as blocks of 1..rows rows whose working memory stays within a small
-    multiple of ``rows * n * 8`` bytes at any lattice size.
+    ``iter_blocks()`` streams the same points, bit for bit and in the same
+    order, as blocks of 1.._CHUNK rows whose working memory stays within a
+    small multiple of ``_CHUNK * n * 8`` bytes at any lattice size.
     """
 
     n: int
@@ -283,16 +282,14 @@ class SimplexGrid:
         (pts,) = self._blocks(self.count)
         return _freeze(pts)
 
-    def iter_blocks(self, rows=_CHUNK):
-        """Yield ``points`` in order as blocks of 1..``rows`` rows, by default
-        the one block size of every blocked sweep.  The grid's budget guards
+    def iter_blocks(self):
+        """Yield ``points`` in order as blocks of 1.._CHUNK rows, the one
+        block size of every blocked sweep.  The grid's budget guards
         ``points`` only; a sweep checks its own before it streams.  Blocks
         follow leading-prefix groups, so they may be short; working memory
-        stays within a small multiple of ``rows * n * 8`` bytes at any
+        stays within a small multiple of ``_CHUNK * n * 8`` bytes at any
         lattice size."""
-        if rows < 1:
-            raise ConfigurationError(f"blocks need at least one row, got {rows}")
-        return self._blocks(rows)
+        return self._blocks(_CHUNK)
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,15 @@ block adds the rank of each value.  Blocks of _CHUNK rows come from
 _row_blocks (a point matrix), _pair_blocks (a pair lattice, whose points
 build a row only on request) or _simplex_blocks (a streamed simplex
 lattice); _within_budget checks a sweep's defect samples against its
-budget before the lattice is built.  _blocks gives the (work, items) of an
-equation kind on a grid; residual reduces those blocks
-and dump_defects_csv writes them through domains._write_csv.  _sweep
-summarises each block and _fold folds the summaries, so a stream that yields
-two defects per block can fold each into its own report.  _imap runs the
-blocks of every sweep on up to jobs threads and returns them in order.
+budget before the lattice is built.  Each equation kind states its
+equation, lattice, function count and defect (a sum form's cross, and
+FundamentalParametric's the node-table kernel below); _blocks gives the
+(work, items) of any kind on a grid, residual reduces them to a report,
+which holds no target, and dump_defects_csv writes them through
+domains._write_csv.  _sweep summarises each block and _fold folds the
+summaries, so a stream that yields two defects per block can fold each into
+its own report.  _imap runs the blocks of every sweep on up to jobs threads
+and returns them in order.
 
 The fundamental-equation kernel reads node tables: f(k/R) and
 (1 - k/R)^alpha are evaluated once per sweep over the node indices k the
@@ -40,7 +43,6 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -73,14 +75,17 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# equation kinds
+# equation kinds: each states its lattice (see _points) and function count
 
 
 @dataclass(frozen=True)
 class FundamentalParametric:
-    """f(x) + (1-x)^a f(y/(1-x)) = f(y) + (1-y)^a f(x/(1-y)) on the triangle."""
+    """f(x) + (1-x)^a f(y/(1-x)) = f(y) + (1-y)^a f(x/(1-y)) on the triangle;
+    its defect is _fundamental_kernel's."""
 
     alpha: float
+    lattice = "triangle"
+    functions = 1
 
 
 @dataclass(frozen=True)
@@ -89,15 +94,27 @@ class SumFormAdditive:
 
     n: int
     m: int
+    lattice = "simplex pairs"
+    functions = 1
+
+    def cross(self, fpq, fp, fq):
+        return fpq - fp - fq
 
 
 @dataclass(frozen=True)
 class SumFormAlpha:
-    """Additive-with-product-term sum form of degree alpha."""
+    """Additive-with-product-term sum form of degree alpha:
+    sum_i sum_j f(p_i q_j) = sum_i f(p_i) + sum_j f(q_j)
+    + (2^(1-alpha) - 1) sum_i f(p_i) sum_j f(q_j)."""
 
     alpha: float
     n: int
     m: int
+    lattice = "simplex pairs"
+    functions = 1
+
+    def cross(self, fpq, fp, fq):
+        return fpq - fp - fq - (2.0 ** (1.0 - self.alpha) - 1.0) * fp * fq
 
 
 @dataclass(frozen=True)
@@ -106,16 +123,36 @@ class SumFormMultiplicative:
 
     n: int
     m: int
+    lattice = "simplex pairs"
+    functions = 1
+
+    def cross(self, fpq, fp, fq):
+        return fpq - fp * fq
 
 
 @dataclass(frozen=True)
 class Cocycle:
     """F(x+y, z) + F(x, y) = F(x, y+z) + F(y, z) on positive triples."""
 
+    lattice = "cone"
+    functions = 1
+
+    def defect(self, p, F):
+        x, y, z = p[:, 0], p[:, 1], p[:, 2]
+        return F(x + y, z) + F(x, y) - F(x, y + z) - F(y, z)
+
 
 @dataclass(frozen=True)
 class EntropyEq:
     """H(x,y,z) = H(x+y, 0, z) + H(x, y, 0) on the positive cone."""
+
+    lattice = "cone"
+    functions = 1
+
+    def defect(self, p, H):
+        x, y, z = p[:, 0], p[:, 1], p[:, 2]
+        zero = np.zeros_like(x)
+        return H(x, y, z) - H(x + y, zero, z) - H(x, y, zero)
 
 
 @dataclass(frozen=True)
@@ -123,36 +160,84 @@ class ModifiedEntropy:
     """f(x,y,z) = f(x, y+z, 0) + (y+z)^a f(0, y/(y+z), z/(y+z))."""
 
     alpha: float
+    lattice = "cone"
+    functions = 1
+
+    def defect(self, p, f):
+        x, y, z = p[:, 0], p[:, 1], p[:, 2]
+        s = y + z
+        zero = np.zeros_like(x)
+        return f(x, y, z) - f(x, s, zero) - pow0(s, self.alpha) * f(zero, y / s, z / s)
 
 
 @dataclass(frozen=True)
 class CauchyAdditive:
     """a(x+y) = a(x) + a(y) on pairs whose sum stays in the interval."""
 
+    lattice = "domain pairs"
+    functions = 1
+
+    def defect(self, p, f):
+        return f(p[:, 0] + p[:, 1]) - f(p[:, 0]) - f(p[:, 1])
+
 
 @dataclass(frozen=True)
 class Multiplicative:
     """m(xy) = m(x) m(y)."""
+
+    lattice = "pairs"
+    functions = 1
+
+    def defect(self, p, f):
+        return f(p[:, 0] * p[:, 1]) - f(p[:, 0]) * f(p[:, 1])
 
 
 @dataclass(frozen=True)
 class Logarithmic:
     """l(xy) = l(x) + l(y)."""
 
+    lattice = "pairs"
+    functions = 1
+
+    def defect(self, p, f):
+        return f(p[:, 0] * p[:, 1]) - f(p[:, 0]) - f(p[:, 1])
+
 
 @dataclass(frozen=True)
 class PhiEquation:
     """phi(xy) = x phi(y) + y phi(x)."""
+
+    lattice = "pairs"
+    functions = 1
+
+    def defect(self, p, f):
+        x, y = p[:, 0], p[:, 1]
+        return f(x * y) - x * f(y) - y * f(x)
 
 
 @dataclass(frozen=True)
 class DaroczyIdentity:
     """(x+y) f(y/(x+y)) = phi(x) + phi(y) - phi(x+y); functions (f, phi)."""
 
+    lattice = "nonzero pairs"
+    functions = 2
+
+    def defect(self, p, f, phi):
+        x, y = p[:, 0], p[:, 1]
+        s = x + y
+        return s * f(y / s) - (phi(x) + phi(y) - phi(s))
+
 
 @dataclass(frozen=True)
 class InfoFunctionForm:
     """f(x) = phi(x) + phi(1-x); functions (f, phi)."""
+
+    lattice = "unit"
+    functions = 2
+
+    def defect(self, p, f, phi):
+        x = p[:, 0]
+        return f(x) - phi(x) - phi(1.0 - x)
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +250,6 @@ class ResidualReport:
     mean: float
     argmax_point: tuple
     samples: int
-    epsilon_target: Optional[float] = None
-
-    @property
-    def within_target(self) -> bool:
-        return self.epsilon_target is None or _passes(self.sup, self.epsilon_target)
 
 
 def certificate_slack(bound) -> float:
@@ -265,7 +345,7 @@ def _imap(fn, items, jobs):
                 future.cancel()
 
 
-def _sweep(work, items, *, jobs=1, epsilon_target=None):
+def _sweep(work, items, *, jobs=1):
     """Reduce work(item) -> (points, defects) over items to one report.
 
     Each block is summarised where it is computed, in a worker thread when
@@ -273,10 +353,10 @@ def _sweep(work, items, *, jobs=1, epsilon_target=None):
     folded in item order.
     """
     summaries = _imap(lambda item: _summary(*work(item)), items, jobs)
-    return _fold(summaries, epsilon_target)
+    return _fold(summaries)
 
 
-def _fold(summaries, epsilon_target=None):
+def _fold(summaries):
     """The report of block summaries, folded in order: the sup and the first
     non-finite point are of least rank, then of the earlier block, and the
     mean is the exact total, correctly rounded, over the sample count."""
@@ -297,7 +377,6 @@ def _fold(summaries, epsilon_target=None):
         mean=total / (1 << _SCALE) / size,
         argmax_point=point,
         samples=size,
-        epsilon_target=epsilon_target,
     )
 
 
@@ -335,27 +414,11 @@ def _simplex_blocks(n, resolution, closed, budget, defect):
     blocks at once."""
     grid = SimplexGrid(n, resolution, closed=closed)
     _within_budget(grid.count, budget)
-    return (lambda P: (P, defect(P))), grid.iter_blocks(_CHUNK)
+    return (lambda P: (P, defect(P))), grid.iter_blocks()
 
 
 # ---------------------------------------------------------------------------
 # defect kernels
-
-
-def _one_function(fns):
-    if isinstance(fns, (list, tuple)):
-        if len(fns) != 1:
-            raise ConfigurationError(
-                f"this equation takes exactly one function, got {len(fns)}"
-            )
-        return fns[0]
-    return fns
-
-
-def _two_functions(fns):
-    if not isinstance(fns, (list, tuple)) or len(fns) != 2:
-        raise ConfigurationError("this equation takes exactly two functions")
-    return fns
 
 
 def _quotient(y, x):
@@ -430,20 +493,49 @@ def _fundamental_kernel(f, alpha, grid):
     return defect
 
 
-def _unit_pairs(kind, grid, budget, keep="all"):
-    """The (x, y) pairs of a UnitGrid's points, x-major, within budget: all of
-    them, those with x + y in the grid's interval ("domain"), or those with
-    x + y > 0 ("nonzero").  The closed-form count is checked first, and only
-    the kept pairs are built: point i of a "domain" lattice pairs with the
+def _functions(kind, fns):
+    """fns as a tuple of the kind's number of functions; one may come bare."""
+    fns = tuple(fns) if isinstance(fns, (list, tuple)) else (fns,)
+    if len(fns) != kind.functions:
+        raise ConfigurationError(
+            f"{type(kind).__name__} takes exactly {kind.functions} function(s), got {len(fns)}"
+        )
+    return fns
+
+
+def _points(kind, grid, budget):
+    """The rows a single-matrix kind's defect is swept over, within budget:
+    the points of its "triangle" or "cone" lattice, else a UnitGrid's rows
+    (see _unit_rows).  Triangle, cone and pair counts are checked in closed
+    form before any row is built."""
+    name = type(kind).__name__
+    if kind.lattice == "triangle":
+        count = _expect_grid(grid, TriangleGrid, name).count
+    elif kind.lattice == "cone":
+        count = _expect_grid(grid, ConeGrid, name).resolution**3
+    else:
+        return _unit_rows(_expect_grid(grid, UnitGrid, name), kind.lattice, budget)
+    _within_budget(count, budget)
+    return grid.points
+
+
+def _unit_rows(g, lattice, budget):
+    """The rows of a UnitGrid lattice, within budget: its points as one column
+    ("unit"), or its (x, y) pairs, x-major: all of them ("pairs"), those with
+    x + y in the grid's interval ("domain pairs"), or those with x + y > 0
+    ("nonzero pairs").  The closed-form count is checked first, and only the
+    kept pairs are built: point i of a "domain pairs" lattice pairs with the
     first n - i points (n - 1 - i when open), since its coordinates are k/R."""
-    g = _expect_grid(grid, UnitGrid, type(kind).__name__)
     x = g.points
     n = x.size
-    if keep == "domain":
+    if lattice == "unit":
+        _within_budget(n, budget)
+        return x[:, None]
+    if lattice == "domain pairs":
         counts = np.arange(n, 0, -1) - (not g.closed)
     else:
         counts = np.full(n, n)
-    drop = int(keep == "nonzero" and g.closed)  # the pair (0, 0) comes first
+    drop = int(lattice == "nonzero pairs" and g.closed)  # the pair (0, 0) comes first
     count = int(counts.sum()) - drop
     _within_budget(count, budget)
     pts = np.empty((count + drop, 2))
@@ -452,13 +544,6 @@ def _unit_pairs(kind, grid, budget, keep="all"):
     partner -= np.repeat(np.cumsum(counts) - counts, counts)
     pts[:, 1] = x[partner]
     return pts[drop:]
-
-
-def _cone_points(kind, grid, budget):
-    """A ConeGrid's points, once its resolution**3 points fit the budget."""
-    g = _expect_grid(grid, ConeGrid, type(kind).__name__)
-    _within_budget(g.resolution**3, budget)
-    return g.points
 
 
 def _expect_grid(grid, cls, kind_name):
@@ -527,16 +612,9 @@ def _sum_form_blocks(kind, f, grid, budget):
             f"{type(kind).__name__}(n={kind.n}, m={kind.m}) got simplex grids "
             f"with n={gp.n}, m={gq.n}"
         )
-    if isinstance(kind, SumFormAlpha):
-        lam = 2.0 ** (1.0 - kind.alpha) - 1.0
 
     def cross(a, b, prods):
-        c = np.sum(f(prods), axis=2)
-        if isinstance(kind, SumFormAdditive):
-            return c - fp[a:b, None] - fq[None, :]
-        if isinstance(kind, SumFormAlpha):
-            return c - fp[a:b, None] - fq[None, :] - lam * fp[a:b, None] * fq[None, :]
-        return c - fp[a:b, None] * fq[None, :]
+        return kind.cross(np.sum(f(prods), axis=2), fp[a:b, None], fq[None, :])
 
     blocks = _pair_blocks(gp, gq, budget, cross)
     fp = np.sum(np.asarray(f(gp.points)), axis=1)
@@ -544,100 +622,17 @@ def _sum_form_blocks(kind, f, grid, budget):
     return blocks
 
 
-def _defect_and_points(kind, fns, grid, budget):
-    """Return (points, defect_fn) for the single-matrix equation kinds, within
-    budget.  The triangle, cone and unit-pair kinds check the closed-form
-    count of their points before they build them."""
-    if isinstance(kind, FundamentalParametric):
-        f = _one_function(fns)
-        g = _expect_grid(grid, TriangleGrid, "FundamentalParametric")
-        _within_budget(g.count, budget)
-        pts = g.points
-        defect = _fundamental_kernel(f, kind.alpha, g)
-    elif isinstance(kind, Cocycle):
-        F = _one_function(fns)
-        pts = _cone_points(kind, grid, budget)
-
-        def defect(pts):
-            x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-            return F(x + y, z) + F(x, y) - F(x, y + z) - F(y, z)
-
-    elif isinstance(kind, EntropyEq):
-        H = _one_function(fns)
-        pts = _cone_points(kind, grid, budget)
-
-        def defect(pts):
-            x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-            zero = np.zeros_like(x)
-            return H(x, y, z) - H(x + y, zero, z) - H(x, y, zero)
-
-    elif isinstance(kind, ModifiedEntropy):
-        f = _one_function(fns)
-        pts = _cone_points(kind, grid, budget)
-        a = kind.alpha
-
-        def defect(pts):
-            x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-            s = y + z
-            zero = np.zeros_like(x)
-            return (
-                f(x, y, z)
-                - f(x, s, zero)
-                - pow0(s, a) * f(zero, y / s, z / s)
-            )
-
-    elif isinstance(kind, CauchyAdditive):
-        f = _one_function(fns)
-        pts = _unit_pairs(kind, grid, budget, "domain")
-        defect = lambda p: f(p[:, 0] + p[:, 1]) - f(p[:, 0]) - f(p[:, 1])
-    elif isinstance(kind, Multiplicative):
-        f = _one_function(fns)
-        pts = _unit_pairs(kind, grid, budget)
-        defect = lambda p: f(p[:, 0] * p[:, 1]) - f(p[:, 0]) * f(p[:, 1])
-    elif isinstance(kind, Logarithmic):
-        f = _one_function(fns)
-        pts = _unit_pairs(kind, grid, budget)
-        defect = lambda p: f(p[:, 0] * p[:, 1]) - f(p[:, 0]) - f(p[:, 1])
-    elif isinstance(kind, PhiEquation):
-        f = _one_function(fns)
-        pts = _unit_pairs(kind, grid, budget)
-
-        def defect(p):
-            x, y = p[:, 0], p[:, 1]
-            return f(x * y) - x * f(y) - y * f(x)
-
-    elif isinstance(kind, DaroczyIdentity):
-        f, phi = _two_functions(fns)
-        pts = _unit_pairs(kind, grid, budget, "nonzero")
-
-        def defect(p):
-            x, y = p[:, 0], p[:, 1]
-            s = x + y
-            return s * f(y / s) - (phi(x) + phi(y) - phi(s))
-
-    elif isinstance(kind, InfoFunctionForm):
-        f, phi = _two_functions(fns)
-        pts = _expect_grid(grid, UnitGrid, "InfoFunctionForm").points[:, None]
-        _within_budget(pts.shape[0], budget)
-
-        def defect(p):
-            x = p[:, 0]
-            return f(x) - phi(x) - phi(1.0 - x)
-
-    else:
-        raise ConfigurationError(f"unknown equation kind {kind!r}")
-    return pts, defect
-
-
 def _blocks(kind, fns, grid, budget, mirrored=False):
     """The (work, items) of one equation's defect sweep over a grid, within
     budget; a reduction asks for the mirrored FundamentalParametric blocks."""
-    if isinstance(kind, (SumFormAdditive, SumFormAlpha, SumFormMultiplicative)):
-        return _sum_form_blocks(kind, _one_function(fns), grid, budget)
-    pts, defect = _defect_and_points(kind, fns, grid, budget)
-    if mirrored and isinstance(kind, FundamentalParametric):
-        return defect.mirrored
-    return _row_blocks(pts, defect)
+    fns = _functions(kind, fns)
+    if kind.lattice == "simplex pairs":
+        return _sum_form_blocks(kind, *fns, grid, budget)
+    pts = _points(kind, grid, budget)
+    if not isinstance(kind, FundamentalParametric):
+        return _row_blocks(pts, lambda p: kind.defect(p, *fns))
+    defect = _fundamental_kernel(*fns, kind.alpha, grid)
+    return defect.mirrored if mirrored else _row_blocks(pts, defect)
 
 
 def residual(
@@ -647,11 +642,9 @@ def residual(
     *,
     jobs: int = 1,
     budget: int = 10**7,
-    epsilon_target: Optional[float] = None,
 ) -> ResidualReport:
     """Sweep one equation's defect over a grid and reduce it to a report."""
-    work, items = _blocks(kind, fns, grid, budget, mirrored=True)
-    return _sweep(work, items, jobs=jobs, epsilon_target=epsilon_target)
+    return _sweep(*_blocks(kind, fns, grid, budget, mirrored=True), jobs=jobs)
 
 
 def dump_defects_csv(kind, fns, grid, path, *, budget: int = 10**7):

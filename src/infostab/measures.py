@@ -119,7 +119,7 @@ class InformationMeasure:
         if P.ndim != 2 or P.shape[1] < 2:
             raise InvalidDistributionError("expected an (N, n) matrix with n >= 2")
         self._check_level(P.shape[1])
-        validate_distribution(P, tol=1e-9, positive=True)
+        validate_distribution(P, positive=True)
         return self._recurse(P)
 
     def _eval_rows(self, P: np.ndarray) -> np.ndarray:

@@ -544,14 +544,16 @@ class Wave2(BivariateFunction):
 # ---------------------------------------------------------------------------
 # entropies
 
+_DISTRIBUTION_TOL = 1e-9  # how far a coordinate may fall below 0 and a sum miss 1
 
-def validate_distribution(p, tol=1e-9, *, positive=False):
+
+def validate_distribution(p, *, positive=False):
     """Check nonnegativity (strict positivity when positive) and unit sum
     with one min scan and one row-sum scan; returns the cleaned float array.
 
-    Coordinates down to -tol are clipped to 0.0.  When every coordinate is
-    already positive the clip is the identity and the float array itself is
-    returned; a zero may be -0.0, which the clip turns into 0.0.
+    Coordinates down to -_DISTRIBUTION_TOL are clipped to 0.0.  When every
+    coordinate is positive the clip is the identity and the float array
+    itself is returned; a zero may be -0.0, which the clip turns into 0.0.
     """
     arr = np.asarray(p, dtype=float)
     rows = np.atleast_2d(arr)
@@ -564,13 +566,13 @@ def validate_distribution(p, tol=1e-9, *, positive=False):
         raise InvalidDistributionError(
             "measures are evaluated on strictly positive distributions"
         )
-    if low < -tol:
+    if low < -_DISTRIBUTION_TOL:
         raise InvalidDistributionError(f"negative coordinate {low!r} in distribution")
     sums = rows.sum(axis=-1)
     worst = float(np.abs(sums - 1.0).max())
-    if worst > tol:
+    if worst > _DISTRIBUTION_TOL:
         raise InvalidDistributionError(
-            f"coordinates sum to 1 only within {worst:.3e}, tolerance {tol:.1e}"
+            f"coordinates sum to 1 only within {worst:.3e}, tolerance {_DISTRIBUTION_TOL:.1e}"
         )
     return arr if low > 0.0 else np.clip(arr, 0.0, None)
 

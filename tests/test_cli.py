@@ -15,8 +15,10 @@ from infostab import (
     InfostabError,
     NonFiniteDefectError,
     PowerFamily,
+    ShannonInfo,
     UnsupportedParameterError,
     config_of,
+    residual,
 )
 from infostab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main, run
 
@@ -643,6 +645,22 @@ class TestTableEntriesRequireTheirFields:
 
         assert set(THEOREM_FIELDS) == set(cli._THEOREMS)
         assert set(EQUATION_FIELDS) == set(cli._EQUATIONS)
+
+    def test_every_kind_has_an_entry_and_refuses_a_wrong_function_count(self):
+        import dataclasses
+
+        import infostab.cli as cli
+        import infostab.equations as equations
+
+        kinds = {getattr(equations, name) for name in equations.__all__}
+        kinds = {k for k in kinds if isinstance(k, type)} - {equations.ResidualReport}
+        assert kinds == {cls for cls, _ in cli._EQUATIONS.values()}
+        for cls in kinds:
+            kind = cls(*({"float": 0.5, "int": 2}[f.type] for f in dataclasses.fields(cls)))
+            for count in (cls.functions - 1, cls.functions + 1):
+                message = f"takes exactly {cls.functions} function"
+                with pytest.raises(ConfigurationError, match=message):
+                    residual(kind, (ShannonInfo(),) * count, None)
 
     @pytest.mark.parametrize("config", list(without_each_required_field()),
                              ids=lambda c: f"{c['job']}-{c.get('theorem', c.get('equation'))}")

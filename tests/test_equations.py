@@ -75,12 +75,10 @@ from infostab.equations import (
     _CHUNK,
     _SCALE,
     _blocks,
-    _defect_and_points,
     _exact_total,
     _imap,
     _row,
     _sum_form_blocks,
-    _unit_pairs,
 )
 from infostab.models import BivariateFunction, TernaryFunction
 
@@ -459,23 +457,6 @@ class TestReport:
         again = abs(float(fundamental_defect(g, 2.0, pts)[0]))
         assert math.isclose(again, rep.sup, rel_tol=1e-12)
 
-    def test_within_target_logic(self):
-        rep = residual(
-            FundamentalParametric(2.0),
-            PowerFamily(1.0, 2.0, 2.0),
-            TriangleGrid(16),
-            epsilon_target=1e-9,
-        )
-        assert rep.within_target
-        rep2 = residual(
-            FundamentalParametric(2.0),
-            lambda x: PowerFamily(1.0, 2.0, 2.0)(x) + ScaledBump(0.5, 0.2, 1.0)(x),
-            TriangleGrid(16),
-            epsilon_target=1e-9,
-        )
-        assert not rep2.within_target
-        assert rep2.epsilon_target == 1e-9
-
     def test_jobs_bitwise_deterministic(self):
         f = lambda x: ShannonInfo()(x) + ScaledBump(0.3, 0.25, 0.02)(x)
         a = residual(FundamentalParametric(1.0), f, TriangleGrid(128), jobs=1)
@@ -542,10 +523,15 @@ def _rows_in_sweep_order(kind, fns, grid):
                 i, j = divmod(local, Q.shape[0])
                 yield np.concatenate([P[a + i], Q[j]]), d
         return
-    pts, defect = _defect_and_points(kind, fns, grid, 10**7)
-    for a in range(0, pts.shape[0], _CHUNK):
-        block = pts[a : a + _CHUNK]
-        yield from zip(block, np.asarray(defect(block)))
+    yield from zip(*_lattice_defects(kind, fns, grid))
+
+
+def _lattice_defects(kind, fns, grid):
+    """The points and defects of a single-matrix kind's sweep, in lattice order."""
+    work, spans = _blocks(kind, fns, grid, 10**7)
+    # the open domain pairs of UnitGrid(2) are the one empty lattice, with no block
+    blocks = [work(span) for span in spans] or [(np.empty((0, 2)), np.empty(0))]
+    return tuple(np.concatenate(column) for column in zip(*blocks))
 
 
 def _noisy_info(x):
@@ -762,8 +748,8 @@ class TestExactMean:
         assert grid.points.shape[0] > 4 * _CHUNK
         assert reps[0] == reps[1]
         assert reps[0].mean.hex() == reps[1].mean.hex()
-        pts, defect = _defect_and_points(kind, f, grid, 10**7)
-        d = np.abs(defect(pts))
+        pts, d = _lattice_defects(kind, f, grid)
+        d = np.abs(d)
         # the concatenate-and-fsum mean the blocked accumulator replaced
         assert reps[0].mean.hex() == (math.fsum(d.tolist()) / d.size).hex()
         assert reps[0].sup == float(d.max())
@@ -869,10 +855,10 @@ class TestBudget:
         if grid is UnitGrid:
             grids += [UnitGrid(r, closed=True) for r in range(2, 41)]
         for g in grids:
-            n = _defect_and_points(kind, fns, g, 10**7)[0].shape[0]
-            _defect_and_points(kind, fns, g, n)
+            n = _lattice_defects(kind, fns, g)[0].shape[0]
+            _blocks(kind, fns, g, n)
             with pytest.raises(BudgetExceededError, match=f"^{n} defect samples"):
-                _defect_and_points(kind, fns, g, n - 1)
+                _blocks(kind, fns, g, n - 1)
 
 
 def _meshgrid_pairs(grid, keep):
@@ -892,9 +878,12 @@ class TestUnitPairs:
     @pytest.mark.parametrize("closed", [False, True])
     @pytest.mark.parametrize("keep", ["all", "domain", "nonzero"])
     def test_matches_the_meshgrid_oracle(self, keep, closed):
+        # the kinds whose lattices are these pairs
+        name = {"all": "multiplicative", "domain": "cauchy_additive", "nonzero": "daroczy_identity"}
+        kind, fns, _ = _PAIR_AND_CONE_KINDS[name[keep]]
         for r in [*range(2, 41), 96, 255, 256, 1000]:
             grid = UnitGrid(r, closed=closed)
-            got = _unit_pairs(CauchyAdditive(), grid, 10**7, keep)
+            got = _lattice_defects(kind, fns, grid)[0]
             want = _meshgrid_pairs(grid, keep)
             assert got.shape == want.shape, r
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), r
@@ -927,8 +916,8 @@ class TestNonFiniteDefects:
     def test_residual_and_certificate_raise(self, bad):
         f = _with_bad_node(bad)
         kind, grid = FundamentalParametric(0.5), TriangleGrid(64)
-        pts, defect = _defect_and_points(kind, f, grid, 10**7)
-        nonfinite = ~np.isfinite(defect(pts))
+        pts, defects = _lattice_defects(kind, f, grid)
+        nonfinite = ~np.isfinite(defects)
         first = tuple(pts[int(np.argmax(nonfinite))].tolist())
         msg = f"{int(nonfinite.sum())} of {pts.shape[0]} defects"
         for jobs in (1, 2):
