@@ -55,7 +55,6 @@ from .measures import (
     recursivity_defect,
 )
 from .models import (
-    Alpha,
     Constant,
     Constant3,
     EndpointPatch,
@@ -77,8 +76,6 @@ __all__ = [
     "stability_constant_K",
     "stability_constant_T",
     "box_growth_constants",
-    "StabilityConstants",
-    "stability_constants",
     "certificate_slack",
     "StabilityCertificate",
     "certify_fundamental_open",
@@ -123,14 +120,14 @@ def stability_constant_K(alpha) -> float:
     At alpha = 1 the constant diverges and no value exists, and wherever the
     formula is not a finite float UnsupportedParameterError is raised.
     """
-    a = Alpha.of(alpha)
-    if a.regime is Regime.ONE:
+    v = float(alpha)
+    regime = Regime.of(v)
+    if regime is Regime.ONE:
         raise UnsupportedParameterError(
             "no stability constant at alpha = 1; K(alpha) diverges there"
         )
-    if a.regime is Regime.ZERO:
+    if regime is Regime.ZERO:
         return 63.0
-    v = a.value
 
     def formula():
         outer = abs(2.0 ** (1.0 - v) - 1.0)
@@ -143,12 +140,11 @@ def stability_constant_K(alpha) -> float:
 def stability_constant_T(alpha) -> float:
     """Companion constant of the closed-domain bound; defined for 1 != alpha > 0
     where the formula is a finite float."""
-    a = Alpha.of(alpha)
-    if a.regime is not Regime.POSITIVE_NOT_ONE:
+    v = float(alpha)
+    if Regime.of(v) is not Regime.POSITIVE_NOT_ONE:
         raise UnsupportedParameterError(
-            f"T(alpha) is defined for positive alpha != 1, got {a.value}"
+            f"T(alpha) is defined for positive alpha != 1, got {v}"
         )
-    v = a.value
     return _finite(
         f"T({v!r})", lambda: 3.0 * 2.0**v + 8.0 * 3.0 ** (v + 1.0) / abs(2.0**-v - 1.0)
     )
@@ -166,29 +162,12 @@ def box_growth_constants(n, alpha):
     """
     if not float(n) > 0:
         raise ConfigurationError(f"box bound must be positive, got {n}")
-    a = Alpha.of(alpha)
-    k = stability_constant_K(a)
-    v = a.value
+    v = float(alpha)
+    k = stability_constant_K(v)
     where = f"at n = {n!r}, alpha = {v!r}"
     c = _finite(f"c_n {where}", lambda: 2.0 + 7.0 * 2.0**v * float(n) ** v * k)
     d = _finite(f"d_n {where}", lambda: 4.0 + 7.0 * 2.0 ** (v + 2.0) * float(n) ** v * k)
     return c, d
-
-
-@dataclass(frozen=True)
-class StabilityConstants:
-    """The explicit constants a certificate may cite, bundled per alpha."""
-
-    alpha: float
-    K: float
-    T: Optional[float] = None
-
-
-def stability_constants(alpha) -> StabilityConstants:
-    a = Alpha.of(alpha)
-    k = stability_constant_K(a)
-    t = stability_constant_T(a) if a.regime is Regime.POSITIVE_NOT_ONE else None
-    return StabilityConstants(alpha=a.value, K=k, T=t)
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +219,9 @@ class StabilityCertificate:
 # fundamental equation, open and closed domain
 
 
-def _power_fit(f, a: Alpha):
+def _power_fit(f, v: float):
     # proof pipeline for alpha not in {0, 1}: one g sample at 1/2 pins c,
     # the shifted function's value at 1/2 pins a, and b = a + c exactly
-    v = a.value
     g_half = 1.5**v * (float(f(2.0 / 3.0)) - float(f(1.0 / 3.0)))
     c = g_half / (2.0**-v - 1.0)
     f0_half = float(f(0.5)) - c * (2.0**-v - 1.0)
@@ -264,25 +242,27 @@ def _log_fit(f, resolution: int):
     return LogFamily(lam, c), dict(lam=lam, c=c, g_samples=int(us.size))
 
 
-def _fit(f, a: Alpha, resolution: int):
-    """The proof's candidate and trace in the regime of a: the two-anchor
+def _fit(f, alpha: float, resolution: int):
+    """The proof's candidate and trace in the regime of alpha: the two-anchor
     family for alpha < 0, the log fit at alpha = 0, the power fit otherwise."""
-    if a.regime is Regime.NEGATIVE:
-        c, d = _hyperstable_fit(f, a)
-        return PowerFamily(c, d, a.value), dict(c=c, d=d)
-    if a.regime is Regime.ZERO:
+    regime = Regime.of(alpha)
+    if regime is Regime.NEGATIVE:
+        c, d = _hyperstable_fit(f, alpha)
+        return PowerFamily(c, d, alpha), dict(c=c, d=d)
+    if regime is Regime.ZERO:
         return _log_fit(f, resolution)
-    return _power_fit(f, a)
+    return _power_fit(f, alpha)
 
 
-def _refuse_regime(theorem, a: Alpha):
+def _refuse_regime(theorem, alpha: float):
     """Refuse a fundamental-equation theorem whose regime excludes alpha."""
+    regime = Regime.of(alpha)
     if theorem == "hyperstability":
-        if a.regime is not Regime.NEGATIVE:
+        if regime is not Regime.NEGATIVE:
             raise DispatchError("hyperstability needs alpha < 0; use the fundamental certifiers")
-    elif a.regime is Regime.NEGATIVE:
+    elif regime is Regime.NEGATIVE:
         raise DispatchError("negative alpha is the hyperstable regime; use certify_hyperstable")
-    elif a.regime is Regime.ONE:
+    elif regime is Regime.ONE:
         raise DispatchError("alpha = 1 is outside the method; no certifier exists there")
 
 
@@ -291,18 +271,18 @@ def _certify_fundamental(theorem, f, alpha, resolution, closed, jobs, budget, ep
     theorem is the public name whose regime checks run first.  Epsilon comes
     from the triangle lattice of the domain unless supplied, the distance
     from its unit lattice."""
-    a = Alpha.of(alpha)
+    alpha = float(alpha)
     hyperstable = theorem == "hyperstability"
-    _refuse_regime(theorem, a)
+    _refuse_regime(theorem, alpha)
     if hyperstable:
-        candidate, trace = _fit(f, a, resolution)
+        candidate, trace = _fit(f, alpha, resolution)
     elif int(resolution) % 2:
         raise ConfigurationError(
             f"resolution must be even so 1/2 is a grid node, got {resolution}"
         )
     if epsilon is None:
         report = residual(
-            FundamentalParametric(a.value),
+            FundamentalParametric(alpha),
             f,
             TriangleGrid(resolution, closed=closed),
             jobs=jobs,
@@ -311,12 +291,14 @@ def _certify_fundamental(theorem, f, alpha, resolution, closed, jobs, budget, ep
         eps, source = report.sup, "measured"
     else:
         eps, source = float(epsilon), "supplied"
+        if not 0.0 <= eps < math.inf:
+            raise ConfigurationError(f"epsilon must be finite and nonnegative, got {eps}")
     if not hyperstable:
-        k = stability_constant_K(a)
+        k = stability_constant_K(alpha)
         constants = {"K": k}
         bound = k * eps
-        candidate, trace = _fit(f, a, resolution)
-        if closed and a.regime is Regime.ZERO:
+        candidate, trace = _fit(f, alpha, resolution)
+        if closed and Regime.of(alpha) is Regime.ZERO:
             # the interior collapses to the constant c
             value0, value1 = float(f(0.0)), float(f(1.0))
             candidate = EndpointPatch(Constant(candidate.offset), value0, value1)
@@ -324,7 +306,7 @@ def _certify_fundamental(theorem, f, alpha, resolution, closed, jobs, budget, ep
         elif closed:
             # the proof's bound max{K, T + 1} * eps is K * eps: K = (4T + 3) /
             # |2^(1-alpha) - 1|, whose denominator lies in (0, 1) here
-            constants["T"] = stability_constant_T(a)
+            constants["T"] = stability_constant_T(alpha)
     xs = UnitGrid(resolution, closed=closed).points
     fv = np.asarray(f(xs))
     distance = _distance(xs, fv - np.asarray(candidate(xs)))
@@ -339,7 +321,7 @@ def _certify_fundamental(theorem, f, alpha, resolution, closed, jobs, budget, ep
                 "endpoint_gap1": abs(float(f(1.0)) - (candidate.a - candidate.b)),
             }
     return StabilityCertificate(
-        theorem, a.value, resolution, eps, candidate, distance, bound, trace,
+        theorem, alpha, resolution, eps, candidate, distance, bound, trace,
         epsilon_source=source, constants=constants,
     )
 
@@ -393,10 +375,9 @@ def certify_fundamental_closed(
 # hyperstable regime, alpha < 0
 
 
-def _hyperstable_fit(f, a: Alpha):
+def _hyperstable_fit(f, v: float):
     # anchor the family through f(1/2) and f(1/4); the system is regular for
     # every alpha < 0
-    v = a.value
     m = np.array(
         [
             [2.0**-v, 2.0**-v - 1.0],
@@ -435,6 +416,18 @@ def certify_hyperstable(
     )
 
 
+def _probe_lattice(margins, resolution, budget):
+    """The blow-up probe's margins as floats and its lattice within budget, checked."""
+    hs = [float(h) for h in margins]
+    if not hs or any(not 0.0 < h < 1.0 for h in hs):
+        raise ConfigurationError("margins must lie strictly between 0 and 1")
+    if any(hs[i] <= hs[i + 1] for i in range(len(hs) - 1)):
+        raise ConfigurationError("margins must decrease strictly toward 0")
+    grid = TriangleGrid(resolution)
+    _within_budget(grid.count, budget)
+    return hs, grid
+
+
 def hyperstability_blowup_probe(
     f, alpha, margins, resolution: int = 2048, *, budget: int = 10**7, jobs: int = 1
 ):
@@ -447,17 +440,11 @@ def hyperstability_blowup_probe(
     Blocks are swept on up to jobs threads and their maxima folded in block
     order, so every supremum is exact at any jobs.
     """
-    a = Alpha.of(alpha)
-    if a.regime is not Regime.NEGATIVE:
+    alpha = float(alpha)
+    if Regime.of(alpha) is not Regime.NEGATIVE:
         raise DispatchError("the blow-up probe applies to alpha < 0 only")
-    hs = [float(h) for h in margins]
-    if not hs or any(not 0.0 < h < 1.0 for h in hs):
-        raise ConfigurationError("margins must lie strictly between 0 and 1")
-    if any(hs[i] <= hs[i + 1] for i in range(len(hs) - 1)):
-        raise ConfigurationError("margins must decrease strictly toward 0")
-    work, items = _blocks(
-        FundamentalParametric(a.value), f, TriangleGrid(resolution), budget, mirrored=True
-    )
+    hs, grid = _probe_lattice(margins, resolution, budget)
+    work, items = _blocks(FundamentalParametric(alpha), f, grid, budget, mirrored=True)
 
     def maxima(item):
         # (size, non-finite count, (rank, point) of the first non-finite
@@ -487,13 +474,13 @@ def hyperstability_blowup_probe(
 # sequences of information measures
 
 
-def _sequence_candidate(a: Alpha, coefficients, resolution):
+def _sequence_candidate(v: float, coefficients, resolution):
     """J_n(P) on blocks P of any level's simplex lattice of the resolution."""
     c = coefficients["c"]
-    if a.regime is Regime.ZERO:
+    if Regime.of(v) is Regime.ZERO:
         lam = coefficients["lam"]
         return lambda P: c * float(P.shape[1] - 1) + lam * np.log2(P[:, 0])
-    d, v = coefficients["d"], a.value
+    d = coefficients["d"]
     scale = 1.0 / (2.0 ** (1.0 - v) - 1.0)
     powers_of = _lattice_pow0(resolution, v)
 
@@ -590,10 +577,10 @@ def certify_measure_sequence(
     top = max(2, int(levels) - 1)
 
     if isinstance(measure, InformationMeasure):
-        a = Alpha.of(measure.alpha_value)
-        if alpha is not None and Alpha.of(alpha).value != a.value:
+        v = measure.alpha
+        if alpha is not None and float(alpha) != v:
             raise ConfigurationError(
-                f"alpha={alpha} disagrees with the measure's alpha={a.value}"
+                f"alpha={alpha} disagrees with the measure's alpha={v}"
             )
         if measure.max_n < max(3, levels):
             raise ConfigurationError(
@@ -613,26 +600,26 @@ def certify_measure_sequence(
             raise ConfigurationError(
                 "the (generator, epsilon-sequence) form needs an explicit alpha"
             )
-        a = Alpha.of(alpha)
+        v = float(alpha)
         eps = [float(e) for e in supplied]
         if len(eps) < top:
             raise ConfigurationError(
                 f"need {top} defect values (eps_1..eps_{top}), got {len(eps)}"
             )
-        if any(e < 0 for e in eps):
-            raise ConfigurationError("defect values must be nonnegative")
+        if not all(0.0 <= e < math.inf for e in eps):
+            raise ConfigurationError("defect values must be finite and nonnegative")
         statement = True
 
-    if a.regime is Regime.ONE:
+    regime = Regime.of(v)
+    if regime is Regime.ONE:
         raise UnsupportedParameterError(
             "measure sequences at alpha = 1 are outside the method"
         )
 
-    v = a.value
-    candidate, trace = _fit(f, a, resolution)
-    k_const = None if a.regime is Regime.NEGATIVE else stability_constant_K(a)
+    candidate, trace = _fit(f, v, resolution)
+    k_const = None if regime is Regime.NEGATIVE else stability_constant_K(v)
 
-    if a.regime is Regime.ZERO:
+    if regime is Regime.ZERO:
         coefficients = {"c": candidate.offset, "lam": candidate.slope}
     else:
         # J_n = c H_n + d (p_1**alpha - 1) with the proof's translations
@@ -646,7 +633,7 @@ def certify_measure_sequence(
     if not statement:
         eps = [check_semisymmetry3(measure, resolution, budget=budget, jobs=jobs).sup]
         # built once the budget has bounded the resolution
-        j_rows = _sequence_candidate(a, coefficients, resolution)
+        j_rows = _sequence_candidate(v, coefficients, resolution)
         gap = lambda P: measure._eval_rows(P) - j_rows(P)
         blocks = _simplex_blocks(2, resolution, False, budget, gap)
         distances[2] = _sweep(*blocks, jobs=jobs).sup
@@ -662,7 +649,7 @@ def certify_measure_sequence(
     rows = []
     for n in range(2, int(levels) + 1):
         row_bound = math.fsum(eps[k - 1] for k in range(2, n))
-        if a.regime is not Regime.NEGATIVE:
+        if regime is not Regime.NEGATIVE:
             row_bound += (n - 1) * k_const * (2.0 * eps[1] + eps[0])
         rows.append(SequenceRow(n, row_bound, distances.get(n)))
 
@@ -698,7 +685,7 @@ def certify_entropy_equation(
     candidate from the anchor value H(1,1,0) (or its limit proxy when the
     zero face is inaccessible), and checks the regime's bound.
     """
-    a = Alpha.of(alpha)
+    v = float(alpha)
     grid = ConeGrid(resolution, bound=bound, budget=budget)
     # six permutations of R^3 points, more than homogeneity's 4 R^2 samples
     _within_budget(6 * grid.resolution**3, budget)
@@ -709,7 +696,7 @@ def certify_entropy_equation(
         u = np.asarray(u, dtype=float)
         return H(u, v, np.zeros_like(u))
 
-    eps3 = homogeneity_residual(face, a.value, PairGrid(resolution, bound), jobs=jobs).sup
+    eps3 = homogeneity_residual(face, v, PairGrid(resolution, bound), jobs=jobs).sup
 
     proxy = False
     tau = 0.0
@@ -722,14 +709,14 @@ def certify_entropy_equation(
         anchor = float(H(1.0, 1.0, tau))
 
     pts = grid.points
-    v = a.value
-    if a.regime is Regime.ONE:
+    regime = Regime.of(v)
+    if regime is Regime.ONE:
         c = anchor / 2.0
         candidate = PhiForm(XLogX(c))
         constants = {"eps1_weight": 1.0, "eps2_weight": 1.0}
         bnd = eps1 + eps2
         fit_trace = {"c": c}
-    elif a.regime is Regime.ZERO:
+    elif regime is Regime.ZERO:
         vals = [np.asarray(H(*pts[a:b].T)) for a, b in _spans(pts.shape[0])]
         c = float(np.median(np.concatenate(vals)))
         candidate = Constant3(c)
@@ -807,8 +794,8 @@ def certify_associativity(
     named = []
     for name, iv in (("U", U), ("V", V), ("W", W)):
         try:
-            lo, hi = float(iv[0]), float(iv[1])
-        except (TypeError, IndexError, ValueError) as exc:
+            lo, hi = map(float, iv)
+        except (TypeError, ValueError) as exc:
             raise ConfigurationError(
                 f"interval {name} must be a (lo, hi) pair, got {iv!r}"
             ) from exc
@@ -896,8 +883,9 @@ def certify_modified_entropy(
     alpha < 0, 191 eps_1 + 1263 eps_2 at alpha = 0, and
     c_n eps_1 + d_n eps_2 for positive alpha != 1.
     """
-    a = Alpha.of(alpha)
-    if a.regime is Regime.ONE:
+    v = float(alpha)
+    regime = Regime.of(v)
+    if regime is Regime.ONE:
         raise UnsupportedParameterError(
             "the modified-entropy certifier needs alpha != 1"
         )
@@ -905,17 +893,16 @@ def certify_modified_entropy(
         raise ConfigurationError(f"box bound must be positive, got {n}")
     box = float(n)
     grid = ConeGrid(resolution, bound=box, budget=budget)
-    eps1 = residual(ModifiedEntropy(a.value), f, grid, jobs=jobs, budget=budget).sup
+    eps1 = residual(ModifiedEntropy(v), f, grid, jobs=jobs, budget=budget).sup
     _within_budget(6 * grid.resolution**3, budget)
     eps2 = symmetry_residual(f, grid, jobs=jobs).sup
 
     r = int(resolution)
-    v = a.value
     s_nodes = np.arange(3, 3 * r + 1) * (box / r)
     diag = s_nodes / 3.0
     diag_vals = np.asarray(f(diag, diag, diag))
 
-    if a.regime is Regime.ZERO:
+    if regime is Regime.ZERO:
         coeff = 0.0
         phi_vals = diag_vals
         constants = {"eps1_weight": 191.0, "eps2_weight": 1263.0}
@@ -934,11 +921,11 @@ def certify_modified_entropy(
             )
         coeff = (float(f(third, third, third)) - float(f(box - 2.0 * h, h, h))) / denom
         phi_vals = diag_vals - 3.0 * coeff * np.power(diag, v)
-        if a.regime is Regime.NEGATIVE:
+        if regime is Regime.NEGATIVE:
             constants = {"eps1_weight": 2.0, "eps2_weight": 3.0}
             bnd = 2.0 * eps1 + 3.0 * eps2
         else:
-            c_n, d_n = box_growth_constants(box, a)
+            c_n, d_n = box_growth_constants(box, v)
             constants = {"c_n": c_n, "d_n": d_n}
             bnd = c_n * eps1 + d_n * eps2
         fit_trace = {"a": coeff, "probe_h": h, "probe_denominator": denom}
@@ -1102,9 +1089,8 @@ def certify_sum_form_mixed(
     fits lambda against p**alpha * log2(p).  alpha = beta = 1 is the Shannon
     case the theorem does not cover.
     """
-    av = Alpha.of(alpha).value
-    bv = Alpha.of(beta).value
-    if av == 1.0 and bv == 1.0:
+    av, bv = float(alpha), float(beta)
+    if Regime.of(av) is Regime.ONE and Regime.of(bv) is Regime.ONE:
         raise UnsupportedParameterError(
             "the mixed sum form does not cover alpha = beta = 1"
         )

@@ -36,6 +36,7 @@ import os
 import sys
 
 from .certifiers import (
+    _probe_lattice,
     _refuse_regime,
     certify_associativity,
     certify_entropy_equation,
@@ -48,7 +49,8 @@ from .certifiers import (
     certify_sum_form_mixed,
     certify_sum_form_multiplicative,
     hyperstability_blowup_probe,
-    stability_constants,
+    stability_constant_K,
+    stability_constant_T,
 )
 from .domains import ConeGrid, SimplexGrid, TriangleGrid, UnitGrid
 from .equations import (
@@ -81,7 +83,6 @@ from .measures import (
     tabulate,
 )
 from .models import (
-    Alpha,
     FunctionSum,
     PowerFamily,
     Regime,
@@ -273,6 +274,8 @@ def _job_residual(cfg, jobs, dump):
     else:
         fns = _function_list(cfg, builder, kind.functions)
     target = _float_field(cfg, "epsilon_target", None)
+    if target is not None and target < 0:
+        raise ConfigurationError(f"config field 'epsilon_target' must be nonnegative, got {target}")
     _refuse_unread(cfg)
     rep = residual(kind, fns, grid, jobs=jobs, budget=budget)
     within = target is None or _passes(rep.sup, target)
@@ -292,7 +295,7 @@ def _dispatch(theorem, alpha):
     for alpha < 0 and fundamental_open otherwise."""
     if theorem != "fundamental":
         return theorem
-    return "hyperstability" if Alpha.of(alpha).regime is Regime.NEGATIVE else "fundamental_open"
+    return "hyperstability" if Regime.of(alpha) is Regime.NEGATIVE else "fundamental_open"
 
 
 def _function_field(builder):
@@ -370,6 +373,7 @@ def _job_certify(cfg, jobs, dump):
             raise ConfigurationError(
                 "config field 'intervals' must list three (lo, hi) pairs"
             )
+        ivs = [_float_list({f"intervals[{i}]": iv}, f"intervals[{i}]") for i, iv in enumerate(ivs)]
         resolution = _int_field(cfg, "resolution")
         _refuse_unread(cfg)
         cert = certify_associativity(
@@ -384,6 +388,7 @@ def _job_certify(cfg, jobs, dump):
         if theorem == "hyperstability" and _field(cfg, "margins", None) is not None:
             margins = _float_list(cfg, "margins")
             probe_resolution = _int_field(cfg, "probe_resolution", 2048)
+            _probe_lattice(margins, probe_resolution, budget)  # before the certificate's sweep
         _refuse_unread(cfg)
         cert = globals()[certifier](*args.values(), jobs=jobs, budget=budget, **keywords)
         if margins is not None:
@@ -434,7 +439,7 @@ def _job_measure(cfg, jobs, dump):
     ]
     gd = derive_generating_defect(measure, resolution, budget=budget, jobs=jobs)
     result = {
-        "alpha": measure.alpha_value,
+        "alpha": measure.alpha,
         "max_n": measure.max_n,
         "normalization_gap": float(check_normalization(measure)),
         "semisymmetry3": check_semisymmetry3(measure, resolution, budget=budget, jobs=jobs).sup,
@@ -469,13 +474,12 @@ def _job_sweep(cfg, jobs, dump):
         _refuse_unread(cfg)
         header, table = ["alpha", "K", "T", "relation_gap"], []
         for av in alphas:
-            c = stability_constants(av)
-            gap = (
-                None
-                if c.T is None
-                else abs(c.K * abs(2.0 ** (1.0 - c.alpha) - 1.0) - (4.0 * c.T + 3.0))
-            )
-            table.append([c.alpha, c.K, c.T, gap])
+            k = stability_constant_K(av)
+            t = gap = None
+            if Regime.of(av) is Regime.POSITIVE_NOT_ONE:
+                t = stability_constant_T(av)
+                gap = abs(k * abs(2.0 ** (1.0 - av) - 1.0) - (4.0 * t + 3.0))
+            table.append([av, k, t, gap])
         rows = [dict(zip(header, row)) for row in table]
         return {"rows": rows}, _summary_file(header, table), EXIT_OK
 
@@ -483,10 +487,6 @@ def _job_sweep(cfg, jobs, dump):
         raise ConfigurationError(
             "config field 'target' must be 'constants' or a fundamental-equation "
             f"theorem, got '{target}'"
-        )
-    if any(Alpha.of(av).regime is Regime.ONE for av in alphas):
-        raise ConfigurationError(
-            "config field 'alphas' contains 1, which no certifier supports"
         )
     fam = _field(cfg, "family")
     a0 = _float_field(fam, "a") if isinstance(fam, dict) else None
@@ -505,14 +505,13 @@ def _job_sweep(cfg, jobs, dump):
     budget = _int_field(cfg, "budget", 10**7)
     _refuse_unread(cfg)
     for av in alphas:  # a regime the target excludes is refused before any sweep
-        _refuse_regime(_dispatch(target, av), Alpha.of(av))
+        _refuse_regime(_dispatch(target, av), av)
     certs = []
     table = []
     all_ok = True
     for av in alphas:
-        base = PowerFamily(a0, b0, Alpha.of(av).value)
+        base = PowerFamily(a0, b0, av)
         f = base if bump is None else FunctionSum((base, bump))
-        regime = Alpha.of(av).regime
         certify = globals()[_THEOREMS[_dispatch(target, av)][0]]
         cert = certify(f, av, resolution, jobs=jobs, budget=budget)
         entry = cert.to_json_dict()
@@ -524,7 +523,7 @@ def _job_sweep(cfg, jobs, dump):
         table.append(
             [
                 cert.alpha,
-                regime.name.lower(),
+                Regime.of(av).name.lower(),
                 cert.epsilon,
                 cert.bound,
                 cert.distance,

@@ -50,7 +50,7 @@ from .domains import (
     _CHUNK, ConeGrid, PairGrid, SimplexGrid, TriangleGrid, UnitGrid, _write_csv, pow0,
 )
 from .errors import BudgetExceededError, ConfigurationError, DomainError, NonFiniteDefectError
-from .models import Alpha, BivariateFunction, TernaryFunction
+from .models import BivariateFunction, TernaryFunction
 
 __all__ = [
     "FundamentalParametric",
@@ -690,7 +690,7 @@ def homogeneity_residual(
 ) -> ResidualReport:
     """sup over the scales t in (1/4, 1/2, 2, 4) and the grid pairs of
     |F(tu, tv) - t^alpha F(u, v)|."""
-    a = Alpha.of(alpha).value
+    a = float(alpha)
     pts = _expect_grid(grid, PairGrid, "homogeneity").points
     ts = (0.25, 0.5, 2.0, 4.0)
 

@@ -36,7 +36,7 @@ from .equations import (
     _simplex_blocks, _summary, _sweep, _within_budget, residual,
 )
 from .errors import ConfigurationError, InvalidDistributionError
-from .models import Alpha, ScalarFunction, validate_distribution
+from .models import ScalarFunction, validate_distribution
 
 __all__ = [
     "LevelNoise",
@@ -95,6 +95,7 @@ class InformationMeasure:
     perturbations: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "perturbations", tuple(self.perturbations))
         if self.max_n < 2:
             raise ConfigurationError(f"max_n must be >= 2, got {self.max_n}")
@@ -105,10 +106,6 @@ class InformationMeasure:
                 raise ConfigurationError(
                     f"perturbation at level {pert.level} exceeds max_n={self.max_n}"
                 )
-
-    @property
-    def alpha_value(self) -> float:
-        return Alpha.of(self.alpha).value
 
     def _noise_at(self, n: int):
         return [p for p in self.perturbations if p.level == n]
@@ -156,7 +153,7 @@ class InformationMeasure:
         for k in range(3, n + 1):
             i = n + 1 - k  # the column split off from the running sum at level k
             inner = out
-            weight = pow0(sums[i], self.alpha_value)
+            weight = pow0(sums[i], self.alpha)
             g2 = np.asarray(self.generator(P[:, i] / sums[i]))
             out = inner + weight * g2
             for pert in self._noise_at(k):
@@ -221,7 +218,7 @@ def check_additivity(
         return left - ip[a:b] - iq - lam * ip[a:b] * iq
 
     work, spans = _pair_blocks(gp, gq, budget, cross)
-    lam = 2.0 ** (1.0 - measure.alpha_value) - 1.0
+    lam = 2.0 ** (1.0 - measure.alpha) - 1.0
     ip = measure._eval_rows(gp.points)[:, None]
     iq = measure._eval_rows(gq.points)[None, :]
     return _sweep(work, spans)
@@ -332,7 +329,7 @@ def derive_generating_defect(
     eps1 = check_semisymmetry3(measure, resolution, budget=budget, jobs=jobs).sup
     eps2 = recursivity_defect(measure, 3, resolution, budget=budget, jobs=jobs).sup
     rep = residual(
-        FundamentalParametric(measure.alpha_value),
+        FundamentalParametric(measure.alpha),
         f,
         TriangleGrid(resolution),
         jobs=jobs,

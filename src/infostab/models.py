@@ -25,7 +25,6 @@ from .errors import (
 )
 
 __all__ = [
-    "Alpha",
     "Regime",
     "ScalarFunction",
     "PowerFamily",
@@ -74,30 +73,16 @@ class Regime(enum.Enum):
     POSITIVE_NOT_ONE = "positive_not_one"
     ONE = "one"
 
-
-@dataclass(frozen=True)
-class Alpha:
-    """Equation parameter together with its certifier-dispatch regime."""
-
-    value: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
-
-    @property
-    def regime(self) -> Regime:
-        v = self.value
-        if v < 0:
+    @staticmethod
+    def of(alpha) -> "Regime":
+        """The certifier-dispatch regime of the equation parameter alpha."""
+        if alpha < 0:
             return Regime.NEGATIVE
-        if v == 0:
+        if alpha == 0:
             return Regime.ZERO
-        if v == 1:
+        if alpha == 1:
             return Regime.ONE
         return Regime.POSITIVE_NOT_ONE
-
-    @staticmethod
-    def of(value) -> "Alpha":
-        return value if isinstance(value, Alpha) else Alpha(value)
 
 
 # ---------------------------------------------------------------------------
@@ -590,12 +575,12 @@ def alpha_entropy(p, alpha):
 
     Dispatches to the Shannon formula at alpha == 1 (the degree-one limit).
     """
-    a = Alpha.of(alpha)
-    if a.regime is Regime.ONE:
+    alpha = float(alpha)
+    if Regime.of(alpha) is Regime.ONE:
         return shannon_entropy(p)
     arr = validate_distribution(p)
-    scale = 1.0 / (2.0 ** (1.0 - a.value) - 1.0)
-    out = scale * (np.sum(pow0(np.atleast_2d(arr), a.value), axis=-1) - 1.0)
+    scale = 1.0 / (2.0 ** (1.0 - alpha) - 1.0)
+    out = scale * (np.sum(pow0(np.atleast_2d(arr), alpha), axis=-1) - 1.0)
     if arr.ndim == 1:
         return float(out[0])
     return out

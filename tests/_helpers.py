@@ -5,7 +5,6 @@ import math
 import numpy as np
 
 from infostab import (
-    Alpha,
     FunctionSum,
     GridSample,
     InformationMeasure,
@@ -74,7 +73,7 @@ def recursivity_oracle(m, P):
     s = P[:, 0] + P[:, 1]
     merged = np.concatenate([s[:, None], P[:, 2:]], axis=1)
     level2 = np.stack([P[:, 0] / s, P[:, 1] / s], axis=1)
-    return m.eval_rows(P) - m.eval_rows(merged) - pow0(s, m.alpha_value) * m.eval_rows(level2)
+    return m.eval_rows(P) - m.eval_rows(merged) - pow0(s, m.alpha) * m.eval_rows(level2)
 
 
 def recursive_measure(m, P):
@@ -86,7 +85,7 @@ def recursive_measure(m, P):
         return np.asarray(m.generator(P[:, 1]), dtype=float)
     s = P[:, 0] + P[:, 1]
     merged = np.concatenate([s[:, None], P[:, 2:]], axis=1)
-    out = recursive_measure(m, merged) + pow0(s, m.alpha_value) * np.asarray(
+    out = recursive_measure(m, merged) + pow0(s, m.alpha) * np.asarray(
         m.generator(P[:, 1] / s)
     )
     for pert in m.perturbations:
@@ -107,16 +106,16 @@ def two_sweep_sequences(measure, levels, resolution, *, budget=10**6):
     from infostab import certifiers as c
     from infostab.measures import check_semisymmetry3, recursivity_defect
 
-    a = Alpha.of(measure.alpha_value)
+    v = measure.alpha
+    regime = Regime.of(v)
     last = max(levels)
     f = c._GeneratorFunction(measure)
     eps = [check_semisymmetry3(measure, resolution, budget=budget).sup]
     for k in range(2, max(2, last - 1) + 1):
         eps.append(recursivity_defect(measure, k + 1, resolution, budget=budget).sup)
-    v = a.value
-    candidate, trace = c._fit(f, a, resolution)
-    k_const = None if a.regime is Regime.NEGATIVE else c.stability_constant_K(a)
-    if a.regime is Regime.ZERO:
+    candidate, trace = c._fit(f, v, resolution)
+    k_const = None if regime is Regime.NEGATIVE else c.stability_constant_K(v)
+    if regime is Regime.ZERO:
         coefficients = {"c": candidate.offset, "lam": candidate.slope}
     else:
         coefficients = {
@@ -127,7 +126,7 @@ def two_sweep_sequences(measure, levels, resolution, *, budget=10**6):
 
     def j_rows(block, n):
         p1 = block[:, 0]
-        if a.regime is Regime.ZERO:
+        if regime is Regime.ZERO:
             return coefficients["c"] * float(n - 1) + coefficients["lam"] * np.log2(p1)
         hn = np.asarray(alpha_entropy(block, v))
         return coefficients["c"] * hn + coefficients["d"] * (pow0(p1, v) - 1.0)
@@ -135,7 +134,7 @@ def two_sweep_sequences(measure, levels, resolution, *, budget=10**6):
     rows = []
     for n in range(2, last + 1):
         row_bound = math.fsum(eps[k - 1] for k in range(2, n))
-        if a.regime is not Regime.NEGATIVE:
+        if regime is not Regime.NEGATIVE:
             row_bound += (n - 1) * k_const * (2.0 * eps[1] + eps[0])
         gap = lambda P: measure._eval_rows(P) - j_rows(P, n)
         dist = c._sweep(*c._simplex_blocks(n, resolution, False, budget, gap)).sup

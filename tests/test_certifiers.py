@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from _helpers import exact_measure, kappa, sampled, two_sweep_sequences
 from infostab import (
     AffineSum,
-    Alpha,
     AssociativityCertificate,
     BudgetExceededError,
     ConfigurationError,
@@ -66,7 +65,6 @@ from infostab import (
     scalar_from_config,
     stability_constant_K,
     stability_constant_T,
-    stability_constants,
 )
 from infostab.certifiers import _hyperstable_fit, _lattice_pow0
 from infostab.equations import _passes
@@ -116,13 +114,6 @@ class TestConstants:
     def test_box_growth_monotone(self):
         cs = [box_growth_constants(n, 2.0)[0] for n in range(1, 11)]
         assert all(a < b for a, b in zip(cs, cs[1:]))
-
-    def test_bundle(self):
-        sc = stability_constants(2.0)
-        assert sc.alpha == 2.0
-        assert math.isclose(sc.K, 2406.0, rel_tol=1e-9)
-        assert math.isclose(sc.T, 300.0, rel_tol=1e-9)
-        assert stability_constants(-1.0).T is None
 
     def test_bad_box_bound(self):
         with pytest.raises(ConfigurationError):
@@ -235,6 +226,11 @@ class TestFundamentalOpen:
         assert cert.epsilon == 1e-3
         assert cert.epsilon_source == "supplied"
         assert cert.bound == stability_constant_K(2.0) * 1e-3
+        # a supplied defect follows certify_measure_sequence's rule: -0.0 is zero
+        assert certify_fundamental_open(f, 2.0, 64, epsilon=-0.0).satisfied
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match="must be finite and nonnegative"):
+                certify_fundamental_closed(f, 2.0, 64, epsilon=bad)
 
     def test_odd_resolution_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -329,7 +325,7 @@ class TestHyperstable:
 
     def test_singular_anchor_system(self):
         with pytest.raises(UnsupportedParameterError):
-            _hyperstable_fit(PowerFamily(1.0, 1.0, 0.0), Alpha.of(0.0))
+            _hyperstable_fit(PowerFamily(1.0, 1.0, 0.0), 0.0)
 
 
 class TestBlowupProbe:
@@ -430,8 +426,9 @@ class TestMeasureSequence:
             certify_measure_sequence((gen, [1e-3] * 4), 5, 16)
         with pytest.raises(ConfigurationError):
             certify_measure_sequence((gen, [1e-3]), 5, 16, alpha=2.0)
-        with pytest.raises(ConfigurationError):
-            certify_measure_sequence((gen, [1e-3, -1e-3, 0, 0]), 5, 16, alpha=2.0)
+        for bad in (-1e-3, math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match="must be finite and nonnegative"):
+                certify_measure_sequence((gen, [1e-3, bad, 0, 0]), 5, 16, alpha=2.0)
         with pytest.raises(ConfigurationError):
             certify_measure_sequence(exact_measure(2.0), 5, 16, alpha=0.5)
         with pytest.raises(ConfigurationError):
@@ -584,6 +581,9 @@ class TestAssociativity:
             certify_associativity(A, B, (0.0, math.inf), (0.0, 1.0), (0.0, 1.0), 4)
         with pytest.raises(ConfigurationError):
             certify_associativity(A, B, "bad", (0.0, 1.0), (0.0, 1.0), 4)
+        for iv in ((0.0,), (0.0, 1.0, 5.0)):
+            with pytest.raises(ConfigurationError, match="interval V must be a"):
+                certify_associativity(A, B, (0.0, 1.0), iv, (0.0, 1.0), 4)
         with pytest.raises(ConfigurationError):
             certify_associativity(A, B, *self.UVW, resolution=0)
         with pytest.raises(BudgetExceededError):
@@ -825,8 +825,6 @@ class TestNonFiniteConstants:
     def test_K_outside_finite_range(self, alpha):
         with pytest.raises(UnsupportedParameterError, match="not a finite float"):
             stability_constant_K(alpha)
-        with pytest.raises(UnsupportedParameterError):
-            stability_constants(alpha)
 
     @pytest.mark.parametrize("alpha", [math.nan, 645.0, 646.0, 1e-17])
     def test_T_outside_finite_range(self, alpha):

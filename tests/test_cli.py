@@ -19,6 +19,7 @@ from infostab import (
     UnsupportedParameterError,
     config_of,
     residual,
+    stability_constant_K,
 )
 from infostab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main, run
 
@@ -401,13 +402,13 @@ class TestRunSweep:
         assert float(by_alpha[2.0]["T"]) == 300.0
 
     def test_constants_sweep_alpha_zero_has_no_T(self, tmp_path):
-        config = {"schema": 1, "job": "sweep", "target": "constants", "alphas": [0.0]}
+        config = {"schema": 1, "job": "sweep", "target": "constants", "alphas": [0.0, -1.0]}
         code, _ = run_job(tmp_path, config)
         assert code == EXIT_OK
         rows = read_rows(tmp_path / "summary.csv")
         assert float(rows[0]["K"]) == 63.0
-        assert rows[0]["T"] == ""
-        assert rows[0]["relation_gap"] == ""
+        assert float(rows[1]["K"]) == stability_constant_K(-1.0)
+        assert [(r["T"], r["relation_gap"]) for r in rows] == [("", "")] * 2
 
     def test_family_sweep_exact(self, tmp_path):
         config = {"schema": 1, "job": "sweep", "target": "fundamental",
@@ -441,7 +442,7 @@ class TestRunSweep:
     def test_family_sweep_rejects_alpha_one(self, tmp_path):
         config = {"schema": 1, "job": "sweep", "target": "fundamental_open",
                   "alphas": [1.0], "family": {"a": 1.0, "b": 1.0}, "resolution": 16}
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DispatchError, match="^alpha = 1 is outside the method"):
             run(config, out_dir=str(tmp_path))
 
     @pytest.mark.parametrize("target, alphas, message", [
@@ -968,8 +969,15 @@ class TestMalformedValues:
           "tabulate": 1}, "config field 'tabulate' must lie in [2, max_n=4], got 1"),
         ({"schema": 1, "job": "measure", "measure": NOISY_MEASURE, "resolution": 8,
           "tabulate": 9}, "config field 'tabulate' must lie in [2, max_n=4], got 9"),
+        ({**triangle_residual(POWER), "epsilon_target": -1},
+         "config field 'epsilon_target' must be nonnegative, got -1.0"),
+        ({"schema": 1, "job": "certify", "theorem": "associativity",
+          "functions": [PHI_OF_SUM, PHI_OF_SUM], "resolution": 8,
+          "intervals": [[False, True], [0.0, 1.0], [0.0, 1.0]]},
+         "config field 'intervals[0]' must be a number, got False"),
     ], ids=["string", "bool", "list", "grid_sample", "closed_string", "closed_int",
-            "measure_alpha", "perturbations_not_a_list", "tabulate_low", "tabulate_high"])
+            "measure_alpha", "perturbations_not_a_list", "tabulate_low", "tabulate_high",
+            "epsilon_target_negative", "interval_bool"])
     def test_exits_two_without_report(self, tmp_path, capsys, monkeypatch, config, message):
         stub_sweeps(monkeypatch)
         path = tmp_path / "config.json"
@@ -978,6 +986,41 @@ class TestMalformedValues:
         assert main(["--config", str(path), "--out", str(out)]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("config, message", [
+        (certify_config("hyperstability", NEG_FAMILY, -1.0, margins=[0.5, 0.7]),
+         "margins must decrease strictly toward 0"),
+        (certify_config("hyperstability", NEG_FAMILY, -1.0, margins=[1.5]),
+         "margins must lie strictly between 0 and 1"),
+        (certify_config("hyperstability", NEG_FAMILY, -1.0, margins=[0.5], probe_resolution=2),
+         "needs resolution >= 3, got 2"),
+        (certify_config("hyperstability", NEG_FAMILY, -1.0, margins=[0.5], budget=10**5),
+         "2094081 defect samples exceed the budget of 100000"),
+        (certify_config("fundamental_open", POWER, 0.5, epsilon=-1.0),
+         "epsilon must be finite and nonnegative, got -1.0"),
+        (certify_config("fundamental_closed", POWER, 0.5, epsilon=-1.0),
+         "epsilon must be finite and nonnegative, got -1.0"),
+    ], ids=["margins_increase", "margin_above_one", "probe_resolution", "probe_budget",
+            "epsilon_open", "epsilon_closed"])
+    def test_refused_before_the_certificate(self, tmp_path, capsys, monkeypatch, config, message):
+        # a spy on the certifier alone: the checks live in certifiers helpers,
+        # which stub_sweeps would replace too
+        import infostab.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "certify_hyperstable", lambda *a, **k: calls.append(a))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+        assert calls == []
+
+    def test_supplied_zero_bounds_are_accepted(self, tmp_path):
+        for config in (certify_config("fundamental_open", POWER, 0.5, epsilon=-0.0),
+                       {**triangle_residual(POWER), "epsilon_target": -0.0}):
+            assert run_job(tmp_path, config)[0] == EXIT_OK
 
     @pytest.mark.parametrize("closed, samples", [(False, 105), (True, 151)])
     def test_closed_reads_a_boolean(self, tmp_path, closed, samples):

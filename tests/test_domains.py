@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from infostab import (
     BudgetExceededError,
     ConeGrid,
+    DomainError,
     InvalidResolutionError,
     PairGrid,
     SimplexGrid,
@@ -44,9 +45,17 @@ class TestConventions:
         assert xlog2(0.0) == 0.0
         assert math.isclose(float(xlog2(0.5)), -0.5)
 
+    def test_negative_arguments_raise(self):
+        with pytest.raises(DomainError, match="negative base -0.25 in convention power"):
+            pow0(np.array([0.5, -0.25]), 2.0)
+        with pytest.raises(DomainError, match="negative argument -0.5 in x"):
+            xlog2(-0.5)
+
     def test_ratio0_zero_over_zero(self):
         assert ratio0(0.0, 0.0) == 0.0
         assert ratio0(1.0, 4.0) == 0.25
+        with pytest.raises(DomainError, match="zero denominator with nonzero numerator"):
+            ratio0(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
 
     def test_pow0_batch_mixed(self):
         out = pow0(np.array([0.0, 0.5, 1.0]), -2.0)
@@ -207,6 +216,13 @@ class TestSimplexGrid:
         pts = SimplexGrid(4, 9).points
         assert np.allclose(pts.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_size_floors(self):
+        with pytest.raises(InvalidResolutionError, match="simplex needs n >= 2, got 1"):
+            SimplexGrid(1, 8)
+        with pytest.raises(InvalidResolutionError, match="resolution >= 4 for n=4, got 3"):
+            SimplexGrid(4, 3)
+        assert SimplexGrid(4, 3, closed=True).count == comb(6, 3)
+
     def test_budget_guard(self):
         g = SimplexGrid(6, 60, budget=10**6)
         assert g.count == 5_006_386
@@ -334,6 +350,15 @@ class TestConeAndPair:
     def test_cone_resolution_floor(self):
         with pytest.raises(InvalidResolutionError):
             ConeGrid(1)
+
+    def test_pair_resolution_floor_and_positive_bounds(self):
+        with pytest.raises(InvalidResolutionError):
+            PairGrid(1)
+        for bound in (0.0, -1.0):
+            with pytest.raises(DomainError, match="cone bound must be positive"):
+                ConeGrid(4, bound=bound)
+            with pytest.raises(DomainError, match="pair bound must be positive"):
+                PairGrid(4, bound=bound)
 
 
 def _grid_csv(grid, path):

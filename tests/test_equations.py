@@ -389,6 +389,11 @@ class TestIntervalEquations:
         with pytest.raises(ConfigurationError):
             residual(CauchyAdditive(), (ShannonInfo(), ShannonInfo()), UnitGrid(8))
 
+    def test_empty_lattice_refused(self):
+        # the open UnitGrid(2) has the one point 1/2, and 1/2 + 1/2 leaves (0, 1)
+        with pytest.raises(ConfigurationError, match="^empty grid: nothing to sweep$"):
+            residual(CauchyAdditive(), PowerLaw(2.5, 1.0), UnitGrid(2))
+
 
 class TestSumForms:
     def test_additive_exact(self):

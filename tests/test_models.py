@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import infostab
 from infostab import (
     AffineSum,
-    Alpha,
     CocycleForm,
     Constant,
     Constant3,
@@ -58,15 +57,10 @@ LOG2_3 = 1.5849625007211562
 
 class TestAlpha:
     def test_regimes(self):
-        assert Alpha(-1.0).regime is Regime.NEGATIVE
-        assert Alpha(0.0).regime is Regime.ZERO
-        assert Alpha(1.0).regime is Regime.ONE
-        assert Alpha(2.0).regime is Regime.POSITIVE_NOT_ONE
-
-    def test_of_passthrough(self):
-        a = Alpha(2.0)
-        assert Alpha.of(a) is a
-        assert Alpha.of(2) == a
+        assert Regime.of(-1.0) is Regime.NEGATIVE
+        assert Regime.of(0.0) is Regime.ZERO
+        assert Regime.of(1.0) is Regime.ONE
+        assert Regime.of(2.0) is Regime.POSITIVE_NOT_ONE
 
 
 class TestScalarModels:

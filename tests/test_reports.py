@@ -9,7 +9,6 @@ import pytest
 
 from _helpers import exact_measure, kappa
 from infostab import (
-    Alpha,
     EntropySolution,
     FunctionSum,
     GridSample,
@@ -146,8 +145,7 @@ def test_residual_report_is_frozen(tmp_path):
 
 
 def test_alpha_coerces_to_float():
-    assert type(Alpha(2).value) is float and Alpha(2).value == 2.0
-    cert = certify_fundamental_open(PowerFamily(2.0, 1.0, 2.0), Alpha(2), 32)
+    cert = certify_fundamental_open(PowerFamily(2.0, 1.0, 2.0), 2, 32)
     d = cert.to_json_dict()
     assert type(d["alpha"]) is float and type(d["candidate"]["alpha"]) is float
     assert '"alpha": 2.0' in json.dumps(d["candidate"])
