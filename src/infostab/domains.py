@@ -54,18 +54,20 @@ def pow0(x, alpha):
     """x**alpha with the convention 0**alpha == 0 for every alpha.
 
     Negative bases are a domain error; everything in this library lives on
-    nonnegative coordinates.
+    nonnegative coordinates.  One min reduction serves the domain check and
+    the zero test; only a NaN minimum, which hides the other values, costs
+    a second look for negative bases.
     """
     arr = np.asarray(x, dtype=float)
-    if arr.size and float(arr.min()) < 0.0:
+    least = float(arr.min(initial=math.inf))
+    if not least >= 0.0 and (arr < 0).any():
         bad = float(arr[arr < 0].flat[0])
         raise DomainError(f"negative base {bad!r} in convention power")
     with np.errstate(divide="ignore"):
         out = np.power(arr, alpha)
     # also for alpha > 0, where np.power(-0.0, 3.0) is -0.0
-    zero = arr == 0.0
-    if zero.any():
-        out = np.where(zero, 0.0, out)
+    if not least > 0.0:
+        out = np.where(arr == 0.0, 0.0, out)
     if np.ndim(x) == 0:
         return float(out)
     return out
@@ -74,7 +76,7 @@ def pow0(x, alpha):
 def xlog2(x):
     """x * log2(x) with the convention 0 * log2(0) == 0."""
     arr = np.asarray(x, dtype=float)
-    if arr.size and float(arr.min()) < 0.0:
+    if not arr.min(initial=math.inf) >= 0.0 and (arr < 0).any():
         bad = float(arr[arr < 0].flat[0])
         raise DomainError(f"negative argument {bad!r} in x*log2(x) convention")
     safe = np.where(arr == 0.0, 1.0, arr)

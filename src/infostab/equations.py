@@ -261,23 +261,24 @@ def _passes(value, bound) -> bool:
     return float(value) <= float(bound) + certificate_slack(bound)
 
 
-# Exact sums: frexp writes a finite float as m * 2**e with a 53-bit integer
-# mantissa ldexp(m, 53); bincount sums the high and low 26-bit halves of the
-# mantissas per exponent, exactly while it adds fewer than 2**26 values, and
-# the bins fold into one integer that holds the sum times 2**_SCALE.
-_EXP_BIAS = 1073  # frexp exponents of finite nonzero floats run from -1073 to 1024
-_SCALE = _EXP_BIAS + 53
+# Exact sums: the IEEE bits of a finite nonnegative float hold its biased
+# exponent e and 52 fraction bits, so with a normal's implicit bit it is
+# m * 2**(max(e, 1) - _SCALE) for a 53-bit integer m.  bincount sums the high
+# and low 26-bit halves of the mantissas per exponent, exactly while it adds
+# fewer than 2**26 values, and the bins fold into one integer that holds the
+# sum times 2**_SCALE.
+_SCALE = 1023 + 52  # the exponent bias plus the fraction bits
 _HALF = 26
 _EXACT_ROWS = (1 << _HALF) - 1
 
 
 def _exact_total(values):
-    """sum(values) * 2**_SCALE as an exact int, for finite float64 values."""
+    """sum(values) * 2**_SCALE as an exact int, for finite and nonnegative floats."""
     total = 0
     for s in range(0, values.size, _EXACT_ROWS):
-        m, e = np.frexp(values[s : s + _EXACT_ROWS])
-        mant = np.ldexp(m, 53).astype(np.int64)
-        e += _EXP_BIAS
+        bits = values[s : s + _EXACT_ROWS].view(np.int64)
+        e = np.maximum(bits >> 52, 1)
+        mant = bits - ((e - 1) << 52)
         hi = np.bincount(e, weights=mant >> _HALF)
         lo = np.bincount(e, weights=mant & ((1 << _HALF) - 1))
         k = np.flatnonzero((hi != 0) | (lo != 0))

@@ -101,6 +101,8 @@ class ScalarFunction:
             return
         lo, hi = self._lo, self._hi
         mn, mx = float(arr.min()), float(arr.max())
+        if math.isnan(mn):  # a NaN hides the other values from min and max
+            mn, mx = float(np.fmin.reduce(arr, axis=None)), float(np.fmax.reduce(arr, axis=None))
         tol = 1e-12
         bad = None
         if mn < lo - tol:
@@ -140,11 +142,13 @@ class PowerFamily(ScalarFunction):
     alpha: float
 
     def _values(self, arr):
-        return (
-            self.a * pow0(arr, self.alpha)
-            + self.b * pow0(1.0 - arr, self.alpha)
-            - self.b
-        )
+        out = pow0(arr, self.alpha)
+        out *= self.a
+        rest = pow0(1.0 - arr, self.alpha)
+        rest *= self.b
+        out += rest
+        out -= self.b
+        return out
 
 
 @dataclass(frozen=True)
@@ -266,9 +270,9 @@ class FunctionSum(ScalarFunction):
         return any(t._open_hi for t in self.terms)
 
     def _values(self, arr):
-        out = np.zeros_like(arr)
+        out = np.zeros_like(arr)  # 0.0 + (-0.0) is +0.0, and dumps print a zero's sign
         for t in self.terms:
-            out = out + t._values(arr)
+            out += t._values(arr)
         return out
 
 
@@ -293,12 +297,12 @@ class ScaledBump(ScalarFunction):
     def _values(self, arr):
         u = (arr - self.center) / (self.width / 2.0)
         inside = np.abs(u) < 1.0
-        usafe = np.where(inside, u, 0.0)
+        vals = np.zeros_like(u)
+        ui = u[inside]  # only the support is evaluated
         with np.errstate(over="ignore"):
-            vals = np.where(
-                inside, np.exp(1.0 - 1.0 / (1.0 - usafe * usafe)), 0.0
-            )
-        return self.height * vals
+            vals[inside] = np.exp(1.0 - 1.0 / (1.0 - ui * ui))
+        vals *= self.height  # -0.0 off the support for a negative height
+        return vals
 
 
 @dataclass(frozen=True, eq=False)

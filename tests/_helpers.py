@@ -3,6 +3,8 @@
 import math
 
 import numpy as np
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from infostab import (
     FunctionSum,
@@ -17,6 +19,31 @@ from infostab import (
     alpha_entropy,
     pow0,
 )
+
+
+def two_where_pow0(x, alpha):
+    """The two-np.where pow0 the one-pass version replaced, kept as its oracle."""
+    arr = np.asarray(x, dtype=float)
+    safe = np.where(arr == 0.0, 1.0, arr)
+    out = np.where(arr == 0.0, 0.0, np.power(safe, alpha))
+    return float(out) if np.ndim(x) == 0 else out
+
+
+# any float in [0, 1] by its raw bit pattern, plus -0.0, edge subnormals and NaN
+UNIT_FLOATS = st.one_of(
+    st.integers(0, 0x3FF0000000000000).map(lambda b: float(np.int64(b).view(np.float64))),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.225073858507201e-308, 1.0, math.nan]),
+)
+# 0-d, empty, 1-d, 2-d and 3-d arrays of them
+UNIT_ARRAYS = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6),
+    elements=UNIT_FLOATS,
+)
+
+
+def float_bits(v):
+    """The IEEE bit patterns of a float or float array, as comparable lists."""
+    return np.asarray(v, dtype=np.float64).view(np.uint64).tolist()
 
 
 def kappa(alpha):

@@ -28,6 +28,8 @@ from infostab import (
 )
 from infostab.domains import _g17, _write_csv
 
+from _helpers import UNIT_ARRAYS, float_bits, two_where_pow0
+
 
 class TestConventions:
     def test_zero_to_any_power_is_zero(self):
@@ -65,16 +67,6 @@ class TestConventions:
 
     @pytest.mark.parametrize("alpha", [-2.0, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.7, 2.0, 3.0])
     def test_pow0_matches_two_where_oracle(self, alpha):
-        def two_where(x):
-            # the two-np.where pow0 the one-pass version replaced, kept as its oracle
-            arr = np.asarray(x, dtype=float)
-            safe = np.where(arr == 0.0, 1.0, arr)
-            out = np.where(arr == 0.0, 0.0, np.power(safe, alpha))
-            return float(out) if np.ndim(x) == 0 else out
-
-        def bits(v):
-            return np.asarray(v, dtype=np.float64).view(np.uint64).tolist()
-
         pts = TriangleGrid(96, closed=True).points
         arrays = [
             pts[:, 0],
@@ -86,13 +78,31 @@ class TestConventions:
         ]
         with np.errstate(over="ignore"):
             for x in arrays:
-                assert bits(pow0(x, alpha)) == bits(two_where(x))
+                assert float_bits(pow0(x, alpha)) == float_bits(two_where_pow0(x, alpha))
             for x in (0.0, -0.0, 5e-324, 0.3, 1.0):
                 got = pow0(x, alpha)
                 assert type(got) is float
-                assert bits(got) == bits(two_where(x))
+                assert float_bits(got) == float_bits(two_where_pow0(x, alpha))
         # +0.0, never the -0.0 that np.power(-0.0, 3.0) gives
-        assert bits(pow0(np.array([-0.0]), alpha)) == [0]
+        assert float_bits(pow0(np.array([-0.0]), alpha)) == [0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=UNIT_ARRAYS, alpha=st.floats(-3.0, 4.0))
+    def test_pow0_matches_two_where_oracle_on_any_bits(self, x, alpha):
+        with np.errstate(over="ignore"):
+            assert float_bits(pow0(x, alpha)) == float_bits(two_where_pow0(x, alpha))
+
+    @pytest.mark.parametrize("fn, message", [
+        (lambda x: pow0(x, 0.5), "negative base -1.0 in convention power"),
+        (xlog2, "negative argument -1.0 in x"),
+    ])
+    def test_nan_does_not_hide_a_negative_argument(self, fn, message):
+        # min and max return NaN when any value is NaN
+        with pytest.raises(DomainError, match=message):
+            fn(np.array([np.nan, -1.0]))
+        with pytest.raises(DomainError, match=message):
+            fn(np.array([[0.5, np.nan], [-1.0, 0.25]]))
+        assert np.isnan(fn(np.array([np.nan, np.nan]))).all()
 
 
 class TestUnitGrid:

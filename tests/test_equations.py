@@ -713,6 +713,12 @@ _NONNEG_FINITE = st.one_of(
 )
 
 
+# zero, the least and largest subnormals, the least normal, one and the
+# largest float: the edges of the exponent and mantissa decode
+_DECODE_EDGES = [0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1.0,
+                 1.7976931348623157e308]
+
+
 class TestExactMean:
     @settings(max_examples=300, deadline=None)
     @given(values=st.lists(_NONNEG_FINITE, max_size=40), data=st.data())
@@ -736,6 +742,23 @@ class TestExactMean:
             v[::7] = rng.integers(0, 2**52, v[::7].size).view(np.float64)  # subnormals
         blocks = np.array_split(v, 5)[::-1]
         assert _exact_sum(blocks).hex() == math.fsum(v.tolist()).hex()
+
+    @pytest.mark.parametrize("value", _DECODE_EDGES)
+    def test_decode_edges_alone(self, value):
+        assert _exact_sum([[value]]).hex() == math.fsum([value]).hex()
+        # the largest float stays alone: two of it overflow
+        n = 1 if value == _DECODE_EDGES[-1] else 1000
+        assert _exact_sum([[value] * n]).hex() == math.fsum([value] * n).hex()
+
+    def test_decode_edges_mixed(self):
+        *small, largest = _DECODE_EDGES
+        mixed = [v for v in small for _ in range(7)] + small[::-1]
+        for blocks in ([mixed], [mixed[::2], mixed[1::2]], [[v] for v in mixed]):
+            assert _exact_sum(blocks).hex() == math.fsum(mixed).hex()
+            # the largest float once, in a block of its own and in the first block
+            want = math.fsum([*mixed, largest]).hex()
+            assert _exact_sum([*blocks, [largest]]).hex() == want
+            assert _exact_sum([[*blocks[0], largest], *blocks[1:]]).hex() == want
 
     def test_overflow_parity(self):
         with pytest.raises(OverflowError):

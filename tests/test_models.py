@@ -50,7 +50,7 @@ from infostab import (
     validate_distribution,
 )
 
-from _helpers import alpha_sum_generator, sampled
+from _helpers import UNIT_ARRAYS, alpha_sum_generator, float_bits, sampled, two_where_pow0
 
 LOG2_3 = 1.5849625007211562
 
@@ -88,6 +88,14 @@ class TestScalarModels:
             f(1.5)
         with pytest.raises(DomainError):
             f(-0.1)
+        # min and max return NaN when any value is NaN
+        with pytest.raises(DomainError, match="evaluated at -3.0, outside"):
+            f(np.array([np.nan, -3.0]))
+        with pytest.raises(DomainError, match="evaluated at 1.5, outside"):
+            f(np.array([[np.nan, 0.5], [1.5, 0.25]]))
+        with pytest.raises(DomainError, match="evaluated at 1.0, outside"):
+            LogFamily(1.0)(np.array([np.nan, 1.0]))
+        assert np.isnan(f(np.array([np.nan, np.nan]))).all()
 
     def test_log_family_open_at_one(self):
         f = LogFamily(2.0, offset=1.0)
@@ -154,6 +162,98 @@ class TestScalarModels:
         g = sampled(fn, 8)
         xs = np.arange(9) / 8.0
         assert np.allclose(g(xs), fn(xs), atol=1e-15)
+
+
+# The whole-array expressions the in-place and support-only evaluations
+# replaced, kept as their bit-identity oracles.
+def _power_family_oracle(f, arr):
+    return (
+        f.a * two_where_pow0(arr, f.alpha)
+        + f.b * two_where_pow0(1.0 - arr, f.alpha)
+        - f.b
+    )
+
+
+def _bump_oracle(f, arr):
+    u = (arr - f.center) / (f.width / 2.0)
+    inside = np.abs(u) < 1.0
+    usafe = np.where(inside, u, 0.0)
+    with np.errstate(over="ignore"):
+        vals = np.where(inside, np.exp(1.0 - 1.0 / (1.0 - usafe * usafe)), 0.0)
+    return f.height * vals
+
+
+def _sum_oracle(f, arr):
+    out = np.zeros_like(arr)
+    for t in f.terms:
+        out = out + _ORACLES.get(type(t), type(t)._values)(t, arr)
+    return out
+
+
+_ORACLES = {PowerFamily: _power_family_oracle, ScaledBump: _bump_oracle,
+            FunctionSum: _sum_oracle}
+
+
+def _assert_oracle_bits(f, x):
+    arr = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = f(x), _ORACLES[type(f)](f, arr)
+    if np.ndim(x) == 0:
+        assert type(got) is float
+    else:
+        assert got.shape == arr.shape
+    assert float_bits(got) == float_bits(want)
+
+
+def _nudge(v, k):
+    """v moved k floats up (k > 0) or down."""
+    for _ in range(abs(k)):
+        v = np.nextafter(v, math.copysign(math.inf, k))
+    return float(v)
+
+
+_ALPHAS = st.one_of(st.sampled_from([-2.0, -1.0, 0.0, 0.5, 2.0, 3.0]), st.floats(-3.0, 4.0))
+_COEFFS = st.one_of(st.sampled_from([0.0, -0.0, 1, -1.0]), st.floats(-5.0, 5.0))
+_BUMPS = st.builds(
+    ScaledBump, center=st.floats(0.0, 1.0), width=st.floats(1e-3, 2.0),
+    height=st.one_of(st.sampled_from([-0.0, -1e-3]), st.floats(-1.0, 1.0)),
+)
+
+
+class TestBitOracles:
+    @settings(max_examples=150, deadline=None)
+    @given(x=UNIT_ARRAYS, a=_COEFFS, b=_COEFFS, alpha=_ALPHAS)
+    def test_power_family(self, x, a, b, alpha):
+        _assert_oracle_bits(PowerFamily(a, b, alpha), x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(x=UNIT_ARRAYS, bump=_BUMPS)
+    def test_bump(self, x, bump):
+        _assert_oracle_bits(bump, x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(x=UNIT_ARRAYS, a=_COEFFS, alpha=_ALPHAS, bump=_BUMPS)
+    def test_function_sum(self, x, a, alpha, bump):
+        # Constant(-0.0) and a bump off its support return -0.0 terms
+        f = FunctionSum((Constant(-0.0), PowerFamily(a, 1.0, alpha), bump))
+        _assert_oracle_bits(f, x)
+        _assert_oracle_bits(FunctionSum((Constant(-0.0), bump)), x)
+
+    @pytest.mark.parametrize("bump", [
+        ScaledBump(0.5, 0.25, 1e-3),  # u is exact near the edges
+        ScaledBump(0.4, 0.2, -5e-4),
+        ScaledBump(0.0, 0.3, 2.0),
+        ScaledBump(1.0, 1.0, -0.0),
+    ])
+    def test_bump_edges(self, bump):
+        c, h = bump.center, bump.width / 2.0
+        steps = [-3, -2, -1, 0, 1, 2, 3]
+        x = np.array([c] + [_nudge(e, k) for e in (c - h, c + h) for k in steps])
+        u = np.abs((x - c) / h)
+        assert u[0] == 0.0 and ((u < 1.0) & (u > 1.0 - 1e-12)).any()
+        for shaped in (x, x.reshape(1, -1), x[:3].reshape(3, 1, 1), x[:0], x[0], float(x[1])):
+            _assert_oracle_bits(bump, shaped)
+            _assert_oracle_bits(FunctionSum((Constant(-0.0), bump)), shaped)
 
 
 class TestTernaryModels:
