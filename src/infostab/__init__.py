@@ -7,117 +7,12 @@ triangle and cone lattices; candidate-solution fits; and pass/fail bound
 checks with machine-readable reports.
 """
 
-from .certifiers import (
-    AssociativityCertificate,
-    MeasureSequenceCertificate,
-    SequenceRow,
-    StabilityCertificate,
-    box_growth_constants,
-    certificate_slack,
-    certify_associativity,
-    certify_entropy_equation,
-    certify_fundamental_closed,
-    certify_fundamental_open,
-    certify_hyperstable,
-    certify_measure_sequence,
-    certify_modified_entropy,
-    certify_sum_form,
-    certify_sum_form_mixed,
-    certify_sum_form_multiplicative,
-    hyperstability_blowup_probe,
-    stability_constant_K,
-    stability_constant_T,
-)
-from .domains import (
-    ConeGrid,
-    PairGrid,
-    SimplexGrid,
-    TriangleGrid,
-    UnitGrid,
-    pow0,
-    ratio0,
-    xlog2,
-)
-from .equations import (
-    CauchyAdditive,
-    Cocycle,
-    DaroczyIdentity,
-    EntropyEq,
-    FundamentalParametric,
-    InfoFunctionForm,
-    Logarithmic,
-    ModifiedEntropy,
-    Multiplicative,
-    PhiEquation,
-    ResidualReport,
-    SumFormAdditive,
-    SumFormAlpha,
-    SumFormMultiplicative,
-    dump_defects_csv,
-    homogeneity_residual,
-    residual,
-    symmetry_residual,
-)
-from .errors import (
-    BudgetExceededError,
-    ConfigurationError,
-    DispatchError,
-    DomainError,
-    InfostabError,
-    InvalidDistributionError,
-    InvalidResolutionError,
-    NonFiniteDefectError,
-    UnsupportedParameterError,
-)
-from .measures import (
-    GeneratingDefect,
-    InformationMeasure,
-    LevelNoise,
-    check_additivity,
-    check_normalization,
-    check_semisymmetry3,
-    check_sum_property,
-    check_symmetry,
-    derive_generating_defect,
-    recursivity_defect,
-    tabulate,
-)
-from .models import (
-    AffineSum,
-    BivariateFunction,
-    CocycleForm,
-    Constant,
-    Constant3,
-    EndpointPatch,
-    EntropySolution,
-    FunctionSum,
-    GridSample,
-    LogFamily,
-    ModifiedEntropySolution,
-    PhiForm,
-    PhiOfSum,
-    PowerFamily,
-    PowerLaw,
-    PowerLog,
-    ProductUV,
-    RatioLift,
-    Regime,
-    ScalarFunction,
-    ScaledBump,
-    ShannonInfo,
-    Sum3,
-    TernaryFunction,
-    Wave2,
-    Wave3,
-    XLogX,
-    alpha_entropy,
-    bivariate_from_config,
-    config_of,
-    entropy_limit_gap,
-    scalar_from_config,
-    shannon_entropy,
-    ternary_from_config,
-    validate_distribution,
-)
+# the package republishes each module's public API: its __all__, or errors' exceptions
+from .certifiers import *
+from .domains import *
+from .equations import *
+from .errors import *
+from .measures import *
+from .models import *
 
 __version__ = "0.1.0"

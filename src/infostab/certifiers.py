@@ -27,15 +27,14 @@ from .equations import (
     ModifiedEntropy,
     SumFormMultiplicative,
     _blocks,
-    _first,
+    _fold,
     _imap,
-    _non_finite,
     _pair_blocks,
     _passes,
-    _row,
     _row_blocks,
     _simplex_blocks,
     _spans,
+    _summary,
     _sweep,
     _within_budget,
     certificate_slack,
@@ -254,9 +253,13 @@ def _fit(f, alpha: float, resolution: int):
     return _power_fit(f, alpha)
 
 
-def _refuse_regime(theorem, alpha: float):
-    """Refuse a fundamental-equation theorem whose regime excludes alpha."""
+def _fundamental_theorem(theorem, alpha: float):
+    """The fundamental-equation theorem that runs for theorem at alpha:
+    "fundamental" is hyperstability for alpha < 0 and fundamental_open
+    otherwise.  A theorem whose regime excludes alpha is refused."""
     regime = Regime.of(alpha)
+    if theorem == "fundamental":
+        theorem = "hyperstability" if regime is Regime.NEGATIVE else "fundamental_open"
     if theorem == "hyperstability":
         if regime is not Regime.NEGATIVE:
             raise DispatchError("hyperstability needs alpha < 0; use the fundamental certifiers")
@@ -264,64 +267,48 @@ def _refuse_regime(theorem, alpha: float):
         raise DispatchError("negative alpha is the hyperstable regime; use certify_hyperstable")
     elif regime is Regime.ONE:
         raise DispatchError("alpha = 1 is outside the method; no certifier exists there")
+    return theorem
+
+
+def _epsilon(f, alpha, resolution, closed, jobs, budget):
+    """The equation defect's sup on the triangle lattice of the domain."""
+    grid = TriangleGrid(resolution, closed=closed)
+    return residual(FundamentalParametric(alpha), f, grid, jobs=jobs, budget=budget).sup
 
 
 def _certify_fundamental(theorem, f, alpha, resolution, closed, jobs, budget, epsilon):
-    """The stability proof of the two-variable equation in every regime;
-    theorem is the public name whose regime checks run first.  Epsilon comes
+    """The stability proof of the two-variable equation for alpha >= 0;
+    theorem is the public name whose regime check runs first.  Epsilon comes
     from the triangle lattice of the domain unless supplied, the distance
     from its unit lattice."""
     alpha = float(alpha)
-    hyperstable = theorem == "hyperstability"
-    _refuse_regime(theorem, alpha)
-    if hyperstable:
-        candidate, trace = _fit(f, alpha, resolution)
-    elif int(resolution) % 2:
+    _fundamental_theorem(theorem, alpha)
+    if int(resolution) % 2:
         raise ConfigurationError(
             f"resolution must be even so 1/2 is a grid node, got {resolution}"
         )
     if epsilon is None:
-        report = residual(
-            FundamentalParametric(alpha),
-            f,
-            TriangleGrid(resolution, closed=closed),
-            jobs=jobs,
-            budget=budget,
-        )
-        eps, source = report.sup, "measured"
+        eps, source = _epsilon(f, alpha, resolution, closed, jobs, budget), "measured"
     else:
         eps, source = float(epsilon), "supplied"
         if not 0.0 <= eps < math.inf:
             raise ConfigurationError(f"epsilon must be finite and nonnegative, got {eps}")
-    if not hyperstable:
-        k = stability_constant_K(alpha)
-        constants = {"K": k}
-        bound = k * eps
-        candidate, trace = _fit(f, alpha, resolution)
-        if closed and Regime.of(alpha) is Regime.ZERO:
-            # the interior collapses to the constant c
-            value0, value1 = float(f(0.0)), float(f(1.0))
-            candidate = EndpointPatch(Constant(candidate.offset), value0, value1)
-            trace |= {"value0": value0, "value1": value1}
-        elif closed:
-            # the proof's bound max{K, T + 1} * eps is K * eps: K = (4T + 3) /
-            # |2^(1-alpha) - 1|, whose denominator lies in (0, 1) here
-            constants["T"] = stability_constant_T(alpha)
+    k = stability_constant_K(alpha)
+    constants = {"K": k}
+    candidate, trace = _fit(f, alpha, resolution)
+    if closed and Regime.of(alpha) is Regime.ZERO:
+        # the interior collapses to the constant c
+        value0, value1 = float(f(0.0)), float(f(1.0))
+        candidate = EndpointPatch(Constant(candidate.offset), value0, value1)
+        trace |= {"value0": value0, "value1": value1}
+    elif closed:
+        # the proof's bound max{K, T + 1} * eps is K * eps: K = (4T + 3) /
+        # |2^(1-alpha) - 1|, whose denominator lies in (0, 1) here
+        constants["T"] = stability_constant_T(alpha)
     xs = UnitGrid(resolution, closed=closed).points
-    fv = np.asarray(f(xs))
-    distance = _distance(xs, fv - np.asarray(candidate(xs)))
-    if hyperstable:
-        scale = float(np.max(np.abs(fv)))
-        bound = 1e-8 * scale
-        constants = {"tolerance": bound}
-        trace |= {"scale": scale}
-        if closed:
-            trace |= {
-                "endpoint_gap0": abs(float(f(0.0))),
-                "endpoint_gap1": abs(float(f(1.0)) - (candidate.a - candidate.b)),
-            }
+    distance = _distance(xs, np.asarray(f(xs)) - np.asarray(candidate(xs)))
     return StabilityCertificate(
-        theorem, alpha, resolution, eps, candidate, distance, bound, trace,
+        theorem, alpha, resolution, eps, candidate, distance, k * eps, trace,
         epsilon_source=source, constants=constants,
     )
 
@@ -411,8 +398,24 @@ def certify_hyperstable(
     variant also compares the endpoint values f(0) = 0 and f(1) = c - d,
     which the closed unit lattice covers automatically.
     """
-    return _certify_fundamental(
-        "hyperstability", f, alpha, resolution, closed, jobs, budget, None
+    alpha = float(alpha)
+    _fundamental_theorem("hyperstability", alpha)
+    candidate, trace = _fit(f, alpha, resolution)
+    eps = _epsilon(f, alpha, resolution, closed, jobs, budget)
+    xs = UnitGrid(resolution, closed=closed).points
+    fv = np.asarray(f(xs))
+    distance = _distance(xs, fv - np.asarray(candidate(xs)))
+    scale = float(np.max(np.abs(fv)))
+    trace |= {"scale": scale}
+    if closed:
+        trace |= {
+            "endpoint_gap0": abs(float(f(0.0))),
+            "endpoint_gap1": abs(float(f(1.0)) - (candidate.a - candidate.b)),
+        }
+    tolerance = 1e-8 * scale
+    return StabilityCertificate(
+        "hyperstability", alpha, resolution, eps, candidate, distance, tolerance, trace,
+        constants={"tolerance": tolerance},
     )
 
 
@@ -447,27 +450,19 @@ def hyperstability_blowup_probe(
     work, items = _blocks(FundamentalParametric(alpha), f, grid, budget, mirrored=True)
 
     def maxima(item):
-        # (size, non-finite count, (rank, point) of the first non-finite
-        # value, per-margin maxima); x + y is the same at a point's mirror
+        # the block's summary, of its size alone when every defect is finite,
+        # and its per-margin maxima; x + y is the same at a point's mirror
         points, d, ranks = work(item)
         d = np.abs(d)
-        bad = ~np.isfinite(d)
-        if bad.any():
-            i = _first(bad, ranks)
-            return d.size, int(np.count_nonzero(bad)), (int(ranks[i]), _row(points, i)), ()
+        if not np.isfinite(d).all():
+            return _summary(points, d, ranks), ()
         s = points[:, 0] + points[:, 1]
         sups = [float(np.max(d, where=s <= 1.0 - h + 1e-12, initial=0.0)) for h in hs]
-        return d.size, 0, (math.inf, ()), sups
+        return (d.size, -1.0, 0, 0, 0, ()), sups
 
-    sups = [0.0] * len(hs)
-    size, bad, first = 0, 0, (math.inf, ())
-    for n, block_bad, block_first, block_sups in _imap(maxima, items, jobs):
-        size, bad, first = size + n, bad + block_bad, min(first, block_first)
-        if not block_bad:
-            sups = [max(s, m) for s, m in zip(sups, block_sups)]
-    if bad:
-        raise _non_finite(bad, size, first[1])
-    return list(zip(hs, sups))
+    blocks = list(_imap(maxima, items, jobs))
+    _fold(summary for summary, _ in blocks)  # raises at the first non-finite defect
+    return list(zip(hs, map(max, zip(*(sups for _, sups in blocks)))))
 
 
 # ---------------------------------------------------------------------------
@@ -1042,10 +1037,7 @@ def certify_sum_form_multiplicative(
         lx = np.log2(xs[mask])
         ly = np.log2(resid[mask])
         lxc = lx - lx.mean()
-        denom = float(np.dot(lxc, lxc))
-        if denom == 0.0:
-            continue
-        beta = float(np.dot(lxc, ly - ly.mean()) / denom)
+        beta = float(np.dot(lxc, ly - ly.mean()) / np.dot(lxc, lxc))
         rem = float(np.max(np.abs(gv - kappa * xs - pow0(xs, beta))))
         if best is None or rem < best[0] - 1e-12 * (1.0 + best[0]):
             best = (rem, kappa, beta)

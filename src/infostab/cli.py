@@ -8,8 +8,9 @@ entry holds the kind class, whose dataclass fields are its parameters and
 which states how many functions it takes, and the descriptor builder; a
 `_THEOREMS` entry the certifier's name, its defects.csv equation and
 lattice, and exactly the config fields the certifier takes, with their
-readers.  "fundamental" resolves to an entry by regime; associativity's list
-checks and measure_sequence's two input forms keep code of their own.
+readers.  certifiers._fundamental_theorem resolves "fundamental" to an
+entry by regime and refuses a regime the theorem excludes; associativity's
+list checks and measure_sequence's two input forms keep code of their own.
 
 The readers are the one record of which config fields exist: `run` records
 the names `_field` reads from each config object, and each job, before its
@@ -36,8 +37,8 @@ import os
 import sys
 
 from .certifiers import (
+    _fundamental_theorem,
     _probe_lattice,
-    _refuse_regime,
     certify_associativity,
     certify_entropy_equation,
     certify_fundamental_closed,
@@ -290,14 +291,6 @@ def _job_residual(cfg, jobs, dump):
 _FUNDAMENTAL = ("fundamental", "fundamental_open", "fundamental_closed", "hyperstability")
 
 
-def _dispatch(theorem, alpha):
-    """The fundamental-equation theorem to run: "fundamental" is hyperstability
-    for alpha < 0 and fundamental_open otherwise."""
-    if theorem != "fundamental":
-        return theorem
-    return "hyperstability" if Regime.of(alpha) is Regime.NEGATIVE else "fundamental_open"
-
-
 def _function_field(builder):
     return lambda cfg, name: _build_function(builder, _field(cfg, name), name)
 
@@ -348,8 +341,8 @@ _THEOREMS = {
 def _job_certify(cfg, jobs, dump):
     theorem = _field(cfg, "theorem")
     budget = _int_field(cfg, "budget", 10**7)
-    if theorem == "fundamental":
-        theorem = _dispatch(theorem, _float_field(cfg, "alpha"))
+    if theorem == "fundamental":  # an excluded regime is refused before any other field is read
+        theorem = _fundamental_theorem(theorem, _float_field(cfg, "alpha"))
     dump_args = probe = None
 
     if theorem == "measure_sequence":
@@ -405,7 +398,7 @@ def _job_certify(cfg, jobs, dump):
 
     result = cert.to_json_dict()
     if probe is not None:
-        result["blowup"] = [[h, s] for h, s in probe]
+        result["blowup"] = probe
     files = _defects_file(*dump_args, budget) if dump and dump_args is not None else {}
     code = EXIT_VIOLATION if cert.satisfied is False else EXIT_OK
     return result, files, code
@@ -504,21 +497,20 @@ def _job_sweep(cfg, jobs, dump):
     resolution = _int_field(cfg, "resolution")
     budget = _int_field(cfg, "budget", 10**7)
     _refuse_unread(cfg)
-    for av in alphas:  # a regime the target excludes is refused before any sweep
-        _refuse_regime(_dispatch(target, av), av)
+    # a regime the target excludes is refused before any sweep
+    theorems = [_fundamental_theorem(target, av) for av in alphas]
     certs = []
     table = []
     all_ok = True
-    for av in alphas:
+    for av, theorem in zip(alphas, theorems):
         base = PowerFamily(a0, b0, av)
         f = base if bump is None else FunctionSum((base, bump))
-        certify = globals()[_THEOREMS[_dispatch(target, av)][0]]
+        certify = globals()[_THEOREMS[theorem][0]]
         cert = certify(f, av, resolution, jobs=jobs, budget=budget)
         entry = cert.to_json_dict()
         if cert.theorem == "hyperstability" and not cert.satisfied:
             margins = [2.0**-k for k in range(3, 10)]
-            probe = hyperstability_blowup_probe(f, av, margins, budget=budget, jobs=jobs)
-            entry["blowup"] = [[h, s] for h, s in probe]
+            entry["blowup"] = hyperstability_blowup_probe(f, av, margins, budget=budget, jobs=jobs)
         certs.append(entry)
         table.append(
             [
@@ -547,13 +539,12 @@ def _job_blowup(cfg, jobs, dump):
     probe = hyperstability_blowup_probe(
         f, alpha, margins, resolution=resolution, budget=budget, jobs=jobs
     )
-    rows = [[h, s] for h, s in probe]
     first, last = probe[0][1], probe[-1][1]
     result = {
-        "rows": rows,
+        "rows": probe,
         "growth_ratio": None if first == 0.0 else last / first,
     }
-    return result, _summary_file(["margin", "sup"], rows), EXIT_OK
+    return result, _summary_file(["margin", "sup"], probe), EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -334,7 +334,7 @@ class TernaryFunction:
         xa = np.asarray(x, dtype=float)
         ya = np.asarray(y, dtype=float)
         za = np.asarray(z, dtype=float)
-        if min(float(np.min(xa)), float(np.min(ya)), float(np.min(za))) < 0:
+        if (xa < 0).any() or (ya < 0).any() or (za < 0).any():  # a NaN hides no negative
             raise DomainError(f"{type(self).__name__} needs nonnegative arguments")
         out = self._values(xa, ya, za)
         if np.ndim(x) == 0 and np.ndim(y) == 0 and np.ndim(z) == 0:

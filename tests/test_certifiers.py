@@ -323,6 +323,17 @@ class TestHyperstable:
         with pytest.raises(DispatchError):
             certify_hyperstable(PowerFamily(1.0, 1.0, 2.0), 2.0, 64)
 
+    def test_fits_before_its_sweep(self, monkeypatch):
+        import infostab.certifiers as certifiers
+
+        calls = []
+        for name in ("_hyperstable_fit", "residual"):
+            real = getattr(certifiers, name)
+            spy = lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k)
+            monkeypatch.setattr(certifiers, name, spy)
+        certify_hyperstable(PowerFamily(0.9, -1.7, -1.0), -1.0, 64)
+        assert calls == ["_hyperstable_fit", "residual"]
+
     def test_singular_anchor_system(self):
         with pytest.raises(UnsupportedParameterError):
             _hyperstable_fit(PowerFamily(1.0, 1.0, 0.0), 0.0)
@@ -699,6 +710,13 @@ class TestSumForms:
         assert abs(cert.trace["kappa"] - 0.3) <= 1e-4
         assert cert.satisfied
 
+    def test_zero_function(self):
+        # sup|phi| = 0 leaves no bracket to search: kappa is 0
+        cert = certify_sum_form(Constant(0.0), 3, 8)
+        assert (cert.epsilon, cert.distance, cert.trace["kappa"]) == (0.0, 0.0, 0.0)
+        assert cert.trace["bracket"] == 0.0
+        assert cert.satisfied
+
     def test_needs_three_parts(self):
         with pytest.raises(ConfigurationError):
             certify_sum_form(Constant(0.0), 2, 12)
@@ -794,6 +812,18 @@ class TestNonFiniteFundamental:
             hyperstability_blowup_probe(f, -1.0, [0.25, 0.125], resolution=64)
         assert str(exc.value) == str(sweep.value)
         assert str(exc.value).startswith("166 of 1953 defects are NaN or infinite")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_blowup_probe_nan_message_at_any_jobs(self, jobs):
+        # six blocks, folded by _fold as residual folds them
+        f = _with_nan_node(-1.0, 40)
+        message = ("13196 of 130305 defects are NaN or infinite, "
+                   "the first at (0.001953125, 0.609375)")
+        with pytest.raises(NonFiniteDefectError, match=r"^13196 of 130305") as sweep:
+            residual(FundamentalParametric(-1.0), f, TriangleGrid(512), jobs=jobs)
+        with pytest.raises(NonFiniteDefectError) as exc:
+            hyperstability_blowup_probe(f, -1.0, [0.25, 0.125], resolution=512, jobs=jobs)
+        assert str(exc.value) == str(sweep.value) == message
 
     def test_blowup_probe_finite_profile_unchanged(self):
         # the per-margin fold the NaN check sits in front of

@@ -60,14 +60,15 @@ class Reached(Exception):
 
 def stub_sweeps(monkeypatch):
     """Replace every certifiers, equations and measures entry point the cli
-    calls with a stub that raises Reached."""
+    calls with a stub that raises Reached; the theorem dispatch, which runs
+    no sweep, stays."""
     import infostab.cli as cli
 
     def reached(*args, **kwargs):
         raise Reached
 
     for name, value in list(vars(cli).items()):
-        if inspect.isfunction(value) and value.__module__ in (
+        if name != "_fundamental_theorem" and inspect.isfunction(value) and value.__module__ in (
             "infostab.certifiers", "infostab.equations", "infostab.measures"
         ):
             monkeypatch.setattr(cli, name, reached)
@@ -975,9 +976,25 @@ class TestMalformedValues:
           "functions": [PHI_OF_SUM, PHI_OF_SUM], "resolution": 8,
           "intervals": [[False, True], [0.0, 1.0], [0.0, 1.0]]},
          "config field 'intervals[0]' must be a number, got False"),
+        (certify_config("fundamental_open", 5, 0.5),
+         "config field 'function' must be a function descriptor object"),
+        (certify_config("fundamental_open", {"kind": "sum", "terms": 5}, 0.5),
+         "config field 'function' is malformed: "),
+        ({**triangle_residual(POWER), "grid": 5}, "config field 'grid' must be an object"),
+        ({"schema": 1, "job": "measure", "measure": 5, "resolution": 8},
+         "config field 'measure' must be an object"),
+        ({"schema": 1, "job": "certify", "theorem": "associativity",
+          "functions": [PHI_OF_SUM, PHI_OF_SUM], "resolution": 8,
+          "intervals": [[0.0, 1.0], [0.0, 1.0]]},
+         "config field 'intervals' must list three (lo, hi) pairs"),
+        ({"schema": 1, "job": "sweep", "target": "fundamental", "alphas": [0.5],
+          "family": 5, "resolution": 16},
+         "config field 'family' must be an object with a, b"),
     ], ids=["string", "bool", "list", "grid_sample", "closed_string", "closed_int",
             "measure_alpha", "perturbations_not_a_list", "tabulate_low", "tabulate_high",
-            "epsilon_target_negative", "interval_bool"])
+            "epsilon_target_negative", "interval_bool", "function_not_an_object",
+            "function_builder_type_error", "grid_not_an_object", "measure_not_an_object",
+            "intervals_not_three", "family_not_an_object"])
     def test_exits_two_without_report(self, tmp_path, capsys, monkeypatch, config, message):
         stub_sweeps(monkeypatch)
         path = tmp_path / "config.json"
@@ -1015,6 +1032,24 @@ class TestMalformedValues:
         assert main(["--config", str(path), "--out", str(out)]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not (out / "report.json").exists()
+        assert calls == []
+
+    def test_fundamental_alpha_one_refused_at_dispatch(self, tmp_path, capsys, monkeypatch):
+        # refused before the other fields are read, so a malformed function goes unread
+        import infostab.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "certify_fundamental_open", lambda *a, **k: calls.append(a))
+        for function in (POWER, 5):
+            config = certify_config("fundamental", function, 1.0)
+            with pytest.raises(DispatchError, match="^alpha = 1 is outside the method"):
+                run(config, out_dir=str(tmp_path))
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            out = tmp_path / "out"
+            assert main(["--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+            assert capsys.readouterr().err.startswith("error: alpha = 1 is outside the method")
+            assert list(out.iterdir()) == []
         assert calls == []
 
     def test_supplied_zero_bounds_are_accepted(self, tmp_path):

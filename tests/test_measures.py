@@ -443,6 +443,15 @@ class TestGeneratingDefect:
         with pytest.raises(ConfigurationError):
             derive_generating_defect(exact_measure(1.0, max_n=2), 16)
 
+    def test_generator_endpoints_come_from_the_generator(self):
+        m = exact_measure(2.0)
+        f = derive_generating_defect(m, 24).f
+        ends = [float(m.generator(0.0)), float(m.generator(1.0))]
+        assert [f(0.0), f(1.0)] == ends
+        vals = f(np.array([0.0, 0.25, 1.0]))
+        assert [vals[0], vals[2]] == ends
+        assert vals[1] == m.eval([0.75, 0.25])
+
 
 class TestTabulate:
     def test_shapes_and_values(self):

@@ -285,6 +285,15 @@ class TestTernaryModels:
         full = Wave3(0.01, seed=5, interior_only=False)
         assert full(0.0, 1.0, 1.0) != 0.0
 
+    @pytest.mark.parametrize("x, y, z", [
+        (0.5, -1.0, 0.1),
+        ([np.nan, 0.5], [0.1, -1.0], [0.1, 0.1]),  # a NaN hides no negative
+        ([0.5, 0.5], [0.1, 0.1], [np.nan, -1.0]),
+    ])
+    def test_negative_argument_refused(self, x, y, z):
+        with pytest.raises(DomainError, match="^Wave3 needs nonnegative arguments$"):
+            Wave3(1e-3, 1)(np.array(x), np.array(y), np.array(z))
+
     def test_modified_entropy_face_shift(self):
         f = ModifiedEntropySolution(0.4, 2.0, XLogX(1.0))
         y, z = 0.5, 0.25
