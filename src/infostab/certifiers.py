@@ -68,6 +68,7 @@ from .models import (
     PowerLog,
     Regime,
     XLogX,
+    _finite,
     _plain,
 )
 
@@ -96,19 +97,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # explicit constants
-
-
-def _finite(what, formula) -> float:
-    """formula() when it is a finite float; what names it.  The printed
-    constants overflow for large |alpha| and divide by a difference that
-    rounds to 0 next to alpha = 0 and alpha = 1."""
-    try:
-        value = formula()
-    except ArithmeticError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise UnsupportedParameterError(f"{what} is not a finite float")
-    return value
 
 
 def stability_constant_K(alpha) -> float:
@@ -256,7 +244,8 @@ def _fit(f, alpha: float, resolution: int):
 def _fundamental_theorem(theorem, alpha: float):
     """The fundamental-equation theorem that runs for theorem at alpha:
     "fundamental" is hyperstability for alpha < 0 and fundamental_open
-    otherwise.  A theorem whose regime excludes alpha is refused."""
+    otherwise.  A theorem whose regime excludes alpha is refused, and so is
+    an alpha at which its constant or its fit is not a finite float."""
     regime = Regime.of(alpha)
     if theorem == "fundamental":
         theorem = "hyperstability" if regime is Regime.NEGATIVE else "fundamental_open"
@@ -267,6 +256,10 @@ def _fundamental_theorem(theorem, alpha: float):
         raise DispatchError("negative alpha is the hyperstable regime; use certify_hyperstable")
     elif regime is Regime.ONE:
         raise DispatchError("alpha = 1 is outside the method; no certifier exists there")
+    if theorem == "hyperstability":
+        _anchor_matrix(alpha)
+    else:
+        stability_constant_K(alpha)
     return theorem
 
 
@@ -361,16 +354,18 @@ def certify_fundamental_closed(
 # ---------------------------------------------------------------------------
 # hyperstable regime, alpha < 0
 
+_MARGIN_SLACK = 1e-12  # the blow-up probe keeps the points with x + y <= 1 - h + slack
+
+
+def _anchor_matrix(v: float):
+    """The family's values at 1/2 and 1/4 as a system in (c, d), regular for alpha < 0."""
+    m = lambda: np.array([[2.0**-v, 2.0**-v - 1.0], [4.0**-v, 0.75**v - 1.0]])
+    return _finite(f"the anchor system at alpha = {v!r}", m)
+
 
 def _hyperstable_fit(f, v: float):
-    # anchor the family through f(1/2) and f(1/4); the system is regular for
-    # every alpha < 0
-    m = np.array(
-        [
-            [2.0**-v, 2.0**-v - 1.0],
-            [4.0**-v, 0.75**v - 1.0],
-        ]
-    )
+    # anchor the family through f(1/2) and f(1/4)
+    m = _anchor_matrix(v)
     rhs = np.array([float(f(0.5)), float(f(0.25))])
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     if det == 0.0:
@@ -426,7 +421,10 @@ def _probe_lattice(margins, resolution, budget):
         raise ConfigurationError("margins must lie strictly between 0 and 1")
     if any(hs[i] <= hs[i + 1] for i in range(len(hs) - 1)):
         raise ConfigurationError("margins must decrease strictly toward 0")
-    grid = TriangleGrid(resolution)
+    grid, r = TriangleGrid(resolution), resolution
+    if 2.0 / r > 1.0 - hs[0] + _MARGIN_SLACK:  # the first margin's domain is the smallest
+        raise ConfigurationError(f"margin {hs[0]} leaves no point of the resolution-{r} "
+                                 f"lattice: its smallest x + y is 2/{r} > 1 - h")
     _within_budget(grid.count, budget)
     return hs, grid
 
@@ -457,7 +455,7 @@ def hyperstability_blowup_probe(
         if not np.isfinite(d).all():
             return _summary(points, d, ranks), ()
         s = points[:, 0] + points[:, 1]
-        sups = [float(np.max(d, where=s <= 1.0 - h + 1e-12, initial=0.0)) for h in hs]
+        sups = [float(np.max(d, where=s <= 1.0 - h + _MARGIN_SLACK, initial=0.0)) for h in hs]
         return (d.size, -1.0, 0, 0, 0, ()), sups
 
     blocks = list(_imap(maxima, items, jobs))
@@ -563,9 +561,9 @@ def certify_measure_sequence(
     generator.  Then every level's lattice is streamed once, on up to jobs
     threads with at most 2 * jobs blocks in flight: one splitting recursion
     per block gives both the level's recursivity defect and its distance to
-    J_n.  Errors are raised in that order: configuration, alpha = 1, the
-    fit, the semi-symmetry sweep, then the levels in order, each level's
-    recursivity error before its distance error.
+    J_n.  Errors are raised in that order: configuration, K (none exists at
+    alpha = 1), the fit, the semi-symmetry sweep, then the levels in order,
+    each level's recursivity error before its distance error.
     """
     if levels < 2:
         raise ConfigurationError(f"levels must be at least 2, got {levels}")
@@ -606,13 +604,9 @@ def certify_measure_sequence(
         statement = True
 
     regime = Regime.of(v)
-    if regime is Regime.ONE:
-        raise UnsupportedParameterError(
-            "measure sequences at alpha = 1 are outside the method"
-        )
-
-    candidate, trace = _fit(f, v, resolution)
+    # K first: it refuses alpha = 1, and where it is finite so is the power fit
     k_const = None if regime is Regime.NEGATIVE else stability_constant_K(v)
+    candidate, trace = _fit(f, v, resolution)
 
     if regime is Regime.ZERO:
         coefficients = {"c": candidate.offset, "lam": candidate.slope}
@@ -681,6 +675,8 @@ def certify_entropy_equation(
     zero face is inaccessible), and checks the regime's bound.
     """
     v = float(alpha)
+    # homogeneity's largest t**alpha, before the first sweep; it bounds the fit's 2**alpha
+    _finite(f"4**|alpha| at alpha = {v!r}", lambda: 4.0 ** abs(v))
     grid = ConeGrid(resolution, bound=bound, budget=budget)
     # six permutations of R^3 points, more than homogeneity's 4 R^2 samples
     _within_budget(6 * grid.resolution**3, budget)

@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import contextvars
 import csv
-import ctypes
 import dataclasses
 import json
 import os
@@ -665,32 +664,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
 
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, glibc malloc.h
-
-
-def _reuse_freed_blocks():
-    """Let glibc reuse freed sweep blocks instead of mapping fresh pages.
-
-    glibc maps each allocation over 128 KiB (one _CHUNK-row column is
-    256 KiB) on its own, page-faults it on first touch and unmaps it when
-    freed, until the first such free raises that threshold.  A fresh process
-    can sweep a whole lattice before that happens, at two to three times the
-    cost of each block.  So fix the thresholds where glibc's own rule leaves
-    them after freeing a 32 MiB block: map above 32 MiB, trim the heap above
-    64 MiB.  Without a C library mallopt this does nothing.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-
-
 def console_main():
-    _reuse_freed_blocks()
     raise SystemExit(main())
 
 

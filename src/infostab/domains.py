@@ -20,6 +20,7 @@ Conventions (applied uniformly, for every exponent alpha):
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -43,6 +44,12 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 15  # rows per block of every blocked sweep
+# glibc maps each allocation over its mmap threshold (128 KiB at first; a
+# _CHUNK-row column is 256 KiB) afresh, faulting its pages in, until freeing a
+# mapped chunk under 32 MiB raises the threshold to that chunk's size.  This
+# request maps the largest such chunk and, freed untouched, costs no memory.
+# A process's own mallopt or MALLOC_*_ settings turn glibc's rule off.
+np.empty((32 << 20) - 2 * mmap.PAGESIZE, np.uint8)
 _TEXT_ROWS = 1 << 12  # rows per slice of CSV text
 
 

@@ -50,7 +50,7 @@ from .domains import (
     _CHUNK, ConeGrid, PairGrid, SimplexGrid, TriangleGrid, UnitGrid, _write_csv, pow0,
 )
 from .errors import BudgetExceededError, ConfigurationError, DomainError, NonFiniteDefectError
-from .models import BivariateFunction, TernaryFunction
+from .models import BivariateFunction, TernaryFunction, _finite
 
 __all__ = [
     "FundamentalParametric",
@@ -112,6 +112,9 @@ class SumFormAlpha:
     m: int
     lattice = "simplex pairs"
     functions = 1
+
+    def __post_init__(self):
+        _finite(f"2**(1 - alpha) at alpha = {self.alpha!r}", lambda: 2.0 ** (1.0 - self.alpha))
 
     def cross(self, fpq, fp, fq):
         return fpq - fp - fq - (2.0 ** (1.0 - self.alpha) - 1.0) * fp * fq
@@ -692,6 +695,8 @@ def homogeneity_residual(
     """sup over the scales t in (1/4, 1/2, 2, 4) and the grid pairs of
     |F(tu, tv) - t^alpha F(u, v)|."""
     a = float(alpha)
+    # the largest t**alpha; certify_entropy_equation checks it before its first sweep
+    _finite(f"4**|alpha| at alpha = {a!r}", lambda: 4.0 ** abs(a))
     pts = _expect_grid(grid, PairGrid, "homogeneity").points
     ts = (0.25, 0.5, 2.0, 4.0)
 

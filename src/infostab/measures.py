@@ -36,7 +36,7 @@ from .equations import (
     _simplex_blocks, _summary, _sweep, _within_budget, residual,
 )
 from .errors import ConfigurationError, InvalidDistributionError
-from .models import ScalarFunction, validate_distribution
+from .models import ScalarFunction, _SeededNoise, validate_distribution
 
 __all__ = [
     "LevelNoise",
@@ -54,7 +54,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class LevelNoise:
+class LevelNoise(_SeededNoise):
     """Deterministic seeded trig perturbation attached at one recursion level.
 
     Bounded by |height|; vectorises over point matrices and is reproducible
@@ -70,6 +70,7 @@ class LevelNoise:
             raise ConfigurationError(
                 f"perturbations attach at levels >= 3, got {self.level}"
             )
+        super().__post_init__()
 
     @cached_property
     def _params(self):

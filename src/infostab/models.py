@@ -85,6 +85,26 @@ class Regime(enum.Enum):
         return Regime.POSITIVE_NOT_ONE
 
 
+def _finite(what, formula):
+    """formula() when all it gives is finite; what names it.  Float powers of
+    alpha overflow for large |alpha| and divide by 0 next to alpha = 0 and 1."""
+    try:
+        value = formula()
+    except ArithmeticError:
+        value = math.nan
+    if not np.isfinite(value).all():
+        raise UnsupportedParameterError(f"{what} is not a finite float")
+    return value
+
+
+class _SeededNoise:
+    """Seeded noise: numpy takes no negative seed, so the noise refuses one when built."""
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise UnsupportedParameterError(f"noise seed must be nonnegative, got {self.seed}")
+
+
 # ---------------------------------------------------------------------------
 # scalar representations on (sub-intervals of) the line
 
@@ -421,7 +441,7 @@ class Sum3(TernaryFunction):
 
 
 @dataclass(frozen=True)
-class Wave3(TernaryFunction):
+class Wave3(_SeededNoise, TernaryFunction):
     """Deterministic seeded trig noise, bounded by ``height``.
 
     With interior_only (the default) the noise vanishes whenever a coordinate
@@ -432,14 +452,10 @@ class Wave3(TernaryFunction):
     seed: int
     interior_only: bool = True
 
-    def _params(self):
+    def _values(self, x, y, z):
         rng = np.random.default_rng((int(self.seed), 3))
         freqs = rng.uniform(3.0, 17.0, size=3)
         phase = rng.uniform(0.0, 2.0 * math.pi)
-        return freqs, phase
-
-    def _values(self, x, y, z):
-        freqs, phase = self._params()
         out = self.height * np.sin(
             freqs[0] * x + freqs[1] * y + freqs[2] * z + phase
         )
@@ -517,7 +533,7 @@ class ProductUV(BivariateFunction):
 
 
 @dataclass(frozen=True)
-class Wave2(BivariateFunction):
+class Wave2(_SeededNoise, BivariateFunction):
     """Deterministic seeded trig noise in two variables, bounded by height."""
 
     height: float

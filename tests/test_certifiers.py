@@ -364,6 +364,15 @@ class TestBlowupProbe:
         with pytest.raises(DispatchError):
             hyperstability_blowup_probe(f, 2.0, [0.25], resolution=64)
 
+    def test_margin_domain_holds_a_lattice_point(self):
+        # the smallest x + y on the open R = 16 lattice is 2/16 = 1 - 0.875
+        f = PowerFamily(1.0, 0.5, -1.0)
+        with pytest.raises(ConfigurationError, match="^margin 0.9375 leaves no point of the "
+                           "resolution-16 lattice: its smallest x \\+ y is 2/16 > 1 - h$"):
+            hyperstability_blowup_probe(f, -1.0, [0.9375, 0.5], resolution=16)
+        rows = hyperstability_blowup_probe(f, -1.0, [0.875, 0.5], resolution=16)
+        assert [h for h, _ in rows] == [0.875, 0.5]
+
 
 def _streamed_levels(monkeypatch):
     """The list that records the level n of every simplex lattice streamed."""

@@ -863,8 +863,7 @@ class TestMain:
         assert (out / "defects.csv").exists()
 
     def test_process_entry_point_writes_the_same_report(self, tmp_path):
-        # python -m infostab sets the allocator thresholds first; the report
-        # is the one the in-process run writes
+        # a fresh python -m infostab process writes the report the in-process run writes
         config = certify_config("fundamental", NOISY_POWER, 0.5, resolution=256)
         path = self.write_config(tmp_path, config)
         out = tmp_path / "out"
@@ -990,11 +989,18 @@ class TestMalformedValues:
         ({"schema": 1, "job": "sweep", "target": "fundamental", "alphas": [0.5],
           "family": 5, "resolution": 16},
          "config field 'family' must be an object with a, b"),
+        ({"schema": 1, "job": "measure", "resolution": 8, "measure": {
+            **NOISY_MEASURE, "perturbations": [{"level": 3, "height": 5e-5, "seed": -7}]}},
+         "error: noise seed must be nonnegative, got -7"),
+        (certify_config("entropy_equation", {"kind": "sum3", "terms": [
+            ENTROPY_SOLUTION, {"kind": "wave3", "height": 1e-4, "seed": -1}]}, 2.0,
+            resolution=6), "error: noise seed must be nonnegative, got -1"),
     ], ids=["string", "bool", "list", "grid_sample", "closed_string", "closed_int",
             "measure_alpha", "perturbations_not_a_list", "tabulate_low", "tabulate_high",
             "epsilon_target_negative", "interval_bool", "function_not_an_object",
             "function_builder_type_error", "grid_not_an_object", "measure_not_an_object",
-            "intervals_not_three", "family_not_an_object"])
+            "intervals_not_three", "family_not_an_object", "level_noise_seed",
+            "wave3_seed"])
     def test_exits_two_without_report(self, tmp_path, capsys, monkeypatch, config, message):
         stub_sweeps(monkeypatch)
         path = tmp_path / "config.json"
@@ -1017,8 +1023,11 @@ class TestMalformedValues:
          "epsilon must be finite and nonnegative, got -1.0"),
         (certify_config("fundamental_closed", POWER, 0.5, epsilon=-1.0),
          "epsilon must be finite and nonnegative, got -1.0"),
+        (certify_config("hyperstability", NEG_FAMILY, -1.0, margins=[0.9375, 0.5],
+                        probe_resolution=16),
+         "margin 0.9375 leaves no point of the resolution-16 lattice"),
     ], ids=["margins_increase", "margin_above_one", "probe_resolution", "probe_budget",
-            "epsilon_open", "epsilon_closed"])
+            "epsilon_open", "epsilon_closed", "margin_without_points"])
     def test_refused_before_the_certificate(self, tmp_path, capsys, monkeypatch, config, message):
         # a spy on the certifier alone: the checks live in certifiers helpers,
         # which stub_sweeps would replace too
@@ -1132,6 +1141,39 @@ class TestNonFiniteReports:
         assert code == EXIT_CONFIG
         assert "not a finite float" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("config, message", [
+        (certify_config("hyperstability", NEG_FAMILY, -2000.0, resolution=16),
+         "the anchor system at alpha = -2000.0"),
+        ({"schema": 1, "job": "sweep", "target": "fundamental", "alphas": [-1.0, -2000.0],
+          "family": {"a": 1.0, "b": 1.0}, "resolution": 16},
+         "the anchor system at alpha = -2000.0"),
+        ({"schema": 1, "job": "certify", "theorem": "measure_sequence",
+          "measure": {**MEASURE, "alpha": 1e-300}, "levels": 4, "resolution": 16},
+         "K(1e-300)"),
+        ({"schema": 1, "job": "residual", "equation": "sum_form_alpha",
+          **EQUATION_FIELDS["sum_form_alpha"], "alpha": -2000.0},
+         "2**(1 - alpha) at alpha = -2000.0"),
+        (certify_config("entropy_equation", ENTROPY_SOLUTION, 2000.0, resolution=6),
+         "4**|alpha| at alpha = 2000.0"),
+    ], ids=["hyperstable_fit", "sweep_hyperstable_fit", "power_fit", "sum_form_alpha",
+            "homogeneity"])
+    def test_alpha_arithmetic_refused_before_any_sweep(
+        self, tmp_path, capsys, monkeypatch, config, message
+    ):
+        import infostab.certifiers as certifiers
+        import infostab.equations as equations
+        import infostab.measures as measures
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        for module in (certifiers, equations, measures):
+            monkeypatch.setattr(module, "_sweep", reached)
+        code, out = self.run_main(tmp_path, json.dumps(config))
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message} is not a finite float\n"
+        assert list(out.iterdir()) == []
 
     def test_report_with_nonfinite_value_is_not_written(self, tmp_path):
         # only run() can receive a NaN config value; main refuses the literal

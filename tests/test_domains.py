@@ -3,6 +3,10 @@
 import gc
 import itertools
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from itertools import product
@@ -338,6 +342,34 @@ class TestInPlaceBuilds:
     def test_build_peaks_at_its_output(self, build):
         # room for the node table and the loop's views, not for a second copy
         assert _peak_over_output(build) <= 1.05
+
+
+# k = 1/(sqrt(2) - 1) makes PowerFamily(k, k, 1/2) the exact generator; the
+# n = 5, R = 40 interior lattice is 82,251 points, three blocks whose
+# columns are each over glibc's initial 128 KiB mmap threshold
+_SECOND_SWEEP_FAULTS = """
+import resource
+from infostab import InformationMeasure, PowerFamily
+from infostab.measures import recursivity_defect
+k = 1 / (2 ** 0.5 - 1)
+m = InformationMeasure(PowerFamily(k, k, 0.5), 0.5, 6)
+recursivity_defect(m, 5, 40)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+recursivity_defect(m, 5, 40)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
+def test_a_fresh_library_process_reuses_freed_sweep_blocks():
+    # importing infostab frees one untouched block that lifts glibc's dynamic
+    # mmap threshold, so a second sweep maps and faults in no fresh columns
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SECOND_SWEEP_FAULTS],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert int(proc.stdout) < 100
 
 
 class TestConeAndPair:

@@ -23,6 +23,7 @@ from infostab import (
     ScaledBump,
     ShannonInfo,
     SimplexGrid,
+    UnsupportedParameterError,
     XLogX,
     alpha_entropy,
     check_additivity,
@@ -51,6 +52,10 @@ class TestConstruction:
     def test_level_noise_floor(self):
         with pytest.raises(ConfigurationError):
             LevelNoise(2, 0.01, seed=1)
+
+    def test_level_noise_seed_nonnegative(self):
+        with pytest.raises(UnsupportedParameterError, match="^noise seed must be nonnegative"):
+            LevelNoise(3, 0.01, seed=-7)
 
     def test_perturbation_beyond_max_n(self):
         with pytest.raises(ConfigurationError):

@@ -285,6 +285,10 @@ class TestTernaryModels:
         full = Wave3(0.01, seed=5, interior_only=False)
         assert full(0.0, 1.0, 1.0) != 0.0
 
+    def test_wave3_seed_nonnegative(self):
+        with pytest.raises(UnsupportedParameterError, match="^noise seed must be nonnegative"):
+            Wave3(1e-4, seed=-1)
+
     @pytest.mark.parametrize("x, y, z", [
         (0.5, -1.0, 0.1),
         ([np.nan, 0.5], [0.1, -1.0], [0.1, 0.1]),  # a NaN hides no negative
@@ -321,6 +325,10 @@ class TestBivariateModels:
         w = Wave2(0.02, seed=3)
         u = np.linspace(0.0, 2.0, 40)
         assert np.max(np.abs(w(u, u))) <= 0.02
+
+    def test_wave2_seed_nonnegative(self):
+        with pytest.raises(UnsupportedParameterError, match="^noise seed must be nonnegative"):
+            Wave2(0.02, seed=-2)
 
 
 class TestDistributions:
