@@ -1,12 +1,15 @@
 """Functional-equation registry and the residual sweep engine.
 
 A residual sweep evaluates one equation's defect over a finite grid and
-reduces it to a report (exact sup, exactly rounded mean, argmax point).
-Defects are computed and summarised in fixed-size blocks, so the report is
-bit-identical for any worker count: the max is exact with a first-index
-tie-break, and the mean is the exact sum of |defect| as an integer, rounded
-once, so it matches ``math.fsum`` bit for bit and does not depend on block
-order.  A NaN or infinite defect raises NonFiniteDefectError.
+reduces it to a report (exact sup, mean, argmax point).  Defects are
+computed and summarised in fixed-size blocks, so the report is bit-identical
+for any worker count: the max is exact with a first-index tie-break, and
+each block's sum of |defect| is an exact integer, extracted a few leading
+bits of the whole block at a time (_exact_total, with a decode of the IEEE
+bits as its fallback for extreme ranges), so the total does not depend on
+block order.  The mean is that total rounded once, then divided by the
+count, like ``math.fsum(v) / n``, bit for bit.  A NaN or infinite defect
+raises NonFiniteDefectError.
 
 Every sweep has one block contract: work(item) returns (points, defects),
 and value i of defects belongs to row i % len(points), so a block that
@@ -264,19 +267,54 @@ def _passes(value, bound) -> bool:
     return float(value) <= float(bound) + certificate_slack(bound)
 
 
-# Exact sums: the IEEE bits of a finite nonnegative float hold its biased
-# exponent e and 52 fraction bits, so with a normal's implicit bit it is
-# m * 2**(max(e, 1) - _SCALE) for a 53-bit integer m.  bincount sums the high
-# and low 26-bit halves of the mantissas per exponent, exactly while it adds
-# fewer than 2**26 values, and the bins fold into one integer that holds the
-# sum times 2**_SCALE.
+# Exact sums.  _exact_total extracts the leading bits of a whole block at once
+# (Rump, Ogita and Oishi's ExtractVector): for the block's max top < 2**e and
+# n values, sigma = 2**(e + M) with 2**M > n + 1 splits each value p into
+# q = (sigma + p) - sigma and p - q, both exactly.  Every q is a multiple of
+# 2**-53 sigma and their sum is below sigma, so q.sum() is exact in any order,
+# and its integer ratio scales to the total.  The signed remainders p - q are
+# at most 2**-53 sigma, so the next level takes them with sigma 2**(53 - M)
+# times smaller, until they are all zero.  Where sigma would leave
+# [2**-900, 2**1000], clear of overflow and of the subnormals, or after
+# _LEVELS levels, _decode sums the positive remainders and the negated
+# negative ones from their IEEE bits: a finite nonnegative float's biased
+# exponent e and 52 fraction bits make it m * 2**(max(e, 1) - _SCALE) for a
+# 53-bit integer m, and bincount sums the high and low 26-bit halves of the
+# mantissas per exponent, exactly while it adds fewer than 2**26 values.
+# Either total is the sum times 2**_SCALE.
 _SCALE = 1023 + 52  # the exponent bias plus the fraction bits
 _HALF = 26
 _EXACT_ROWS = (1 << _HALF) - 1
+_LEVELS = 4
+_SIGMA_EXPONENTS = range(-900, 1001)
 
 
-def _exact_total(values):
-    """sum(values) * 2**_SCALE as an exact int, for finite and nonnegative floats."""
+def _exact_total(values, top):
+    """sum(values) * 2**_SCALE as an exact int, for finite and nonnegative
+    floats whose max is top; values is only read."""
+    if top == 0.0:
+        return 0
+    bits = (values.size + 1).bit_length()
+    k = math.frexp(top)[1] + bits  # sigma = 2**k
+    total, p, q = 0, values, np.empty_like(values)
+    for _ in range(_LEVELS):
+        if k not in _SIGMA_EXPONENTS:
+            break
+        sigma = math.ldexp(1.0, k)
+        np.add(p, sigma, out=q)
+        q -= sigma
+        p = np.subtract(p, q, out=None if p is values else p)
+        num, den = float(q.sum()).as_integer_ratio()
+        total += num << (_SCALE + 1 - den.bit_length())
+        if not p.any():
+            return total
+        k -= 53 - bits
+    return total + _decode(p[p > 0.0]) - _decode(-p[p < 0.0])
+
+
+def _decode(values):
+    """sum(values) * 2**_SCALE as an exact int, from the IEEE bits of finite
+    and nonnegative floats."""
     total = 0
     for s in range(0, values.size, _EXACT_ROWS):
         bits = values[s : s + _EXACT_ROWS].view(np.int64)
@@ -304,7 +342,8 @@ def _summary(points, defects, ranks=None):
         i = int(np.argmax(bad))
     rank = 0 if ranks is None else int(ranks[i])
     if bad is None:
-        return ab.size, float(ab[i]), _exact_total(ab), 0, rank, _row(points, i)
+        sup = float(ab[i])
+        return ab.size, sup, _exact_total(ab, sup), 0, rank, _row(points, i)
     return ab.size, -1.0, 0, int(np.count_nonzero(bad)), rank, _row(points, i)
 
 
@@ -363,7 +402,9 @@ def _sweep(work, items, *, jobs=1):
 def _fold(summaries):
     """The report of block summaries, folded in order: the sup and the first
     non-finite point are of least rank, then of the earlier block, and the
-    mean is the exact total, correctly rounded, over the sample count."""
+    mean is the exact total rounded once, then divided by the sample count,
+    like math.fsum(v) / n; a total past the float range is divided by the
+    count before its one rounding."""
     size = total = bad = 0
     sup, sup_rank, point, first = -1.0, 0, (), None
     for n, block_sup, block_total, block_bad, rank, block_point in summaries:
@@ -376,9 +417,14 @@ def _fold(summaries):
         raise _non_finite(bad, size, first[1])
     if size == 0:
         raise ConfigurationError("empty grid: nothing to sweep")
+    try:
+        mean = total / (1 << _SCALE) / size
+    except OverflowError:
+        # the sum passes the float range, the mean of finite values does not
+        mean = total / ((1 << _SCALE) * size)
     return ResidualReport(
         sup=sup,
-        mean=total / (1 << _SCALE) / size,
+        mean=mean,
         argmax_point=point,
         samples=size,
     )

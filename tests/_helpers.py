@@ -46,6 +46,17 @@ def float_bits(v):
     return np.asarray(v, dtype=np.float64).view(np.uint64).tolist()
 
 
+def scaled_sum(values, scale):
+    """sum(values) * 2**scale as an exact int, value by value from each
+    float's integer ratio: the oracle of equations._exact_total, which shares
+    none of its code.  Exact for 2**scale at least the least float's inverse."""
+    total = 0
+    for v in np.asarray(values, dtype=float).tolist():
+        num, den = v.as_integer_ratio()
+        total += (num << scale) // den
+    return total
+
+
 def kappa(alpha):
     return 1.0 / (2.0 ** (1.0 - alpha) - 1.0)
 

@@ -1192,6 +1192,20 @@ class TestNonFiniteReports:
             run(config, out_dir=str(tmp_path), dump_defects=True)
         assert list(tmp_path.iterdir()) == []
 
+    def test_defects_summing_past_the_float_range(self, tmp_path, capsys):
+        # the mean of finite defects is finite; the certificate's distance is not
+        huge = {"kind": "sum", "terms": [POWER, dict(BUMP, height=1e307)]}
+        code, out = self.run_main(tmp_path, json.dumps(triangle_residual(huge)))
+        assert code == EXIT_OK
+        result = json.loads((out / "report.json").read_text())["result"]
+        assert 0.0 < result["mean"] < result["sup"] < float("inf")
+        config = certify_config("fundamental_open", huge, 0.5, resolution=16)
+        (tmp_path / "certify").mkdir()
+        code, out = self.run_main(tmp_path / "certify", json.dumps(config))
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: report.json would hold a NaN or infinite value\n"
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("config", [
         {"schema": 1, "job": "sweep", "target": "constants", "alphas": ["x"]},
         certify_config("hyperstability", NEG_FAMILY, -1.0, resolution=16, margins=["x"]),

@@ -8,6 +8,7 @@ import re
 import threading
 import time
 import tracemalloc
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
@@ -15,7 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import alpha_sum_generator, exact_measure, fundamental_defect, sampled
+from _helpers import (
+    alpha_sum_generator, exact_measure, float_bits, fundamental_defect, sampled, scaled_sum,
+)
 from infostab import (
     BudgetExceededError,
     CauchyAdditive,
@@ -703,7 +706,8 @@ def test_family_members_always_solve(a, b, alpha):
 
 
 def _exact_sum(blocks):
-    return sum(_exact_total(np.asarray(b, dtype=float)) for b in blocks) / (1 << _SCALE)
+    arrays = [np.asarray(b, dtype=float) for b in blocks]
+    return sum(_exact_total(a, float(a.max(initial=0.0))) for a in arrays) / (1 << _SCALE)
 
 
 _NONNEG_FINITE = st.one_of(
@@ -782,6 +786,76 @@ class TestExactMean:
         assert reps[0].mean.hex() == (math.fsum(d.tolist()) / d.size).hex()
         assert reps[0].sup == float(d.max())
         assert reps[0].argmax_point == tuple(pts[int(np.argmax(d))].tolist())
+
+    def test_mean_of_a_total_past_the_float_range(self):
+        # the sum of |defect| overflows a float and its mean does not: the
+        # exact mean, rounded once
+        f = FunctionSum((PowerFamily(2.0, 1.0, 0.5), ScaledBump(0.5, 0.2, 1e307)))
+        kind, grid = FundamentalParametric(0.5), TriangleGrid(16)
+        d = np.abs(_lattice_defects(kind, f, grid)[1])
+        with pytest.raises(OverflowError):
+            math.fsum(d.tolist())
+        want = float(sum(map(Fraction, d.tolist())) / d.size)
+        for jobs in (1, 2):
+            assert residual(kind, f, grid, jobs=jobs).mean.hex() == want.hex()
+
+
+# one block for each way out of _exact_total: sigma above 2**1000 and below
+# 2**-900 decode the block itself, the level cap decodes the remainder that
+# four extractions leave of 1.0 beside 5e-324, and a block without a nonzero
+# value takes no level.
+# At the bound, 1.5 sets sigma = 2**13 for n = 2**12 - 2 values, and each
+# other value, just above half of 2**-39, leaves a remainder near -2**-40 with
+# bits down to 2**-82: the second level's sum sits just below its sigma,
+# 2**-28, and is exact only with sigma no smaller.
+_EXTRACTION_EDGES = {
+    "remainders_at_the_bound": [1.5, *(2.0**-40 + np.arange(1, 4094) * 2.0**-82).tolist()],
+    "decode_edges": _DECODE_EDGES,
+    "sigma_above_range": [1e307, 3.0, 0.0, 1.7976931348623157e308, 1e-300, 1e307],
+    "sigma_below_range": [5e-324, 2.225073858507201e-308, 0.0, 1e-310, 5e-324],
+    "level_cap": [1.0, 5e-324],
+    "level_cap_ladder": (2.0 ** -np.arange(0.0, 1000.0, 37.0)).tolist(),
+    "all_zero": [0.0] * 9,
+    "one_value": [0.1],
+    "empty": [],
+}
+
+
+def _assert_exact_total(values):
+    v = np.asarray(values, dtype=float)
+    before = v.copy()
+    assert _exact_total(v, float(v.max(initial=0.0))) == scaled_sum(v, _SCALE)
+    assert float_bits(v) == float_bits(before)  # the caller's array is only read
+
+
+class TestExactTotal:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        size=st.integers(0, 3000),
+        exponents=st.tuples(st.integers(0, 2046), st.integers(0, 2046)),
+        zeros=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        raw=st.lists(st.integers(0, 0x7FEFFFFFFFFFFFFF), max_size=8),
+    )
+    def test_matches_the_oracle_on_raw_bits(self, size, exponents, zeros, seed, raw):
+        # biased exponents in a drawn window and uniform fraction bits, some
+        # values zeroed, and a few raw bit patterns anywhere in the block
+        rng = np.random.default_rng(seed)
+        lo, hi = sorted(exponents)
+        bits = (rng.integers(lo, hi + 1, size) << 52) | rng.integers(0, 1 << 52, size)
+        bits[rng.random(size) < zeros] = 0
+        bits = np.concatenate((bits, np.array(raw, dtype=np.int64)))
+        rng.shuffle(bits)
+        _assert_exact_total(bits.view(np.float64))
+
+    @pytest.mark.parametrize("value", _DECODE_EDGES)
+    def test_decode_edges(self, value):
+        _assert_exact_total([value])
+        _assert_exact_total([value] * 1000)
+
+    @pytest.mark.parametrize("values", _EXTRACTION_EDGES.values(), ids=_EXTRACTION_EDGES)
+    def test_extraction_edges(self, values):
+        _assert_exact_total(values)
 
 
 _FAMILY = PowerFamily(1.0, 1.0, 0.5)
