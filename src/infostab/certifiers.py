@@ -163,13 +163,13 @@ def box_growth_constants(n, alpha):
 
 def _distance(points, gap):
     """sup |gap| over points as one _sweep block: exact, and a NaN or inf raises."""
-    return _sweep(lambda block: block, [(points, gap)]).sup
+    return _sweep(lambda block: block, [(points, gap)], mean=False).sup
 
 
 def _ternary_distance(F, G, pts, jobs):
     """sup over the rows of pts of |F - G|, two ternary functions."""
     gap = lambda P: np.asarray(F(*P.T)) - np.asarray(G(*P.T))
-    return _sweep(*_row_blocks(pts, gap), jobs=jobs).sup
+    return _sweep(*_row_blocks(pts, gap), jobs=jobs, mean=False).sup
 
 
 @dataclass(frozen=True)
@@ -266,7 +266,8 @@ def _fundamental_theorem(theorem, alpha: float):
 def _epsilon(f, alpha, resolution, closed, jobs, budget):
     """The equation defect's sup on the triangle lattice of the domain."""
     grid = TriangleGrid(resolution, closed=closed)
-    return residual(FundamentalParametric(alpha), f, grid, jobs=jobs, budget=budget).sup
+    kind = FundamentalParametric(alpha)
+    return residual(kind, f, grid, jobs=jobs, budget=budget, mean=False).sup
 
 
 def _certify_fundamental(theorem, f, alpha, resolution, closed, jobs, budget, epsilon):
@@ -456,7 +457,7 @@ def hyperstability_blowup_probe(
             return _summary(points, d, ranks), ()
         s = points[:, 0] + points[:, 1]
         sups = [float(np.max(d, where=s <= 1.0 - h + _MARGIN_SLACK, initial=0.0)) for h in hs]
-        return (d.size, -1.0, 0, 0, 0, ()), sups
+        return (d.size, -1.0, None, 0, 0, ()), sups
 
     blocks = list(_imap(maxima, items, jobs))
     _fold(summary for summary, _ in blocks)  # raises at the first non-finite defect
@@ -625,7 +626,7 @@ def certify_measure_sequence(
         j_rows = _sequence_candidate(v, coefficients, resolution)
         gap = lambda P: measure._eval_rows(P) - j_rows(P)
         blocks = _simplex_blocks(2, resolution, False, budget, gap)
-        distances[2] = _sweep(*blocks, jobs=jobs).sup
+        distances[2] = _sweep(*blocks, jobs=jobs, mean=False).sup
         for n in range(3, int(levels) + 1):
             split, dist = recursivity_defect(
                 measure, n, resolution, budget=budget, against=j_rows, jobs=jobs
@@ -681,7 +682,7 @@ def certify_entropy_equation(
     # six permutations of R^3 points, more than homogeneity's 4 R^2 samples
     _within_budget(6 * grid.resolution**3, budget)
     eps1 = symmetry_residual(H, grid, jobs=jobs).sup
-    eps2 = residual(EntropyEq(), H, grid, jobs=jobs, budget=budget).sup
+    eps2 = residual(EntropyEq(), H, grid, jobs=jobs, budget=budget, mean=False).sup
 
     def face(u, v):
         u = np.asarray(u, dtype=float)
@@ -811,7 +812,7 @@ def certify_associativity(
         u, v, w = P.T
         return np.asarray(A(u + v, w)) - np.asarray(B(u, v + w))
 
-    eps = _sweep(*_row_blocks(uvw, gap), jobs=jobs).sup
+    eps = _sweep(*_row_blocks(uvw, gap), jobs=jobs, mean=False).sup
 
     def phi(sv):
         sv = np.asarray(sv, dtype=float)
@@ -884,7 +885,7 @@ def certify_modified_entropy(
         raise ConfigurationError(f"box bound must be positive, got {n}")
     box = float(n)
     grid = ConeGrid(resolution, bound=box, budget=budget)
-    eps1 = residual(ModifiedEntropy(v), f, grid, jobs=jobs, budget=budget).sup
+    eps1 = residual(ModifiedEntropy(v), f, grid, jobs=jobs, budget=budget, mean=False).sup
     _within_budget(6 * grid.resolution**3, budget)
     eps2 = symmetry_residual(f, grid, jobs=jobs).sup
 
@@ -954,7 +955,7 @@ def certify_sum_form(
     if n < 3:
         raise ConfigurationError(f"the sum-form theorem needs n >= 3, got {n}")
     sums = lambda P: np.sum(np.asarray(phi(P)), axis=1)
-    eps = _sweep(*_simplex_blocks(n, resolution, True, budget, sums), jobs=jobs).sup
+    eps = _sweep(*_simplex_blocks(n, resolution, True, budget, sums), jobs=jobs, mean=False).sup
 
     xs = UnitGrid(resolution, closed=True).points
     pv = np.asarray(phi(xs))
@@ -1014,7 +1015,7 @@ def certify_sum_form_multiplicative(
         SimplexGrid(m, resolution, closed=True, budget=budget),
     )
     eps = residual(
-        SumFormMultiplicative(n, m), g, pair, jobs=jobs, budget=budget
+        SumFormMultiplicative(n, m), g, pair, jobs=jobs, budget=budget, mean=False
     ).sup
 
     xs = UnitGrid(resolution, closed=True).points
@@ -1098,7 +1099,7 @@ def certify_sum_form_mixed(
     fq = np.sum(np.asarray(f(gq.points)), axis=1)
     pa = np.sum(pow0(gp.points, av), axis=1)
     qb = np.sum(pow0(gq.points, bv), axis=1)
-    eps = _sweep(work, spans, jobs=jobs).sup
+    eps = _sweep(work, spans, jobs=jobs, mean=False).sup
 
     xs = UnitGrid(resolution, closed=True).points
     fv = np.asarray(f(xs))

@@ -32,6 +32,7 @@ import contextvars
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -607,12 +608,29 @@ def run(config, *, out_dir: str = ".", jobs: int = 1, dump_defects: bool = False
     try:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
-        raise NonFiniteDefectError("report.json would hold a NaN or infinite value") from exc
+        raise NonFiniteDefectError(
+            "report.json would hold a NaN or infinite value in field "
+            f"'{_non_finite_field(payload)}'"
+        ) from exc
     for name, write in files.values():
         write(os.path.join(out_dir, name))
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         fh.write(text + "\n")
     return code
+
+
+def _non_finite_field(value, path=""):
+    """The dotted path of the first NaN or infinite float in value, in
+    report.json's sorted-key order, or None if it holds none."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    if isinstance(value, dict):
+        items = ((f"{path}.{key}" if path else str(key), value[key]) for key in sorted(value))
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return None
+    return next(filter(None, (_non_finite_field(v, where) for where, v in items)), None)
 
 
 def _refuse_constant(name):

@@ -63,14 +63,16 @@ def pow0(x, alpha):
     Negative bases are a domain error; everything in this library lives on
     nonnegative coordinates.  One min reduction serves the domain check and
     the zero test; only a NaN minimum, which hides the other values, costs
-    a second look for negative bases.
+    a second look for negative bases.  A power past the float range is inf,
+    without a warning, as a power of zero with negative alpha is before the
+    convention replaces it.
     """
     arr = np.asarray(x, dtype=float)
     least = float(arr.min(initial=math.inf))
     if not least >= 0.0 and (arr < 0).any():
         bad = float(arr[arr < 0].flat[0])
         raise DomainError(f"negative base {bad!r} in convention power")
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         out = np.power(arr, alpha)
     # also for alpha > 0, where np.power(-0.0, 3.0) is -0.0
     if not least > 0.0:

@@ -8,8 +8,11 @@ each block's sum of |defect| is an exact integer, extracted a few leading
 bits of the whole block at a time (_exact_total, with a decode of the IEEE
 bits as its fallback for extreme ranges), so the total does not depend on
 block order.  The mean is that total rounded once, then divided by the
-count, like ``math.fsum(v) / n``, bit for bit.  A NaN or infinite defect
-raises NonFiniteDefectError.
+count, like ``math.fsum(v) / n``, bit for bit.  Only a sweep that asks for
+the mean pays for the totals: with mean=False (every certifier's sweep,
+which reads the sup alone) no block computes one and the report's mean is
+None.  A NaN or infinite defect raises NonFiniteDefectError, so numpy's
+overflow and invalid-value warnings are off while a block runs.
 
 Every sweep has one block contract: work(item) returns (points, defects),
 and value i of defects belongs to row i % len(points), so a block that
@@ -35,17 +38,21 @@ is exact for k < 2^51.  A reduction sweeps it mirrored: point (j, i) needs f
 at the two quotients y/(1-x) and x/(1-y) of (i, j), so a block of the points
 with i <= j and their mirrors evaluates f once per point and yields each
 defect with the lexicographic rank of its point; _summary and _fold break
-sup ties and pick the first non-finite point by least rank.  Every defect
-is bit-identical to the per-point expression.
+sup ties and pick the first non-finite point by least rank.  A point and
+its mirror also share their node-table gathers and their two products, so
+each pair gathers and multiplies once.  Every defect is bit-identical to
+the per-point expression.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -253,7 +260,7 @@ class InfoFunctionForm:
 @dataclass(frozen=True)
 class ResidualReport:
     sup: float
-    mean: float
+    mean: Optional[float]  # None for a sweep that skipped its exact total
     argmax_point: tuple
     samples: int
 
@@ -264,7 +271,9 @@ def certificate_slack(bound) -> float:
 
 
 def _passes(value, bound) -> bool:
-    return float(value) <= float(bound) + certificate_slack(bound)
+    """value <= bound plus the slack; a NaN or infinite value or bound never passes."""
+    v, b = float(value), float(bound)
+    return math.isfinite(v) and math.isfinite(b) and v <= b + certificate_slack(b)
 
 
 # Exact sums.  _exact_total extracts the leading bits of a whole block at once
@@ -328,11 +337,12 @@ def _decode(values):
     return total
 
 
-def _summary(points, defects, ranks=None):
+def _summary(points, defects, ranks=None, *, mean=True):
     """(size, sup, exact total, non-finite count, rank, point) of one block of
     |defects|; rank and point are the sup's, or the first non-finite value's.
     Value i belongs to row i % len(points) and ranks 0, so _fold keeps the
-    earlier of two blocks; a mirrored block ranks it ranks[i] instead."""
+    earlier of two blocks; a mirrored block ranks it ranks[i] instead.  The
+    total is None unless mean is true."""
     ab = np.abs(np.asarray(defects, dtype=float)).ravel()
     i = int(np.argmax(ab))  # the first NaN, else the first inf, else the max
     bad = None if math.isfinite(ab[i]) else ~np.isfinite(ab)
@@ -343,7 +353,8 @@ def _summary(points, defects, ranks=None):
     rank = 0 if ranks is None else int(ranks[i])
     if bad is None:
         sup = float(ab[i])
-        return ab.size, sup, _exact_total(ab, sup), 0, rank, _row(points, i)
+        total = _exact_total(ab, sup) if mean else None
+        return ab.size, sup, total, 0, rank, _row(points, i)
     return ab.size, -1.0, 0, int(np.count_nonzero(bad)), rank, _row(points, i)
 
 
@@ -365,8 +376,11 @@ def _imap(fn, items, jobs):
     only on the calling thread.  An error is raised at its item's place, as
     map raises it; the pending items are then cancelled and every worker
     thread has ended before the error propagates.  A sweep of one item
-    starts no thread.
+    starts no thread.  Each item runs with numpy's overflow and invalid-value
+    warnings off, set in the thread that runs it: a sweep reports every NaN
+    or infinite value it meets with NonFiniteDefectError.
     """
+    fn = functools.partial(_quiet, fn)
     items = iter(items)
     head = list(itertools.islice(items, 2)) if jobs > 1 else []
     if len(head) < 2:
@@ -388,14 +402,20 @@ def _imap(fn, items, jobs):
                 future.cancel()
 
 
-def _sweep(work, items, *, jobs=1):
+def _quiet(fn, item):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return fn(item)
+
+
+def _sweep(work, items, *, jobs=1, mean=True):
     """Reduce work(item) -> (points, defects) over items to one report.
 
     Each block is summarised where it is computed, in a worker thread when
     jobs > 1, so no defect array outlives its block, and the summaries are
-    folded in item order.
+    folded in item order.  With mean false no block computes its exact total
+    and the report's mean is None.
     """
-    summaries = _imap(lambda item: _summary(*work(item)), items, jobs)
+    summaries = _imap(lambda item: _summary(*work(item), mean=mean), items, jobs)
     return _fold(summaries)
 
 
@@ -404,11 +424,13 @@ def _fold(summaries):
     non-finite point are of least rank, then of the earlier block, and the
     mean is the exact total rounded once, then divided by the sample count,
     like math.fsum(v) / n; a total past the float range is divided by the
-    count before its one rounding."""
+    count before its one rounding.  A block without a total (None) leaves the
+    mean None."""
     size = total = bad = 0
     sup, sup_rank, point, first = -1.0, 0, (), None
     for n, block_sup, block_total, block_bad, rank, block_point in summaries:
-        size, total, bad = size + n, total + block_total, bad + block_bad
+        size, bad = size + n, bad + block_bad
+        total = None if None in (total, block_total) else total + block_total
         if block_bad and (first is None or rank < first[0]):
             first = rank, block_point
         if block_sup > sup or block_sup == sup and rank < sup_rank:
@@ -417,11 +439,14 @@ def _fold(summaries):
         raise _non_finite(bad, size, first[1])
     if size == 0:
         raise ConfigurationError("empty grid: nothing to sweep")
-    try:
-        mean = total / (1 << _SCALE) / size
-    except OverflowError:
-        # the sum passes the float range, the mean of finite values does not
-        mean = total / ((1 << _SCALE) * size)
+    if total is None:
+        mean = None
+    else:
+        try:
+            mean = total / (1 << _SCALE) / size
+        except OverflowError:
+            # the sum passes the float range, the mean of finite values does not
+            mean = total / ((1 << _SCALE) * size)
     return ResidualReport(
         sup=sup,
         mean=mean,
@@ -488,10 +513,13 @@ def _fundamental_kernel(f, alpha, grid):
     the quotients of (i, j), so a mirrored block keeps the points with
     i <= j of _CHUNK / 2 rows of grid.points, adds the mirrors of those off
     the diagonal, evaluates f once per point, at y/(1-x), and reads f at
-    x/(1-y) from the mirror.  It returns the points, their defects and their
-    lexicographic ranks (row start plus j - lo).  Every defect is the
-    per-point expression's, bit for bit, and a DomainError replays the
-    per-point sweep to raise the first it meets.
+    x/(1-y) from the mirror.  A point (i, j) off the diagonal and its mirror
+    share A = f(x), C = f(y), B = (1-x)^a f(y/(1-x)) and E = (1-y)^a
+    f(x/(1-y)): their defects are ((A + B) - C) - E and ((C + E) - A) - B.
+    It returns the points, their defects and their lexicographic ranks (row
+    start plus j - lo).  Every defect is the per-point expression's, bit for
+    bit, and a DomainError replays the per-point sweep to raise the first it
+    meets.
     """
     r, lo = grid.resolution, 0 if grid.closed else 1
     pts = grid.points
@@ -526,16 +554,34 @@ def _fundamental_kernel(f, alpha, grid):
 
     def mirrored(span):
         i, j = (np.rint(pts[span[0] : span[1]] * r).astype(np.intp) - lo).T
-        off = np.flatnonzero(i < j)
-        io, jo, ii, n = i[off], j[off], i[i == j], off.size
-        # the points with i < j, those with i == j, then the mirrors of the first
-        i, j = np.concatenate((io, ii, jo)), np.concatenate((jo, ii, io))
-        m, xy = i.size - n, np.empty((2, i.size))
-        xy[0], xy[1] = nodes[i], nodes[j]
-        fq = np.broadcast_to(f(_quotient(xy[1], xy[0])), i.shape)
-        # x/(1-y) is y/(1-x) of the mirror, and of the point itself if i == j
-        fp = np.concatenate((fq[m:], fq[n:m], fq[:n]))
-        return xy.T, expression(i, j, fq, fp), start[i] + j
+        off = i < j
+        io, jo, ii = i[off], j[off], i[i == j]
+        # the points with i < j in [:n], those with i == j in [n:m], then the
+        # mirrors of the first in [m:]
+        n = io.size
+        m = n + ii.size
+        xy, ranks = np.empty((2, m + n)), np.empty(m + n, np.intp)
+        np.take(nodes, io, out=xy[0, :n])
+        np.take(nodes, jo, out=xy[1, :n])
+        np.take(nodes, ii, out=xy[0, n:m])
+        xy[1, n:m], xy[0, m:], xy[1, m:] = xy[0, n:m], xy[1, :n], xy[0, :n]
+        np.add(start[io], jo, out=ranks[:n])
+        np.add(start[ii], ii, out=ranks[n:m])
+        np.add(start[jo], io, out=ranks[m:])
+        fq = np.broadcast_to(f(_quotient(xy[1], xy[0])), ranks.shape)
+        # x/(1-y) of a point is y/(1-x) of its mirror, so the pair shares its
+        # four terms; each defect is expression's ((A + B) - C) - E at its point
+        a, c = fk[io], fk[jo]
+        b, e = pk[io] * fq[:n], pk[jo] * fq[m:]
+        d = np.empty(m + n)
+        np.add(a, b, out=d[:n])
+        d[:n] -= c
+        d[:n] -= e
+        np.add(c, e, out=d[m:])
+        d[m:] -= a
+        d[m:] -= b
+        d[n:m] = expression(ii, ii, fq[n:m], fq[n:m])
+        return xy.T, d, ranks
 
     # a block holds at most _CHUNK values, and rows past node (R - lo) // 2 keep none
     last = int(end[(r - lo) // 2 - lo])
@@ -692,9 +738,11 @@ def residual(
     *,
     jobs: int = 1,
     budget: int = 10**7,
+    mean: bool = True,
 ) -> ResidualReport:
-    """Sweep one equation's defect over a grid and reduce it to a report."""
-    return _sweep(*_blocks(kind, fns, grid, budget, mirrored=True), jobs=jobs)
+    """Sweep one equation's defect over a grid and reduce it to a report; with
+    mean false the sweep skips the exact total and the report's mean is None."""
+    return _sweep(*_blocks(kind, fns, grid, budget, mirrored=True), jobs=jobs, mean=mean)
 
 
 def dump_defects_csv(kind, fns, grid, path, *, budget: int = 10**7):

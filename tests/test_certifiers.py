@@ -152,6 +152,16 @@ class TestDerivedVerdicts:
         assert replace(cert, distance=edge).satisfied is True
         assert replace(cert, distance=above).satisfied is False
 
+    def test_infinite_bound_is_not_satisfied(self):
+        # K * epsilon overflows: a verdict against an infinite bound proves nothing
+        f = FunctionSum((PowerFamily(2.0, 1.0, 0.5), ScaledBump(0.5, 0.2, 1e307)))
+        cert = certify_fundamental_open(f, alpha=0.5, resolution=16)
+        assert math.isfinite(cert.epsilon) and math.isfinite(cert.distance)
+        assert cert.bound == math.inf and cert.satisfied is False
+        for value, bound in [(1.0, math.inf), (math.inf, math.inf), (math.nan, 1.0),
+                             (1.0, math.nan), (-math.inf, 1.0)]:
+            assert _passes(value, bound) is False
+
     def test_associativity_bounds_follow_epsilon(self):
         UVW = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
         cert = certify_associativity(ProductUV(1.0), ProductUV(1.0), *UVW, 8)
@@ -337,6 +347,30 @@ class TestHyperstable:
     def test_singular_anchor_system(self):
         with pytest.raises(UnsupportedParameterError):
             _hyperstable_fit(PowerFamily(1.0, 1.0, 0.0), 0.0)
+
+
+class TestSupOnlySweeps:
+    def test_certificates_compute_no_exact_total(self, monkeypatch, tmp_path):
+        # no certificate reads a mean, so none of their sweeps pays for the
+        # exact total; the residual job writes the mean and does
+        import infostab.equations as equations
+        from infostab.cli import run
+
+        calls = []
+        real = equations._exact_total
+        monkeypatch.setattr(equations, "_exact_total", lambda *a: calls.append(1) or real(*a))
+        noisy = FunctionSum((PowerFamily(2.0, 1.0, 0.5), ScaledBump(0.4, 0.2, 1e-3)))
+        noisy_neg = FunctionSum((PowerFamily(1.0, 1.0, -1.0), ScaledBump(0.4, 0.2, 1e-3)))
+        for jobs in (1, 2):
+            certify_fundamental_open(noisy, 0.5, 300, jobs=jobs)
+            certify_fundamental_closed(noisy, 0.5, 300, jobs=jobs)
+            certify_hyperstable(noisy_neg, -1.0, 300, jobs=jobs)
+        assert calls == []
+        config = {"schema": 1, "job": "residual", "equation": "fundamental", "alpha": 0.5,
+                  "function": _plain(noisy), "grid": {"kind": "triangle", "resolution": 64}}
+        run(config, out_dir=str(tmp_path))
+        assert calls
+        assert json.loads((tmp_path / "report.json").read_text())["result"]["mean"] > 0.0
 
 
 class TestBlowupProbe:

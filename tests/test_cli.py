@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -21,7 +22,7 @@ from infostab import (
     residual,
     stability_constant_K,
 )
-from infostab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main, run
+from infostab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, _non_finite_field, main, run
 
 from _helpers import sampled
 
@@ -1203,8 +1204,53 @@ class TestNonFiniteReports:
         (tmp_path / "certify").mkdir()
         code, out = self.run_main(tmp_path / "certify", json.dumps(config))
         assert code == EXIT_CONFIG
-        assert capsys.readouterr().err == "error: report.json would hold a NaN or infinite value\n"
+        assert capsys.readouterr().err == (
+            "error: report.json would hold a NaN or infinite value in field 'result.bound'\n"
+        )
         assert not (out / "report.json").exists()
+
+    def test_first_non_finite_field_in_report_order(self):
+        nan, inf = float("nan"), float("inf")
+        payload = {"result": {"rows": [[0.5, 1.0], [0.25, inf]], "bound": 2.0,
+                              "certificates": [{"epsilon": 1.0}, {"epsilon": nan}]},
+                   "config": {"alpha": 0.5, "margins": (0.25, -inf)}}
+        assert _non_finite_field(payload) == "config.margins[1]"
+        del payload["config"]
+        # sorted keys: certificates before rows
+        assert _non_finite_field(payload) == "result.certificates[1].epsilon"
+        assert _non_finite_field({"result": {"bound": 1.0, "note": "inf"}}) is None
+
+    @pytest.mark.parametrize("config, message", [
+        ({"schema": 1, "job": "blowup", "alpha": -2000.0, "margins": [0.25], "resolution": 512,
+          "function": {"kind": "power_family", "a": 1.0, "b": 1.0, "alpha": -2000.0}},
+         "130305 of 130305 defects are NaN or infinite, the first at (0.001953125, 0.001953125)"),
+        ({"schema": 1, "job": "certify", "theorem": "modified_entropy", "alpha": 2000.0,
+          "n": 1.0, "resolution": 40, "function": {**MODIFIED_SOLUTION, "alpha": 2000.0}},
+         "11040 of 64000 defects are NaN or infinite, the first at (0.025, 0.45, 1.0)"),
+        ({"schema": 1, "job": "certify", "theorem": "sum_form_mixed", "alpha": -2000.0,
+          "beta": 2.0, "n": 3, "m": 3, "resolution": 8,
+          "function": {"kind": "power_law", "scale": 0.6, "alpha": 0.5}},
+         "1890 of 2025 defects are NaN or infinite, "
+         "the first at (0.0, 0.125, 0.875, 0.0, 0.0, 1.0)"),
+        ({"schema": 1, "job": "measure", "resolution": 8, "measure": {
+            "generator": {"kind": "power_family", "a": -2.0, "b": -2.0, "alpha": -2000.0},
+            "alpha": -2000.0, "max_n": 4}},
+         "14 of 14 defects are NaN or infinite, the first at (0.125, 0.875)"),
+    ], ids=["blowup", "modified_entropy", "sum_form_mixed", "measure"])
+    def test_extreme_alpha_prints_only_the_error(self, tmp_path, capsys, config, message):
+        # numpy's overflow and invalid-value warnings stay off in every
+        # sweep thread; the sweep itself reports the NaN and infinite defects
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        for jobs in ("1", "2"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["--config", str(path), "--out", str(tmp_path / "out"),
+                             "--jobs", jobs])
+            assert code == EXIT_CONFIG
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert [str(w.message) for w in caught] == []
+            assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("config", [
         {"schema": 1, "job": "sweep", "target": "constants", "alphas": ["x"]},

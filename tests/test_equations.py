@@ -916,6 +916,37 @@ _OVER_BUDGET.update(
 )
 
 
+_NOISY_POWER = FunctionSum((PowerFamily(2.0, 1.0, 0.5), ScaledBump(0.4, 0.2, 1e-3)))
+_SIMPLEX_PAIR = (SimplexGrid(3, 20, closed=True),) * 2
+# every equation kind on a lattice of more than one block
+_EVERY_KIND = {
+    "fundamental_open": (FundamentalParametric(0.5), _NOISY_POWER, TriangleGrid(400)),
+    "fundamental_closed": (
+        FundamentalParametric(0.5), _NOISY_POWER, TriangleGrid(400, closed=True)
+    ),
+    "sum_form_additive": (SumFormAdditive(3, 3), _NOISY_POWER, _SIMPLEX_PAIR),
+    "sum_form_alpha": (SumFormAlpha(0.5, 3, 3), _NOISY_POWER, _SIMPLEX_PAIR),
+    "sum_form_multiplicative": (SumFormMultiplicative(3, 3), _NOISY_POWER, _SIMPLEX_PAIR),
+    "info_function_form": (InfoFunctionForm(), (ShannonInfo(), XLogX(-1.0)), UnitGrid(40_000)),
+    **{name: (k, f, g(300) if g is UnitGrid else g(40))
+       for name, (k, f, g) in _PAIR_AND_CONE_KINDS.items()},
+}
+
+
+class TestSupOnlySweeps:
+    @pytest.mark.parametrize("name", sorted(_EVERY_KIND))
+    def test_sup_only_report_keeps_every_other_field(self, name):
+        kind, fns, grid = _EVERY_KIND[name]
+        assert len(_blocks(kind, fns, grid, 10**7, mirrored=True)[1]) > 1
+        want = residual(kind, fns, grid)
+        assert want.mean > 0.0
+        for jobs in (1, 2):
+            got = residual(kind, fns, grid, jobs=jobs, mean=False)
+            assert got.mean is None
+            assert got.sup.hex() == want.sup.hex()
+            assert (got.argmax_point, got.samples) == (want.argmax_point, want.samples)
+
+
 class TestBudget:
     @pytest.mark.parametrize("sweep", sorted(_OVER_BUDGET))
     def test_every_sweep_refuses_with_one_message(self, tmp_path, sweep):
