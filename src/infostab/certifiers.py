@@ -430,6 +430,21 @@ def _probe_lattice(margins, resolution, budget):
     return hs, grid
 
 
+def _margin_maxima(points, d, hs):
+    """The maxima of a mirrored block's |defects| d over x + y <= 1 - h, for
+    each margin h in hs.  The block holds the points with x < y, those with
+    x == y, then the mirrors of the first (the points with x > y).  A point
+    and its mirror have the same x + y, bit for bit, and a max is exact, so
+    each pair keeps its larger value, written over d's first rows, and only
+    the kept points' x + y are formed."""
+    x, y = points[:, 0], points[:, 1]
+    pairs = int(np.count_nonzero(x > y))
+    kept = d.size - pairs
+    np.maximum(d[:pairs], d[kept:], out=d[:pairs])
+    d, s = d[:kept], x[:kept] + y[:kept]
+    return [float(np.max(d, where=s <= 1.0 - h + _MARGIN_SLACK, initial=0.0)) for h in hs]
+
+
 def hyperstability_blowup_probe(
     f, alpha, margins, resolution: int = 2048, *, budget: int = 10**7, jobs: int = 1
 ):
@@ -450,14 +465,12 @@ def hyperstability_blowup_probe(
 
     def maxima(item):
         # the block's summary, of its size alone when every defect is finite,
-        # and its per-margin maxima; x + y is the same at a point's mirror
+        # and its per-margin maxima
         points, d, ranks = work(item)
         d = np.abs(d)
         if not np.isfinite(d).all():
             return _summary(points, d, ranks), ()
-        s = points[:, 0] + points[:, 1]
-        sups = [float(np.max(d, where=s <= 1.0 - h + _MARGIN_SLACK, initial=0.0)) for h in hs]
-        return (d.size, -1.0, None, 0, 0, ()), sups
+        return (d.size, -1.0, None, 0, 0, ()), _margin_maxima(points, d, hs)
 
     blocks = list(_imap(maxima, items, jobs))
     _fold(summary for summary, _ in blocks)  # raises at the first non-finite defect
@@ -621,20 +634,20 @@ def certify_measure_sequence(
 
     distances = {}
     if not statement:
-        eps = [check_semisymmetry3(measure, resolution, budget=budget, jobs=jobs).sup]
+        # every sweep here reads its sup alone
+        sup_only = {"budget": budget, "jobs": jobs, "mean": False}
+        eps = [check_semisymmetry3(measure, resolution, **sup_only).sup]
         # built once the budget has bounded the resolution
         j_rows = _sequence_candidate(v, coefficients, resolution)
         gap = lambda P: measure._eval_rows(P) - j_rows(P)
         blocks = _simplex_blocks(2, resolution, False, budget, gap)
         distances[2] = _sweep(*blocks, jobs=jobs, mean=False).sup
         for n in range(3, int(levels) + 1):
-            split, dist = recursivity_defect(
-                measure, n, resolution, budget=budget, against=j_rows, jobs=jobs
-            )
+            split, dist = recursivity_defect(measure, n, resolution, against=j_rows, **sup_only)
             eps.append(split.sup)
             distances[n] = dist.sup
         if levels == 2:  # the level-2 bound still reads eps_2
-            eps.append(recursivity_defect(measure, 3, resolution, budget=budget, jobs=jobs).sup)
+            eps.append(recursivity_defect(measure, 3, resolution, **sup_only).sup)
 
     rows = []
     for n in range(2, int(levels) + 1):
@@ -681,14 +694,14 @@ def certify_entropy_equation(
     grid = ConeGrid(resolution, bound=bound, budget=budget)
     # six permutations of R^3 points, more than homogeneity's 4 R^2 samples
     _within_budget(6 * grid.resolution**3, budget)
-    eps1 = symmetry_residual(H, grid, jobs=jobs).sup
+    eps1 = symmetry_residual(H, grid, jobs=jobs, mean=False).sup
     eps2 = residual(EntropyEq(), H, grid, jobs=jobs, budget=budget, mean=False).sup
 
     def face(u, v):
         u = np.asarray(u, dtype=float)
         return H(u, v, np.zeros_like(u))
 
-    eps3 = homogeneity_residual(face, v, PairGrid(resolution, bound), jobs=jobs).sup
+    eps3 = homogeneity_residual(face, v, PairGrid(resolution, bound), jobs=jobs, mean=False).sup
 
     proxy = False
     tau = 0.0
@@ -887,7 +900,7 @@ def certify_modified_entropy(
     grid = ConeGrid(resolution, bound=box, budget=budget)
     eps1 = residual(ModifiedEntropy(v), f, grid, jobs=jobs, budget=budget, mean=False).sup
     _within_budget(6 * grid.resolution**3, budget)
-    eps2 = symmetry_residual(f, grid, jobs=jobs).sup
+    eps2 = symmetry_residual(f, grid, jobs=jobs, mean=False).sup
 
     r = int(resolution)
     s_nodes = np.arange(3, 3 * r + 1) * (box / r)

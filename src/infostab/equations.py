@@ -767,8 +767,11 @@ _PERMS3 = (
 )
 
 
-def symmetry_residual(F: TernaryFunction, grid: ConeGrid, *, jobs: int = 1) -> ResidualReport:
-    """sup over all six argument permutations of |F(P) - F(sigma P)|."""
+def symmetry_residual(
+    F: TernaryFunction, grid: ConeGrid, *, jobs: int = 1, mean: bool = True
+) -> ResidualReport:
+    """sup over all six argument permutations of |F(P) - F(sigma P)|; with
+    mean false the report's mean is None and no exact total is computed."""
     pts = _expect_grid(grid, ConeGrid, "symmetry").points
 
     def gaps(block):
@@ -776,7 +779,7 @@ def symmetry_residual(F: TernaryFunction, grid: ConeGrid, *, jobs: int = 1) -> R
         vals = [np.asarray(F(*(block[:, i] for i in perm))) for perm in _PERMS3]
         return np.concatenate([v - vals[0] for v in vals])
 
-    return _sweep(*_row_blocks(pts, gaps), jobs=jobs)
+    return _sweep(*_row_blocks(pts, gaps), jobs=jobs, mean=mean)
 
 
 def homogeneity_residual(
@@ -785,9 +788,11 @@ def homogeneity_residual(
     grid: PairGrid,
     *,
     jobs: int = 1,
+    mean: bool = True,
 ) -> ResidualReport:
     """sup over the scales t in (1/4, 1/2, 2, 4) and the grid pairs of
-    |F(tu, tv) - t^alpha F(u, v)|."""
+    |F(tu, tv) - t^alpha F(u, v)|; with mean false the report's mean is None
+    and no exact total is computed."""
     a = float(alpha)
     # the largest t**alpha; certify_entropy_equation checks it before its first sweep
     _finite(f"4**|alpha| at alpha = {a!r}", lambda: 4.0 ** abs(a))
@@ -799,4 +804,4 @@ def homogeneity_residual(
         base = np.asarray(F(u, v))
         return np.concatenate([np.asarray(F(t * u, t * v)) - (t**a) * base for t in ts])
 
-    return _sweep(*_row_blocks(pts, gaps), jobs=jobs)
+    return _sweep(*_row_blocks(pts, gaps), jobs=jobs, mean=mean)

@@ -16,9 +16,15 @@ Distributions are validated at the public entry only: eval_rows (and eval)
 scan their rows for positivity and unit sums, while the lattice sweeps,
 whose rows are interior simplex points by construction, evaluate through
 _eval_rows, which keeps only the level check.  The splitting defect runs one
-recursion per block: _split returns I_n(P) together with the I_{n-1} value,
-the (p1+p2)^alpha weight and the level-2 generator value it was built from,
-and the same recursion can also give a block's distance to a candidate.
+recursion per block: _split returns I_n(P) together with the I_{n-1} value
+and the product (p1+p2)^alpha I_2(...) it was built from, and the same
+recursion can also give a block's distance to a candidate.  A splitting step
+above the deepest reads only a running sum and one column, which stay the
+same over the rows under one leading prefix, so it is evaluated once per run
+of rows whose two inputs have equal bits, where at most half the rows start
+a run (permuted rows are evaluated row by row); any rows, from a lattice or
+not, get the per-row values bit for bit.  check_semisymmetry3 and
+recursivity_defect take mean=False for a caller that reads the sup alone.
 """
 
 from __future__ import annotations
@@ -139,13 +145,15 @@ class InformationMeasure:
 
     def _split(self, P: np.ndarray):
         """The top splitting step at level n >= 3, from one pass:
-        (I_n(P), I_{n-1}(p1+p2, p3 ...), (p1+p2)^alpha, f(p2/(p1+p2))).
+        (I_n(P), I_{n-1}(p1+p2, p3 ...), (p1+p2)^alpha f(p2/(p1+p2))).
 
         The recursion is unrolled bottom up, in the order it evaluates.  Its
         level-k rows are (p1+...+p_{n-k+1}, p_{n-k+2} ... p_n), and their
         merged first coordinates are the running sums of P, added left to
         right as the recursion adds them; a level's rows are built only where
-        a perturbation reads them."""
+        a perturbation reads them.  A step's term reads only its running sum
+        and the column it splits off, so every step above the deepest
+        evaluates it once per run of rows (_term)."""
         n = P.shape[1]
         sums = [P[:, 0]]
         for j in range(1, n - 1):
@@ -154,13 +162,30 @@ class InformationMeasure:
         for k in range(3, n + 1):
             i = n + 1 - k  # the column split off from the running sum at level k
             inner = out
-            weight = pow0(sums[i], self.alpha)
-            g2 = np.asarray(self.generator(P[:, i] / sums[i]))
-            out = inner + weight * g2
+            term = self._term(sums[i], P[:, i], runs=k > 3)
+            out = inner + term
             for pert in self._noise_at(k):
                 rows = P if k == n else np.concatenate([sums[i - 1][:, None], P[:, i:]], axis=1)
                 out = out + pert.values(rows)
-        return out, inner, weight, g2
+        return out, inner, term
+
+    def _term(self, s, p, *, runs=False):
+        """s^alpha f(p/s) for float64 columns s and p.  With runs, where at
+        most half the rows start a run of consecutive rows whose s and p
+        have the same bits (on a lattice block, the rows under one leading
+        prefix form a run), the term is evaluated once per run and repeated
+        over it; other rows, such as permuted ones, are evaluated row by row.
+        Any rows get the per-row values bit for bit."""
+        if runs:
+            edges = np.empty(s.size + 1, dtype=bool)  # a run starts, or the rows end
+            edges[0] = edges[-1] = True
+            sb, pb = s.view(np.uint64), p.view(np.uint64)
+            np.not_equal(sb[1:], sb[:-1], out=edges[1:-1])
+            edges[1:-1] |= pb[1:] != pb[:-1]
+            if 2 * (np.count_nonzero(edges) - 1) <= s.size:
+                at = np.flatnonzero(edges)
+                return self._term(s[at[:-1]], p[at[:-1]]).repeat(np.diff(at))
+        return pow0(s, self.alpha) * np.asarray(self.generator(p / s))
 
     def eval(self, p) -> float:
         """Evaluate I_n at a single distribution."""
@@ -184,14 +209,20 @@ def check_symmetry(
 
 
 def check_semisymmetry3(
-    measure: InformationMeasure, resolution: int, *, budget: int = 10**6, jobs: int = 1
+    measure: InformationMeasure,
+    resolution: int,
+    *,
+    budget: int = 10**6,
+    jobs: int = 1,
+    mean: bool = True,
 ) -> ResidualReport:
-    """sup over the interior 3-simplex of |I_3(p1,p2,p3) - I_3(p1,p3,p2)|."""
+    """sup over the interior 3-simplex of |I_3(p1,p2,p3) - I_3(p1,p3,p2)|;
+    with mean false the report's mean is None and no exact total is computed."""
     grid = SimplexGrid(3, resolution, budget=budget)
     _within_budget(grid.count, budget)
     pts = grid.points
     swap = lambda P: measure._eval_rows(P[:, (0, 2, 1)]) - measure._eval_rows(P)
-    return _sweep(*_row_blocks(pts, swap), jobs=jobs)
+    return _sweep(*_row_blocks(pts, swap), jobs=jobs, mean=mean)
 
 
 def check_additivity(
@@ -251,6 +282,7 @@ def recursivity_defect(
     budget: int = 10**6,
     against=None,
     jobs: int = 1,
+    mean: bool = True,
 ):
     """sup over the interior n-lattice of the level-n splitting defect
 
@@ -259,22 +291,24 @@ def recursivity_defect(
     With against, a callable J on the lattice's rows, the same stream also
     measures the distance |I_n(P) - J(P)|: one recursion per block gives both
     defects, and the pair (splitting report, distance report) is returned.
+    With mean false every report's mean is None and no exact total is
+    computed.
     """
     if n < 3:
         raise ConfigurationError(f"recursivity defect needs n >= 3, got {n}")
 
     def split(P):
         measure._check_level(n)
-        out, inner, weight, g2 = measure._split(P)
-        return out, out - inner - weight * g2
+        out, inner, term = measure._split(P)
+        return out, out - inner - term
 
     if against is None:
         blocks = _simplex_blocks(n, resolution, False, budget, lambda P: split(P)[1])
-        return _sweep(*blocks, jobs=jobs)
+        return _sweep(*blocks, jobs=jobs, mean=mean)
 
     def both(P):
         out, defect = split(P)
-        return _summary(P, defect), _summary(P, out - against(P))
+        return _summary(P, defect, mean=mean), _summary(P, out - against(P), mean=mean)
 
     work, blocks = _simplex_blocks(n, resolution, False, budget, both)
     splits, gaps = zip(*_imap(lambda P: work(P)[1], blocks, jobs))

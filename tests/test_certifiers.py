@@ -59,6 +59,7 @@ from infostab import (
     certify_sum_form,
     certify_sum_form_mixed,
     certify_sum_form_multiplicative,
+    check_semisymmetry3,
     hyperstability_blowup_probe,
     pow0,
     residual,
@@ -66,7 +67,7 @@ from infostab import (
     stability_constant_K,
     stability_constant_T,
 )
-from infostab.certifiers import _hyperstable_fit, _lattice_pow0
+from infostab.certifiers import _MARGIN_SLACK, _hyperstable_fit, _lattice_pow0, _margin_maxima
 from infostab.equations import _passes
 from infostab.models import _plain
 
@@ -372,6 +373,27 @@ class TestSupOnlySweeps:
         assert calls
         assert json.loads((tmp_path / "report.json").read_text())["result"]["mean"] > 0.0
 
+    def test_sequence_and_cone_certificates_compute_no_exact_total(self, monkeypatch):
+        # their semi-symmetry, recursivity, symmetry and homogeneity sweeps
+        # read the sup alone; the public checks keep their mean
+        import infostab.equations as equations
+
+        calls = []
+        real = equations._exact_total
+        monkeypatch.setattr(equations, "_exact_total", lambda *a: calls.append(1) or real(*a))
+        noise = (LevelNoise(3, 3e-5, 11), LevelNoise(4, 5e-5, 12))
+        measure = InformationMeasure(PowerFamily(kappa(0.5), kappa(0.5), 0.5), 0.5, 6, noise)
+        modified = ModifiedEntropySolution(0.4, 2.0, XLogX(1.0))
+        for jobs in (1, 2):
+            # levels 2 and 3 on lattices of two blocks, and the upper steps
+            for levels, r in ((2, 300), (3, 300), (5, 30)):
+                certify_measure_sequence(measure, levels, r, jobs=jobs)
+            certify_entropy_equation(EntropySolution(0.7, 2.0), 2.0, 33, jobs=jobs)
+            certify_modified_entropy(modified, 2.0, 1.0, 33, jobs=jobs)
+        assert calls == []
+        assert check_semisymmetry3(measure, 300).mean > 0.0
+        assert calls
+
 
 class TestBlowupProbe:
     MARGINS = [2.0**-k for k in range(3, 10)]
@@ -406,6 +428,27 @@ class TestBlowupProbe:
             hyperstability_blowup_probe(f, -1.0, [0.9375, 0.5], resolution=16)
         rows = hyperstability_blowup_probe(f, -1.0, [0.875, 0.5], resolution=16)
         assert [h for h, _ in rows] == [0.875, 0.5]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        r=st.integers(4, 40),
+        data=st.data(),
+        margins=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=7, unique=True),
+    )
+    def test_folded_pairs_keep_every_margin_maximum(self, r, data, margins):
+        # a mirrored block: the points with i < j, the diagonal, then the
+        # mirrors, with |defects| drawn from few values so that pairs tie
+        ij = [(i, j) for i in range(1, r) for j in range(i, r - i)]
+        picked = data.draw(st.lists(st.sampled_from(ij), min_size=1, max_size=80, unique=True))
+        off = [(i, j) for i, j in picked if i < j]
+        rows = off + [(i, j) for i, j in picked if i == j] + [(j, i) for i, j in off]
+        xy = np.ascontiguousarray((np.array(rows, dtype=float) / r).T)
+        d = np.array(data.draw(st.lists(st.sampled_from([0.0, 1e-3, 0.5, 2.0, 7.25]),
+                                        min_size=len(rows), max_size=len(rows))))
+        hs = sorted(margins, reverse=True)
+        s = xy[0] + xy[1]
+        want = [float(np.max(d, where=s <= 1.0 - h + _MARGIN_SLACK, initial=0.0)) for h in hs]
+        assert _margin_maxima(xy.T, d.copy(), hs) == want
 
 
 def _streamed_levels(monkeypatch):

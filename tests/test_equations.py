@@ -8,6 +8,7 @@ import re
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -673,8 +674,9 @@ class TestSymmetryHomogeneity:
             return np.stack([F(t * u, t * v) - t**2.0 * F(u, v) for t in ts])
 
         cases = (
-            (Skewed, cone, lambda F: symmetry_residual(F, cone, jobs=jobs), symmetry_whole),
-            (Tilted, pairs, lambda F: homogeneity_residual(F, 2.0, pairs, jobs=jobs),
+            (Skewed, cone, lambda F, **kw: symmetry_residual(F, cone, jobs=jobs, **kw),
+             symmetry_whole),
+            (Tilted, pairs, lambda F, **kw: homogeneity_residual(F, 2.0, pairs, jobs=jobs, **kw),
              homogeneity_whole),
         )
         for cls, grid, sweep, whole in cases:
@@ -684,6 +686,8 @@ class TestSymmetryHomogeneity:
             rep = sweep(cls(False))
             assert rep.sup == d.max()
             assert rep.argmax_point == first_in_sweep_order(pts, d == d.max())
+            assert rep.mean == math.fsum(d.ravel().tolist()) / d.size
+            assert sweep(cls(False), mean=False) == replace(rep, mean=None)
             bad = ~np.isfinite(whole(cls(True)))
             assert 0 < bad.sum() < bad.size
             with pytest.raises(NonFiniteDefectError) as exc:

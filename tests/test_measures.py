@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from infostab import (
     BudgetExceededError,
     ConfigurationError,
     Constant,
+    DomainError,
     FunctionSum,
     InformationMeasure,
     InvalidDistributionError,
@@ -215,7 +217,9 @@ class TestBlockedChecks:
         pts = SimplexGrid(n, r).points
         assert pts.shape[0] > 32768
         diff = recursivity_oracle(m, pts)
-        assert _fields(recursivity_defect(m, n, r)) == _whole_report(diff, pts.__getitem__)
+        rep = recursivity_defect(m, n, r)
+        assert _fields(rep) == _whole_report(diff, pts.__getitem__)
+        assert recursivity_defect(m, n, r, mean=False) == replace(rep, mean=None)
 
     def test_recursivity_budget(self):
         with pytest.raises(BudgetExceededError):
@@ -236,7 +240,10 @@ class TestBlockedChecks:
         m = _noisy_measure()
         pts = SimplexGrid(3, 400).points
         diff = m.eval_rows(pts[:, (0, 2, 1)]) - m.eval_rows(pts)
-        assert _fields(check_semisymmetry3(m, 400)) == _whole_report(diff, pts.__getitem__)
+        rep = check_semisymmetry3(m, 400)
+        assert _fields(rep) == _whole_report(diff, pts.__getitem__)
+        for jobs in (1, 2):
+            assert check_semisymmetry3(m, 400, jobs=jobs, mean=False) == replace(rep, mean=None)
 
         f = XLogX(-1.0)
         pts = SimplexGrid(4, 70).points
@@ -338,8 +345,91 @@ class TestOnePass:
         counted = _Counted(PowerFamily(kappa(0.5), kappa(0.5), 0.5))
         m = InformationMeasure(counted, 0.5, 6, _noisy_measure().perturbations)
         recursivity_defect(m, n, 20)
-        # one recursion per block: (n - 1) generator values per point
-        assert counted.values == (n - 1) * SimplexGrid(n, 20).count
+        # one recursion per block: f(p_n) and the deepest step per point, and
+        # each upper step once per run of equal (running sum, column) bits
+        # where at most half the rows start one, else per point
+        want = 0
+        for P in SimplexGrid(n, 20).iter_blocks():
+            sums = np.cumsum(P, axis=1)
+            want += 2 * len(P)
+            for i in range(1, n - 2):
+                pairs = np.stack([sums[:, i], P[:, i]], axis=1).view(np.uint64)
+                runs = 1 + int(np.count_nonzero((pairs[1:] != pairs[:-1]).any(axis=1)))
+                want += runs if 2 * runs <= len(P) else len(P)
+        assert counted.values == want
+        if n > 3:
+            assert counted.values < (n - 1) * SimplexGrid(n, 20).count
+
+    def test_upper_steps_run_once_per_leading_prefix(self, monkeypatch):
+        # a 3,876-row level-6 block of the R=40 lattice: the steps of levels
+        # 4, 5 and 6 see 815, 136 and 16 runs
+        P = next(P for P in SimplexGrid(6, 40).iter_blocks() if len(P) == 3876)
+        m, sizes, real = _noisy_measure(), [], measures.pow0
+        monkeypatch.setattr(measures, "pow0", lambda x, a: sizes.append(np.size(x)) or real(x, a))
+        got = m._eval_rows(P)
+        assert sizes == [len(P), 815, 136, 16]
+        assert np.array_equal(got.view(np.uint64), recursive_measure(m, P).view(np.uint64))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(4, 6),
+        picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=60),
+        runs=st.lists(st.integers(1, 4), min_size=60, max_size=60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_from_no_lattice_match_the_recursion(self, n, picks, runs, seed):
+        # lattice rows in any order, each repeated, then random rows whose
+        # leading coordinates repeat: the runs depend on values alone
+        lattice = SimplexGrid(n, 9).points
+        rows = np.repeat(lattice[[k % len(lattice) for k in picks]], runs[: len(picks)], axis=0)
+        rng = np.random.default_rng(seed)
+        head = np.repeat(rng.dirichlet(np.ones(n), size=len(picks))[:, :2] / 2, 3, axis=0)
+        tail = rng.dirichlet(np.ones(n - 2), size=len(head)) * (1.0 - head.sum(axis=1))[:, None]
+        for P in (rows, np.concatenate([head, tail], axis=1)):
+            for m in _ONE_PASS_MEASURES[:4]:
+                want = recursive_measure(m, P).view(np.uint64)
+                assert np.array_equal(m.eval_rows(P).view(np.uint64), want), m
+                assert np.array_equal(m._split(P)[0].view(np.uint64), want), m
+
+    def test_rows_in_no_prefix_order_are_evaluated_row_by_row(self, monkeypatch):
+        # a permuted lattice, as check_symmetry evaluates it, has a run start
+        # at most rows: the runs are not gathered and no step sees fewer rows
+        P = SimplexGrid(5, 12).points[:, (4, 2, 0, 3, 1)]
+        m, sizes, real = _noisy_measure(), [], measures.pow0
+        monkeypatch.setattr(measures, "pow0", lambda x, a: sizes.append(np.size(x)) or real(x, a))
+        got = m._eval_rows(P)
+        assert sizes == [len(P)] * 3
+        assert np.array_equal(got.view(np.uint64), recursive_measure(m, P).view(np.uint64))
+
+    def test_signed_zeros_are_separate_runs(self):
+        class SignOfZero(ScalarFunction):
+            def _values(self, arr):
+                return np.copysign(0.25, arr) + arr
+
+        m = InformationMeasure(SignOfZero(), 0.5, 5)
+        P = np.array([[0.25, 0.0, 0.25, 0.25, 0.25]] * 6)
+        P[2:4, 1] = -0.0  # three runs of two rows at the top step
+        got = m._split(P)[0]
+        assert np.array_equal(got.view(np.uint64), recursive_measure(m, P).view(np.uint64))
+        assert got[1] != got[2] and got[1] == got[4]
+
+    def test_a_failing_quotient_names_the_value_the_rows_meet(self):
+        class Lower(ScalarFunction):
+            _hi = 0.6
+
+            def _values(self, arr):
+                return arr * (1.0 - arr)
+
+        m = InformationMeasure(Lower(), 2.0, 5)
+        # every f(p5) and deeper quotient lies in [0, 0.6]; p2 / (p1 + p2)
+        # reaches 0.5 / 0.6 in the third run of the top step
+        row = lambda p1, p2: [p1, p2, 0.2, 0.1, 1.0 - p1 - p2 - 0.3]
+        P = np.array([row(0.4, 0.2)] * 3 + [row(0.3, 0.3), row(0.1, 0.5), row(0.1, 0.5)])
+        want = f"Lower evaluated at {0.5 / (0.1 + 0.5)!r}, outside [0.0, 0.6]"
+        for fn in (lambda P: recursive_measure(m, P), m.eval_rows, m._eval_rows):
+            with pytest.raises(DomainError) as err:
+                fn(P)
+            assert str(err.value) == want
 
     def test_lattice_sweeps_skip_the_distribution_scans(self, monkeypatch):
         scans, per_block = [], []
@@ -379,6 +469,8 @@ class TestOnePass:
         against = lambda P: np.asarray(alpha_entropy(P, 0.5))
         split, dist = recursivity_defect(m, n, 24, against=against)
         assert split == recursivity_defect(m, n, 24)
+        sup_only = recursivity_defect(m, n, 24, against=against, mean=False)
+        assert sup_only == (replace(split, mean=None), replace(dist, mean=None))
         pts = SimplexGrid(n, 24).points
         gap = m._eval_rows(pts) - against(pts)
         assert dist.sup == float(np.max(np.abs(gap)))
