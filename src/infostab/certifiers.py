@@ -430,21 +430,6 @@ def _probe_lattice(margins, resolution, budget):
     return hs, grid
 
 
-def _margin_maxima(points, d, hs):
-    """The maxima of a mirrored block's |defects| d over x + y <= 1 - h, for
-    each margin h in hs.  The block holds the points with x < y, those with
-    x == y, then the mirrors of the first (the points with x > y).  A point
-    and its mirror have the same x + y, bit for bit, and a max is exact, so
-    each pair keeps its larger value, written over d's first rows, and only
-    the kept points' x + y are formed."""
-    x, y = points[:, 0], points[:, 1]
-    pairs = int(np.count_nonzero(x > y))
-    kept = d.size - pairs
-    np.maximum(d[:pairs], d[kept:], out=d[:pairs])
-    d, s = d[:kept], x[:kept] + y[:kept]
-    return [float(np.max(d, where=s <= 1.0 - h + _MARGIN_SLACK, initial=0.0)) for h in hs]
-
-
 def hyperstability_blowup_probe(
     f, alpha, margins, resolution: int = 2048, *, budget: int = 10**7, jobs: int = 1
 ):
@@ -465,12 +450,14 @@ def hyperstability_blowup_probe(
 
     def maxima(item):
         # the block's summary, of its size alone when every defect is finite,
-        # and its per-margin maxima
+        # and its per-margin maxima; x + y is the same at a point's mirror
         points, d, ranks = work(item)
         d = np.abs(d)
         if not np.isfinite(d).all():
             return _summary(points, d, ranks), ()
-        return (d.size, -1.0, None, 0, 0, ()), _margin_maxima(points, d, hs)
+        s = points[:, 0] + points[:, 1]
+        sups = [float(np.max(d, where=s <= 1.0 - h + _MARGIN_SLACK, initial=0.0)) for h in hs]
+        return (d.size, -1.0, None, 0, 0, ()), sups
 
     blocks = list(_imap(maxima, items, jobs))
     _fold(summary for summary, _ in blocks)  # raises at the first non-finite defect

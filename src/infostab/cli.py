@@ -422,12 +422,14 @@ def _job_measure(cfg, jobs, dump):
     top = _level_field(cfg, "n", measure.max_n, 3)
     level = _level_field(cfg, "tabulate", measure.max_n, None)
     _refuse_unread(cfg)
+    # the report holds the checks' sups alone
+    sup_only = {"budget": budget, "jobs": jobs, "mean": False}
     symmetry = [
-        {"n": n, "sup": check_symmetry(measure, n, resolution, budget=budget, jobs=jobs).sup}
+        {"n": n, "sup": check_symmetry(measure, n, resolution, **sup_only).sup}
         for n in range(2, top + 1)
     ]
     recursivity = [
-        {"n": n, "sup": recursivity_defect(measure, n, resolution, budget=budget, jobs=jobs).sup}
+        {"n": n, "sup": recursivity_defect(measure, n, resolution, **sup_only).sup}
         for n in range(3, top + 1)
     ]
     gd = derive_generating_defect(measure, resolution, budget=budget, jobs=jobs)
@@ -435,7 +437,7 @@ def _job_measure(cfg, jobs, dump):
         "alpha": measure.alpha,
         "max_n": measure.max_n,
         "normalization_gap": float(check_normalization(measure)),
-        "semisymmetry3": check_semisymmetry3(measure, resolution, budget=budget, jobs=jobs).sup,
+        "semisymmetry3": check_semisymmetry3(measure, resolution, **sup_only).sup,
         "symmetry": symmetry,
         "recursivity": recursivity,
         "generating_defect": {

@@ -23,8 +23,11 @@ above the deepest reads only a running sum and one column, which stay the
 same over the rows under one leading prefix, so it is evaluated once per run
 of rows whose two inputs have equal bits, where at most half the rows start
 a run (permuted rows are evaluated row by row); any rows, from a lattice or
-not, get the per-row values bit for bit.  check_semisymmetry3 and
-recursivity_defect take mean=False for a caller that reads the sup alone.
+not, get the per-row values bit for bit.  check_symmetry,
+check_semisymmetry3 and recursivity_defect take mean=False for a caller
+that reads the sup alone: the certificates, the CLI's measure job and
+derive_generating_defect's two defects pass it, and the default keeps the
+mean for library callers.
 """
 
 from __future__ import annotations
@@ -196,16 +199,25 @@ class InformationMeasure:
 
 
 def check_symmetry(
-    measure: InformationMeasure, n: int, resolution: int, *, budget: int = 10**6, jobs: int = 1
+    measure: InformationMeasure,
+    n: int,
+    resolution: int,
+    *,
+    budget: int = 10**6,
+    jobs: int = 1,
+    mean: bool = True,
 ) -> ResidualReport:
-    """sup over all n! coordinate permutations and grid points of the gap."""
+    """sup over all n! coordinate permutations and grid points of the gap;
+    with mean false the report's mean is None and no exact total is computed."""
     grid = SimplexGrid(n, resolution, budget=budget)
     _within_budget(grid.count * math.factorial(n), budget)
     pts = grid.points
     perms = list(itertools.permutations(range(n)))
     base = measure._eval_rows(pts)
     # one block per permutation, in order
-    return _sweep(lambda perm: (pts, measure._eval_rows(pts[:, perm]) - base), perms, jobs=jobs)
+    return _sweep(
+        lambda perm: (pts, measure._eval_rows(pts[:, perm]) - base), perms, jobs=jobs, mean=mean
+    )
 
 
 def check_semisymmetry3(
@@ -361,8 +373,9 @@ def derive_generating_defect(
     if measure.max_n < 3:
         raise ConfigurationError("needs a measure defined at least up to level 3")
     f = _GeneratorFunction(measure)
-    eps1 = check_semisymmetry3(measure, resolution, budget=budget, jobs=jobs).sup
-    eps2 = recursivity_defect(measure, 3, resolution, budget=budget, jobs=jobs).sup
+    # the defects' sups alone are kept; the residual's report keeps its mean
+    eps1 = check_semisymmetry3(measure, resolution, budget=budget, jobs=jobs, mean=False).sup
+    eps2 = recursivity_defect(measure, 3, resolution, budget=budget, jobs=jobs, mean=False).sup
     rep = residual(
         FundamentalParametric(measure.alpha),
         f,

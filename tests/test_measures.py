@@ -256,6 +256,8 @@ class TestBlockedChecks:
         diff = np.concatenate([m.eval_rows(pts[:, p]) - base for p in perms])
         got = check_symmetry(m, 4, 20, budget=10**6)
         assert _fields(got) == _whole_report(diff, lambda i: pts[i % pts.shape[0]])
+        for jobs in (1, 2):
+            assert check_symmetry(m, 4, 20, jobs=jobs, mean=False) == replace(got, mean=None)
 
         P, Q = SimplexGrid(2, 60).points, SimplexGrid(3, 60).points
         prod = (P[:, None, :, None] * Q[None, :, None, :]).reshape(-1, 6)

@@ -1,15 +1,15 @@
 """Compare the benchmark of two checkouts in alternating pairs of runs.
 
     python3 tools/ab_bench.py PARENT CHANGE --workload simplex_sequence \
-        [--pairs 4] [--seed 101] [--seconds 15] [--metric pass_s.p50]
+        [--pairs 10] [--seed 101]
 
 PARENT and CHANGE are two checkouts of this repository (for example a
 `git archive` of the parent commit and the working tree).  Pair k runs
-`bench/run.py --trace 0` on seed S + k in both, one after the other; the
-checkout that goes first alternates from pair to pair, so a drift of the
-machine's speed reaches both alike.  Each run's last output line is the
-bench's JSON result, and a run that fails, or reports an incorrect output,
-stops the comparison.
+`bench/run.py --trace 0` on seed S + k in both, one after the other, for
+the bench's own run length; the checkout that goes first alternates from
+pair to pair, so a drift of the machine's speed reaches both alike.  Each
+run's last output line is the bench's JSON result, and a run that fails,
+or reports an incorrect output, stops the comparison.
 
 One line is printed per pair with every end-to-end metric of both runs.
 Then, per metric: how many pairs the change won (lower is better, except
@@ -32,11 +32,11 @@ import subprocess
 import sys
 
 
-def run_bench(checkout, workload, seed, seconds):
+def run_bench(checkout, workload, seed):
     """The metrics of one `bench/run.py --trace 0` run in checkout, as a dict
     of name -> value."""
     cmd = [sys.executable, os.path.join(checkout, "bench", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -64,11 +64,8 @@ def main(argv=None):
     ap.add_argument("parent", help="checkout of the parent commit")
     ap.add_argument("change", help="checkout with the change")
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, default=4)
+    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=101, help="seed of the first pair")
-    ap.add_argument("--seconds", type=float, default=15.0, help="seconds per run")
-    ap.add_argument("--metric", action="append",
-                    help="summarise only this metric (repeatable); default: all")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -79,17 +76,13 @@ def main(argv=None):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
             checkout = args.parent if side == "parent" else args.change
-            runs[side].append(run_bench(checkout, args.workload, seed, args.seconds))
-            unknown = set(args.metric or ()) - set(runs[side][-1])
-            if unknown:
-                ap.error(f"no metric named {', '.join(sorted(unknown))}")
+            runs[side].append(run_bench(checkout, args.workload, seed))
         a, b = runs["parent"][-1], runs["change"][-1]
         cells = "  ".join(f"{name} {a[name]:.4g} -> {b[name]:.4g}" for name in a)
         print(f"pair {k + 1} seed {seed} ({order[0]} first): {cells}", flush=True)
 
-    names = args.metric or list(runs["parent"][0])
     print(f"\n{args.workload}, {args.pairs} pairs, change against parent")
-    for name in names:
+    for name in runs["parent"][0]:
         before = [r[name] for r in runs["parent"]]
         after = [r[name] for r in runs["change"]]
         better = higher_is_better(name)
