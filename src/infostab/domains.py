@@ -7,10 +7,14 @@ reproducible, makes refinement nesting exact in floating point (k/R and
 whenever the resolution is even.  Point arrays are materialised once per grid
 and returned read-only, so grids are safe to share across threads.
 
-The triangle, cone and pair lattices are written in place: one float matrix
-of the final shape is allocated and filled from a node table by slice or
-broadcast copies, so a build peaks at its output.  Simplex lattices are
-enumerated as integer compositions and scaled block by block.
+Each grid a defect dump writes (unit, triangle, simplex, cone) has a cached,
+read-only ``nodes`` table: the 1-D values its coordinates take, k/R for
+k = 0..R, or k * bound/R on the cone.  This module is the one place that
+knows that formula; the triangle, cone and pair lattices are written in
+place from such a table: one float matrix of the final shape is allocated
+and filled by slice or broadcast copies, so a build peaks at its output.
+Simplex lattices are enumerated as integer compositions and scaled block by
+block, which gives the bits of their node table too.
 
 Conventions (applied uniformly, for every exponent alpha):
 
@@ -153,9 +157,17 @@ def _scaled(cols, resolution):
     return np.divide(out, float(resolution), out=out)
 
 
+def _unit_nodes(resolution):
+    """The node table k/R, k = 0..R, read-only."""
+    return _freeze(np.arange(resolution + 1) / float(resolution))
+
+
 @dataclass(frozen=True)
 class UnitGrid:
-    """Lattice on the unit interval: {k/R} with k = 1..R-1, or 0..R when closed."""
+    """Lattice on the unit interval: {k/R} with k = 1..R-1, or 0..R when closed.
+
+    ``nodes`` is the table k/R, k = 0..R, that ``points`` copies from.
+    """
 
     resolution: int
     closed: bool = False
@@ -167,10 +179,13 @@ class UnitGrid:
             )
 
     @cached_property
+    def nodes(self):
+        return _unit_nodes(self.resolution)
+
+    @cached_property
     def points(self):
-        r = self.resolution
-        ks = np.arange(0, r + 1) if self.closed else np.arange(1, r)
-        return _freeze(ks / float(r))
+        lo = 0 if self.closed else 1
+        return _freeze(self.nodes[lo : self.resolution + 1 - lo].copy())
 
 
 @dataclass(frozen=True)
@@ -180,7 +195,8 @@ class TriangleGrid:
     Open variant: x, y and x+y all in (0,1), i.e. i,j >= 1 with i+j <= R-1.
     Closed variant: x, y in [0,1) with x+y <= 1 (the asymmetric closure that
     keeps 1-x and 1-y positive), i.e. i,j <= R-1 with i+j <= R.  ``count``
-    gives the number of points without building them.
+    gives the number of points without building them; ``nodes`` is the
+    table k/R, k = 0..R, that ``points`` copies its coordinates from.
     """
 
     resolution: int
@@ -200,12 +216,16 @@ class TriangleGrid:
         return (r + 1) * (r + 2) // 2 - 2 if self.closed else (r - 1) * (r - 2) // 2
 
     @cached_property
+    def nodes(self):
+        return _unit_nodes(self.resolution)
+
+    @cached_property
     def points(self):
         # lexicographic rows (i/R, j/R): row i holds j = lo..hi with
         # hi = min(R - lo - i, R - 1), copied from the node table k/R into
         # the final matrix; the first empty row ends the lattice
         r, lo = self.resolution, 0 if self.closed else 1
-        nodes = np.arange(r + 1) / float(r)
+        nodes = self.nodes
         out = np.empty((self.count, 2))
         start = 0
         for i in range(lo, r):
@@ -230,6 +250,8 @@ class SimplexGrid:
     ``iter_blocks()`` streams the same points, bit for bit and in the same
     order, as blocks of 1.._CHUNK rows whose working memory stays within a
     small multiple of ``_CHUNK * n * 8`` bytes at any lattice size.
+    ``nodes`` is the table k/R, k = 0..R: every coordinate is one of its
+    entries, bit for bit, since both divide the integer k by float(R).
     """
 
     n: int
@@ -284,6 +306,10 @@ class SimplexGrid:
                 yield run(k[start:])
 
     @cached_property
+    def nodes(self):
+        return _unit_nodes(self.resolution)
+
+    @cached_property
     def points(self):
         if self.count > self.budget:
             raise BudgetExceededError(
@@ -305,7 +331,11 @@ class SimplexGrid:
 
 @dataclass(frozen=True)
 class ConeGrid:
-    """Strictly positive lattice triples in (0, bound]^3 for the cone domain."""
+    """Strictly positive lattice triples in (0, bound]^3 for the cone domain.
+
+    ``nodes`` is the table k * (bound/R), k = 0..R; the points are the
+    triples of its entries past 0.
+    """
 
     resolution: int
     bound: float = 1.0
@@ -325,9 +355,12 @@ class ConeGrid:
             )
 
     @cached_property
+    def nodes(self):
+        return _freeze(np.arange(self.resolution + 1) * (self.bound / self.resolution))
+
+    @cached_property
     def points(self):
-        step = self.bound / self.resolution
-        return _freeze(_box(np.arange(1, self.resolution + 1) * step, 3))
+        return _freeze(_box(self.nodes[1:], 3))
 
 
 @dataclass(frozen=True)
@@ -466,21 +499,42 @@ def _g17(values):
     return text
 
 
-def _write_csv(fh, points, last=None):
+def _node_text(nodes):
+    """A node table for _write_csv: the float nodes, at least two of them,
+    and the %.17g text of each."""
+    nodes = np.asarray(nodes, dtype=np.float64)
+    return nodes, _g17(nodes)
+
+
+def _write_csv(fh, points, last=None, table=None):
     """Write each row of the float matrix points, then the matching value of
-    last when given, to the text file fh as one CSV line of %.17g fields,
-    _TEXT_ROWS rows at a time.  Lattice points repeat their coordinates, so
-    each distinct bit pattern of a slice is formatted once; bits, not
-    values, keep -0.0 and 0.0 apart.  Both may be array-likes."""
+    last when given, to the binary file fh as one CSV line of %.17g fields,
+    _TEXT_ROWS rows at a time.  Lattice coordinates are node values, so a
+    coordinate x takes its text from table, a _node_text pair (nodes, text),
+    at the node index rint(x / nodes[1]) clipped to the table, when its bits
+    are that node's.  Any other coordinate, -0.0 among them, and every one
+    when table is None, is formatted on its own: each cell is '%.17g' of its
+    own bits.  Both points and last may be array-likes."""
     points = np.asarray(points, dtype=np.float64)
     rows, d = points.shape
     for s in range(0, rows, _TEXT_ROWS):
-        pts = np.ascontiguousarray(points[s : s + _TEXT_ROWS])
-        keys, inverse = np.unique(pts.view(np.uint64), return_inverse=True)
+        pts = points[s : s + _TEXT_ROWS]
         cells = np.empty((len(pts), d + (last is not None)), "S32")
-        cells[:, :d] = np.take(_g17(keys.view(np.float64)), inverse.reshape(pts.shape))
+        coords = cells[:, :d]
+        if table is None:
+            miss = np.ones(pts.shape, bool)
+        else:
+            nodes, text = table
+            with np.errstate(over="ignore"):
+                k = np.rint(pts / nodes[1])
+            # fmax sends NaN to node 0, and the bits check sends it on to _g17
+            k = np.fmin(np.fmax(k, 0.0), nodes.size - 1).astype(np.intp)
+            coords[...] = text[k]
+            miss = pts.view(np.uint64) != nodes.view(np.uint64)[k]
+        if miss.any():
+            coords[miss] = _g17(pts[miss])
         if last is not None:
             cells[:, d] = _g17(last[s : s + _TEXT_ROWS])
         cells.view(np.uint8)[:, 31::32] = ord(",")
         cells.view(np.uint8)[:, -1] = ord("\n")
-        fh.write(cells.tobytes().translate(None, b"\0").decode("ascii"))
+        fh.write(cells.tobytes().translate(None, b"\0"))

@@ -57,7 +57,8 @@ from typing import Optional
 import numpy as np
 
 from .domains import (
-    _CHUNK, ConeGrid, PairGrid, SimplexGrid, TriangleGrid, UnitGrid, _write_csv, pow0,
+    _CHUNK, ConeGrid, PairGrid, SimplexGrid, TriangleGrid, UnitGrid, pow0,
+    _node_text, _write_csv,
 )
 from .errors import BudgetExceededError, ConfigurationError, DomainError, NonFiniteDefectError
 from .models import BivariateFunction, TernaryFunction, _finite
@@ -506,10 +507,11 @@ def _fundamental_kernel(f, alpha, grid):
     """defect(block) of FundamentalParametric(alpha) on a TriangleGrid, and
     as defect.mirrored the (work, spans) of a sweep with half the f work.
 
-    Every coordinate is k/R for a node index k in lo..R-1-lo (lo = 0 closed,
-    1 open), so f(k/R) and (1 - k/R)^alpha come from node tables built once,
-    before any block runs.  A block recovers its indices as rint(block * R),
-    exactly, since |fl(k/R) R - k| <= k 2^-52 < 1/2.  Point (j, i) needs f at
+    Every coordinate is the grid's node k/R for a node index k in
+    lo..R-1-lo (lo = 0 closed, 1 open), so f(k/R) and (1 - k/R)^alpha come
+    from tables over grid.nodes built once, before any block runs.  A block
+    recovers its indices as rint(block * R), exactly, since
+    |fl(k/R) R - k| <= k 2^-52 < 1/2.  Point (j, i) needs f at
     the quotients of (i, j), so a mirrored block keeps the points with
     i <= j of _CHUNK / 2 rows of grid.points, adds the mirrors of those off
     the diagonal, evaluates f once per point, at y/(1-x), and reads f at
@@ -523,7 +525,7 @@ def _fundamental_kernel(f, alpha, grid):
     """
     r, lo = grid.resolution, 0 if grid.closed else 1
     pts = grid.points
-    nodes = np.arange(lo, r - lo) / float(r)
+    nodes = grid.nodes[lo : r - lo]
 
     def first_domain_error(fn, *args):
         try:
@@ -746,12 +748,16 @@ def residual(
 
 
 def dump_defects_csv(kind, fns, grid, path, *, budget: int = 10**7):
-    """Stream per-point defects to CSV (point coordinates, then the defect);
-    the budget is checked before the file is opened."""
+    """Stream per-point defects to CSV (point coordinates, then the defect)
+    as bytes; the budget is checked before the file is opened.  The text of
+    the lattice's node table (the first grid's, for a pair of simplex grids)
+    is formatted once per dump, and every block's coordinates take theirs
+    from it (see domains._write_csv)."""
     work, items = _blocks(kind, fns, grid, budget)
-    with open(path, "w") as fh:
+    table = _node_text((grid[0] if isinstance(grid, tuple) else grid).nodes)
+    with open(path, "wb") as fh:
         for item in items:
-            _write_csv(fh, *work(item))
+            _write_csv(fh, *work(item), table=table)
 
 
 # ---------------------------------------------------------------------------

@@ -406,7 +406,7 @@ class TestConeAndPair:
 def _grid_csv(grid, path):
     """Write a grid's points through _write_csv, a unit grid as one column."""
     pts = grid.points
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         _write_csv(fh, pts[:, None] if pts.ndim == 1 else pts)
 
 
@@ -445,6 +445,37 @@ class TestCsv:
         pts = grid.points
         np.savetxt(oracle, pts[:, None] if pts.ndim == 1 else pts, delimiter=",", fmt="%.17g")
         assert path.read_bytes() == oracle.read_bytes()
+
+
+_GRIDS = st.one_of(
+    st.builds(UnitGrid, st.integers(2, 400), st.booleans()),
+    st.builds(TriangleGrid, st.integers(3, 400), st.booleans()),
+    st.integers(2, 5).flatmap(
+        lambda n: st.builds(SimplexGrid, st.just(n), st.integers(n, 30), st.booleans())
+    ),
+    st.builds(
+        ConeGrid,
+        st.integers(2, 40),
+        st.one_of(st.sampled_from([2.5, 0.3, 1.0 / 3.0]), st.floats(1e-3, 1e3)),
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid=_GRIDS)
+def test_points_are_entries_of_the_node_table(grid):
+    # a defect dump takes each coordinate's text from the node table, so
+    # every coordinate must be one of its entries, bit for bit
+    nodes = grid.nodes
+    assert grid.nodes is nodes and not nodes.flags.writeable
+    assert nodes.dtype == np.float64 and nodes.shape == (grid.resolution + 1,)
+    assert nodes[0] == 0.0 and np.all(np.diff(nodes) > 0)
+    bits = nodes.view(np.uint64)
+    pts = np.asarray(grid.points)
+    assert np.isin(pts.view(np.uint64), bits).all()
+    # the node recovered from the table's step is the coordinate's own
+    k = np.rint(pts / nodes[1]).astype(np.intp)
+    assert np.array_equal(bits[k], pts.view(np.uint64))
 
 
 def _python_g17(values):

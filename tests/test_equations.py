@@ -74,7 +74,7 @@ from infostab import (
     symmetry_residual,
     tabulate,
 )
-from infostab.domains import _write_csv
+from infostab.domains import _node_text, _write_csv
 from infostab.equations import (
     _CHUNK,
     _SCALE,
@@ -564,12 +564,19 @@ class TestDumpBytes:
             (PhiEquation(), XLogX(-1.0), UnitGrid(32, closed=True)),
             (SumFormAdditive(2, 2), XLogX(-1.0),
              (SimplexGrid(2, 4, closed=True), SimplexGrid(2, 4, closed=True))),
-            # one P row per block, so the dump spans two blocks
+            # one P row per block, so the dump spans two blocks; the node
+            # table is P's (R = 3), so almost every Q coordinate misses it
+            # and is formatted on its own
             (SumFormAdditive(2, 2), XLogX(-1.0),
              (SimplexGrid(2, 3), SimplexGrid(2, _CHUNK // 2, closed=True))),
             # the benchmark's dump shape: two blocks, and defects written as
             # exact zeros, 0.000ddd and d.ddde-XX
             (FundamentalParametric(0.5), _NOISY_POWER, TriangleGrid(300)),
+            (EntropyEq(), EntropySolution(0.7, 2.0), ConeGrid(9, bound=2.5)),
+            # one kind on each unit-pair lattice
+            (Multiplicative(), PowerLaw(1.0, 1.7), UnitGrid(40)),
+            (CauchyAdditive(), PowerLaw(2.5, 1.0), UnitGrid(40, closed=True)),
+            (DaroczyIdentity(), (ShannonInfo(), XLogX(-1.0)), UnitGrid(40, closed=True)),
         ],
     )
     def test_block_writer_matches_rowwise(self, tmp_path, kind, fns, grid):
@@ -583,7 +590,7 @@ class TestDumpBytes:
         )
         defects = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1])
         path = tmp_path / "defects.csv"
-        with open(path, "w") as fh:
+        with open(path, "wb") as fh:
             _write_csv(fh, pts, defects)
         assert path.read_bytes() == _rowwise_csv(zip(pts, defects))
         assert path.read_text().splitlines()[:2] == ["0,-0,nan", "-0,0,inf"]
@@ -598,14 +605,46 @@ class TestDumpBytes:
         assert any("e-" in t for t in texts)
         assert any(t.lstrip("-").startswith("0.0") for t in texts)
 
+    def test_table_misses_are_formatted_on_their_own(self, tmp_path):
+        # coordinates whose bits are not the table node at rint(x / step):
+        # signed zero, values between and past the nodes, a node of another
+        # resolution, and values whose quotient overflows or is NaN
+        table = _node_text(TriangleGrid(8).nodes)
+        pts = np.array(
+            [[0.125, -0.0], [1.0 / 3.0, 0.875], [1.0, 1.5], [-0.125, 1e308],
+             [np.nan, np.inf], [-np.inf, 5e-324], [0.5, 0.0625 + 2**-55]]
+        )
+        defects = np.arange(len(pts)) / 7.0
+        path = tmp_path / "defects.csv"
+        for last in (defects, None):
+            with open(path, "wb") as fh:
+                _write_csv(fh, pts, last, table=table)
+            want = _rowwise_csv(zip(pts, defects))
+            if last is None:
+                want = b"".join(line.rsplit(b",", 1)[0] + b"\n" for line in want.splitlines())
+            assert path.read_bytes() == want
+
+    def test_coordinates_formatted_once_per_node(self, tmp_path, monkeypatch):
+        # the benchmark's dump formats its 293,761 defects and, once, the
+        # 769 nodes of the table; a slice-by-slice writer formatted 37,429
+        # coordinate values
+        from infostab import domains
+
+        grid, sizes = TriangleGrid(768), []
+        real = domains._g17
+        monkeypatch.setattr(domains, "_g17", lambda v: sizes.append(np.size(v)) or real(v))
+        dump_defects_csv(FundamentalParametric(0.5), _NOISY_POWER, grid, tmp_path / "d.csv")
+        assert grid.count == 293_761
+        assert grid.count <= sum(sizes) <= grid.count + grid.resolution + 1
+
     def test_block_writer_memory(self):
         # one full R=768 block of the benchmark's dump, whose text the
-        # StringIO holds; the writer that called '%.17g' per value peaked at
+        # BytesIO holds; the writer that called '%.17g' per value peaked at
         # 2.9 times that text
         work, items = _blocks(FundamentalParametric(0.5), _NOISY_POWER, TriangleGrid(768), 10**7)
         pts, defects = work(items[0])
         assert len(pts) == _CHUNK
-        fh = io.StringIO()
+        fh = io.BytesIO()
         tracemalloc.start()
         try:
             _write_csv(fh, pts, defects)
