@@ -491,7 +491,7 @@ def _lattice_pow0(resolution, alpha):
     """pow0(P, alpha) for blocks P of a simplex lattice of the resolution,
     bit for bit: one node table pow0(k/R, alpha), k = 0..R, gathered at
     rint(P * R), which recovers every k exactly (as in _fundamental_kernel)."""
-    table = pow0(SimplexGrid(2, resolution, closed=True).nodes, alpha)
+    table = pow0(np.arange(resolution + 1) / float(resolution), alpha)
     return lambda P: table[np.rint(P * resolution).astype(np.intp)]
 
 
@@ -695,9 +695,9 @@ def certify_entropy_equation(
     try:
         anchor = float(H(1.0, 1.0, 0.0))
     except (ValueError, ArithmeticError):
-        # zero face inaccessible: step inside by one grid spacing, to node 1
+        # zero face inaccessible: step inside by one grid spacing
         proxy = True
-        tau = float(grid.nodes[1])
+        tau = float(bound) / float(resolution)
         anchor = float(H(1.0, 1.0, tau))
 
     pts = grid.points

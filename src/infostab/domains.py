@@ -9,12 +9,12 @@ and returned read-only, so grids are safe to share across threads.
 
 Each grid a defect dump writes (unit, triangle, simplex, cone) has a cached,
 read-only ``nodes`` table: the 1-D values its coordinates take, k/R for
-k = 0..R, or k * bound/R on the cone.  This module is the one place that
-knows that formula; the triangle, cone and pair lattices are written in
-place from such a table: one float matrix of the final shape is allocated
-and filled by slice or broadcast copies, so a build peaks at its output.
-Simplex lattices are enumerated as integer compositions and scaled block by
-block, which gives the bits of their node table too.
+k = 0..R, or k * bound/R on the cone.  The triangle, cone and pair
+lattices are written in place from such a table: one float matrix of the
+final shape is allocated and filled by slice or broadcast copies, so a
+build peaks at its output.  Simplex lattices are enumerated as integer
+compositions and scaled block by block, which gives the bits of their node
+table too.
 
 Conventions (applied uniformly, for every exponent alpha):
 
@@ -499,38 +499,27 @@ def _g17(values):
     return text
 
 
-def _node_text(nodes):
-    """A node table for _write_csv: the float nodes, at least two of them,
-    and the %.17g text of each."""
-    nodes = np.asarray(nodes, dtype=np.float64)
-    return nodes, _g17(nodes)
-
-
-def _write_csv(fh, points, last=None, table=None):
+def _write_csv(fh, points, last=None, *, nodes, text):
     """Write each row of the float matrix points, then the matching value of
     last when given, to the binary file fh as one CSV line of %.17g fields,
-    _TEXT_ROWS rows at a time.  Lattice coordinates are node values, so a
-    coordinate x takes its text from table, a _node_text pair (nodes, text),
-    at the node index rint(x / nodes[1]) clipped to the table, when its bits
-    are that node's.  Any other coordinate, -0.0 among them, and every one
-    when table is None, is formatted on its own: each cell is '%.17g' of its
-    own bits.  Both points and last may be array-likes."""
+    _TEXT_ROWS rows at a time.  nodes is a grid's node table (at least two
+    entries) and text its _g17 text.  Lattice coordinates are node values,
+    so a coordinate x takes its text from the node at rint(x / nodes[1]),
+    clipped to the table, when its bits are that node's; any other
+    coordinate, -0.0 among them, is formatted on its own, so each cell is
+    '%.17g' of its own bits.  Both points and last may be array-likes."""
     points = np.asarray(points, dtype=np.float64)
     rows, d = points.shape
     for s in range(0, rows, _TEXT_ROWS):
         pts = points[s : s + _TEXT_ROWS]
         cells = np.empty((len(pts), d + (last is not None)), "S32")
         coords = cells[:, :d]
-        if table is None:
-            miss = np.ones(pts.shape, bool)
-        else:
-            nodes, text = table
-            with np.errstate(over="ignore"):
-                k = np.rint(pts / nodes[1])
-            # fmax sends NaN to node 0, and the bits check sends it on to _g17
-            k = np.fmin(np.fmax(k, 0.0), nodes.size - 1).astype(np.intp)
-            coords[...] = text[k]
-            miss = pts.view(np.uint64) != nodes.view(np.uint64)[k]
+        with np.errstate(over="ignore"):
+            k = np.rint(pts / nodes[1])
+        # fmax sends NaN to node 0, and the bits check sends it on to _g17
+        k = np.fmin(np.fmax(k, 0.0), nodes.size - 1).astype(np.intp)
+        coords[...] = text[k]
+        miss = pts.view(np.uint64) != nodes.view(np.uint64)[k]
         if miss.any():
             coords[miss] = _g17(pts[miss])
         if last is not None:

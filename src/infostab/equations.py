@@ -57,8 +57,8 @@ from typing import Optional
 import numpy as np
 
 from .domains import (
-    _CHUNK, ConeGrid, PairGrid, SimplexGrid, TriangleGrid, UnitGrid, pow0,
-    _node_text, _write_csv,
+    _CHUNK, ConeGrid, PairGrid, SimplexGrid, TriangleGrid, UnitGrid, _g17, _write_csv,
+    pow0,
 )
 from .errors import BudgetExceededError, ConfigurationError, DomainError, NonFiniteDefectError
 from .models import BivariateFunction, TernaryFunction, _finite
@@ -754,10 +754,11 @@ def dump_defects_csv(kind, fns, grid, path, *, budget: int = 10**7):
     is formatted once per dump, and every block's coordinates take theirs
     from it (see domains._write_csv)."""
     work, items = _blocks(kind, fns, grid, budget)
-    table = _node_text((grid[0] if isinstance(grid, tuple) else grid).nodes)
+    nodes = (grid[0] if isinstance(grid, tuple) else grid).nodes
+    text = _g17(nodes)
     with open(path, "wb") as fh:
         for item in items:
-            _write_csv(fh, *work(item), table=table)
+            _write_csv(fh, *work(item), nodes=nodes, text=text)
 
 
 # ---------------------------------------------------------------------------

@@ -407,7 +407,9 @@ def _grid_csv(grid, path):
     """Write a grid's points through _write_csv, a unit grid as one column."""
     pts = grid.points
     with open(path, "wb") as fh:
-        _write_csv(fh, pts[:, None] if pts.ndim == 1 else pts)
+        _write_csv(
+            fh, pts[:, None] if pts.ndim == 1 else pts, nodes=grid.nodes, text=_g17(grid.nodes)
+        )
 
 
 class TestCsv:

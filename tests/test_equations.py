@@ -74,7 +74,7 @@ from infostab import (
     symmetry_residual,
     tabulate,
 )
-from infostab.domains import _node_text, _write_csv
+from infostab.domains import _g17, _write_csv
 from infostab.equations import (
     _CHUNK,
     _SCALE,
@@ -523,6 +523,11 @@ def _rowwise_csv(rows):
     return "".join(out).encode()
 
 
+def _table(grid):
+    """The node table arguments of _write_csv for a grid."""
+    return {"nodes": grid.nodes, "text": _g17(grid.nodes)}
+
+
 def _rows_in_sweep_order(kind, fns, grid):
     if isinstance(kind, SumFormAdditive):
         work, spans = _sum_form_blocks(kind, fns, grid, 10**7)
@@ -591,7 +596,7 @@ class TestDumpBytes:
         defects = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1])
         path = tmp_path / "defects.csv"
         with open(path, "wb") as fh:
-            _write_csv(fh, pts, defects)
+            _write_csv(fh, pts, defects, **_table(TriangleGrid(8)))
         assert path.read_bytes() == _rowwise_csv(zip(pts, defects))
         assert path.read_text().splitlines()[:2] == ["0,-0,nan", "-0,0,inf"]
 
@@ -609,7 +614,6 @@ class TestDumpBytes:
         # coordinates whose bits are not the table node at rint(x / step):
         # signed zero, values between and past the nodes, a node of another
         # resolution, and values whose quotient overflows or is NaN
-        table = _node_text(TriangleGrid(8).nodes)
         pts = np.array(
             [[0.125, -0.0], [1.0 / 3.0, 0.875], [1.0, 1.5], [-0.125, 1e308],
              [np.nan, np.inf], [-np.inf, 5e-324], [0.5, 0.0625 + 2**-55]]
@@ -618,7 +622,7 @@ class TestDumpBytes:
         path = tmp_path / "defects.csv"
         for last in (defects, None):
             with open(path, "wb") as fh:
-                _write_csv(fh, pts, last, table=table)
+                _write_csv(fh, pts, last, **_table(TriangleGrid(8)))
             want = _rowwise_csv(zip(pts, defects))
             if last is None:
                 want = b"".join(line.rsplit(b",", 1)[0] + b"\n" for line in want.splitlines())
@@ -628,11 +632,12 @@ class TestDumpBytes:
         # the benchmark's dump formats its 293,761 defects and, once, the
         # 769 nodes of the table; a slice-by-slice writer formatted 37,429
         # coordinate values
-        from infostab import domains
+        from infostab import domains, equations
 
         grid, sizes = TriangleGrid(768), []
         real = domains._g17
-        monkeypatch.setattr(domains, "_g17", lambda v: sizes.append(np.size(v)) or real(v))
+        for module in (domains, equations):
+            monkeypatch.setattr(module, "_g17", lambda v: sizes.append(np.size(v)) or real(v))
         dump_defects_csv(FundamentalParametric(0.5), _NOISY_POWER, grid, tmp_path / "d.csv")
         assert grid.count == 293_761
         assert grid.count <= sum(sizes) <= grid.count + grid.resolution + 1
@@ -644,10 +649,11 @@ class TestDumpBytes:
         work, items = _blocks(FundamentalParametric(0.5), _NOISY_POWER, TriangleGrid(768), 10**7)
         pts, defects = work(items[0])
         assert len(pts) == _CHUNK
+        table = _table(TriangleGrid(768))
         fh = io.BytesIO()
         tracemalloc.start()
         try:
-            _write_csv(fh, pts, defects)
+            _write_csv(fh, pts, defects, **table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
