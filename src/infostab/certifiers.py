@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .domains import ConeGrid, PairGrid, SimplexGrid, TriangleGrid, UnitGrid, pow0
+from .domains import ConeGrid, PairGrid, SimplexGrid, TriangleGrid, UnitGrid, _unit_nodes, pow0
 from .equations import (
     EntropyEq,
     FundamentalParametric,
@@ -491,7 +491,7 @@ def _lattice_pow0(resolution, alpha):
     """pow0(P, alpha) for blocks P of a simplex lattice of the resolution,
     bit for bit: one node table pow0(k/R, alpha), k = 0..R, gathered at
     rint(P * R), which recovers every k exactly (as in _fundamental_kernel)."""
-    table = pow0(np.arange(resolution + 1) / float(resolution), alpha)
+    table = pow0(_unit_nodes(resolution), alpha)
     return lambda P: table[np.rint(P * resolution).astype(np.intp)]
 
 

@@ -440,7 +440,8 @@ def _g17_tables():
 
 def _g17(values):
     """The text of '%.17g' % v for each float v, byte for byte, as 32-byte
-    strings with NUL bytes in and after the text; the last byte is NUL.
+    strings with NUL bytes in and after the text, in the shape of values;
+    the last byte is NUL.
 
     For finite |v| in [1e-280, 1e280], v * 10**(16 - e) with e = floor(log10
     |v|) is formed to about 1e-14 and rounded to the integer N.  N is kept
@@ -451,7 +452,8 @@ def _g17(values):
     log10 lands a decade off.
     """
     hi, lo10, quad, zeros, keep, frac, pattern, exp = _g17_tables()
-    x = np.asarray(values, dtype=np.float64)
+    shape = np.shape(values)
+    x = np.asarray(values, dtype=np.float64).ravel()
     a = np.abs(x)
     zero = a == 0.0
     fast = (a >= 1e-280) & (a <= 1e280)
@@ -496,7 +498,7 @@ def _g17(values):
     text = out.view("S32").ravel()
     slow = np.flatnonzero(~(fast | zero))
     text[slow] = ["%.17g" % v for v in x[slow].tolist()]
-    return text
+    return text.reshape(shape)
 
 
 def _write_csv(fh, points, last=None, *, nodes, text):

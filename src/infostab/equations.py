@@ -4,15 +4,14 @@ A residual sweep evaluates one equation's defect over a finite grid and
 reduces it to a report (exact sup, mean, argmax point).  Defects are
 computed and summarised in fixed-size blocks, so the report is bit-identical
 for any worker count: the max is exact with a first-index tie-break, and
-each block's sum of |defect| is an exact integer, extracted a few leading
-bits of the whole block at a time (_exact_total, with a decode of the IEEE
-bits as its fallback for extreme ranges), so the total does not depend on
-block order.  The mean is that total rounded once, then divided by the
-count, like ``math.fsum(v) / n``, bit for bit.  Only a sweep that asks for
-the mean pays for the totals: with mean=False (every certifier's sweep,
-which reads the sup alone) no block computes one and the report's mean is
-None.  A NaN or infinite defect raises NonFiniteDefectError, so numpy's
-overflow and invalid-value warnings are off while a block runs.
+each block's sum of |defect| is an exact integer, summed from the IEEE bits
+of its values (_exact_total), so the total does not depend on block order.
+The mean is that total rounded once, then divided by the count, like
+``math.fsum(v) / n``, bit for bit.  Only a sweep that asks for the mean pays
+for the totals: with mean=False (every certifier's sweep, which reads the
+sup alone) no block computes one and the report's mean is None.  A NaN or
+infinite defect raises NonFiniteDefectError, so numpy's overflow and
+invalid-value warnings are off while a block runs.
 
 Every sweep has one block contract: work(item) returns (points, defects),
 and value i of defects belongs to row i % len(points), so a block that
@@ -277,54 +276,20 @@ def _passes(value, bound) -> bool:
     return math.isfinite(v) and math.isfinite(b) and v <= b + certificate_slack(b)
 
 
-# Exact sums.  _exact_total extracts the leading bits of a whole block at once
-# (Rump, Ogita and Oishi's ExtractVector): for the block's max top < 2**e and
-# n values, sigma = 2**(e + M) with 2**M > n + 1 splits each value p into
-# q = (sigma + p) - sigma and p - q, both exactly.  Every q is a multiple of
-# 2**-53 sigma and their sum is below sigma, so q.sum() is exact in any order,
-# and its integer ratio scales to the total.  The signed remainders p - q are
-# at most 2**-53 sigma, so the next level takes them with sigma 2**(53 - M)
-# times smaller, until they are all zero.  Where sigma would leave
-# [2**-900, 2**1000], clear of overflow and of the subnormals, or after
-# _LEVELS levels, _decode sums the positive remainders and the negated
-# negative ones from their IEEE bits: a finite nonnegative float's biased
-# exponent e and 52 fraction bits make it m * 2**(max(e, 1) - _SCALE) for a
-# 53-bit integer m, and bincount sums the high and low 26-bit halves of the
-# mantissas per exponent, exactly while it adds fewer than 2**26 values.
-# Either total is the sum times 2**_SCALE.
+# Exact sums.  A finite nonnegative float's biased exponent e and 52 fraction
+# bits make it m * 2**(max(e, 1) - _SCALE) for a 53-bit integer m, so
+# _exact_total sums a block from its IEEE bits: bincount sums the high and low
+# 26-bit halves of the mantissas per exponent, exactly while it adds fewer than
+# 2**26 values (_EXACT_ROWS per slice), and each exponent's two sums shift
+# into one Python int, the sum times 2**_SCALE.
 _SCALE = 1023 + 52  # the exponent bias plus the fraction bits
 _HALF = 26
 _EXACT_ROWS = (1 << _HALF) - 1
-_LEVELS = 4
-_SIGMA_EXPONENTS = range(-900, 1001)
 
 
-def _exact_total(values, top):
+def _exact_total(values):
     """sum(values) * 2**_SCALE as an exact int, for finite and nonnegative
-    floats whose max is top; values is only read."""
-    if top == 0.0:
-        return 0
-    bits = (values.size + 1).bit_length()
-    k = math.frexp(top)[1] + bits  # sigma = 2**k
-    total, p, q = 0, values, np.empty_like(values)
-    for _ in range(_LEVELS):
-        if k not in _SIGMA_EXPONENTS:
-            break
-        sigma = math.ldexp(1.0, k)
-        np.add(p, sigma, out=q)
-        q -= sigma
-        p = np.subtract(p, q, out=None if p is values else p)
-        num, den = float(q.sum()).as_integer_ratio()
-        total += num << (_SCALE + 1 - den.bit_length())
-        if not p.any():
-            return total
-        k -= 53 - bits
-    return total + _decode(p[p > 0.0]) - _decode(-p[p < 0.0])
-
-
-def _decode(values):
-    """sum(values) * 2**_SCALE as an exact int, from the IEEE bits of finite
-    and nonnegative floats."""
+    floats; values is only read."""
     total = 0
     for s in range(0, values.size, _EXACT_ROWS):
         bits = values[s : s + _EXACT_ROWS].view(np.int64)
@@ -354,7 +319,7 @@ def _summary(points, defects, ranks=None, *, mean=True):
     rank = 0 if ranks is None else int(ranks[i])
     if bad is None:
         sup = float(ab[i])
-        total = _exact_total(ab, sup) if mean else None
+        total = _exact_total(ab) if mean else None
         return ab.size, sup, total, 0, rank, _row(points, i)
     return ab.size, -1.0, 0, int(np.count_nonzero(bad)), rank, _row(points, i)
 

@@ -512,6 +512,14 @@ class TestG17Text:
         x = np.concatenate([x, -x])
         assert _texts(x) == _python_g17(x)
 
+    @pytest.mark.parametrize("shape", [(), (3, 2), (1, 2), (2, 1), (2, 0)])
+    def test_any_shape(self, shape):
+        # the texts come back in the input's shape, each at its value's place
+        values = np.array([-0.0, np.nan, np.inf, 5e-324, 0.1, -2.5])
+        for start in range(values.size):
+            a = np.resize(np.roll(values, -start), shape)
+            assert np.array_equal(_g17(a), _g17(a.ravel()).reshape(a.shape))
+
 
 @settings(max_examples=40, deadline=None)
 @given(r=st.integers(min_value=3, max_value=40))

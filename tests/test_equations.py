@@ -756,7 +756,7 @@ def test_family_members_always_solve(a, b, alpha):
 
 def _exact_sum(blocks):
     arrays = [np.asarray(b, dtype=float) for b in blocks]
-    return sum(_exact_total(a, float(a.max(initial=0.0))) for a in arrays) / (1 << _SCALE)
+    return sum(_exact_total(a) for a in arrays) / (1 << _SCALE)
 
 
 _NONNEG_FINITE = st.one_of(
@@ -849,14 +849,11 @@ class TestExactMean:
             assert residual(kind, f, grid, jobs=jobs).mean.hex() == want.hex()
 
 
-# one block for each way out of _exact_total: sigma above 2**1000 and below
-# 2**-900 decode the block itself, the level cap decodes the remainder that
-# four extractions leave of 1.0 beside 5e-324, and a block without a nonzero
-# value takes no level.
-# At the bound, 1.5 sets sigma = 2**13 for n = 2**12 - 2 values, and each
-# other value, just above half of 2**-39, leaves a remainder near -2**-40 with
-# bits down to 2**-82: the second level's sum sits just below its sigma,
-# 2**-28, and is exact only with sigma no smaller.
+# blocks whose exact sums need far more than 53 bits: 1.5 beside 4,093 values
+# just above 2**-40 with bits down to 2**-82; the exponent and mantissa edges;
+# the largest float beside 1e307, 3.0 and 1e-300; subnormals alone; 1.0 beside
+# 5e-324; powers of two 37 binades apart down to 2**-999; and blocks of
+# zeros, of one value and of none.
 _EXTRACTION_EDGES = {
     "remainders_at_the_bound": [1.5, *(2.0**-40 + np.arange(1, 4094) * 2.0**-82).tolist()],
     "decode_edges": _DECODE_EDGES,
@@ -873,7 +870,7 @@ _EXTRACTION_EDGES = {
 def _assert_exact_total(values):
     v = np.asarray(values, dtype=float)
     before = v.copy()
-    assert _exact_total(v, float(v.max(initial=0.0))) == scaled_sum(v, _SCALE)
+    assert _exact_total(v) == scaled_sum(v, _SCALE)
     assert float_bits(v) == float_bits(before)  # the caller's array is only read
 
 
@@ -905,6 +902,18 @@ class TestExactTotal:
     @pytest.mark.parametrize("values", _EXTRACTION_EDGES.values(), ids=_EXTRACTION_EDGES)
     def test_extraction_edges(self, values):
         _assert_exact_total(values)
+
+    @pytest.mark.parametrize("size", [0, 1, 7, 8, 15, 1000])
+    def test_slices(self, monkeypatch, size):
+        # with slices of 7 values, a block of 8 or more spans several, and
+        # each slice must add its own values
+        from infostab import equations
+
+        monkeypatch.setattr(equations, "_EXACT_ROWS", 7)
+        rng = np.random.default_rng(size)
+        wide = np.abs(rng.standard_normal(size)) * 10.0 ** rng.integers(-300, 300, size)
+        _assert_exact_total(np.resize(_DECODE_EDGES, size))
+        _assert_exact_total(rng.permutation(np.concatenate((_DECODE_EDGES, wide)))[:size])
 
 
 _FAMILY = PowerFamily(1.0, 1.0, 0.5)
