@@ -163,13 +163,13 @@ def box_growth_constants(n, alpha):
 
 def _distance(points, gap):
     """sup |gap| over points as one _sweep block: exact, and a NaN or inf raises."""
-    return _sweep(lambda block: block, [(points, gap)], mean=False).sup
+    return _sweep(lambda block: block, [(points, gap)]).sup
 
 
 def _ternary_distance(F, G, pts, jobs):
     """sup over the rows of pts of |F - G|, two ternary functions."""
     gap = lambda P: np.asarray(F(*P.T)) - np.asarray(G(*P.T))
-    return _sweep(*_row_blocks(pts, gap), jobs=jobs, mean=False).sup
+    return _sweep(*_row_blocks(pts, gap), jobs=jobs).sup
 
 
 @dataclass(frozen=True)
@@ -267,7 +267,7 @@ def _epsilon(f, alpha, resolution, closed, jobs, budget):
     """The equation defect's sup on the triangle lattice of the domain."""
     grid = TriangleGrid(resolution, closed=closed)
     kind = FundamentalParametric(alpha)
-    return residual(kind, f, grid, jobs=jobs, budget=budget, mean=False).sup
+    return residual(kind, f, grid, jobs=jobs, budget=budget).sup
 
 
 def _certify_fundamental(theorem, f, alpha, resolution, closed, jobs, budget, epsilon):
@@ -621,20 +621,19 @@ def certify_measure_sequence(
 
     distances = {}
     if not statement:
-        # every sweep here reads its sup alone
-        sup_only = {"budget": budget, "jobs": jobs, "mean": False}
-        eps = [check_semisymmetry3(measure, resolution, **sup_only).sup]
+        opts = {"budget": budget, "jobs": jobs}
+        eps = [check_semisymmetry3(measure, resolution, **opts).sup]
         # built once the budget has bounded the resolution
         j_rows = _sequence_candidate(v, coefficients, resolution)
         gap = lambda P: measure._eval_rows(P) - j_rows(P)
         blocks = _simplex_blocks(2, resolution, False, budget, gap)
-        distances[2] = _sweep(*blocks, jobs=jobs, mean=False).sup
+        distances[2] = _sweep(*blocks, jobs=jobs).sup
         for n in range(3, int(levels) + 1):
-            split, dist = recursivity_defect(measure, n, resolution, against=j_rows, **sup_only)
+            split, dist = recursivity_defect(measure, n, resolution, against=j_rows, **opts)
             eps.append(split.sup)
             distances[n] = dist.sup
         if levels == 2:  # the level-2 bound still reads eps_2
-            eps.append(recursivity_defect(measure, 3, resolution, **sup_only).sup)
+            eps.append(recursivity_defect(measure, 3, resolution, **opts).sup)
 
     rows = []
     for n in range(2, int(levels) + 1):
@@ -681,14 +680,14 @@ def certify_entropy_equation(
     grid = ConeGrid(resolution, bound=bound, budget=budget)
     # six permutations of R^3 points, more than homogeneity's 4 R^2 samples
     _within_budget(6 * grid.resolution**3, budget)
-    eps1 = symmetry_residual(H, grid, jobs=jobs, mean=False).sup
-    eps2 = residual(EntropyEq(), H, grid, jobs=jobs, budget=budget, mean=False).sup
+    eps1 = symmetry_residual(H, grid, jobs=jobs).sup
+    eps2 = residual(EntropyEq(), H, grid, jobs=jobs, budget=budget).sup
 
     def face(u, v):
         u = np.asarray(u, dtype=float)
         return H(u, v, np.zeros_like(u))
 
-    eps3 = homogeneity_residual(face, v, PairGrid(resolution, bound), jobs=jobs, mean=False).sup
+    eps3 = homogeneity_residual(face, v, PairGrid(resolution, bound), jobs=jobs).sup
 
     proxy = False
     tau = 0.0
@@ -812,7 +811,7 @@ def certify_associativity(
         u, v, w = P.T
         return np.asarray(A(u + v, w)) - np.asarray(B(u, v + w))
 
-    eps = _sweep(*_row_blocks(uvw, gap), jobs=jobs, mean=False).sup
+    eps = _sweep(*_row_blocks(uvw, gap), jobs=jobs).sup
 
     def phi(sv):
         sv = np.asarray(sv, dtype=float)
@@ -885,9 +884,9 @@ def certify_modified_entropy(
         raise ConfigurationError(f"box bound must be positive, got {n}")
     box = float(n)
     grid = ConeGrid(resolution, bound=box, budget=budget)
-    eps1 = residual(ModifiedEntropy(v), f, grid, jobs=jobs, budget=budget, mean=False).sup
+    eps1 = residual(ModifiedEntropy(v), f, grid, jobs=jobs, budget=budget).sup
     _within_budget(6 * grid.resolution**3, budget)
-    eps2 = symmetry_residual(f, grid, jobs=jobs, mean=False).sup
+    eps2 = symmetry_residual(f, grid, jobs=jobs).sup
 
     r = int(resolution)
     s_nodes = np.arange(3, 3 * r + 1) * (box / r)
@@ -955,7 +954,7 @@ def certify_sum_form(
     if n < 3:
         raise ConfigurationError(f"the sum-form theorem needs n >= 3, got {n}")
     sums = lambda P: np.sum(np.asarray(phi(P)), axis=1)
-    eps = _sweep(*_simplex_blocks(n, resolution, True, budget, sums), jobs=jobs, mean=False).sup
+    eps = _sweep(*_simplex_blocks(n, resolution, True, budget, sums), jobs=jobs).sup
 
     xs = UnitGrid(resolution, closed=True).points
     pv = np.asarray(phi(xs))
@@ -1014,9 +1013,7 @@ def certify_sum_form_multiplicative(
         SimplexGrid(n, resolution, closed=True, budget=budget),
         SimplexGrid(m, resolution, closed=True, budget=budget),
     )
-    eps = residual(
-        SumFormMultiplicative(n, m), g, pair, jobs=jobs, budget=budget, mean=False
-    ).sup
+    eps = residual(SumFormMultiplicative(n, m), g, pair, jobs=jobs, budget=budget).sup
 
     xs = UnitGrid(resolution, closed=True).points
     gv = np.asarray(g(xs))
@@ -1099,7 +1096,7 @@ def certify_sum_form_mixed(
     fq = np.sum(np.asarray(f(gq.points)), axis=1)
     pa = np.sum(pow0(gp.points, av), axis=1)
     qb = np.sum(pow0(gq.points, bv), axis=1)
-    eps = _sweep(work, spans, jobs=jobs, mean=False).sup
+    eps = _sweep(work, spans, jobs=jobs).sup
 
     xs = UnitGrid(resolution, closed=True).points
     fv = np.asarray(f(xs))

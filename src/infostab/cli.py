@@ -278,7 +278,7 @@ def _job_residual(cfg, jobs, dump):
     if target is not None and target < 0:
         raise ConfigurationError(f"config field 'epsilon_target' must be nonnegative, got {target}")
     _refuse_unread(cfg)
-    rep = residual(kind, fns, grid, jobs=jobs, budget=budget)
+    rep = residual(kind, fns, grid, jobs=jobs, budget=budget, mean=True)
     within = target is None or _passes(rep.sup, target)
     result = {"equation": name, **_plain(rep), "epsilon_target": target, "within_target": within}
     files = _defects_file(kind, fns, grid, budget) if dump else {}
@@ -422,14 +422,13 @@ def _job_measure(cfg, jobs, dump):
     top = _level_field(cfg, "n", measure.max_n, 3)
     level = _level_field(cfg, "tabulate", measure.max_n, None)
     _refuse_unread(cfg)
-    # the report holds the checks' sups alone
-    sup_only = {"budget": budget, "jobs": jobs, "mean": False}
+    opts = {"budget": budget, "jobs": jobs}
     symmetry = [
-        {"n": n, "sup": check_symmetry(measure, n, resolution, **sup_only).sup}
+        {"n": n, "sup": check_symmetry(measure, n, resolution, **opts).sup}
         for n in range(2, top + 1)
     ]
     recursivity = [
-        {"n": n, "sup": recursivity_defect(measure, n, resolution, **sup_only).sup}
+        {"n": n, "sup": recursivity_defect(measure, n, resolution, **opts).sup}
         for n in range(3, top + 1)
     ]
     gd = derive_generating_defect(measure, resolution, budget=budget, jobs=jobs)
@@ -437,7 +436,7 @@ def _job_measure(cfg, jobs, dump):
         "alpha": measure.alpha,
         "max_n": measure.max_n,
         "normalization_gap": float(check_normalization(measure)),
-        "semisymmetry3": check_semisymmetry3(measure, resolution, **sup_only).sup,
+        "semisymmetry3": check_semisymmetry3(measure, resolution, **opts).sup,
         "symmetry": symmetry,
         "recursivity": recursivity,
         "generating_defect": {

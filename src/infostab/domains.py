@@ -501,9 +501,9 @@ def _g17(values):
     return text.reshape(shape)
 
 
-def _write_csv(fh, points, last=None, *, nodes, text):
+def _write_csv(fh, points, last, *, nodes, text):
     """Write each row of the float matrix points, then the matching value of
-    last when given, to the binary file fh as one CSV line of %.17g fields,
+    last, to the binary file fh as one CSV line of %.17g fields,
     _TEXT_ROWS rows at a time.  nodes is a grid's node table (at least two
     entries) and text its _g17 text.  Lattice coordinates are node values,
     so a coordinate x takes its text from the node at rint(x / nodes[1]),
@@ -514,7 +514,7 @@ def _write_csv(fh, points, last=None, *, nodes, text):
     rows, d = points.shape
     for s in range(0, rows, _TEXT_ROWS):
         pts = points[s : s + _TEXT_ROWS]
-        cells = np.empty((len(pts), d + (last is not None)), "S32")
+        cells = np.empty((len(pts), d + 1), "S32")
         coords = cells[:, :d]
         with np.errstate(over="ignore"):
             k = np.rint(pts / nodes[1])
@@ -524,8 +524,7 @@ def _write_csv(fh, points, last=None, *, nodes, text):
         miss = pts.view(np.uint64) != nodes.view(np.uint64)[k]
         if miss.any():
             coords[miss] = _g17(pts[miss])
-        if last is not None:
-            cells[:, d] = _g17(last[s : s + _TEXT_ROWS])
+        cells[:, d] = _g17(last[s : s + _TEXT_ROWS])
         cells.view(np.uint8)[:, 31::32] = ord(",")
         cells.view(np.uint8)[:, -1] = ord("\n")
         fh.write(cells.tobytes().translate(None, b"\0"))

@@ -1,15 +1,15 @@
 """Functional-equation registry and the residual sweep engine.
 
 A residual sweep evaluates one equation's defect over a finite grid and
-reduces it to a report (exact sup, mean, argmax point).  Defects are
-computed and summarised in fixed-size blocks, so the report is bit-identical
-for any worker count: the max is exact with a first-index tie-break, and
-each block's sum of |defect| is an exact integer, summed from the IEEE bits
-of its values (_exact_total), so the total does not depend on block order.
-The mean is that total rounded once, then divided by the count, like
-``math.fsum(v) / n``, bit for bit.  Only a sweep that asks for the mean pays
-for the totals: with mean=False (every certifier's sweep, which reads the
-sup alone) no block computes one and the report's mean is None.  A NaN or
+reduces it to a report (exact sup, argmax point, mean on request).  Defects
+are computed and summarised in fixed-size blocks, so the report is
+bit-identical for any worker count: the max is exact with a first-index
+tie-break, and each block's sum of |defect| is an exact integer, summed from
+the IEEE bits of its values (_exact_total), so the total does not depend on
+block order.  The mean is that total rounded once, then divided by the
+count, like ``math.fsum(v) / n``, bit for bit.  Sweeps are sup only: no
+block computes a total and the report's mean is None, unless residual is
+asked for the mean, which only the CLI's residual job does.  A NaN or
 infinite defect raises NonFiniteDefectError, so numpy's overflow and
 invalid-value warnings are off while a block runs.
 
@@ -260,7 +260,7 @@ class InfoFunctionForm:
 @dataclass(frozen=True)
 class ResidualReport:
     sup: float
-    mean: Optional[float]  # None for a sweep that skipped its exact total
+    mean: Optional[float]  # None unless residual was asked for it
     argmax_point: tuple
     samples: int
 
@@ -303,7 +303,7 @@ def _exact_total(values):
     return total
 
 
-def _summary(points, defects, ranks=None, *, mean=True):
+def _summary(points, defects, ranks=None, *, mean: bool = False):
     """(size, sup, exact total, non-finite count, rank, point) of one block of
     |defects|; rank and point are the sup's, or the first non-finite value's.
     Value i belongs to row i % len(points) and ranks 0, so _fold keeps the
@@ -373,13 +373,13 @@ def _quiet(fn, item):
         return fn(item)
 
 
-def _sweep(work, items, *, jobs=1, mean=True):
+def _sweep(work, items, *, jobs=1, mean: bool = False):
     """Reduce work(item) -> (points, defects) over items to one report.
 
     Each block is summarised where it is computed, in a worker thread when
     jobs > 1, so no defect array outlives its block, and the summaries are
-    folded in item order.  With mean false no block computes its exact total
-    and the report's mean is None.
+    folded in item order.  Only with mean true does each block compute its
+    exact total; otherwise the report's mean is None.
     """
     summaries = _imap(lambda item: _summary(*work(item), mean=mean), items, jobs)
     return _fold(summaries)
@@ -705,10 +705,10 @@ def residual(
     *,
     jobs: int = 1,
     budget: int = 10**7,
-    mean: bool = True,
+    mean: bool = False,
 ) -> ResidualReport:
-    """Sweep one equation's defect over a grid and reduce it to a report; with
-    mean false the sweep skips the exact total and the report's mean is None."""
+    """Sweep one equation's defect over a grid and reduce it to a report; its
+    mean is None unless mean is true, when the sweep sums the exact total."""
     return _sweep(*_blocks(kind, fns, grid, budget, mirrored=True), jobs=jobs, mean=mean)
 
 
@@ -739,11 +739,8 @@ _PERMS3 = (
 )
 
 
-def symmetry_residual(
-    F: TernaryFunction, grid: ConeGrid, *, jobs: int = 1, mean: bool = True
-) -> ResidualReport:
-    """sup over all six argument permutations of |F(P) - F(sigma P)|; with
-    mean false the report's mean is None and no exact total is computed."""
+def symmetry_residual(F: TernaryFunction, grid: ConeGrid, *, jobs: int = 1) -> ResidualReport:
+    """sup over all six argument permutations of |F(P) - F(sigma P)|."""
     pts = _expect_grid(grid, ConeGrid, "symmetry").points
 
     def gaps(block):
@@ -751,20 +748,14 @@ def symmetry_residual(
         vals = [np.asarray(F(*(block[:, i] for i in perm))) for perm in _PERMS3]
         return np.concatenate([v - vals[0] for v in vals])
 
-    return _sweep(*_row_blocks(pts, gaps), jobs=jobs, mean=mean)
+    return _sweep(*_row_blocks(pts, gaps), jobs=jobs)
 
 
 def homogeneity_residual(
-    F: BivariateFunction,
-    alpha,
-    grid: PairGrid,
-    *,
-    jobs: int = 1,
-    mean: bool = True,
+    F: BivariateFunction, alpha, grid: PairGrid, *, jobs: int = 1
 ) -> ResidualReport:
     """sup over the scales t in (1/4, 1/2, 2, 4) and the grid pairs of
-    |F(tu, tv) - t^alpha F(u, v)|; with mean false the report's mean is None
-    and no exact total is computed."""
+    |F(tu, tv) - t^alpha F(u, v)|."""
     a = float(alpha)
     # the largest t**alpha; certify_entropy_equation checks it before its first sweep
     _finite(f"4**|alpha| at alpha = {a!r}", lambda: 4.0 ** abs(a))
@@ -776,4 +767,4 @@ def homogeneity_residual(
         base = np.asarray(F(u, v))
         return np.concatenate([np.asarray(F(t * u, t * v)) - (t**a) * base for t in ts])
 
-    return _sweep(*_row_blocks(pts, gaps), jobs=jobs, mean=mean)
+    return _sweep(*_row_blocks(pts, gaps), jobs=jobs)

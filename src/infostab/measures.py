@@ -9,8 +9,9 @@ f(x) = I_2(1-x, x)) by unrolling the degree-alpha splitting recursion
 left to right, plus optional bounded per-level perturbations that manufacture
 approximate measures with measurable defects.  Checkers sweep the axioms on
 interior simplex lattices block by block and reduce the defects with the
-residual sweeps' reducer, so their reports carry the same exact sup,
-argmax point and exactly rounded mean, and fail on NaN or inf the same way.
+residual sweeps' reducer, so their reports carry the same exact sup and
+argmax point, and fail on NaN or inf the same way.  Like every check, they
+are sup only: their reports' mean is None.
 
 Distributions are validated at the public entry only: eval_rows (and eval)
 scan their rows for positivity and unit sums, while the lattice sweeps,
@@ -23,11 +24,7 @@ above the deepest reads only a running sum and one column, which stay the
 same over the rows under one leading prefix, so it is evaluated once per run
 of rows whose two inputs have equal bits, where at most half the rows start
 a run (permuted rows are evaluated row by row); any rows, from a lattice or
-not, get the per-row values bit for bit.  check_symmetry,
-check_semisymmetry3 and recursivity_defect take mean=False for a caller
-that reads the sup alone: the certificates, the CLI's measure job and
-derive_generating_defect's two defects pass it, and the default keeps the
-mean for library callers.
+not, get the per-row values bit for bit.
 """
 
 from __future__ import annotations
@@ -205,19 +202,15 @@ def check_symmetry(
     *,
     budget: int = 10**6,
     jobs: int = 1,
-    mean: bool = True,
 ) -> ResidualReport:
-    """sup over all n! coordinate permutations and grid points of the gap;
-    with mean false the report's mean is None and no exact total is computed."""
+    """sup over all n! coordinate permutations and grid points of the gap."""
     grid = SimplexGrid(n, resolution, budget=budget)
     _within_budget(grid.count * math.factorial(n), budget)
     pts = grid.points
     perms = list(itertools.permutations(range(n)))
     base = measure._eval_rows(pts)
     # one block per permutation, in order
-    return _sweep(
-        lambda perm: (pts, measure._eval_rows(pts[:, perm]) - base), perms, jobs=jobs, mean=mean
-    )
+    return _sweep(lambda perm: (pts, measure._eval_rows(pts[:, perm]) - base), perms, jobs=jobs)
 
 
 def check_semisymmetry3(
@@ -226,15 +219,13 @@ def check_semisymmetry3(
     *,
     budget: int = 10**6,
     jobs: int = 1,
-    mean: bool = True,
 ) -> ResidualReport:
-    """sup over the interior 3-simplex of |I_3(p1,p2,p3) - I_3(p1,p3,p2)|;
-    with mean false the report's mean is None and no exact total is computed."""
+    """sup over the interior 3-simplex of |I_3(p1,p2,p3) - I_3(p1,p3,p2)|."""
     grid = SimplexGrid(3, resolution, budget=budget)
     _within_budget(grid.count, budget)
     pts = grid.points
     swap = lambda P: measure._eval_rows(P[:, (0, 2, 1)]) - measure._eval_rows(P)
-    return _sweep(*_row_blocks(pts, swap), jobs=jobs, mean=mean)
+    return _sweep(*_row_blocks(pts, swap), jobs=jobs)
 
 
 def check_additivity(
@@ -245,7 +236,8 @@ def check_additivity(
     *,
     budget: int = 10**6,
 ) -> ResidualReport:
-    """Defect of degree-alpha additivity over pairs of interior lattices:
+    """Defect of degree-alpha additivity over pairs of interior lattices,
+    sup only (the report's mean is None):
 
         I_nm(P*Q) - I_n(P) - I_m(Q) - (2^(1-alpha)-1) I_n(P) I_m(Q)
     """
@@ -281,7 +273,8 @@ def check_sum_property(
     *,
     budget: int = 10**6,
 ) -> ResidualReport:
-    """sup over the interior lattice of |I_n(P) - sum_i f(p_i)|, streamed."""
+    """sup over the interior lattice of |I_n(P) - sum_i f(p_i)|, streamed; the
+    report's mean is None."""
     gap = lambda P: measure._eval_rows(P) - np.sum(np.asarray(f(P)), axis=1)
     return _sweep(*_simplex_blocks(n, resolution, False, budget, gap))
 
@@ -294,7 +287,6 @@ def recursivity_defect(
     budget: int = 10**6,
     against=None,
     jobs: int = 1,
-    mean: bool = True,
 ):
     """sup over the interior n-lattice of the level-n splitting defect
 
@@ -303,8 +295,6 @@ def recursivity_defect(
     With against, a callable J on the lattice's rows, the same stream also
     measures the distance |I_n(P) - J(P)|: one recursion per block gives both
     defects, and the pair (splitting report, distance report) is returned.
-    With mean false every report's mean is None and no exact total is
-    computed.
     """
     if n < 3:
         raise ConfigurationError(f"recursivity defect needs n >= 3, got {n}")
@@ -316,11 +306,11 @@ def recursivity_defect(
 
     if against is None:
         blocks = _simplex_blocks(n, resolution, False, budget, lambda P: split(P)[1])
-        return _sweep(*blocks, jobs=jobs, mean=mean)
+        return _sweep(*blocks, jobs=jobs)
 
     def both(P):
         out, defect = split(P)
-        return _summary(P, defect, mean=mean), _summary(P, out - against(P), mean=mean)
+        return _summary(P, defect), _summary(P, out - against(P))
 
     work, blocks = _simplex_blocks(n, resolution, False, budget, both)
     splits, gaps = zip(*_imap(lambda P: work(P)[1], blocks, jobs))
@@ -369,13 +359,13 @@ def derive_generating_defect(
 ) -> GeneratingDefect:
     """Extract f(x) = I_2(1-x, x) and verify its two-variable equation residual
     against twice the level-3 splitting defect plus the 3-semi-symmetry defect,
-    all measured on matching lattices."""
+    all measured on matching lattices; the residual's report is sup only (its
+    mean is None)."""
     if measure.max_n < 3:
         raise ConfigurationError("needs a measure defined at least up to level 3")
     f = _GeneratorFunction(measure)
-    # the defects' sups alone are kept; the residual's report keeps its mean
-    eps1 = check_semisymmetry3(measure, resolution, budget=budget, jobs=jobs, mean=False).sup
-    eps2 = recursivity_defect(measure, 3, resolution, budget=budget, jobs=jobs, mean=False).sup
+    eps1 = check_semisymmetry3(measure, resolution, budget=budget, jobs=jobs).sup
+    eps2 = recursivity_defect(measure, 3, resolution, budget=budget, jobs=jobs).sup
     rep = residual(
         FundamentalParametric(measure.alpha),
         f,

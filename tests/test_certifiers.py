@@ -59,7 +59,6 @@ from infostab import (
     certify_sum_form,
     certify_sum_form_mixed,
     certify_sum_form_multiplicative,
-    check_semisymmetry3,
     hyperstability_blowup_probe,
     pow0,
     residual,
@@ -351,74 +350,53 @@ class TestHyperstable:
 
 
 class TestSupOnlySweeps:
-    def test_certificates_compute_no_exact_total(self, monkeypatch, tmp_path):
-        # no certificate reads a mean, so none of their sweeps pays for the
-        # exact total; the residual job writes the mean and does
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_only_the_residual_job_sums_exact_totals(self, jobs, monkeypatch, tmp_path):
+        # every certificate reads sups alone, and so do the measure job and
+        # derive_generating_defect; the residual job writes the exact mean
         import infostab.equations as equations
         from infostab.cli import run
+        from infostab.measures import derive_generating_defect
 
         calls = []
         real = equations._exact_total
         monkeypatch.setattr(equations, "_exact_total", lambda *a: calls.append(1) or real(*a))
         noisy = FunctionSum((PowerFamily(2.0, 1.0, 0.5), ScaledBump(0.4, 0.2, 1e-3)))
         noisy_neg = FunctionSum((PowerFamily(1.0, 1.0, -1.0), ScaledBump(0.4, 0.2, 1e-3)))
-        for jobs in (1, 2):
-            certify_fundamental_open(noisy, 0.5, 300, jobs=jobs)
-            certify_fundamental_closed(noisy, 0.5, 300, jobs=jobs)
-            certify_hyperstable(noisy_neg, -1.0, 300, jobs=jobs)
-        assert calls == []
-        config = {"schema": 1, "job": "residual", "equation": "fundamental", "alpha": 0.5,
-                  "function": _plain(noisy), "grid": {"kind": "triangle", "resolution": 64}}
-        run(config, out_dir=str(tmp_path))
-        assert calls
-        assert json.loads((tmp_path / "report.json").read_text())["result"]["mean"] > 0.0
-
-    def test_sequence_and_cone_certificates_compute_no_exact_total(self, monkeypatch):
-        # their semi-symmetry, recursivity, symmetry and homogeneity sweeps
-        # read the sup alone; the public checks keep their mean
-        import infostab.equations as equations
-
-        calls = []
-        real = equations._exact_total
-        monkeypatch.setattr(equations, "_exact_total", lambda *a: calls.append(1) or real(*a))
         noise = (LevelNoise(3, 3e-5, 11), LevelNoise(4, 5e-5, 12))
         measure = InformationMeasure(PowerFamily(kappa(0.5), kappa(0.5), 0.5), 0.5, 6, noise)
-        modified = ModifiedEntropySolution(0.4, 2.0, XLogX(1.0))
-        for jobs in (1, 2):
-            # levels 2 and 3 on lattices of two blocks, and the upper steps
-            for levels, r in ((2, 300), (3, 300), (5, 30)):
-                certify_measure_sequence(measure, levels, r, jobs=jobs)
-            certify_entropy_equation(EntropySolution(0.7, 2.0), 2.0, 33, jobs=jobs)
-            certify_modified_entropy(modified, 2.0, 1.0, 33, jobs=jobs)
-        assert calls == []
-        assert check_semisymmetry3(measure, 300).mean > 0.0
-        assert calls
-
-    def test_measure_job_computes_only_the_generating_residual_totals(self, monkeypatch, tmp_path):
-        # the measure job writes its checks' sups alone; the generating
-        # defect's residual report keeps its mean for library callers
-        import infostab.equations as equations
-        from infostab.cli import run
-        from infostab.measures import _GeneratorFunction
-
-        calls = []
-        real = equations._exact_total
-        monkeypatch.setattr(equations, "_exact_total", lambda *a: calls.append(1) or real(*a))
+        phi = FunctionSum((PowerLaw(0.3, 1.0), ScaledBump(0.5, 0.2, 1e-4)))
+        A = PhiOfSum(PowerLaw(1.0, 2.0))
+        # the triangle, level-2 and level-3 lattices at R=300 hold two blocks
+        certify_fundamental_open(noisy, 0.5, 300, jobs=jobs)
+        certify_fundamental_closed(noisy, 0.5, 300, jobs=jobs)
+        certify_hyperstable(noisy_neg, -1.0, 300, jobs=jobs)
+        for levels, r in ((2, 300), (3, 300), (5, 30)):
+            certify_measure_sequence(measure, levels, r, jobs=jobs)
+        certify_entropy_equation(EntropySolution(0.7, 2.0), 2.0, 33, jobs=jobs)
+        certify_modified_entropy(ModifiedEntropySolution(0.4, 2.0, XLogX(1.0)), 2.0, 1.0, 33,
+                                 jobs=jobs)
+        certify_associativity(A, A, (0.0, 1.0), (0.0, 1.0), (0.0, 1.0), 8, jobs=jobs)
+        certify_sum_form(phi, 3, 64, jobs=jobs)
+        certify_sum_form_multiplicative(PowerLaw(1.0, 1.7), 3, 3, 10, jobs=jobs)
+        certify_sum_form_mixed(PowerLog(0.7, 2.0), 2.0, 2.0, 3, 3, 10, jobs=jobs)
+        noisy_measure = InformationMeasure(
+            PowerFamily(-2.0, -2.0, 2.0), 2.0, 4, (LevelNoise(3, 5e-5, 7),))
+        # at R=260 every check sweeps at least two blocks
+        assert derive_generating_defect(noisy_measure, 260, jobs=jobs).report.mean is None
         spec = {"generator": {"kind": "power_family", "a": -2.0, "b": -2.0, "alpha": 2.0},
                 "alpha": 2.0, "max_n": 4,
                 "perturbations": [{"level": 3, "height": 5e-5, "seed": 7}]}
-        measure = InformationMeasure(PowerFamily(-2.0, -2.0, 2.0), 2.0, 4, (LevelNoise(3, 5e-5, 7),))
-        # at R=260 every check sweeps at least two blocks
-        residual(FundamentalParametric(2.0), _GeneratorFunction(measure), TriangleGrid(260))
-        want = len(calls)
-        assert want > 0
-        for jobs in (1, 2):
-            calls.clear()
-            out = tmp_path / str(jobs)
-            out.mkdir()
-            config = {"schema": 1, "job": "measure", "measure": spec, "n": 3, "resolution": 260}
-            run(config, out_dir=str(out), jobs=jobs)
-            assert len(calls) == want
+        config = {"schema": 1, "job": "measure", "measure": spec, "n": 3, "resolution": 260}
+        (tmp_path / "measure").mkdir()
+        run(config, out_dir=str(tmp_path / "measure"), jobs=jobs)
+        assert calls == []
+        config = {"schema": 1, "job": "residual", "equation": "fundamental", "alpha": 0.5,
+                  "function": _plain(noisy), "grid": {"kind": "triangle", "resolution": 300}}
+        run(config, out_dir=str(tmp_path), jobs=jobs)
+        assert calls
+        mean = json.loads((tmp_path / "report.json").read_text())["result"]["mean"]
+        assert mean.hex() == "0x1.1475f7687bed7p-12"
 
 
 class TestBlowupProbe:

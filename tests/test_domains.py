@@ -404,12 +404,11 @@ class TestConeAndPair:
 
 
 def _grid_csv(grid, path):
-    """Write a grid's points through _write_csv, a unit grid as one column."""
-    pts = grid.points
+    """Write a grid's points through _write_csv, the last coordinate as its
+    last column (a unit grid's one column)."""
+    pts = grid.points.reshape(len(grid.points), -1)
     with open(path, "wb") as fh:
-        _write_csv(
-            fh, pts[:, None] if pts.ndim == 1 else pts, nodes=grid.nodes, text=_g17(grid.nodes)
-        )
+        _write_csv(fh, pts[:, :-1], pts[:, -1], nodes=grid.nodes, text=_g17(grid.nodes))
 
 
 class TestCsv:

@@ -8,7 +8,6 @@ import re
 import threading
 import time
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -244,7 +243,7 @@ class TestNodeTables:
         f, grid = _NODE_FUNCTIONS["noisy_power_bump"], TriangleGrid(768, closed=closed)
         d = np.abs(fundamental_defect(f, 0.5, grid.points))
         for jobs in (1, 2):
-            rep = residual(FundamentalParametric(0.5), f, grid, jobs=jobs)
+            rep = residual(FundamentalParametric(0.5), f, grid, jobs=jobs, mean=True)
             assert rep.mean.hex() == (math.fsum(d.tolist()) / d.size).hex()
             assert rep.sup == float(d.max()) and rep.samples == d.size
             assert rep.argmax_point == tuple(grid.points[int(np.argmax(d))].tolist())
@@ -457,7 +456,7 @@ class TestReport:
         f = PowerFamily(1.0, 1.0, 2.0)
         bump = ScaledBump(0.25, 0.1, 0.05)
         g = lambda x: f(x) + bump(x)
-        rep = residual(FundamentalParametric(2.0), g, TriangleGrid(32))
+        rep = residual(FundamentalParametric(2.0), g, TriangleGrid(32), mean=True)
         assert rep.samples == TriangleGrid(32).points.shape[0]
         assert len(rep.argmax_point) == 2
         assert 0.0 < rep.mean <= rep.sup
@@ -468,8 +467,8 @@ class TestReport:
 
     def test_jobs_bitwise_deterministic(self):
         f = lambda x: ShannonInfo()(x) + ScaledBump(0.3, 0.25, 0.02)(x)
-        a = residual(FundamentalParametric(1.0), f, TriangleGrid(128), jobs=1)
-        b = residual(FundamentalParametric(1.0), f, TriangleGrid(128), jobs=4)
+        a = residual(FundamentalParametric(1.0), f, TriangleGrid(128), jobs=1, mean=True)
+        b = residual(FundamentalParametric(1.0), f, TriangleGrid(128), jobs=4, mean=True)
         assert a.sup == b.sup
         assert a.mean == b.mean
         assert a.argmax_point == b.argmax_point
@@ -620,13 +619,9 @@ class TestDumpBytes:
         )
         defects = np.arange(len(pts)) / 7.0
         path = tmp_path / "defects.csv"
-        for last in (defects, None):
-            with open(path, "wb") as fh:
-                _write_csv(fh, pts, last, **_table(TriangleGrid(8)))
-            want = _rowwise_csv(zip(pts, defects))
-            if last is None:
-                want = b"".join(line.rsplit(b",", 1)[0] + b"\n" for line in want.splitlines())
-            assert path.read_bytes() == want
+        with open(path, "wb") as fh:
+            _write_csv(fh, pts, defects, **_table(TriangleGrid(8)))
+        assert path.read_bytes() == _rowwise_csv(zip(pts, defects))
 
     def test_coordinates_formatted_once_per_node(self, tmp_path, monkeypatch):
         # the benchmark's dump formats its 293,761 defects and, once, the
@@ -719,9 +714,8 @@ class TestSymmetryHomogeneity:
             return np.stack([F(t * u, t * v) - t**2.0 * F(u, v) for t in ts])
 
         cases = (
-            (Skewed, cone, lambda F, **kw: symmetry_residual(F, cone, jobs=jobs, **kw),
-             symmetry_whole),
-            (Tilted, pairs, lambda F, **kw: homogeneity_residual(F, 2.0, pairs, jobs=jobs, **kw),
+            (Skewed, cone, lambda F: symmetry_residual(F, cone, jobs=jobs), symmetry_whole),
+            (Tilted, pairs, lambda F: homogeneity_residual(F, 2.0, pairs, jobs=jobs),
              homogeneity_whole),
         )
         for cls, grid, sweep, whole in cases:
@@ -731,8 +725,7 @@ class TestSymmetryHomogeneity:
             rep = sweep(cls(False))
             assert rep.sup == d.max()
             assert rep.argmax_point == first_in_sweep_order(pts, d == d.max())
-            assert rep.mean == math.fsum(d.ravel().tolist()) / d.size
-            assert sweep(cls(False), mean=False) == replace(rep, mean=None)
+            assert rep.mean is None
             bad = ~np.isfinite(whole(cls(True)))
             assert 0 < bad.sum() < bad.size
             with pytest.raises(NonFiniteDefectError) as exc:
@@ -825,7 +818,7 @@ class TestExactMean:
         f = FunctionSum((PowerFamily(2.0, 1.0, 0.5), ScaledBump(0.4, 0.2, 1e-3)))
         grid = TriangleGrid(700)
         kind = FundamentalParametric(0.5)
-        reps = [residual(kind, f, grid, jobs=j) for j in (1, 2)]
+        reps = [residual(kind, f, grid, jobs=j, mean=True) for j in (1, 2)]
         assert grid.points.shape[0] > 4 * _CHUNK
         assert reps[0] == reps[1]
         assert reps[0].mean.hex() == reps[1].mean.hex()
@@ -846,7 +839,7 @@ class TestExactMean:
             math.fsum(d.tolist())
         want = float(sum(map(Fraction, d.tolist())) / d.size)
         for jobs in (1, 2):
-            assert residual(kind, f, grid, jobs=jobs).mean.hex() == want.hex()
+            assert residual(kind, f, grid, jobs=jobs, mean=True).mean.hex() == want.hex()
 
 
 # blocks whose exact sums need far more than 53 bits: 1.5 beside 4,093 values
@@ -996,10 +989,10 @@ class TestSupOnlySweeps:
     def test_sup_only_report_keeps_every_other_field(self, name):
         kind, fns, grid = _EVERY_KIND[name]
         assert len(_blocks(kind, fns, grid, 10**7, mirrored=True)[1]) > 1
-        want = residual(kind, fns, grid)
+        want = residual(kind, fns, grid, mean=True)
         assert want.mean > 0.0
         for jobs in (1, 2):
-            got = residual(kind, fns, grid, jobs=jobs, mean=False)
+            got = residual(kind, fns, grid, jobs=jobs)
             assert got.mean is None
             assert got.sup.hex() == want.sup.hex()
             assert (got.argmax_point, got.samples) == (want.argmax_point, want.samples)

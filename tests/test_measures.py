@@ -3,7 +3,6 @@
 import itertools
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -198,16 +197,16 @@ def _noisy_measure(alpha=0.5):
 
 
 def _whole_report(diff, points):
-    """sup, mean, argmax point and samples the way the hand-built reports
-    computed them from whole arrays, kept as the blocked reducer's oracle."""
+    """sup, argmax point and samples the way the hand-built reports computed
+    them from whole arrays, kept as the blocked reducer's oracle."""
     diff = np.abs(diff).ravel()
     i = int(np.argmax(diff))
     point = tuple(float(c) for c in points(i))
-    return (float(diff[i]).hex(), (math.fsum(diff.tolist()) / diff.size).hex(), point, diff.size)
+    return (float(diff[i]).hex(), point, diff.size)
 
 
 def _fields(rep):
-    return (rep.sup.hex(), rep.mean.hex(), rep.argmax_point, rep.samples)
+    return (rep.sup.hex(), rep.argmax_point, rep.samples)
 
 
 class TestBlockedChecks:
@@ -219,7 +218,6 @@ class TestBlockedChecks:
         diff = recursivity_oracle(m, pts)
         rep = recursivity_defect(m, n, r)
         assert _fields(rep) == _whole_report(diff, pts.__getitem__)
-        assert recursivity_defect(m, n, r, mean=False) == replace(rep, mean=None)
 
     def test_recursivity_budget(self):
         with pytest.raises(BudgetExceededError):
@@ -242,8 +240,7 @@ class TestBlockedChecks:
         diff = m.eval_rows(pts[:, (0, 2, 1)]) - m.eval_rows(pts)
         rep = check_semisymmetry3(m, 400)
         assert _fields(rep) == _whole_report(diff, pts.__getitem__)
-        for jobs in (1, 2):
-            assert check_semisymmetry3(m, 400, jobs=jobs, mean=False) == replace(rep, mean=None)
+        assert check_semisymmetry3(m, 400, jobs=2) == rep
 
         f = XLogX(-1.0)
         pts = SimplexGrid(4, 70).points
@@ -256,8 +253,7 @@ class TestBlockedChecks:
         diff = np.concatenate([m.eval_rows(pts[:, p]) - base for p in perms])
         got = check_symmetry(m, 4, 20, budget=10**6)
         assert _fields(got) == _whole_report(diff, lambda i: pts[i % pts.shape[0]])
-        for jobs in (1, 2):
-            assert check_symmetry(m, 4, 20, jobs=jobs, mean=False) == replace(got, mean=None)
+        assert check_symmetry(m, 4, 20, jobs=2) == got
 
         P, Q = SimplexGrid(2, 60).points, SimplexGrid(3, 60).points
         prod = (P[:, None, :, None] * Q[None, :, None, :]).reshape(-1, 6)
@@ -471,12 +467,9 @@ class TestOnePass:
         against = lambda P: np.asarray(alpha_entropy(P, 0.5))
         split, dist = recursivity_defect(m, n, 24, against=against)
         assert split == recursivity_defect(m, n, 24)
-        sup_only = recursivity_defect(m, n, 24, against=against, mean=False)
-        assert sup_only == (replace(split, mean=None), replace(dist, mean=None))
         pts = SimplexGrid(n, 24).points
         gap = m._eval_rows(pts) - against(pts)
         assert dist.sup == float(np.max(np.abs(gap)))
-        assert dist.mean == math.fsum(np.abs(gap)) / gap.size
         assert dist.samples == gap.size
         assert dist.argmax_point == tuple(pts[int(np.argmax(np.abs(gap)))].tolist())
 
