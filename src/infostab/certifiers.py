@@ -677,10 +677,9 @@ def certify_entropy_equation(
     v = float(alpha)
     # homogeneity's largest t**alpha, before the first sweep; it bounds the fit's 2**alpha
     _finite(f"4**|alpha| at alpha = {v!r}", lambda: 4.0 ** abs(v))
-    grid = ConeGrid(resolution, bound=bound, budget=budget)
-    # six permutations of R^3 points, more than homogeneity's 4 R^2 samples
-    _within_budget(6 * grid.resolution**3, budget)
-    eps1 = symmetry_residual(H, grid, jobs=jobs).sup
+    grid = ConeGrid(resolution, bound=bound)
+    # the symmetry sweep checks its 6 R^3 samples first; they bound homogeneity's 4 R^2
+    eps1 = symmetry_residual(H, grid, jobs=jobs, budget=budget).sup
     eps2 = residual(EntropyEq(), H, grid, jobs=jobs, budget=budget).sup
 
     def face(u, v):
@@ -883,10 +882,9 @@ def certify_modified_entropy(
     if not float(n) > 0:
         raise ConfigurationError(f"box bound must be positive, got {n}")
     box = float(n)
-    grid = ConeGrid(resolution, bound=box, budget=budget)
+    grid = ConeGrid(resolution, bound=box)
     eps1 = residual(ModifiedEntropy(v), f, grid, jobs=jobs, budget=budget).sup
-    _within_budget(6 * grid.resolution**3, budget)
-    eps2 = symmetry_residual(f, grid, jobs=jobs).sup
+    eps2 = symmetry_residual(f, grid, jobs=jobs, budget=budget).sup
 
     r = int(resolution)
     s_nodes = np.arange(3, 3 * r + 1) * (box / r)

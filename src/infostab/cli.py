@@ -207,11 +207,7 @@ def _build_grid(desc, budget):
             SimplexGrid(_int_field(desc, "m"), r, closed=closed, budget=budget),
         )
     if kind == "cone":
-        return ConeGrid(
-            _int_field(desc, "resolution"),
-            bound=_float_field(desc, "bound", 1.0),
-            budget=budget,
-        )
+        return ConeGrid(_int_field(desc, "resolution"), bound=_float_field(desc, "bound", 1.0))
     raise ConfigurationError(f"config field 'grid.kind' is unknown: '{kind}'")
 
 
@@ -300,11 +296,11 @@ _SCALAR, _TERNARY = _function_field(scalar_from_config), _function_field(ternary
 
 def _triangle(closed):
     # the triangle the certifier swept: hyperstability reads `closed`, the others fix it
-    return lambda v, budget: TriangleGrid(v["resolution"], closed=v.get("closed", closed))
+    return lambda v: TriangleGrid(v["resolution"], closed=v.get("closed", closed))
 
 
 def _cone(box):
-    return lambda v, budget: ConeGrid(v["resolution"], bound=v[box], budget=budget)
+    return lambda v: ConeGrid(v["resolution"], bound=v[box])
 
 
 _FUNDAMENTAL_FIELDS = (
@@ -312,7 +308,7 @@ _FUNDAMENTAL_FIELDS = (
 
 # name -> (certifier name, looked up in this module at call time so that a
 # wrapper installed on it sees the call; defects.csv as (equation name, its
-# grid built from the values read and the budget) or None; (config field,
+# grid built from the values read) or None; (config field,
 # reader[, default]) in argument order, a field with a default optional and
 # passed by keyword)
 _THEOREMS = {
@@ -392,7 +388,7 @@ def _job_certify(cfg, jobs, dump):
         if dump_spec is not None:
             equation, grid = dump_spec
             values = {**args, **keywords}
-            dump_args = (_equation_kind(equation, cfg), values["function"], grid(values, budget))
+            dump_args = (_equation_kind(equation, cfg), values["function"], grid(values))
     else:
         raise ConfigurationError(f"config field 'theorem' is unknown: '{theorem}'")
 

@@ -7,14 +7,15 @@ reproducible, makes refinement nesting exact in floating point (k/R and
 whenever the resolution is even.  Point arrays are materialised once per grid
 and returned read-only, so grids are safe to share across threads.
 
-Each grid a defect dump writes (unit, triangle, simplex, cone) has a cached,
-read-only ``nodes`` table: the 1-D values its coordinates take, k/R for
-k = 0..R, or k * bound/R on the cone.  The triangle, cone and pair
-lattices are written in place from such a table: one float matrix of the
-final shape is allocated and filled by slice or broadcast copies, so a
-build peaks at its output.  Simplex lattices are enumerated as integer
-compositions and scaled block by block, which gives the bits of their node
-table too.
+Every grid has a cached, read-only ``nodes`` table, the 1-D values its
+coordinates take: k/R for k = 0..R, or k * (bound/R) on the box (0, bound]^3
+of ``ConeGrid`` and its face (0, bound]^2, ``PairGrid``, which share one
+definition.  The triangle and box lattices are written in place from their
+table: one float matrix of the final shape is filled by slice or broadcast
+copies, so a build peaks at its output.  Simplex lattices are enumerated as
+integer compositions and scaled block by block, which gives the bits of
+their node table too.  No grid holds a budget except ``SimplexGrid``, whose
+guard covers ``.points`` only; a sweep with a budget checks its samples.
 
 Conventions (applied uniformly, for every exponent alpha):
 
@@ -330,58 +331,50 @@ class SimplexGrid:
 
 
 @dataclass(frozen=True)
-class ConeGrid:
-    """Strictly positive lattice triples in (0, bound]^3 for the cone domain.
-
-    ``nodes`` is the table k * (bound/R), k = 0..R; the points are the
-    triples of its entries past 0.
-    """
+class _BoxGrid:
+    """Strictly positive lattice points in (0, bound]^dim for a finite bound:
+    the dim-tuples of ``nodes[1:]``, ``count`` = R**dim of them.  Each
+    subclass owns its ``points``, since bench/tracer.py wraps them per class."""
 
     resolution: int
     bound: float = 1.0
-    budget: int = 2_000_000
 
     def __post_init__(self):
+        kind = type(self).__name__.removesuffix("Grid").lower()
         if self.resolution < 2:
             raise InvalidResolutionError(
-                f"cone grid needs resolution >= 2, got {self.resolution}"
+                f"{kind} grid needs resolution >= 2, got {self.resolution}"
             )
-        if not self.bound > 0:
-            raise DomainError(f"cone bound must be positive, got {self.bound}")
-        if self.resolution**3 > self.budget:
-            raise BudgetExceededError(
-                f"cone grid would hold {self.resolution ** 3} points, over "
-                f"the budget of {self.budget}"
-            )
+        if not 0 < self.bound < math.inf:
+            raise DomainError(f"{kind} bound must be positive and finite, got {self.bound}")
+
+    @property
+    def count(self):
+        return self.resolution**self.dim
 
     @cached_property
     def nodes(self):
         return _freeze(np.arange(self.resolution + 1) * (self.bound / self.resolution))
+
+
+class ConeGrid(_BoxGrid):
+    """Strictly positive lattice triples in (0, bound]^3 for the cone domain."""
+
+    dim = 3
 
     @cached_property
     def points(self):
         return _freeze(_box(self.nodes[1:], 3))
 
 
-@dataclass(frozen=True)
-class PairGrid:
-    """Strictly positive lattice pairs in (0, bound]^2."""
+class PairGrid(_BoxGrid):
+    """Strictly positive lattice pairs in (0, bound]^2, the cone's face."""
 
-    resolution: int
-    bound: float = 1.0
-
-    def __post_init__(self):
-        if self.resolution < 2:
-            raise InvalidResolutionError(
-                f"pair grid needs resolution >= 2, got {self.resolution}"
-            )
-        if not self.bound > 0:
-            raise DomainError(f"pair bound must be positive, got {self.bound}")
+    dim = 2
 
     @cached_property
     def points(self):
-        step = self.bound / self.resolution
-        return _freeze(_box(np.arange(1, self.resolution + 1) * step, 2))
+        return _freeze(_box(self.nodes[1:], 2))
 
 
 # ---------------------------------------------------------------------------

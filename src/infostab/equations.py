@@ -572,13 +572,10 @@ def _points(kind, grid, budget):
     (see _unit_rows).  Triangle, cone and pair counts are checked in closed
     form before any row is built."""
     name = type(kind).__name__
-    if kind.lattice == "triangle":
-        count = _expect_grid(grid, TriangleGrid, name).count
-    elif kind.lattice == "cone":
-        count = _expect_grid(grid, ConeGrid, name).resolution**3
-    else:
+    cls = {"triangle": TriangleGrid, "cone": ConeGrid}.get(kind.lattice)
+    if cls is None:
         return _unit_rows(_expect_grid(grid, UnitGrid, name), kind.lattice, budget)
-    _within_budget(count, budget)
+    _within_budget(_expect_grid(grid, cls, name).count, budget)
     return grid.points
 
 
@@ -739,16 +736,19 @@ _PERMS3 = (
 )
 
 
-def symmetry_residual(F: TernaryFunction, grid: ConeGrid, *, jobs: int = 1) -> ResidualReport:
-    """sup over all six argument permutations of |F(P) - F(sigma P)|."""
-    pts = _expect_grid(grid, ConeGrid, "symmetry").points
+def symmetry_residual(
+    F: TernaryFunction, grid: ConeGrid, *, jobs: int = 1, budget: int = 10**7
+) -> ResidualReport:
+    """sup over all six argument permutations of |F(P) - F(sigma P)|; its 6 *
+    grid.count samples are checked against budget before the points are built."""
+    _within_budget(6 * _expect_grid(grid, ConeGrid, "symmetry").count, budget)
 
     def gaps(block):
         # _PERMS3 starts with the identity, whose values are the base
         vals = [np.asarray(F(*(block[:, i] for i in perm))) for perm in _PERMS3]
         return np.concatenate([v - vals[0] for v in vals])
 
-    return _sweep(*_row_blocks(pts, gaps), jobs=jobs)
+    return _sweep(*_row_blocks(grid.points, gaps), jobs=jobs)
 
 
 def homogeneity_residual(

@@ -5,7 +5,8 @@ two-variable functional equation on the unit interval; ternary and bivariate
 representations cover the entropy-style equations on the positive cone.
 Every representation is an immutable dataclass, evaluates vectorised over
 numpy arrays, applies the zero-probability conventions at domain endpoints,
-and serialises to a plain-dict descriptor for configs and reports.
+and serialises to a plain-dict descriptor for configs and reports.  Each
+value keeps the bits of the whole-array formula the tests hold as its oracle.
 """
 
 from __future__ import annotations

@@ -1090,6 +1090,34 @@ class TestMalformedValues:
         assert not (out / "report.json").exists()
         assert run({**config, "budget": 48000}, out_dir=str(tmp_path)) == EXIT_OK
 
+    @pytest.mark.parametrize("job, budget, samples", [
+        ("entropy_equation", 7999, 48000), ("entropy_equation", 16000, 48000),
+        ("modified_entropy", 7999, 8000), ("modified_entropy", 16000, 48000),
+        ("residual", 7999, 8000), ("residual", 16000, None),
+    ])
+    def test_cone_jobs_refuse_through_the_sweep_budget(self, tmp_path, capsys, job, budget,
+                                                       samples):
+        # the R = 20 cone holds 8,000 points and no budget of its own: each
+        # sweep refuses its own samples, the symmetry sweep's 6 R^3 included
+        if job == "residual":
+            config = {"schema": 1, "job": "residual", "equation": "entropy",
+                      "function": ENTROPY_SOLUTION, "grid": {**CONE, "resolution": 20}}
+        else:
+            config = {"schema": 1, "job": "certify", "theorem": job, "resolution": 20,
+                      **CONE_JOBS[job]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**config, "budget": budget}))
+        for jobs in ("1", "2"):
+            out = tmp_path / f"out{jobs}"
+            code = main(["--config", str(path), "--out", str(out), "--jobs", jobs])
+            err = capsys.readouterr().err
+            if samples is None:
+                assert (code, err) == (EXIT_OK, "")
+                continue
+            assert code == EXIT_CONFIG
+            assert err == f"error: {samples} defect samples exceed the budget of {budget}\n"
+            assert list(out.iterdir()) == []
+
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 class TestNonFiniteReports:
@@ -1251,6 +1279,28 @@ class TestNonFiniteReports:
             assert capsys.readouterr().err == f"error: {message}\n"
             assert [str(w.message) for w in caught] == []
             assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("text", [
+        '{"schema": 1, "job": "certify", "theorem": "entropy_equation", "resolution": 6, '
+        '"function": {"kind": "entropy_solution", "scale": 0.7, "alpha": 2.0}, '
+        '"alpha": 2.0, "bound": 1e309}',
+        '{"schema": 1, "job": "certify", "theorem": "modified_entropy", "resolution": 6, '
+        '"function": {"kind": "modified_entropy_solution", "coeff": 0.4, "alpha": 2.0, '
+        '"phi": {"kind": "xlog2", "scale": 1.0}}, "alpha": 2.0, "n": 1e309}',
+        '{"schema": 1, "job": "residual", "equation": "entropy", '
+        '"function": {"kind": "entropy_solution", "scale": 0.7, "alpha": 2.0}, '
+        '"grid": {"kind": "cone", "resolution": 6, "bound": 1e309}}',
+    ], ids=["entropy_bound", "modified_entropy_n", "cone_residual_bound"])
+    def test_overflowing_box_bound_is_refused(self, tmp_path, capsys, text):
+        # json reads 1e309 as inf, which is no NaN or infinite literal; the box
+        # refuses it before any node is computed
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = self.run_main(tmp_path, text)
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: cone bound must be positive and finite, got inf\n"
+        assert [str(w.message) for w in caught] == []
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("config", [
         {"schema": 1, "job": "sweep", "target": "constants", "alphas": ["x"]},

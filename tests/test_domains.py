@@ -314,7 +314,7 @@ def _peak_over_output(build):
 
 class TestInPlaceBuilds:
     @pytest.mark.parametrize("r", [2, 3, 7, 40, 125])
-    @pytest.mark.parametrize("bound", [1.0, 2.0, 0.3, 7.5])
+    @pytest.mark.parametrize("bound", [1.0, 2.0, 0.3, 7.5, 1.0 / 3.0])
     def test_cone_and_pair_match_meshgrid(self, r, bound):
         assert _bits(ConeGrid(r, bound=bound).points) == _bits(_meshgrid_box(r, bound, 3))
         assert _bits(PairGrid(r, bound=bound).points) == _bits(_meshgrid_box(r, bound, 2))
@@ -333,7 +333,7 @@ class TestInPlaceBuilds:
         [
             lambda: TriangleGrid(2048, closed=True).points,
             lambda: TriangleGrid(2048).points,
-            # 1,953,125 points, the largest cube under the default budget
+            # 1,953,125 points
             lambda: ConeGrid(125).points,
             lambda: PairGrid(1000).points,
         ],
@@ -380,9 +380,13 @@ class TestConeAndPair:
         assert pts.min() > 0.0
         assert pts.max() == 2.0
 
-    def test_cone_budget_at_construction(self):
-        with pytest.raises(BudgetExceededError):
-            ConeGrid(200, budget=10**6)
+    @pytest.mark.parametrize("r", [2, 7, 200])
+    def test_counts_in_closed_form(self, r):
+        # the grids hold no budget, so a cone past any budget still builds lazily;
+        # the sweeps check count-based samples before they read points
+        cone, pair = ConeGrid(r), PairGrid(r)
+        assert (cone.count, pair.count) == (r**3, r**2)
+        assert "points" not in vars(cone) and "points" not in vars(pair)
 
     def test_pair_grid(self):
         g = PairGrid(4, bound=1.0)
@@ -396,7 +400,7 @@ class TestConeAndPair:
     def test_pair_resolution_floor_and_positive_bounds(self):
         with pytest.raises(InvalidResolutionError):
             PairGrid(1)
-        for bound in (0.0, -1.0):
+        for bound in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(DomainError, match="cone bound must be positive"):
                 ConeGrid(4, bound=bound)
             with pytest.raises(DomainError, match="pair bound must be positive"):

@@ -668,6 +668,23 @@ class TestSymmetryHomogeneity:
         rep = symmetry_residual(Lopsided(1.0, 2.0), ConeGrid(4))
         assert rep.sup > 0.1
 
+    @pytest.mark.parametrize("budget", [100, 6 * 120**3 - 1])
+    def test_symmetry_budget_refuses_before_the_points(self, budget):
+        # the 1,728,000 points of ConeGrid(120) take 41 MB; the grid holds
+        # no budget, so the sweep checks its 6 R^3 samples before it reads them
+        grid = ConeGrid(120)
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                BudgetExceededError, match=f"^10368000 defect samples exceed the budget of {budget}$"
+            ):
+                symmetry_residual(EntropySolution(0.7, 2.0), grid, budget=budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert "points" not in vars(grid)
+
     def test_homogeneous_lift(self):
         F = RatioLift(ShannonInfo(), 1.0)
         rep = homogeneity_residual(F, 1.0, PairGrid(12, bound=0.5))

@@ -54,6 +54,10 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             LevelNoise(2, 0.01, seed=1)
 
+    def test_max_n_floor(self):
+        with pytest.raises(ConfigurationError, match="^max_n must be >= 2, got 1$"):
+            InformationMeasure(ShannonInfo(), 1.0, max_n=1)
+
     def test_level_noise_seed_nonnegative(self):
         with pytest.raises(UnsupportedParameterError, match="^noise seed must be nonnegative"):
             LevelNoise(3, 0.01, seed=-7)
@@ -82,6 +86,8 @@ class TestConstruction:
             m.eval_rows(np.empty((0, 3)))
         with pytest.raises(InvalidDistributionError, match="^measures are evaluated on strictly"):
             m.eval([1.5, -0.5])  # positivity is checked before the sign
+        with pytest.raises(InvalidDistributionError, match="^eval takes a single distribution$"):
+            m.eval([[0.5, 0.5]])
 
 
 class TestRecursionExactness:
@@ -118,6 +124,10 @@ class TestAxiomChecks:
         rep = check_symmetry(exact_measure(2.0), 3, 12)
         assert rep.sup <= 1e-12
         assert rep.samples == SimplexGrid(3, 12).count * 6
+
+    def test_recursivity_needs_level_three(self):
+        with pytest.raises(ConfigurationError, match="^recursivity defect needs n >= 3, got 2$"):
+            recursivity_defect(exact_measure(1.0), 2, 12)
 
     def test_semisymmetry_exact(self):
         rep = check_semisymmetry3(exact_measure(0.5), 16)

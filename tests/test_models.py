@@ -49,6 +49,7 @@ from infostab import (
     ternary_from_config,
     validate_distribution,
 )
+from infostab.models import ScalarFunction
 
 from _helpers import UNIT_ARRAYS, alpha_sum_generator, float_bits, sampled, two_where_pow0
 
@@ -471,6 +472,13 @@ class TestDescriptors:
     def test_unknown_kind(self):
         with pytest.raises(UnsupportedParameterError):
             scalar_from_config({"kind": "mystery"})
+
+        class Unlisted(ScalarFunction):
+            def _values(self, x):
+                return x
+
+        with pytest.raises(UnsupportedParameterError, match="^Unlisted has no config descriptor$"):
+            config_of(Unlisted())
 
     def test_extra_field(self):
         with pytest.raises(UnsupportedParameterError):
