@@ -20,7 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from .domains import ConeGrid, PairGrid, SimplexGrid, TriangleGrid, UnitGrid, _unit_nodes, pow0
+from .domains import (
+    ConeGrid, PairGrid, SimplexGrid, TriangleGrid, UnitGrid, _box, _unit_nodes, pow0,
+)
 from .equations import (
     EntropyEq,
     FundamentalParametric,
@@ -803,14 +805,11 @@ def certify_associativity(
     vs = np.linspace(v0, v1, r + 1)
     ws = np.linspace(w0, w1, r + 1)
 
-    # stacked from broadcast views, so the (u, v, w) matrix is the one copy
-    uvw = np.stack(np.meshgrid(us, vs, ws, indexing="ij", copy=False), axis=-1).reshape(-1, 3)
-
     def gap(P):
         u, v, w = P.T
         return np.asarray(A(u + v, w)) - np.asarray(B(u, v + w))
 
-    eps = _sweep(*_row_blocks(uvw, gap), jobs=jobs).sup
+    eps = _sweep(*_row_blocks(_box(us, vs, ws), gap), jobs=jobs).sup
 
     def phi(sv):
         sv = np.asarray(sv, dtype=float)
@@ -827,13 +826,14 @@ def certify_associativity(
         tuple(float(t) for t in s_nodes), tuple(float(t) for t in phi(s_nodes))
     )
 
-    ps = np.linspace(u0 + v0, u1 + v1, 2 * r + 1)
-    pp, ww2 = (t.ravel() for t in np.meshgrid(ps, ws, indexing="ij"))
-    dist_a = _distance(np.stack([pp, ww2], axis=1), np.asarray(A(pp, ww2)) - phi(pp + ww2))
+    def side(F, xs, ys):
+        # sup |F(x, y) - phi(x + y)| over the box xs x ys
+        pts = _box(xs, ys)
+        x, y = pts.T
+        return _distance(pts, np.asarray(F(x, y)) - phi(x + y))
 
-    ts = np.linspace(v0 + w0, v1 + w1, 2 * r + 1)
-    uu2, tt = (t.ravel() for t in np.meshgrid(us, ts, indexing="ij"))
-    dist_b = _distance(np.stack([uu2, tt], axis=1), np.asarray(B(uu2, tt)) - phi(uu2 + tt))
+    dist_a = side(A, np.linspace(u0 + v0, u1 + v1, 2 * r + 1), ws)
+    dist_b = side(B, us, np.linspace(v0 + w0, v1 + w1, 2 * r + 1))
 
     trace = dict(
         anchor_v_window=(v0, v1),

@@ -414,6 +414,10 @@ def _level_field(cfg, name, max_n, default):
 def _job_measure(cfg, jobs, dump):
     budget = _int_field(cfg, "budget", 10**6)
     measure = _build_measure(_field(cfg, "measure"))
+    if measure.max_n < 3:  # the generating defect reads level 3
+        raise ConfigurationError(
+            f"config field 'measure.max_n' must be at least 3, got {measure.max_n}"
+        )
     resolution = _int_field(cfg, "resolution")
     top = _level_field(cfg, "n", measure.max_n, 3)
     level = _level_field(cfg, "tabulate", measure.max_n, None)

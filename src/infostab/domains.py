@@ -8,14 +8,16 @@ whenever the resolution is even.  Point arrays are materialised once per grid
 and returned read-only, so grids are safe to share across threads.
 
 Every grid has a cached, read-only ``nodes`` table, the 1-D values its
-coordinates take: k/R for k = 0..R, or k * (bound/R) on the box (0, bound]^3
-of ``ConeGrid`` and its face (0, bound]^2, ``PairGrid``, which share one
-definition.  The triangle and box lattices are written in place from their
-table: one float matrix of the final shape is filled by slice or broadcast
-copies, so a build peaks at its output.  Simplex lattices are enumerated as
-integer compositions and scaled block by block, which gives the bits of
-their node table too.  No grid holds a budget except ``SimplexGrid``, whose
-guard covers ``.points`` only; a sweep with a budget checks its samples.
+coordinates take: k/R for k = 0..R (one definition), or k * (bound/R) on the
+box (0, bound]^3 of ``ConeGrid`` and its face (0, bound]^2, ``PairGrid``.
+Each lattice shape has one builder, which copies table values into one float
+matrix of the final shape, so a build peaks at its output: ``_pairs`` writes
+x-major pair rows (the triangle and the unit pairs), ``_box`` stacks a
+Cartesian product from broadcast views (the cone, the pair grid and the
+associativity boxes).  Simplex lattices are enumerated as integer
+compositions and scaled block by block, which gives their table's bits too.
+No grid holds a budget except ``SimplexGrid``, whose guard covers
+``.points`` only; a sweep with a budget checks its samples.
 
 Conventions (applied uniformly, for every exponent alpha):
 
@@ -123,15 +125,22 @@ def _freeze(arr):
     return arr
 
 
-def _box(axis, k):
-    """The k-fold Cartesian power of axis as a C-ordered (len^k, k) matrix,
-    first coordinate slowest (meshgrid "ij" order), each column broadcast
-    straight into one matrix through a (len, ..., len, k) view."""
-    r = axis.size
-    out = np.empty((r**k, k))
-    view = out.reshape((r,) * k + (k,))
-    for j in range(k):
-        view[..., j] = axis.reshape((r,) + (1,) * (k - 1 - j))
+def _box(*axes):
+    """The Cartesian product of axes as a C-ordered (prod len, k) matrix,
+    first axis slowest (meshgrid "ij" order), stacked from broadcast views,
+    so the matrix is the one copy."""
+    return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, len(axes))
+
+
+def _pairs(x, counts):
+    """The pairs (x[i], x[j]) with j < counts[i], x-major, written row by row
+    into one C-ordered matrix, so a build peaks at its output."""
+    out = np.empty((int(counts.sum()), 2))
+    start = 0
+    for i, c in enumerate(counts.tolist()):
+        out[start : start + c, 0] = x[i]
+        out[start : start + c, 1] = x[:c]
+        start += c
     return out
 
 
@@ -163,12 +172,18 @@ def _unit_nodes(resolution):
     return _freeze(np.arange(resolution + 1) / float(resolution))
 
 
-@dataclass(frozen=True)
-class UnitGrid:
-    """Lattice on the unit interval: {k/R} with k = 1..R-1, or 0..R when closed.
+class _UnitNodes:
+    """The one ``nodes`` of the unit, triangle and simplex grids: the table
+    k/R, k = 0..R, that their coordinates are copied from or equal to."""
 
-    ``nodes`` is the table k/R, k = 0..R, that ``points`` copies from.
-    """
+    @cached_property
+    def nodes(self):
+        return _unit_nodes(self.resolution)
+
+
+@dataclass(frozen=True)
+class UnitGrid(_UnitNodes):
+    """Lattice on the unit interval: {k/R} with k = 1..R-1, or 0..R when closed."""
 
     resolution: int
     closed: bool = False
@@ -180,24 +195,19 @@ class UnitGrid:
             )
 
     @cached_property
-    def nodes(self):
-        return _unit_nodes(self.resolution)
-
-    @cached_property
     def points(self):
         lo = 0 if self.closed else 1
         return _freeze(self.nodes[lo : self.resolution + 1 - lo].copy())
 
 
 @dataclass(frozen=True)
-class TriangleGrid:
+class TriangleGrid(_UnitNodes):
     """Lattice on the triangle domain of the two-variable functional equation.
 
     Open variant: x, y and x+y all in (0,1), i.e. i,j >= 1 with i+j <= R-1.
     Closed variant: x, y in [0,1) with x+y <= 1 (the asymmetric closure that
     keeps 1-x and 1-y positive), i.e. i,j <= R-1 with i+j <= R.  ``count``
-    gives the number of points without building them; ``nodes`` is the
-    table k/R, k = 0..R, that ``points`` copies its coordinates from.
+    gives the number of points without building them.
     """
 
     resolution: int
@@ -217,31 +227,15 @@ class TriangleGrid:
         return (r + 1) * (r + 2) // 2 - 2 if self.closed else (r - 1) * (r - 2) // 2
 
     @cached_property
-    def nodes(self):
-        return _unit_nodes(self.resolution)
-
-    @cached_property
     def points(self):
-        # lexicographic rows (i/R, j/R): row i holds j = lo..hi with
-        # hi = min(R - lo - i, R - 1), copied from the node table k/R into
-        # the final matrix; the first empty row ends the lattice
+        # lexicographic rows (i/R, j/R): row i holds j = lo..min(R - lo - i, R - 1)
         r, lo = self.resolution, 0 if self.closed else 1
-        nodes = self.nodes
-        out = np.empty((self.count, 2))
-        start = 0
-        for i in range(lo, r):
-            hi = min(r - lo - i, r - 1)
-            if hi < lo:
-                break
-            stop = start + hi - lo + 1
-            out[start:stop, 0] = nodes[i]
-            out[start:stop, 1] = nodes[lo : hi + 1]
-            start = stop
-        return _freeze(out)
+        i = np.arange(lo, r)
+        return _freeze(_pairs(self.nodes[lo:r], np.minimum(r - lo - i, r - 1) - lo + 1))
 
 
 @dataclass(frozen=True)
-class SimplexGrid:
+class SimplexGrid(_UnitNodes):
     """Lattice on the probability simplex with n coordinates.
 
     Open variant: all coordinates k_i/R with k_i >= 1 (strict interior).
@@ -307,10 +301,6 @@ class SimplexGrid:
                 yield run(k[start:])
 
     @cached_property
-    def nodes(self):
-        return _unit_nodes(self.resolution)
-
-    @cached_property
     def points(self):
         if self.count > self.budget:
             raise BudgetExceededError(
@@ -364,7 +354,7 @@ class ConeGrid(_BoxGrid):
 
     @cached_property
     def points(self):
-        return _freeze(_box(self.nodes[1:], 3))
+        return _freeze(_box(*[self.nodes[1:]] * 3))
 
 
 class PairGrid(_BoxGrid):
@@ -374,7 +364,7 @@ class PairGrid(_BoxGrid):
 
     @cached_property
     def points(self):
-        return _freeze(_box(self.nodes[1:], 2))
+        return _freeze(_box(*[self.nodes[1:]] * 2))
 
 
 # ---------------------------------------------------------------------------

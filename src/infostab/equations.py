@@ -56,8 +56,8 @@ from typing import Optional
 import numpy as np
 
 from .domains import (
-    _CHUNK, ConeGrid, PairGrid, SimplexGrid, TriangleGrid, UnitGrid, _g17, _write_csv,
-    pow0,
+    _CHUNK, ConeGrid, PairGrid, SimplexGrid, TriangleGrid, UnitGrid, _g17, _pairs,
+    _write_csv, pow0,
 )
 from .errors import BudgetExceededError, ConfigurationError, DomainError, NonFiniteDefectError
 from .models import BivariateFunction, TernaryFunction, _finite
@@ -583,9 +583,10 @@ def _unit_rows(g, lattice, budget):
     """The rows of a UnitGrid lattice, within budget: its points as one column
     ("unit"), or its (x, y) pairs, x-major: all of them ("pairs"), those with
     x + y in the grid's interval ("domain pairs"), or those with x + y > 0
-    ("nonzero pairs").  The closed-form count is checked first, and only the
-    kept pairs are built: point i of a "domain pairs" lattice pairs with the
-    first n - i points (n - 1 - i when open), since its coordinates are k/R."""
+    ("nonzero pairs").  The closed-form count is checked first, and _pairs
+    builds only the kept pairs: point i of a "domain pairs" lattice pairs with
+    the first n - i points (n - 1 - i when open), since its coordinates are
+    k/R, and the open lattice is the open TriangleGrid's, bit for bit."""
     x = g.points
     n = x.size
     if lattice == "unit":
@@ -596,14 +597,8 @@ def _unit_rows(g, lattice, budget):
     else:
         counts = np.full(n, n)
     drop = int(lattice == "nonzero pairs" and g.closed)  # the pair (0, 0) comes first
-    count = int(counts.sum()) - drop
-    _within_budget(count, budget)
-    pts = np.empty((count + drop, 2))
-    pts[:, 0] = np.repeat(x, counts)
-    partner = np.arange(count + drop)
-    partner -= np.repeat(np.cumsum(counts) - counts, counts)
-    pts[:, 1] = x[partner]
-    return pts[drop:]
+    _within_budget(int(counts.sum()) - drop, budget)
+    return _pairs(x, counts)[drop:]
 
 
 def _expect_grid(grid, cls, kind_name):

@@ -38,8 +38,8 @@ import numpy as np
 
 from .domains import SimplexGrid, TriangleGrid, pow0
 from .equations import (
-    FundamentalParametric, ResidualReport, _fold, _imap, _pair_blocks, _passes, _row_blocks,
-    _simplex_blocks, _summary, _sweep, _within_budget, residual,
+    FundamentalParametric, ResidualReport, SumFormAlpha, _fold, _imap, _pair_blocks, _passes,
+    _row_blocks, _simplex_blocks, _summary, _sweep, _within_budget, residual,
 )
 from .errors import ConfigurationError, InvalidDistributionError
 from .models import ScalarFunction, _SeededNoise, validate_distribution
@@ -245,16 +245,16 @@ def check_additivity(
         raise ConfigurationError(
             f"product level {n * m} beyond this measure's max_n={measure.max_n}"
         )
+    equation = SumFormAlpha(measure.alpha, n, m)
     gp = SimplexGrid(n, resolution, budget=budget)
     gq = SimplexGrid(m, resolution, budget=budget)
 
     def cross(a, b, prods):
         # prods[i, j] holds the nm coordinates of P[a + i] * Q[j]
         left = measure._eval_rows(prods.reshape(-1, prods.shape[2])).reshape(b - a, -1)
-        return left - ip[a:b] - iq - lam * ip[a:b] * iq
+        return equation.cross(left, ip[a:b], iq)
 
     work, spans = _pair_blocks(gp, gq, budget, cross)
-    lam = 2.0 ** (1.0 - measure.alpha) - 1.0
     ip = measure._eval_rows(gp.points)[:, None]
     iq = measure._eval_rows(gq.points)[None, :]
     return _sweep(work, spans)

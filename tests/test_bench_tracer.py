@@ -96,3 +96,36 @@ def test_worker_builds_every_declared_lattice(bench_worker, monkeypatch):
         if hasattr(g, "count"):
             key = bench_worker.tracing.grid_key(g)
             assert g.count == workloads.lattice_size(key), key
+
+
+def test_smoke_workloads_keep_the_bench_contract(bench_worker, tmp_path):
+    # each workload once at smoke size, traced in-process as a bench pass is:
+    # exit codes and pinned fields equal the reference at the default seed,
+    # every must_call site is called, the lattices built are the declared
+    # ones, and job_mix's reports at jobs = 2 equal those at jobs = 1
+    from infostab import cli
+
+    workloads, tracing = bench_worker.workloads, bench_worker.tracing
+    seed = workloads.DEFAULT_SEED
+    threaded = []
+    for name in workloads.WORKLOADS:
+        wl = workloads.build(name, seed, True)
+        checker = bench_worker.Checker()
+        runner = bench_worker.Runner(cli, wl, str(tmp_path / name), checker)
+        if wl.threads > 1:
+            threaded.append(name)
+            _, codes = runner.run_pass(jobs=1)
+            runner.serial = [report for report, _ in runner.check(codes)]
+        tracer = tracing.Tracer()
+        try:
+            tracer.install(tracing.SITES)
+            _, codes = runner.run_pass()
+        finally:
+            tracer.uninstall()
+        runner.check(codes, bench_worker.load_reference(wl, seed, True))
+        bench_worker.check_lattices(wl, tracer.lattices, checker)
+        called = {span.site for span in tracer.spans}
+        assert [site for site in wl.must_call if site not in called] == [], name
+        assert (checker.failed, checker.reasons) == (0, []), name
+        assert checker.attempted == len(wl.jobs) * (1 + (wl.threads > 1)), name
+    assert threaded == ["job_mix"]

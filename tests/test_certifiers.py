@@ -653,6 +653,19 @@ class TestAssociativity:
         assert cert.bound_a == 2.0 * cert.epsilon
         assert cert.bound_b == cert.epsilon
 
+    def test_unequal_intervals_keep_their_bits(self):
+        # the three lattices U x V x W, (U + V) x W and U x (V + W) on intervals
+        # of different lengths, with A != B; values frozen as float hex
+        base = PhiOfSum(PowerLaw(1.3, 1.7))
+        wa, wb = Wave2(1e-3, 4), Wave2(2e-3, 9)
+        A = lambda u, v: np.asarray(base(u, v)) + np.asarray(wa(u, v))
+        B = lambda u, v: np.asarray(base(u, v)) + np.asarray(wb(u, v))
+        cert = certify_associativity(A, B, (0.1, 0.7), (0.2, 1.5), (0.05, 0.4), 9)
+        assert cert.epsilon.hex() == "0x1.87d0353c78600p-9"
+        assert cert.distance_a.hex() == "0x1.169b0e4f92c00p-11"
+        assert cert.distance_b.hex() == "0x1.6fe0f3b350400p-9"
+        assert cert.satisfied
+
     def test_interval_validation(self):
         A = B = AffineSum()
         with pytest.raises(ConfigurationError):

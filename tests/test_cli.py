@@ -387,6 +387,24 @@ class TestRunMeasure:
         with pytest.raises(ConfigurationError):
             run(self.measure_config(n=9), out_dir=str(tmp_path))
 
+    @pytest.mark.parametrize("n", [None, 2])
+    def test_max_n_below_three_is_refused_before_any_sweep(self, tmp_path, capsys,
+                                                           monkeypatch, n):
+        # the generating defect reads level 3; the refusal names the field that
+        # was set, not the unset 'n'
+        stub_sweeps(monkeypatch)
+        config = self.measure_config(n=n)
+        config["measure"]["max_n"] = 2
+        if n is None:
+            del config["n"]
+        path, out = tmp_path / "config.json", tmp_path / "out"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: config field 'measure.max_n' must be at least 3, got 2\n"
+        )
+        assert not (out / "report.json").exists()
+
 
 class TestRunSweep:
     def test_constants_sweep(self, tmp_path):

@@ -30,7 +30,7 @@ from infostab import (
     ratio0,
     xlog2,
 )
-from infostab.domains import _g17, _write_csv
+from infostab.domains import _box, _g17, _pairs, _write_csv
 
 from _helpers import UNIT_ARRAYS, float_bits, two_where_pow0
 
@@ -294,11 +294,13 @@ class TestSimplexGrid:
             gc.enable()
 
 
-def _meshgrid_box(resolution, bound, k):
-    """The meshgrid-and-stack cone and pair build, kept as the oracle of its
-    replacement."""
-    axis = np.arange(1, resolution + 1) * (bound / resolution)
-    return np.stack([c.ravel() for c in np.meshgrid(*[axis] * k, indexing="ij")], axis=1)
+def _meshgrid_box(*axes):
+    """The meshgrid-ravel-and-stack box build, kept as the oracle of _box."""
+    return np.stack([c.ravel() for c in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
+# three axes of different lengths, as certify_associativity's U x V x W
+_UNEQUAL_AXES = (np.linspace(0.1, 0.7, 4), np.linspace(0.2, 1.5, 7), np.linspace(0.05, 0.4, 11))
 
 
 def _peak_over_output(build):
@@ -316,8 +318,23 @@ class TestInPlaceBuilds:
     @pytest.mark.parametrize("r", [2, 3, 7, 40, 125])
     @pytest.mark.parametrize("bound", [1.0, 2.0, 0.3, 7.5, 1.0 / 3.0])
     def test_cone_and_pair_match_meshgrid(self, r, bound):
-        assert _bits(ConeGrid(r, bound=bound).points) == _bits(_meshgrid_box(r, bound, 3))
-        assert _bits(PairGrid(r, bound=bound).points) == _bits(_meshgrid_box(r, bound, 2))
+        axis = np.arange(1, r + 1) * (bound / r)
+        assert _bits(ConeGrid(r, bound=bound).points) == _bits(_meshgrid_box(axis, axis, axis))
+        assert _bits(PairGrid(r, bound=bound).points) == _bits(_meshgrid_box(axis, axis))
+
+    def test_box_of_unequal_axes_matches_meshgrid(self):
+        box = _box(*_UNEQUAL_AXES)
+        assert box.shape == (4 * 7 * 11, 3) and box.flags.c_contiguous
+        assert _bits(box) == _bits(_meshgrid_box(*_UNEQUAL_AXES))
+
+    def test_pairs_skip_rows_with_no_points(self):
+        # a row of count 0 adds nothing, first or last
+        x = np.array([0.25, 0.5, 0.75])
+        assert _pairs(x, np.array([0, 2, 1])).tolist() == [[0.5, 0.25], [0.5, 0.5], [0.75, 0.25]]
+        assert _pairs(x, np.array([1, 0, 0])).tolist() == [[0.25, 0.25]]
+        assert _pairs(x, np.array([0, 0, 0])).shape == (0, 2)
+        # the open R = 3 triangle: row 1 holds (1/3, 1/3), row 2 nothing
+        assert TriangleGrid(3).points.tolist() == [[1 / 3, 1 / 3]]
 
     @pytest.mark.parametrize(
         "grid", [TriangleGrid(64), TriangleGrid(64, closed=True), ConeGrid(6), PairGrid(6)]
@@ -336,8 +353,10 @@ class TestInPlaceBuilds:
             # 1,953,125 points
             lambda: ConeGrid(125).points,
             lambda: PairGrid(1000).points,
+            # 1,923,577 points
+            lambda: _box(*(np.linspace(0.0, k, n) for k, n in ((1, 101), (2, 151), (3, 127)))),
         ],
-        ids=["triangle-closed", "triangle-open", "cone", "pair"],
+        ids=["triangle-closed", "triangle-open", "cone", "pair", "unequal-box"],
     )
     def test_build_peaks_at_its_output(self, build):
         # room for the node table and the loop's views, not for a second copy

@@ -82,6 +82,7 @@ from infostab.equations import (
     _imap,
     _row,
     _sum_form_blocks,
+    _unit_rows,
 )
 from infostab.models import BivariateFunction, TernaryFunction
 
@@ -1088,6 +1089,14 @@ class TestUnitPairs:
             want = _meshgrid_pairs(grid, keep)
             assert got.shape == want.shape, r
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), r
+
+    @pytest.mark.parametrize("r", [2, 3, 7, 96, 1000])
+    def test_open_domain_pairs_are_the_open_triangle(self, r):
+        # one x-major pair set, bit for bit; at R = 2 its only row holds no pair
+        got = _unit_rows(UnitGrid(r), "domain pairs", 10**7)
+        want = TriangleGrid(r).points if r > 2 else np.empty((0, 2))
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_builds_only_the_kept_pairs(self):
         # 1,997,001 kept pairs take 30 MB; the meshgrid build peaked at 202 MB

@@ -151,6 +151,15 @@ class TestAxiomChecks:
         with pytest.raises(ConfigurationError):
             check_additivity(exact_measure(1.0, max_n=4), 2, 3, 8)
 
+    def test_additivity_refuses_an_overflowing_product_term(self, monkeypatch):
+        # 2**(1 - alpha) at alpha = -1100 is past the float range: SumFormAlpha
+        # refuses it before any lattice is built
+        monkeypatch.setattr(measures, "SimplexGrid", lambda *a, **k: pytest.fail("lattice built"))
+        m = InformationMeasure(ShannonInfo(), -1100.0, 6)
+        msg = r"^2\*\*\(1 - alpha\) at alpha = -1100.0 is not a finite float$"
+        with pytest.raises(UnsupportedParameterError, match=msg):
+            check_additivity(m, 2, 3, 8)
+
     def test_normalization(self):
         assert check_normalization(exact_measure(0.5)) <= 1e-12
         doubled = InformationMeasure(FunctionSum((ShannonInfo(), ShannonInfo())), 1.0)
